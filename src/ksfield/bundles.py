@@ -20,7 +20,8 @@ from .expr import (
     Var,
     add,
     diff,
-    evaluate,
+    evaluate_batch,
+    evaluate_envs,
     free_vars,
     mul,
     substitute,
@@ -62,6 +63,12 @@ class JetPoint:
     def flat(self) -> np.ndarray:
         return np.concatenate([self.q, self.v.T.reshape(-1)])
 
+    @classmethod
+    def from_flat(cls, table: VarTable, row) -> "JetPoint":
+        """Inverse of :meth:`flat`: a point from its velocity-chart coordinates."""
+        n, k = table.n, table.k
+        return cls(table, row[:n], np.reshape(row[n:], (k, n)).T)
+
 
 @dataclass
 class CoJetPoint:
@@ -83,6 +90,30 @@ class CoJetPoint:
 
     def flat(self) -> np.ndarray:
         return np.concatenate([self.q, self.p.reshape(-1)])
+
+    @classmethod
+    def from_flat(cls, table: VarTable, row) -> "CoJetPoint":
+        """Inverse of :meth:`flat`: a point from its momentum-chart coordinates."""
+        n, k = table.n, table.k
+        return cls(table, row[:n], np.reshape(row[n:], (k, n)))
+
+
+def point_rows(points, dim: int):
+    """Coordinates of ``points`` as an (N, dim) matrix, and whether one point was given.
+
+    ``points`` is a JetPoint or CoJetPoint, a sequence of them, or an array
+    of coordinate rows in chart order; a 1-D array is a single point.
+    """
+    if isinstance(points, (JetPoint, CoJetPoint)):
+        return points.flat()[None, :], True
+    if not isinstance(points, np.ndarray):
+        points = [w.flat() if isinstance(w, (JetPoint, CoJetPoint)) else w for w in points]
+    rows = np.asarray(points, dtype=float)
+    single = rows.ndim == 1 and rows.size > 0
+    rows = rows.reshape(-1, dim) if rows.size == 0 else np.atleast_2d(rows)
+    if rows.ndim != 2 or rows.shape[1] != dim:
+        raise BundleError(f"points must have {dim} coordinates, got shape {rows.shape}")
+    return rows, single
 
 
 @dataclass
@@ -120,8 +151,7 @@ class VectorFieldQ:
                 )
 
     def at(self, q: np.ndarray) -> np.ndarray:
-        env = dict(zip(self.table.q_names, q))
-        return np.array([evaluate(c, env) for c in self.components])
+        return evaluate_envs(self.components, [dict(zip(self.table.q_names, q))])[0]
 
 
 @dataclass(frozen=True)
@@ -158,12 +188,10 @@ def first_prolongation(table: VarTable, phi: Sequence[Expr], t: Sequence[float])
         extra = free_vars(comp) - allowed
         if extra:
             raise BundleError(f"map component depends on {sorted(extra)[0]}")
-    env = dict(zip(table.t_names, np.asarray(t, dtype=float)))
-    q = np.array([evaluate(c, env) for c in phi])
-    v = np.array(
-        [[evaluate(diff(c, table.t(A)), env) for A in range(table.k)] for c in phi]
-    )
-    return JetPoint(table, q, v)
+    jets = phi + tuple(diff(c, table.t(A)) for c in phi for A in range(table.k))
+    t_row, _ = point_rows(t, table.k)
+    values = evaluate_batch(jets, table.t_names, t_row)[0]
+    return JetPoint(table, values[: table.n], values[table.n:].reshape(table.n, table.k))
 
 
 def pullback_by_prolongation(table: VarTable, e: Expr, phi: Sequence[Expr]) -> Expr:
@@ -312,13 +340,10 @@ class DiffeoQ:
 
     def verify_inverse(self, qs: Sequence[np.ndarray], tol: float = 1e-9) -> float:
         """Max |phi(phi^-1(q)) - q| over sample base points; raises above tol."""
-        worst = 0.0
-        for q in qs:
-            env = dict(zip(self.table.q_names, q))
-            mid = [evaluate(c, env) for c in self.inverse]
-            env2 = dict(zip(self.table.q_names, mid))
-            back = np.array([evaluate(c, env2) for c in self.forward])
-            worst = max(worst, float(np.max(np.abs(back - np.asarray(q)))))
+        names = self.table.q_names
+        points = np.asarray(qs, dtype=float).reshape(-1, len(names))
+        back = evaluate_batch(self.forward, names, evaluate_batch(self.inverse, names, points))
+        worst = float(np.max(np.abs(back - points))) if points.size else 0.0
         if worst > tol:
             raise BundleError(f"declared inverse fails round-trip: residual {worst:.3e}")
         return worst
@@ -342,25 +367,31 @@ class TotalMap:
         return self.table.chart(self.side)
 
     def apply_env(self, env: dict) -> np.ndarray:
-        return np.array([evaluate(c, env) for c in self.components])
+        return evaluate_envs(self.components, [env])[0]
+
+    def images(self, points) -> np.ndarray:
+        """Images of the rows of ``points`` (chart coordinates), as rows."""
+        return evaluate_batch(self.components, self.chart, point_rows(points, len(self.chart))[0])
 
     def map_point(self, w):
-        values = self.apply_env(w.env())
-        n, k = self.table.n, self.table.k
-        q = values[: n]
-        fiber = values[n:].reshape(k, n)
-        if self.side == "lagrangian":
-            return JetPoint(self.table, q, fiber.T)
-        return CoJetPoint(self.table, q, fiber)
+        return self._point(self.apply_env(w.env()))
+
+    def _point(self, values: np.ndarray):
+        point_type = JetPoint if self.side == "lagrangian" else CoJetPoint
+        return point_type.from_flat(self.table, values)
+
+    def _jacobian_exprs(self) -> tuple:
+        return tuple(diff(comp, name) for comp in self.components for name in self.chart)
 
     def jacobian_at(self, env: dict) -> np.ndarray:
-        chart = self.chart
-        dim = len(chart)
-        J = np.zeros((dim, dim))
-        for r, comp in enumerate(self.components):
-            for c, name in enumerate(chart):
-                J[r, c] = evaluate(diff(comp, name), env)
-        return J
+        dim = len(self.chart)
+        return evaluate_envs(self._jacobian_exprs(), [env])[0].reshape(dim, dim)
+
+    def jacobians(self, points) -> np.ndarray:
+        """Jacobian matrices at the rows of ``points``, shape (N, dim, dim)."""
+        dim = len(self.chart)
+        rows, _ = point_rows(points, dim)
+        return evaluate_batch(self._jacobian_exprs(), self.chart, rows).reshape(-1, dim, dim)
 
     def pushforward(self, X: TangentVector) -> TangentVector:
         env = X.base.env()
@@ -371,27 +402,16 @@ class TotalMap:
         """Push the legs of a pointwise k-vector field from Phi^-1(w) to w."""
         if self.inverse is None:
             raise BundleError("pushforward through a map without declared inverse")
-        env = w.env()
-        pre_values = np.array([evaluate(c, env) for c in self.inverse])
-        n, k = self.table.n, self.table.k
-        q = pre_values[:n]
-        fiber = pre_values[n:].reshape(k, n)
-        if self.side == "lagrangian":
-            pre = JetPoint(self.table, q, fiber.T)
-        else:
-            pre = CoJetPoint(self.table, q, fiber)
+        pre = self._point(evaluate_envs(self.inverse, [w.env()])[0])
         J = self.jacobian_at(pre.env())
         return [TangentVector(w, J @ leg.components) for leg in legs_fn(pre)]
 
     def verify_inverse(self, points, tol: float = 1e-9) -> float:
         if self.inverse is None:
             raise BundleError("no declared inverse")
-        worst = 0.0
-        for w in points:
-            env = w.env()
-            mid = dict(zip(self.chart, (evaluate(c, env) for c in self.inverse)))
-            back = np.array([evaluate(c, mid) for c in self.components])
-            worst = max(worst, float(np.max(np.abs(back - w.flat()))))
+        rows, _ = point_rows(points, len(self.chart))
+        back = self.images(evaluate_batch(self.inverse, self.chart, rows))
+        worst = float(np.max(np.abs(back - rows))) if rows.size else 0.0
         if worst > tol:
             raise BundleError(f"declared inverse fails round-trip: residual {worst:.3e}")
         return worst

@@ -16,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .bundles import BundleError
-from .expr import ParseError, to_source
+from .bundles import BundleError, JetPoint
+from .expr import EvalError, ParseError, to_source
 from .gauge import GaugeError, gauge_compare, verify_same_solutions
 from .hamiltonian import ham_kvector, kvector_equation_residual
 from .lagrangian import (
@@ -34,7 +34,7 @@ from .modelfile import (
     ModelSpec,
     load_model,
 )
-from .sampling import sample_cojet_points, sample_jet_points, sample_parameters
+from .sampling import sample_parameters, sample_points
 from .solver import (
     NotHyperbolicError,
     SolverError,
@@ -154,11 +154,13 @@ def _emit(payload: dict, out: Path | None, filename: str):
 
 
 def _jet_samples(spec: ModelSpec):
-    return sample_jet_points(spec.table, spec.samples, spec.seed, spec.box)
+    """Sample points of the velocity chart, one row each."""
+    return sample_points(spec.table, "lagrangian", spec.samples, spec.seed, spec.box)
 
 
 def _cojet_samples(spec: ModelSpec):
-    return sample_cojet_points(spec.table, spec.samples, spec.seed, spec.box)
+    """Sample points of the momentum chart, one row each."""
+    return sample_points(spec.table, "hamiltonian", spec.samples, spec.seed, spec.box)
 
 
 def _t_samples(spec: ModelSpec, solution: AnalyticSolution):
@@ -177,14 +179,12 @@ def cmd_analyze(args) -> int:
     if spec.lagrangian is not None:
         model = spec.lagrangian
         samples = _jet_samples(spec)
-        dets = []
-        regular_everywhere = True
-        for w in samples:
-            M, regular = velocity_hessian(model, w, spec.tol("hessian"))
-            dets.append(float(np.linalg.det(M)))
-            regular_everywhere = regular_everywhere and regular
+        hessians, regular = velocity_hessian(model, samples, spec.tol("hessian"))
+        dets = np.linalg.det(hessians)
+        regular_everywhere = bool(np.all(regular))
         images = []
-        for w in samples[:3]:
+        for row in samples[:3]:
+            w = JetPoint.from_flat(table, row)
             p = legendre(model, w)
             images.append(
                 {
@@ -200,8 +200,8 @@ def cmd_analyze(args) -> int:
             ],
             "energy": to_source(energy(model)),
             "regular": regular_everywhere,
-            "hessian_det_min": min(dets),
-            "hessian_det_max": max(dets),
+            "hessian_det_min": float(np.min(dets)),
+            "hessian_det_max": float(np.max(dets)),
             "legendre_images": images,
         }
         print(f"energy: {report['lagrangian']['energy']}")
@@ -218,9 +218,8 @@ def cmd_analyze(args) -> int:
     if spec.hamiltonian is not None:
         model = spec.hamiltonian
         samples = _cojet_samples(spec)
-        worst = 0.0
-        for w in samples:
-            worst = max(worst, kvector_equation_residual(model, w, ham_kvector(model, w)))
+        residuals = kvector_equation_residual(model, samples, ham_kvector(model, samples))
+        worst = float(np.max(residuals, initial=0.0))
         report["hamiltonian"] = {
             "hamiltonian": to_source(model.H),
             "kvector_residual": worst,
@@ -531,7 +530,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ModelFileError, UsageError, ParseError, BundleError) as exc:
+    except (ModelFileError, UsageError, ParseError, BundleError, EvalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (RegularityError, SolverError, NotHyperbolicError, GaugeError, SymmetryError) as exc:

@@ -60,6 +60,12 @@ _FUNCTIONS: dict[str, Callable[[float], float]] = {
 Bindings = Mapping[str, float]
 
 
+def _finite(value: float, what: str) -> float:
+    if not math.isfinite(value):
+        raise DomainError(f"{what} is not finite: {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class Expr:
     def diff(self, name: str) -> "Expr":
@@ -155,7 +161,7 @@ class Add(Expr):
         return add(self.left.diff(name), self.right.diff(name))
 
     def _ev(self, env):
-        return self.left._ev(env) + self.right._ev(env)
+        return _finite(self.left._ev(env) + self.right._ev(env), "sum")
 
     def subs(self, mapping):
         return add(self.left.subs(mapping), self.right.subs(mapping))
@@ -173,7 +179,7 @@ class Sub(Expr):
         return sub(self.left.diff(name), self.right.diff(name))
 
     def _ev(self, env):
-        return self.left._ev(env) - self.right._ev(env)
+        return _finite(self.left._ev(env) - self.right._ev(env), "difference")
 
     def subs(self, mapping):
         return sub(self.left.subs(mapping), self.right.subs(mapping))
@@ -194,7 +200,7 @@ class Mul(Expr):
         )
 
     def _ev(self, env):
-        return self.left._ev(env) * self.right._ev(env)
+        return _finite(self.left._ev(env) * self.right._ev(env), "product")
 
     def subs(self, mapping):
         return mul(self.left.subs(mapping), self.right.subs(mapping))
@@ -224,7 +230,7 @@ class Div(Expr):
         denom = self.right._ev(env)
         if denom == 0.0:
             raise DomainError("division by zero")
-        return self.left._ev(env) / denom
+        return _finite(self.left._ev(env) / denom, "quotient")
 
     def subs(self, mapping):
         return div(self.left.subs(mapping), self.right.subs(mapping))
@@ -249,7 +255,10 @@ class Pow(Expr):
         base = self.base._ev(env)
         if base == 0.0 and self.exponent < 0:
             raise DomainError("zero raised to a negative power")
-        return base ** self.exponent
+        try:
+            return _finite(base ** self.exponent, "power")
+        except OverflowError:
+            raise DomainError(f"{base!r}^{self.exponent} overflows") from None
 
     def subs(self, mapping):
         return pow_int(self.base.subs(mapping), self.exponent)
@@ -283,6 +292,8 @@ class Call(Expr):
     def diff(self, name):
         u = self.arg
         du = u.diff(name)
+        if _is_num(du, 0.0):
+            return _ZERO  # no spurious domain conditions from log/sqrt factors
         if self.fn == "sin":
             outer = call("cos", u)
         elif self.fn == "cos":
@@ -401,7 +412,10 @@ def pow_int(base: Expr, exponent: int) -> Expr:
     if exponent == 1:
         return base
     if isinstance(base, Num) and not (base.value == 0.0 and exponent < 0):
-        p = base.value ** exponent
+        try:
+            p = base.value ** exponent
+        except OverflowError:
+            return Pow(base, exponent)  # keep node; error surfaces at eval time
         if math.isfinite(p):
             return Num(p)
     return Pow(base, exponent)
@@ -426,7 +440,11 @@ def diff(e: Expr, name: str) -> Expr:
 
 
 def evaluate(e: Expr, env: Bindings) -> float:
-    """IEEE double evaluation; raises UnboundVariableError / DomainError."""
+    """Scalar IEEE double evaluation, the reference for :func:`evaluate_batch`.
+
+    Raises UnboundVariableError, or DomainError as soon as any step leaves
+    the real domain or produces a non-finite value.
+    """
     value = e._ev(env)
     if not math.isfinite(value):
         raise DomainError(f"non-finite result {value!r}")
@@ -443,10 +461,6 @@ def free_vars(e: Expr) -> frozenset:
 
 def is_zero_expr(e: Expr) -> bool:
     return isinstance(e, Num) and e.value == 0.0
-
-
-def is_constant(e: Expr) -> bool:
-    return not e.free_vars()
 
 
 # ---------------------------------------------------------------------------
@@ -563,10 +577,21 @@ class _Scanner:
         return src[start:self.pos]
 
 
+# Parentheses, calls and prefix signs; each level costs the recursive-descent
+# parser up to five Python frames, so this keeps it well inside the limit.
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, source: str, names):
         self.sc = _Scanner(source)
         self.names = frozenset(names)
+        self.depth = 0
+
+    def enter(self, offset: int):
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", offset)
 
     def parse(self) -> Expr:
         e = self.expr()
@@ -601,13 +626,14 @@ class _Parser:
                 return e
 
     def unary(self) -> Expr:
-        if self.sc.peek() == "-":
-            self.sc.pos += 1
-            return neg(self.unary())
-        if self.sc.peek() == "+":
-            self.sc.pos += 1
-            return self.unary()
-        return self.power()
+        ch = self.sc.peek()
+        if ch not in ("+", "-"):
+            return self.power()
+        self.enter(self.sc.pos)
+        self.sc.pos += 1
+        e = self.unary()
+        self.depth -= 1
+        return neg(e) if ch == "-" else e
 
     def power(self) -> Expr:
         e = self.atom()
@@ -620,9 +646,11 @@ class _Parser:
         ch = self.sc.peek()
         offset = self.sc.pos
         if ch == "(":
+            self.enter(offset)
             self.sc.pos += 1
             value = self.exponent()
             self.sc.expect(")")
+            self.depth -= 1
             return value
         sign = 1
         if ch == "-":
@@ -643,9 +671,11 @@ class _Parser:
         if ch == "":
             raise ParseError("unexpected end of input", offset)
         if ch == "(":
+            self.enter(offset)
             self.sc.pos += 1
             e = self.expr()
             self.sc.expect(")")
+            self.depth -= 1
             return e
         if ch.isdigit() or ch == ".":
             return Num(self.sc.scan_number())
@@ -654,9 +684,11 @@ class _Parser:
             if self.sc.peek() == "(":
                 if name not in _FUNCTIONS:
                     raise ParseError(f"unknown function '{name}'", offset)
+                self.enter(self.sc.pos)
                 self.sc.pos += 1
                 arg = self.expr()
                 self.sc.expect(")")
+                self.depth -= 1
                 return call(name, arg)
             if name in _FUNCTIONS:
                 raise ParseError(f"function '{name}' requires an argument", offset)
@@ -678,43 +710,54 @@ def parse(source: str, names: Iterable[str]) -> Expr:
         exponent = [ "-" ] integer | "(" exponent ")" ;
         atom     = number | name | name "(" expr ")" | "(" expr ")" ;
 
-    Functions are limited to sin, cos, exp, log, sqrt.
+    Functions are limited to sin, cos, exp, log, sqrt.  Parentheses,
+    function calls and prefix signs nest at most MAX_NESTING levels deep.
     """
     return _Parser(source, names).parse()
 
 
 # ---------------------------------------------------------------------------
-# compilation to vectorized numpy callables (used on solver hot paths)
+# compilation to vectorized numpy callables, and batched strict evaluation
 
-def _emit_python(e: Expr) -> str:
+# Python precedence of the emitted operators; operands are parenthesized
+# only where Python would otherwise regroup them, so long left-leaning
+# chains compile without hitting the parser's nesting limit.
+_PY_SUM, _PY_PRODUCT, _PY_SIGN, _PY_POWER, _PY_ATOM = range(5)
+
+
+def _emit_python(e: Expr, consts: list, min_prec: int = 0) -> str:
     if isinstance(e, Num):
-        return f"({e.value!r})"
+        # literals become numpy scalars, so constant-only subtrees follow the
+        # same floating-point error rules as the array operations
+        consts.append(e.value)
+        return f"_c{len(consts) - 1}"
     if isinstance(e, Var):
         return e.name
-    if isinstance(e, Add):
-        return f"({_emit_python(e.left)} + {_emit_python(e.right)})"
-    if isinstance(e, Sub):
-        return f"({_emit_python(e.left)} - {_emit_python(e.right)})"
-    if isinstance(e, Mul):
-        return f"({_emit_python(e.left)} * {_emit_python(e.right)})"
-    if isinstance(e, Div):
-        return f"({_emit_python(e.left)} / {_emit_python(e.right)})"
-    if isinstance(e, Neg):
-        return f"(-{_emit_python(e.arg)})"
-    if isinstance(e, Pow):
-        return f"({_emit_python(e.base)} ** ({e.exponent}))"
-    if isinstance(e, Call):
-        return f"_f_{e.fn}({_emit_python(e.arg)})"
-    raise ExprError(f"cannot compile {e!r}")  # pragma: no cover
+    if isinstance(e, (Add, Sub, Mul, Div)):
+        prec = _PY_SUM if isinstance(e, (Add, Sub)) else _PY_PRODUCT
+        op = {Add: "+", Sub: "-", Mul: "*", Div: "/"}[type(e)]
+        left = _emit_python(e.left, consts, prec)
+        text = f"{left} {op} {_emit_python(e.right, consts, prec + 1)}"
+    elif isinstance(e, Neg):
+        prec = _PY_SIGN
+        text = f"-{_emit_python(e.arg, consts, _PY_SIGN)}"
+    elif isinstance(e, Pow):
+        prec = _PY_POWER
+        text = f"{_emit_python(e.base, consts, _PY_ATOM)} ** ({e.exponent})"
+    elif isinstance(e, Call):
+        return f"_f_{e.fn}({_emit_python(e.arg, consts)})"
+    else:  # pragma: no cover
+        raise ExprError(f"cannot compile {e!r}")
+    return f"({text})" if prec < min_prec else text
 
 
 def compile_vectorized(e: Expr, names) -> Callable:
     """Compile to a callable over numpy arrays (one positional arg per name).
 
     The scalar result of a constant expression is broadcast to the shape of
-    the first argument.  Domain violations follow numpy semantics (inf/nan),
-    so callers on numeric paths must check finiteness themselves; the strict
-    scalar contract lives in :func:`evaluate`.
+    the first argument.  Domain violations follow numpy semantics (inf/nan,
+    or an exception under ``np.errstate``); :func:`evaluate_batch` runs
+    compiled expressions under the strict contract.
     """
     import numpy as np
 
@@ -723,9 +766,14 @@ def compile_vectorized(e: Expr, names) -> Callable:
     if missing:
         raise UnboundVariableError(sorted(missing)[0])
     arglist = ", ".join(names) if names else "*_ignored"
-    src = f"lambda {arglist}: {_emit_python(e)}"
-    namespace = {f"_f_{fn}": getattr(np, fn) for fn in _FUNCTIONS}
-    fn = eval(src, namespace)  # source generated above; no user input reaches eval
+    consts: list = []
+    try:
+        src = f"lambda {arglist}: {_emit_python(e, consts)}"
+        namespace = {f"_f_{fn}": getattr(np, fn) for fn in _FUNCTIONS}
+        namespace.update((f"_c{i}", np.float64(value)) for i, value in enumerate(consts))
+        fn = eval(src, namespace)  # source generated above; no user text reaches eval
+    except (RecursionError, SyntaxError, MemoryError):
+        raise EvalError("expression too deeply nested to compile") from None
 
     def wrapped(*args):
         out = fn(*args)
@@ -734,3 +782,93 @@ def compile_vectorized(e: Expr, names) -> Callable:
         return out
 
     return wrapped
+
+
+_STRICT = {"divide": "raise", "invalid": "raise", "over": "raise"}
+_FLOAT_ERRORS = (FloatingPointError, ZeroDivisionError, OverflowError)
+
+
+def _run_strict(fn, columns):
+    """``(values, None)``, or ``(None, reason)`` when ``fn`` breaks the strict contract."""
+    import numpy as np
+
+    try:
+        with np.errstate(**_STRICT):
+            values = fn(*columns)
+    except _FLOAT_ERRORS as exc:
+        return None, str(exc)
+    if not np.all(np.isfinite(values)):
+        return None, "non-finite result"
+    return values, None
+
+
+def _first_failing_row(fn, columns, count: int) -> int:
+    """Smallest row index whose prefix breaks the contract (rows are independent)."""
+    lo, hi = 0, count  # rows [0, lo) pass, rows [0, hi) fail
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _run_strict(fn, [c[:mid] for c in columns])[1] is None:
+            lo = mid
+        else:
+            hi = mid
+    return hi - 1
+
+
+def _domain_error(e: Expr, reason: str, names, row) -> DomainError:
+    source = to_source(e)
+    if len(source) > 120:
+        source = source[:117] + "..."
+    point = ", ".join(f"{name}={float(x)!r}" for name, x in zip(names, row))
+    where = f"at ({point})" if point else "everywhere"
+    return DomainError(f"{reason} evaluating {source} {where}")
+
+
+def evaluate_batch(exprs: Iterable[Expr], names, points):
+    """Values of each expression at each row of ``points``, shape (N, len(exprs)).
+
+    Column j of the (N, len(names)) array ``points`` binds ``names[j]``.
+    Each expression is compiled once and evaluated over all rows in one
+    numpy call.  The contract is the strict one of :func:`evaluate`:
+    a division by zero, an invalid operation or an overflow at any step
+    raises DomainError naming the expression and the first offending row.
+    """
+    import numpy as np
+
+    exprs = tuple(exprs)
+    names = tuple(names)
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != len(names):
+        raise ValueError(f"points must have shape (N, {len(names)}), got {points.shape}")
+    count = points.shape[0]
+    out = np.empty((count, len(exprs)))
+    if count == 0:
+        return out
+    columns = list(np.ascontiguousarray(points.T))
+    for j, e in enumerate(exprs):
+        if isinstance(e, Num):  # no compile needed
+            if not math.isfinite(e.value):
+                raise _domain_error(e, "non-finite constant", names, points[0])
+            out[:, j] = e.value
+            continue
+        fn = compile_vectorized(e, names)
+        values, reason = _run_strict(fn, columns)
+        if reason is not None:
+            row = _first_failing_row(fn, columns, count)
+            raise _domain_error(e, reason, names, points[row])
+        out[:, j] = values
+    return out
+
+
+def evaluate_envs(exprs: Iterable[Expr], envs: Iterable[Bindings]):
+    """:func:`evaluate_batch` over binding dicts, one row per dict."""
+    import numpy as np
+
+    exprs = tuple(exprs)
+    names = sorted(set().union(*(free_vars(e) for e in exprs)))
+    rows = []
+    for env in envs:
+        try:
+            rows.append([env[name] for name in names])
+        except KeyError as exc:
+            raise UnboundVariableError(exc.args[0]) from None
+    return evaluate_batch(exprs, names, np.array(rows, dtype=float).reshape(len(rows), len(names)))

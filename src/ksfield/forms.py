@@ -14,7 +14,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .expr import Expr, Num, add, diff, evaluate, is_zero_expr, mul, neg, sub
+from .expr import Expr, Num, add, diff, evaluate_batch, evaluate_envs, is_zero_expr, mul, neg, sub
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,7 @@ class VectorField:
         return out
 
     def at(self, env: Mapping[str, float]) -> np.ndarray:
-        return np.array([evaluate(c, env) for c in self.components])
+        return evaluate_envs(self.components, [env])[0]
 
 
 def lie_bracket(Y1: VectorField, Y2: VectorField) -> VectorField:
@@ -62,7 +62,7 @@ class OneForm:
     coeffs: tuple  # one Expr per chart coordinate
 
     def at(self, env) -> np.ndarray:
-        return np.array([evaluate(c, env) for c in self.coeffs])
+        return evaluate_envs(self.coeffs, [env])[0]
 
 
 @dataclass(frozen=True)
@@ -71,12 +71,19 @@ class TwoForm:
     entries: Mapping  # {(a, b) with a < b: Expr}
 
     def matrix_at(self, env) -> np.ndarray:
+        return self._matrices(evaluate_envs(tuple(self.entries.values()), [env]))[0]
+
+    def matrices(self, points) -> np.ndarray:
+        """Antisymmetric matrices at the rows of ``points`` (columns in chart order)."""
+        return self._matrices(evaluate_batch(tuple(self.entries.values()), self.chart, points))
+
+    def _matrices(self, values: np.ndarray) -> np.ndarray:
         dim = len(self.chart)
-        M = np.zeros((dim, dim))
-        for (a, b), e in self.entries.items():
-            value = evaluate(e, env)
-            M[a, b] = value
-            M[b, a] = -value
+        M = np.zeros((values.shape[0], dim, dim))
+        if self.entries:
+            rows, cols = np.array(list(self.entries)).T
+            M[:, rows, cols] = values
+            M[:, cols, rows] = -values
         return M
 
 
@@ -155,10 +162,6 @@ def contract_three(Y: VectorField, eta: ThreeForm) -> TwoForm:
     return TwoForm(eta.chart, table)
 
 
-def lie_derivative_function(Y: VectorField, f: Expr) -> Expr:
-    return Y.apply(f)
-
-
 def lie_derivative_one(Y: VectorField, beta: OneForm) -> OneForm:
     # Cartan: L_Y beta = i_Y d(beta) + d(i_Y beta)
     first = contract_two(Y, d_one(beta))
@@ -195,25 +198,23 @@ def pullback_one_form(chart: tuple, map_components: tuple, beta: OneForm) -> One
     return OneForm(chart, tuple(coeffs))
 
 
+def largest_abs(values) -> float:
+    """max |value| over an array of any shape, 0.0 when it is empty."""
+    return float(np.max(np.abs(values), initial=0.0))
+
+
+def max_abs(exprs, names, points) -> float:
+    """Largest |value| of the expressions over the rows of ``points``."""
+    return largest_abs(evaluate_batch(exprs, names, points))
+
+
 def max_abs_one_form(beta: OneForm, envs) -> float:
-    worst = 0.0
-    for env in envs:
-        values = beta.at(env)
-        if values.size:
-            worst = max(worst, float(np.max(np.abs(values))))
-    return worst
+    return largest_abs(evaluate_envs(beta.coeffs, envs))
 
 
 def max_abs_two_form(omega: TwoForm, envs) -> float:
-    worst = 0.0
-    for env in envs:
-        for e in omega.entries.values():
-            worst = max(worst, abs(evaluate(e, env)))
-    return worst
+    return largest_abs(evaluate_envs(tuple(omega.entries.values()), envs))
 
 
 def max_abs_expr(e: Expr, envs) -> float:
-    worst = 0.0
-    for env in envs:
-        worst = max(worst, abs(evaluate(e, env)))
-    return worst
+    return largest_abs(evaluate_envs((e,), envs))

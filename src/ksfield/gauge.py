@@ -15,10 +15,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .bundles import point_rows
 from .coords import VarTable
-from .expr import Expr, Num, add, diff, evaluate, mul, sub, substitute, to_source
+from .expr import Expr, Num, add, diff, evaluate_batch, mul, sub, substitute, to_source
 from .expr import Var
-from .forms import max_abs_expr
+from .forms import largest_abs, max_abs
 from .lagrangian import LagrangianModel, el_residual
 from .symmetry import Report
 
@@ -86,27 +87,31 @@ def gauge_compare(
     if L1.table != L2.table:
         raise GaugeError("models use different coordinate tables")
     table = L1.table
+    chart = table.velocity_chart
     D = sub(L1.L, L2.L)
-    envs = [w.env() for w in samples]
-    if not envs:
+    rows, _ = point_rows(samples, len(chart))
+    if not len(rows):
         raise GaugeError("need sample points")
 
     # (1) no quadratic-or-higher velocity dependence
+    entries = []
     for a, name_a in enumerate(table.v_names):
         first = diff(D, name_a)
         for name_b in table.v_names[a:]:
-            second = diff(first, name_b)
-            worst, at = _argmax_abs(second, samples)
-            if worst > tol:
-                return GaugeVerdict(
-                    "inequivalent",
-                    witness={
-                        "reason": "two_forms_differ",
-                        "entry": f"d2(L1-L2)/d{name_a} d{name_b}",
-                        "value": worst,
-                        "point": at,
-                    },
-                )
+            entries.append((f"d2(L1-L2)/d{name_a} d{name_b}", diff(first, name_b)))
+    values = evaluate_batch([e for _, e in entries], chart, rows)
+    for column, (label, _) in enumerate(entries):
+        worst, at = _argmax_abs(values[:, column], rows)
+        if worst > tol:
+            return GaugeVerdict(
+                "inequivalent",
+                witness={
+                    "reason": "two_forms_differ",
+                    "entry": label,
+                    "value": worst,
+                    "point": at,
+                },
+            )
 
     # (2) base one-form coefficients from the v = 0 slice
     zero_v = _zero_velocity_map(table)
@@ -118,28 +123,31 @@ def gauge_compare(
     )
 
     # (3) closedness of every alpha^A
-    for A in range(table.k):
-        for i in range(table.n):
-            for j in range(i + 1, table.n):
-                curl = sub(diff(alpha[A][i], table.q(j)), diff(alpha[A][j], table.q(i)))
-                worst, at = _argmax_abs(curl, samples)
-                if worst > closedness_tol:
-                    return GaugeVerdict(
-                        "inequivalent",
-                        witness={
-                            "reason": "alpha_not_closed",
-                            "entry": f"d(alpha^{A + 1})[{i + 1},{j + 1}]",
-                            "value": worst,
-                            "point": at,
-                        },
-                    )
+    curls = [
+        (f"d(alpha^{A + 1})[{i + 1},{j + 1}]",
+         sub(diff(alpha[A][i], table.q(j)), diff(alpha[A][j], table.q(i))))
+        for A in range(table.k)
+        for i in range(table.n)
+        for j in range(i + 1, table.n)
+    ]
+    values = evaluate_batch([e for _, e in curls], chart, rows)
+    for column, (label, _) in enumerate(curls):
+        worst, at = _argmax_abs(values[:, column], rows)
+        if worst > closedness_tol:
+            return GaugeVerdict(
+                "inequivalent",
+                witness={
+                    "reason": "alpha_not_closed",
+                    "entry": label,
+                    "value": worst,
+                    "point": at,
+                },
+            )
 
     # (4) the remainder must be constant, or the energies separate
     remainder = substitute(D, zero_v)
-    worst_grad = 0.0
-    for i in range(table.n):
-        worst_grad = max(worst_grad, max_abs_expr(diff(remainder, table.q(i)), envs))
-    c = evaluate(remainder, samples[0].env())
+    worst_grad = max_abs([diff(remainder, table.q(i)) for i in range(table.n)], chart, rows)
+    c = float(evaluate_batch([remainder], chart, rows[:1])[0, 0])
     if worst_grad > tol:
         diagnostic = GaugeDecomposition(alpha, sub(remainder, Num(c)), c)
         return GaugeVerdict(
@@ -150,30 +158,22 @@ def gauge_compare(
 
     decomposition = GaugeDecomposition(alpha, Num(0.0), c)
     reconstruction = sub(D, add(decomposition.alpha_hat(table), Num(c)))
-    worst, at = _argmax_abs(reconstruction, samples)
+    worst, at = _argmax_abs(evaluate_batch([reconstruction], chart, rows)[:, 0], rows)
     if worst > tol:
         return GaugeVerdict(
             "inequivalent",
             witness={"reason": "reconstruction_failed", "value": worst, "point": at},
         )
 
-    alpha_size = 0.0
-    for row in alpha:
-        for coeff in row:
-            alpha_size = max(alpha_size, max_abs_expr(coeff, envs))
+    alpha_size = max_abs([coeff for row in alpha for coeff in row], chart, rows)
     kind = "strict" if alpha_size <= tol else "gauge"
     return GaugeVerdict(kind, decomposition=decomposition)
 
 
-def _argmax_abs(e: Expr, samples):
-    worst = -1.0
-    at = None
-    for w in samples:
-        value = abs(evaluate(e, w.env()))
-        if value > worst:
-            worst = value
-            at = [float(x) for x in w.flat()]
-    return worst, at
+def _argmax_abs(values: np.ndarray, rows: np.ndarray):
+    """Largest |value| and the coordinates of the first row attaining it."""
+    index = int(np.argmax(np.abs(values)))
+    return float(abs(values[index])), [float(x) for x in rows[index]]
 
 
 def verify_same_solutions(
@@ -186,10 +186,7 @@ def verify_same_solutions(
     """Field-equation residuals under both Lagrangians agree along phi."""
     if L1.table != L2.table:
         raise GaugeError("models use different coordinate tables")
-    worst = 0.0
-    t_samples = np.atleast_2d(t_samples)
-    for t in t_samples:
-        r1 = el_residual(L1, phi, t)
-        r2 = el_residual(L2, phi, t)
-        worst = max(worst, float(np.max(np.abs(r1 - r2))))
-    return Report("equal_field_equation_residuals", worst, len(t_samples), worst <= tol)
+    t_rows, _ = point_rows(t_samples, L1.table.k)
+    gap = el_residual(L1, phi, t_rows) - el_residual(L2, phi, t_rows)
+    worst = largest_abs(gap)
+    return Report("equal_field_equation_residuals", worst, len(t_rows), worst <= tol)

@@ -12,9 +12,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .bundles import CoJetPoint, JetPoint, TangentVector, pullback_by_prolongation
+from .bundles import CoJetPoint, JetPoint, TangentVector, point_rows, pullback_by_prolongation
 from .coords import VarTable
-from .expr import Expr, Num, Var, add, diff, evaluate, free_vars, mul, sub
+from .expr import Expr, Num, Var, add, diff, evaluate_batch, evaluate_envs, free_vars, mul, sub
 from .forms import OneForm, TwoForm, d_one
 
 
@@ -61,10 +61,7 @@ def lagrangian_two_form(model: LagrangianModel, A: int) -> TwoForm:
 
 def lagrangian_two_form_at(model: LagrangianModel, A: int, w: JetPoint) -> np.ndarray:
     """Evaluate the A-th two-form at w as an antisymmetric matrix."""
-    M = lagrangian_two_form(model, A).matrix_at(w.env())
-    if not np.all(np.isfinite(M)):
-        raise ValueError("non-finite second derivatives at the given point")
-    return M
+    return lagrangian_two_form(model, A).matrix_at(w.env())
 
 
 def energy(model: LagrangianModel) -> Expr:
@@ -77,30 +74,32 @@ def energy(model: LagrangianModel) -> Expr:
     return sub(out, model.L)
 
 
-def velocity_hessian(model: LagrangianModel, w: JetPoint, det_rtol: float = 1e-10):
+def velocity_hessian(model: LagrangianModel, w, det_rtol: float = 1e-10):
     """Hessian in the velocities at w, flattened per the chart fiber order.
 
     Returns (matrix, regular); regular iff |det| > det_rtol * max(1, max|entry|^(nk)),
     a scale-relative threshold so the verdict is invariant under unit changes.
+    Given an (N, dim) array of velocity-chart rows instead of one JetPoint,
+    returns the (N, nk, nk) matrices and the (N,) regularity flags.
     """
     table = model.table
-    env = w.env()
     nk = table.n * table.k
-    M = np.zeros((nk, nk))
+    rows, single = point_rows(w, table.dim_total)
     names = table.v_names
-    seconds = {}
-    for a in range(nk):
-        first = diff(model.L, names[a])
-        for b in range(a, nk):
-            seconds[(a, b)] = diff(first, names[b])
-    for a in range(nk):
-        for b in range(a, nk):
-            value = evaluate(seconds[(a, b)], env)
-            M[a, b] = value
-            M[b, a] = value
-    det = float(np.linalg.det(M))
-    scale = max(1.0, float(np.max(np.abs(M))) ** nk)
-    return M, abs(det) > det_rtol * scale
+    pairs = [(a, b) for a in range(nk) for b in range(a, nk)]
+    firsts = [diff(model.L, name) for name in names]
+    seconds = [diff(firsts[a], names[b]) for a, b in pairs]
+    values = evaluate_batch(seconds, table.velocity_chart, rows)
+    M = np.zeros((rows.shape[0], nk, nk))
+    upper, lower = np.array(pairs, dtype=int).reshape(-1, 2).T
+    M[:, upper, lower] = values
+    M[:, lower, upper] = values
+    det = np.linalg.det(M)
+    scale = np.maximum(1.0, np.max(np.abs(M), axis=(1, 2), initial=0.0) ** nk)
+    regular = np.abs(det) > det_rtol * scale
+    if single:
+        return M[0], bool(regular[0])
+    return M, regular
 
 
 def legendre_exprs(model: LagrangianModel) -> tuple:
@@ -112,53 +111,49 @@ def legendre_exprs(model: LagrangianModel) -> tuple:
 def legendre(model: LagrangianModel, w: JetPoint) -> CoJetPoint:
     """Fiber derivative of L at w: p^A_i = dL/dv^i_A."""
     table = model.table
-    env = w.env()
-    p = np.array(
-        [[evaluate(model.dLdv(i, A), env) for i in range(table.n)] for A in range(table.k)]
-    )
+    p = evaluate_envs(legendre_exprs(model), [w.env()])[0].reshape(table.k, table.n)
     return CoJetPoint(table, w.q.copy(), p)
 
 
 def legendre_jacobian(model: LagrangianModel, w: JetPoint) -> np.ndarray:
     """Jacobian of the fiber derivative at w (rows: (q, p), cols: (q, v))."""
     table = model.table
-    env = w.env()
     dim = table.dim_total
+    chart = table.velocity_chart
+    derivatives = [diff(comp, name) for comp in legendre_exprs(model) for name in chart]
     J = np.zeros((dim, dim))
     J[: table.n, : table.n] = np.eye(table.n)
-    chart = table.velocity_chart
-    momenta = legendre_exprs(model)
-    for r, comp in enumerate(momenta):
-        for c, name in enumerate(chart):
-            J[table.n + r, c] = evaluate(diff(comp, name), env)
+    J[table.n:] = evaluate_envs(derivatives, [w.env()])[0].reshape(dim - table.n, dim)
     return J
 
 
-def el_residual(model: LagrangianModel, phi: Sequence[Expr], t: Sequence[float]) -> np.ndarray:
+def el_residual(model: LagrangianModel, phi: Sequence[Expr], t) -> np.ndarray:
     """Euler-Lagrange residual of the map phi at parameter value t.
 
     residual^i = sum_A d/dt^A [dL/dv^i_A o phi^(1)] - dL/dq^i o phi^(1),
     expanded by symbolic substitution and differentiation in t (no numeric
-    differencing along t).
+    differencing along t).  ``t`` is one point (k values, result (n,)) or
+    an (N, k) array (result (N, n)); the residual expressions are built
+    once and evaluated over all rows.
     """
     table = model.table
-    env = dict(zip(table.t_names, np.asarray(t, dtype=float)))
-    out = np.zeros(table.n)
+    rows, single = point_rows(t, table.k)
+    totals = []
     for i in range(table.n):
         total: Expr = Num(0.0)
         for A in range(table.k):
             restricted = pullback_by_prolongation(table, model.dLdv(i, A), phi)
             total = add(total, diff(restricted, table.t(A)))
-        total = sub(total, pullback_by_prolongation(table, model.dLdq(i), phi))
-        out[i] = evaluate(total, env)
-    return out
+        totals.append(sub(total, pullback_by_prolongation(table, model.dLdq(i), phi)))
+    out = evaluate_batch(totals, table.t_names, rows)
+    return out[0] if single else out
 
 
 def _symmetric_pairs(k: int):
     return [(a, b) for a in range(k) for b in range(a, k)]
 
 
-def sopde_solve(model: LagrangianModel, w: JetPoint, residual_tol: float = 1e-9) -> list:
+def sopde_solve(model: LagrangianModel, w, residual_tol: float = 1e-9):
     """Second-order field-equation legs at w for a regular Lagrangian.
 
     Base components are forced to v^i_A; the vertical coefficients solve the
@@ -167,61 +162,59 @@ def sopde_solve(model: LagrangianModel, w: JetPoint, residual_tol: float = 1e-9)
         sum_{A,j} d2L/dq^j dv^i_A v^j_A + sum_{A,j,B} d2L/dv^i_A dv^j_B G[A][j][B] = dL/dq^i
 
     with the symmetric minimal-norm selection G[A][j][B] = G[B][j][A] of
-    least Euclidean norm over the full coefficient tensor.
+    least Euclidean norm over the full coefficient tensor.  Returns k
+    TangentVectors for one JetPoint, or the (N, k, dim) leg components for
+    an (N, dim) array of velocity-chart rows.
     """
     table = model.table
     n, k = table.n, table.k
-    H, regular = velocity_hessian(model, w)
-    if not regular:
+    rows, single = point_rows(w, table.dim_total)
+    count = rows.shape[0]
+    H, regular = velocity_hessian(model, rows)
+    if not np.all(regular):
         raise RegularityError("velocity Hessian is singular at the given point")
-    env = w.env()
 
-    rhs = np.zeros(n)
-    for i in range(n):
-        value = evaluate(model.dLdq(i), env)
-        for A in range(k):
-            for j in range(n):
-                value -= evaluate(diff(model.dLdv(i, A), table.q(j)), env) * w.v[j, A]
-        rhs[i] = value
+    # rhs_i = dL/dq^i - sum_{A,j} d2L/dq^j dv^i_A v^j_A
+    exprs = [model.dLdq(i) for i in range(n)]
+    exprs += [
+        diff(model.dLdv(i, A), table.q(j)) for i in range(n) for A in range(k) for j in range(n)
+    ]
+    values = evaluate_batch(exprs, table.velocity_chart, rows)
+    mixed = values[:, n:].reshape(count, n, k, n)  # [N, i, A, j]
+    velocities = rows[:, n:].reshape(count, k, n)  # [N, A, j]
+    rhs = values[:, :n] - np.einsum("niaj,naj->ni", mixed, velocities)
 
     # Unknown s[(a<=b), j] multiplies H[(i,a),(j,b)] (+ H[(i,b),(j,a)] when
     # a != b) in equation i; off-diagonal pairs carry weight sqrt(2) so the
     # minimal norm is that of the full coefficient tensor, which makes the
     # selection invariant under relabelings of the copy index.
-    pairs = _symmetric_pairs(k)
-    cols = len(pairs) * n
-    M = np.zeros((n, cols))
-    weights = np.zeros(cols)
-    for col, ((a, b), j) in enumerate((pair, j) for pair in pairs for j in range(n)):
+    unknowns = [(a, b, j) for a, b in _symmetric_pairs(k) for j in range(n)]
+    M = np.zeros((count, n, len(unknowns)))
+    weights = np.zeros(len(unknowns))
+    for col, (a, b, j) in enumerate(unknowns):
         weights[col] = np.sqrt(2.0) if a != b else 1.0
-        for i in range(n):
-            value = H[a * n + i, b * n + j]
-            if a != b:
-                value += H[b * n + i, a * n + j]
-            M[i, col] = value
+        M[:, :, col] = H[:, a * n: (a + 1) * n, b * n + j]
+        if a != b:
+            M[:, :, col] += H[:, b * n: (b + 1) * n, a * n + j]
 
+    # minimal-norm least squares for every row at once; the cutoff is the
+    # one lstsq uses by default (machine epsilon times the larger dimension)
     scaled = M / weights
-    z, *_ = np.linalg.lstsq(scaled, rhs, rcond=None)
-    s = z / weights
+    rcond = np.finfo(float).eps * max(scaled.shape[1:])
+    s = (np.linalg.pinv(scaled, rcond=rcond) @ rhs[:, :, None])[:, :, 0] / weights
 
-    residual = float(np.max(np.abs(M @ s - rhs))) if n else 0.0
+    residual = float(np.max(np.abs(np.einsum("nic,nc->ni", M, s) - rhs))) if rhs.size else 0.0
     if residual > residual_tol:
         raise RegularityError(
             f"no symmetric vertical coefficients within tolerance: residual {residual:.3e}"
         )
 
-    vertical = np.zeros((k, n, k))  # vertical[A, j, B]
-    for col, ((a, b), j) in enumerate((pair, j) for pair in pairs for j in range(n)):
-        vertical[a, j, b] = s[col]
-        vertical[b, j, a] = s[col]
-
-    legs = []
+    legs = np.zeros((count, k, table.dim_total))  # legs[N, A, slot]
     for A in range(k):
-        comps = np.zeros(table.dim_total)
-        for i in range(n):
-            comps[i] = w.v[i, A]
-        for B in range(k):
-            for j in range(n):
-                comps[table.fiber_slot(j, B)] = vertical[A, j, B]
-        legs.append(TangentVector(w, comps))
+        legs[:, A, :n] = rows[:, n + A * n: n + (A + 1) * n]
+    for col, (a, b, j) in enumerate(unknowns):
+        legs[:, a, table.fiber_slot(j, b)] = s[:, col]
+        legs[:, b, table.fiber_slot(j, a)] = s[:, col]
+    if single:
+        return [TangentVector(w, legs[0, A]) for A in range(k)]
     return legs

@@ -26,12 +26,19 @@ def _primes(count: int) -> list:
     return out
 
 
-def _radical_inverse(index: int, base: int) -> float:
-    result = 0.0
+def _radical_inverse(indices: np.ndarray, base: int) -> np.ndarray:
+    """Van der Corput values of the indices, one digit position per pass.
+
+    Each element sees the float operations of the digit-by-digit scalar
+    loop in the same order (finished indices add exact zeros), so the
+    points are bit-identical to it.
+    """
+    indices = indices.copy()
+    result = np.zeros(indices.shape)
     digit = 1.0 / base
-    while index > 0:
-        result += (index % base) * digit
-        index //= base
+    while np.any(indices > 0):
+        result += (indices % base) * digit
+        indices //= base
         digit /= base
     return result
 
@@ -40,10 +47,10 @@ def halton(dim: int, count: int, seed: int = 0) -> np.ndarray:
     """count x dim points in [0, 1), Halton sequence rotated by the seed."""
     bases = _primes(dim)
     shift = np.random.default_rng(seed).uniform(size=dim)
+    indices = np.arange(1, count + 1, dtype=np.int64)
     points = np.empty((count, dim))
     for j, base in enumerate(bases):
-        column = np.array([_radical_inverse(i + 1, base) for i in range(count)])
-        points[:, j] = (column + shift[j]) % 1.0
+        points[:, j] = (_radical_inverse(indices, base) + shift[j]) % 1.0
     return points
 
 
@@ -58,29 +65,29 @@ def _intervals_for(names, box: Optional[Mapping]) -> list:
     return [tuple(box.get(name, DEFAULT_INTERVAL)) for name in names]
 
 
+def sample_points(
+    table: VarTable, side: str, count: int, seed: int = 0, box: Optional[Mapping] = None
+) -> np.ndarray:
+    """count x dim matrix of points of the side's chart, columns in chart order,
+    spread over the per-coordinate box (default [-1, 1] each)."""
+    names = table.chart(side)
+    return sample_box(_intervals_for(names, box), count, seed)
+
+
 def sample_jet_points(
     table: VarTable, count: int, seed: int = 0, box: Optional[Mapping] = None
 ) -> list:
-    """JetPoints spread over the per-coordinate box (default [-1, 1] each)."""
-    names = table.velocity_chart
-    points = sample_box(_intervals_for(names, box), count, seed)
-    n, k = table.n, table.k
-    return [
-        JetPoint(table, row[:n], row[n:].reshape(k, n).T)
-        for row in points
-    ]
+    """The rows of :func:`sample_points` on the velocity side, as JetPoints."""
+    points = sample_points(table, "lagrangian", count, seed, box)
+    return [JetPoint.from_flat(table, row) for row in points]
 
 
 def sample_cojet_points(
     table: VarTable, count: int, seed: int = 0, box: Optional[Mapping] = None
 ) -> list:
-    names = table.momentum_chart
-    points = sample_box(_intervals_for(names, box), count, seed)
-    n, k = table.n, table.k
-    return [
-        CoJetPoint(table, row[:n], row[n:].reshape(k, n))
-        for row in points
-    ]
+    """The rows of :func:`sample_points` on the momentum side, as CoJetPoints."""
+    points = sample_points(table, "hamiltonian", count, seed, box)
+    return [CoJetPoint.from_flat(table, row) for row in points]
 
 
 def sample_parameters(

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .coords import VarTable
-from .expr import Expr, compile_vectorized, diff, evaluate, free_vars, is_zero_expr
+from .expr import Expr, compile_vectorized, diff, evaluate_batch, free_vars, is_zero_expr
 from .lagrangian import LagrangianModel, RegularityError, energy, legendre_exprs
 
 
@@ -267,7 +267,7 @@ def integrate_k1(
 def _constant_value(e: Expr, what: str) -> float:
     if free_vars(e):
         raise NotHyperbolicError(f"{what} is not constant: {e}")
-    return evaluate(e, {})
+    return float(evaluate_batch([e], (), np.empty((1, 0)))[0, 0])
 
 
 def _hyperbolic_blocks(model: LagrangianModel):

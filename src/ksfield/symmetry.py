@@ -19,21 +19,22 @@ from .bundles import (
     VectorFieldQ,
     complete_lift,
     cotangent_lift,
+    point_rows,
     pullback_by_prolongation,
     tulczyjew_derivative,
 )
 from .coords import VarTable
-from .expr import Expr, Num, add, diff, evaluate, mul, sub, substitute
+from .expr import Expr, Num, add, diff, evaluate_batch, mul, sub, substitute
 from .forms import (
+    OneForm,
     VectorField,
     contract_one,
     contract_two,
     d_function,
     lie_derivative_one,
+    largest_abs,
     lie_derivative_two,
-    max_abs_expr,
-    max_abs_one_form,
-    max_abs_two_form,
+    max_abs,
 )
 from .hamiltonian import (
     HamiltonianModel,
@@ -41,6 +42,8 @@ from .hamiltonian import (
     canonical_two_form,
     ham_kvector,
     hdw_residual,
+    kvector_equation_residual,
+    pullback_by_section,
 )
 from .lagrangian import (
     LagrangianModel,
@@ -141,46 +144,54 @@ class NoetherCurrent:
 
 # ---------------------------------------------------------------------------
 # Cartan symmetry checks
+#
+# ``samples`` is a sequence of JetPoints/CoJetPoints or an (N, dim) array of
+# chart rows; every residual expression is derived once per call and
+# evaluated over all rows together.
 
 def check_cartan_hamiltonian(
-    Y: VectorField, model: HamiltonianModel, samples: Sequence, tol: float = 1e-9
+    Y: VectorField, model: HamiltonianModel, samples, tol: float = 1e-9
 ):
     """Infinitesimal conditions: L(Y) omega^A = 0 for all A, and Y(H) = 0."""
     table = model.table
     if Y.chart != table.momentum_chart:
         raise SymmetryError("vector field does not live on the momentum chart")
-    envs = [w.env() for w in samples]
-    worst_omega = 0.0
-    for A in range(table.k):
-        omega = canonical_two_form(table, A)
-        worst_omega = max(worst_omega, max_abs_two_form(lie_derivative_two(Y, omega), envs))
-    worst_h = max_abs_expr(Y.apply(model.H), envs)
+    rows, _ = point_rows(samples, table.dim_total)
+    lie = [
+        e
+        for A in range(table.k)
+        for e in lie_derivative_two(Y, canonical_two_form(table, A)).entries.values()
+    ]
+    worst_omega = max_abs(lie, Y.chart, rows)
+    worst_h = max_abs([Y.apply(model.H)], Y.chart, rows)
     return [
-        Report("lie_derivative_two_forms", worst_omega, len(envs), worst_omega <= tol),
-        Report("hamiltonian_invariance", worst_h, len(envs), worst_h <= tol),
+        Report("lie_derivative_two_forms", worst_omega, len(rows), worst_omega <= tol),
+        Report("hamiltonian_invariance", worst_h, len(rows), worst_h <= tol),
     ]
 
 
 def check_cartan_lagrangian(
-    Y: VectorField, model: LagrangianModel, samples: Sequence, tol: float = 1e-9
+    Y: VectorField, model: LagrangianModel, samples, tol: float = 1e-9
 ):
     """Infinitesimal conditions: L(Y) omega_L^A = 0 for all A, and Y(E_L) = 0."""
     table = model.table
     if Y.chart != table.velocity_chart:
         raise SymmetryError("vector field does not live on the velocity chart")
-    envs = [w.env() for w in samples]
-    worst_omega = 0.0
-    for A in range(table.k):
-        omega = lagrangian_two_form(model, A)
-        worst_omega = max(worst_omega, max_abs_two_form(lie_derivative_two(Y, omega), envs))
-    worst_e = max_abs_expr(Y.apply(energy(model)), envs)
+    rows, _ = point_rows(samples, table.dim_total)
+    lie = [
+        e
+        for A in range(table.k)
+        for e in lie_derivative_two(Y, lagrangian_two_form(model, A)).entries.values()
+    ]
+    worst_omega = max_abs(lie, Y.chart, rows)
+    worst_e = max_abs([Y.apply(energy(model))], Y.chart, rows)
     return [
-        Report("lie_derivative_two_forms", worst_omega, len(envs), worst_omega <= tol),
-        Report("energy_invariance", worst_e, len(envs), worst_e <= tol),
+        Report("lie_derivative_two_forms", worst_omega, len(rows), worst_omega <= tol),
+        Report("energy_invariance", worst_e, len(rows), worst_e <= tol),
     ]
 
 
-def check_cartan_diffeomorphism(Phi: TotalMap, model, samples: Sequence, tol: float = 1e-9):
+def check_cartan_diffeomorphism(Phi: TotalMap, model, samples, tol: float = 1e-9):
     """Finite conditions: Phi^* omega^A = omega^A and Phi^* (H or E) = const.
 
     The constant offset is tested through the gradient of the pulled-back
@@ -200,25 +211,18 @@ def check_cartan_diffeomorphism(Phi: TotalMap, model, samples: Sequence, tol: fl
         raise SymmetryError(f"map lives on the {Phi.side} side, model needs {side}")
 
     chart = Phi.chart
+    rows, _ = point_rows(samples, len(chart))
+    J = Phi.jacobians(rows)
+    images = Phi.images(rows)
     worst_omega = 0.0
-    for w in samples:
-        env = w.env()
-        J = Phi.jacobian_at(env)
-        image_env = dict(zip(chart, Phi.apply_env(env)))
-        for omega in two_forms:
-            pulled = J.T @ omega.matrix_at(image_env) @ J
-            worst_omega = max(
-                worst_omega, float(np.max(np.abs(pulled - omega.matrix_at(env))))
-            )
-    pulled_scalar = substitute(scalar, dict(zip(chart, Phi.components)))
-    gap = sub(pulled_scalar, scalar)
-    envs = [w.env() for w in samples]
-    worst_grad = 0.0
-    for name in chart:
-        worst_grad = max(worst_grad, max_abs_expr(diff(gap, name), envs))
+    for omega in two_forms:
+        pulled = np.swapaxes(J, 1, 2) @ omega.matrices(images) @ J
+        worst_omega = max(worst_omega, largest_abs(pulled - omega.matrices(rows)))
+    gap = sub(substitute(scalar, dict(zip(chart, Phi.components))), scalar)
+    worst_grad = max_abs([diff(gap, name) for name in chart], chart, rows)
     return [
-        Report("pullback_two_forms", worst_omega, len(samples), worst_omega <= tol),
-        Report("scalar_invariance_up_to_constant", worst_grad, len(samples), worst_grad <= tol),
+        Report("pullback_two_forms", worst_omega, len(rows), worst_omega <= tol),
+        Report("scalar_invariance_up_to_constant", worst_grad, len(rows), worst_grad <= tol),
     ]
 
 
@@ -239,7 +243,7 @@ def noether_current_lagrangian(
     before the current is returned.
     """
     table = model.table
-    if not samples:
+    if not len(samples):
         raise SymmetryError("need sample points to verify the construction")
     lifted = complete_lift(Z)
     if g is None:
@@ -247,10 +251,11 @@ def noether_current_lagrangian(
     g = tuple(g)
     if len(g) != table.k:
         raise SymmetryError(f"expected {table.k} gauge components")
-    envs = [w.env() for w in samples]
+    chart = table.velocity_chart
+    rows, _ = point_rows(samples, len(chart))
 
     quasi_invariance = sub(lifted.apply(model.L), tulczyjew_derivative(table, g))
-    residual = max_abs_expr(quasi_invariance, envs)
+    residual = max_abs([quasi_invariance], chart, rows)
     if residual > tol:
         raise CurrentRejection("Z does not leave L quasi-invariant: Z^C(L) != d_T g", residual)
 
@@ -261,11 +266,11 @@ def noether_current_lagrangian(
             f_A = add(f_A, mul(Z.components[i], model.dLdv(i, A)))
         components.append(sub(f_A, g[A]))
 
-    worst = 0.0
+    defects = []
     for A in range(table.k):
         omega = lagrangian_two_form(model, A)
-        defect = _one_form_gap(contract_two(lifted, omega), d_function(components[A], omega.chart))
-        worst = max(worst, max_abs_one_form(defect, envs))
+        defects += _one_form_gap(contract_two(lifted, omega), d_function(components[A], chart))
+    worst = max_abs(defects, chart, rows)
     if worst > tol:
         raise CurrentRejection("constructed current fails i(Y) omega = df", worst)
     return NoetherCurrent(tuple(components), "lagrangian", "natural-lift")
@@ -286,7 +291,7 @@ def noether_current_hamiltonian(
     verified at the samples.
     """
     table = model.table
-    if not samples:
+    if not len(samples):
         raise SymmetryError("need sample points to verify the construction")
     reports = check_cartan_hamiltonian(Y, model, samples, tol)
     if not all_pass(reports):
@@ -297,34 +302,32 @@ def noether_current_hamiltonian(
     zeta = tuple(zeta)
     if len(zeta) != table.k:
         raise SymmetryError(f"expected {table.k} zeta components")
-    envs = [w.env() for w in samples]
+    chart = table.momentum_chart
+    rows, _ = point_rows(samples, len(chart))
 
     components = []
-    worst_zeta = 0.0
+    defects = []
     for A in range(table.k):
         theta = canonical_one_form(table, A)
-        defect = _one_form_gap(
-            lie_derivative_one(Y, theta), d_function(zeta[A], theta.chart)
-        )
-        worst_zeta = max(worst_zeta, max_abs_one_form(defect, envs))
+        defects += _one_form_gap(lie_derivative_one(Y, theta), d_function(zeta[A], chart))
         components.append(sub(contract_one(Y, theta), zeta[A]))
+    worst_zeta = max_abs(defects, chart, rows)
     if worst_zeta > tol:
         raise CurrentRejection("zeta does not satisfy L(Y) theta^A = d zeta^A", worst_zeta)
 
-    worst = 0.0
+    defects = []
     for A in range(table.k):
         omega = canonical_two_form(table, A)
-        defect = _one_form_gap(contract_two(Y, omega), d_function(components[A], omega.chart))
-        worst = max(worst, max_abs_one_form(defect, envs))
+        defects += _one_form_gap(contract_two(Y, omega), d_function(components[A], chart))
+    worst = max_abs(defects, chart, rows)
     if worst > tol:
         raise CurrentRejection("constructed current fails i(Y) omega = df", worst)
     return NoetherCurrent(tuple(components), "hamiltonian", provenance)
 
 
-def _one_form_gap(a, b):
-    from .forms import OneForm
-
-    return OneForm(a.chart, tuple(sub(x, y) for x, y in zip(a.coeffs, b.coeffs)))
+def _one_form_gap(a: OneForm, b: OneForm) -> list:
+    """Coefficients of a - b."""
+    return [sub(x, y) for x, y in zip(a.coeffs, b.coeffs)]
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +350,6 @@ def analytic_divergence_hamiltonian(
     psi_base: Sequence[Expr],
     psi_momenta: Sequence[Sequence[Expr]],
 ) -> Expr:
-    from .hamiltonian import pullback_by_section
-
     out: Expr = Num(0.0)
     for A, f_A in enumerate(current):
         restricted = pullback_by_section(table, f_A, psi_base, psi_momenta)
@@ -409,56 +410,42 @@ def verify_conservation(
 
     if t_samples is None:
         raise SymmetryError("analytic mode needs t samples")
-    envs = [dict(zip(table.t_names, t)) for t in np.atleast_2d(t_samples)]
-    worst = max_abs_expr(divergence, envs)
-    return Report("analytic_divergence", worst, len(envs), worst <= tol)
+    t_rows, _ = point_rows(t_samples, table.k)
+    worst = max_abs([divergence], table.t_names, t_rows)
+    return Report("analytic_divergence", worst, len(t_rows), worst <= tol)
 
 
 def verify_bracket_theorem(
-    current: NoetherCurrent, model, samples: Sequence, tol: float = 1e-9
+    current: NoetherCurrent, model, samples, tol: float = 1e-9
 ) -> Report:
     """Evaluate sum_A X_A(f^A) with the canonically constructed k-vector field."""
     if isinstance(model, HamiltonianModel):
         if current.side != "hamiltonian":
             raise SymmetryError("current/model side mismatch")
         chart = model.table.momentum_chart
-        legs_at = lambda w: ham_kvector(model, w)
+        construct = ham_kvector
     else:
         if current.side != "lagrangian":
             raise SymmetryError("current/model side mismatch")
         chart = model.table.velocity_chart
-        legs_at = lambda w: sopde_solve(model, w)
-
-    gradients = [
-        [diff(f_A, name) for name in chart] for f_A in current.components
-    ]
-    worst = 0.0
-    for w in samples:
-        env = w.env()
-        legs = legs_at(w)
-        total = 0.0
-        for A, leg in enumerate(legs):
-            total += sum(
-                leg.components[a] * evaluate(gradients[A][a], env)
-                for a in range(len(chart))
-                if leg.components[a] != 0.0
-            )
-        worst = max(worst, abs(total))
-    return Report("kvector_bracket_sum", worst, len(samples), worst <= tol)
+        construct = sopde_solve
+    rows, _ = point_rows(samples, len(chart))
+    legs = construct(model, rows)  # (N, k, dim)
+    gradients = [diff(f_A, name) for f_A in current.components for name in chart]
+    values = evaluate_batch(gradients, chart, rows).reshape(legs.shape)
+    worst = largest_abs(np.sum(legs * values, axis=(1, 2)))
+    return Report("kvector_bracket_sum", worst, len(rows), worst <= tol)
 
 
-def kvector_residual_after_pushforward(
-    Phi: TotalMap, model: HamiltonianModel, samples: Sequence
-) -> float:
+def kvector_residual_after_pushforward(Phi: TotalMap, model: HamiltonianModel, samples) -> float:
     """Max residual of the field equation for the pushforward of the
     canonical k-vector field through Phi, evaluated at the samples."""
-    from .hamiltonian import kvector_equation_residual
-
-    worst = 0.0
-    for w in samples:
-        legs = Phi.pushforward_field(lambda u: ham_kvector(model, u), w)
-        worst = max(worst, kvector_equation_residual(model, w, legs))
-    return worst
+    if Phi.inverse is None:
+        raise SymmetryError("pushforward through a map without declared inverse")
+    rows, _ = point_rows(samples, len(Phi.chart))
+    pre = evaluate_batch(Phi.inverse, Phi.chart, rows)
+    pushed = np.einsum("nij,naj->nai", Phi.jacobians(pre), ham_kvector(model, pre))
+    return largest_abs(kvector_equation_residual(model, rows, pushed))
 
 
 # ---------------------------------------------------------------------------
@@ -475,76 +462,56 @@ def check_symmetry_by_transport(
     the image; the pass tolerance follows the input solution's own residual
     (an exact solution demands an exact image)."""
     table = Phi.table
-    t_samples = np.atleast_2d(t_samples)
+    t_rows, _ = point_rows(t_samples, table.k)
+    threshold_floor = tol if tol is not None else 1e-10
     if isinstance(model, HamiltonianModel):
         psi_base, psi_momenta = solution
-        mapping = {}
-        for i, comp in enumerate(psi_base):
-            mapping[table.q(i)] = comp
-        for A in range(table.k):
-            for i in range(table.n):
-                mapping[table.p(A, i)] = psi_momenta[A][i]
-        image = [substitute(c, mapping) for c in Phi.components]
+        image = [pullback_by_section(table, c, psi_base, psi_momenta) for c in Phi.components]
         image_base = tuple(image[: table.n])
         image_momenta = tuple(
             tuple(image[table.n + A * table.n + i] for i in range(table.n))
             for A in range(table.k)
         )
-        input_res = max(
-            float(np.max(np.abs(hdw_residual(model, psi_base, psi_momenta, t))))
-            for t in t_samples
-        )
-        image_res = max(
-            float(np.max(np.abs(hdw_residual(model, image_base, image_momenta, t))))
-            for t in t_samples
-        )
-        threshold = max(tol if tol is not None else 1e-10, 10.0 * input_res)
+        input_res = largest_abs(hdw_residual(model, psi_base, psi_momenta, t_rows))
+        image_res = largest_abs(hdw_residual(model, image_base, image_momenta, t_rows))
+        threshold = max(threshold_floor, 10.0 * input_res)
         return [
             Report(
                 "transport_field_equations",
                 image_res,
-                len(t_samples),
+                len(t_rows),
                 image_res <= threshold,
                 {"input_residual": input_res},
             )
         ]
 
     phi = solution
-    jet_map = {}
-    for i, comp in enumerate(phi):
-        jet_map[table.q(i)] = comp
-        for A in range(table.k):
-            jet_map[table.v(i, A)] = diff(comp, table.t(A))
-    image = [substitute(c, jet_map) for c in Phi.components]
+    image = [pullback_by_prolongation(table, c, phi) for c in Phi.components]
     rho = tuple(image[: table.n])
 
-    input_res = max(
-        float(np.max(np.abs(el_residual(model, phi, t)))) for t in t_samples
-    )
-    image_res = max(
-        float(np.max(np.abs(el_residual(model, rho, t)))) for t in t_samples
-    )
+    input_res = largest_abs(el_residual(model, phi, t_rows))
+    image_res = largest_abs(el_residual(model, rho, t_rows))
     # the image must itself be a first prolongation: fiber components of the
     # image agree with the t-derivatives of its base part
-    worst_prolong = 0.0
-    envs = [dict(zip(table.t_names, t)) for t in t_samples]
-    for A in range(table.k):
-        for i in range(table.n):
-            gap = sub(diff(rho[i], table.t(A)), image[table.fiber_slot(i, A)])
-            worst_prolong = max(worst_prolong, max_abs_expr(gap, envs))
-    threshold = max(tol if tol is not None else 1e-10, 10.0 * input_res)
+    gaps = [
+        sub(diff(rho[i], table.t(A)), image[table.fiber_slot(i, A)])
+        for A in range(table.k)
+        for i in range(table.n)
+    ]
+    worst_prolong = max_abs(gaps, table.t_names, t_rows)
+    threshold = max(threshold_floor, 10.0 * input_res)
     return [
         Report(
             "transport_field_equations",
             image_res,
-            len(t_samples),
+            len(t_rows),
             image_res <= threshold,
             {"input_residual": input_res},
         ),
         Report(
             "transport_prolongation_consistency",
             worst_prolong,
-            len(t_samples),
+            len(t_rows),
             worst_prolong <= threshold,
         ),
     ]

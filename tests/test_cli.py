@@ -141,6 +141,13 @@ class TestAnalyze:
         assert main(["analyze", str(path)]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_deeply_nested_lagrangian_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "deep.yaml"
+        source = "(" * 3000 + "v1_1^2" + ")" * 3000
+        path.write_text(f'n: 1\nk: 2\nlagrangian: "{source}"\n')
+        assert main(["analyze", str(path)]) == 2
+        assert "nesting" in capsys.readouterr().err
+
     def test_json_identical_across_runs(self, wave_file, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         main(["analyze", str(wave_file), "--out", str(out1)])
@@ -241,6 +248,18 @@ class TestCheckSymmetry:
 
     def test_stretch_diffeo_fails(self, wave_file):
         assert main(["check-symmetry", str(wave_file), "--symmetry", "stretch"]) == 1
+
+    def test_domain_failure_exits_two(self, tmp_path, capsys):
+        # sqrt(q1) leaves the real domain on the default box [-1, 1]
+        path = tmp_path / "sqrt.yaml"
+        path.write_text(WAVE_YAML.replace(
+            'lagrangian: "(v1_1^2 - v1_2^2)/2"',
+            'lagrangian: "(v1_1^2 - v1_2^2)/2 + sqrt(q1)"',
+        ))
+        assert main(["check-symmetry", str(path), "--symmetry", "translate"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "sqrt(q1" in err and "q1=-" in err
 
     def test_unknown_symmetry_exits_two(self, wave_file):
         assert main(["check-symmetry", str(wave_file), "--symmetry", "nope"]) == 2

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ksfield.expr import (
+    MAX_NESTING,
     DomainError,
     Num,
     ParseError,
@@ -18,9 +19,12 @@ from ksfield.expr import (
     call,
     compile_vectorized,
     diff,
+    div,
     evaluate,
+    evaluate_batch,
     free_vars,
     mul,
+    neg,
     parse,
     pow_int,
     substitute,
@@ -109,6 +113,22 @@ class TestParse:
         env = {"q1": 1.0, "q2": 2.0, "v1_1": 3.0}
         assert evaluate(a, env) == evaluate(b, env)
 
+    def test_nesting_capped_at_offset(self):
+        source = "(" * 3000 + "q1" + ")" * 3000
+        with pytest.raises(ParseError) as err:
+            parse(source, NAMES)
+        assert err.value.offset == MAX_NESTING  # the first parenthesis past the cap
+
+    def test_nesting_cap_counts_calls_and_signs(self):
+        with pytest.raises(ParseError):
+            parse("sin(" * 3000 + "q1" + ")" * 3000, NAMES)
+        with pytest.raises(ParseError):
+            parse("-" * 3000 + "q1", NAMES)
+
+    def test_nesting_up_to_cap_accepted(self):
+        e = parse("(" * MAX_NESTING + "q1" + ")" * MAX_NESTING, NAMES)
+        assert evaluate(e, {"q1": 2.0}) == 2.0
+
     def test_unary_minus_binds_tighter_than_product(self):
         # "-a*b" reads as (-a)*b; value identical either way
         e = parse("-q1*q2", NAMES)
@@ -133,6 +153,11 @@ class TestEvaluate:
     def test_unbound_variable(self):
         with pytest.raises(UnboundVariableError):
             evaluate(parse("q1 + q2", NAMES), {"q1": 0.0})
+
+    def test_overflowing_constant_power_is_domain_error(self):
+        e = parse("1e200^2", NAMES)  # left unfolded by the parser
+        with pytest.raises(DomainError):
+            evaluate(e, {})
 
     def test_overflow_is_domain_error(self):
         e = parse("exp(q1)", NAMES)
@@ -172,6 +197,10 @@ class TestDiff:
         env = {"q1": 0.7, "v1_1": 2.0}
         assert d.free_vars() <= free_vars(e)
         assert abs(evaluate(d, env) - math.cos(0.7) * 2.0) < 1e-15
+
+    def test_constant_call_has_zero_derivative(self):
+        # no 0/sqrt(q1)-style factor that would add a domain condition
+        assert diff(parse("sqrt(q1) + log(q2)", NAMES), "v1_1") == Num(0.0)
 
     def test_free_vars_never_grow(self):
         rng = np.random.default_rng(3)
@@ -258,11 +287,95 @@ class TestVectorized:
             env = {name: float(col[idx]) for name, col in zip(NAMES, args)}
             assert out[idx] == pytest.approx(evaluate(e, env), abs=0)
 
+    def test_long_chain_compiles(self):
+        # a left-leaning chain needs no nested parentheses in the generated source
+        e = parse(" + ".join(["q1"] * 600), NAMES)
+        assert compile_vectorized(e, NAMES)(*[np.ones(3)] * len(NAMES)).tolist() == [600.0] * 3
+
     def test_constant_broadcast(self):
         fn = compile_vectorized(Num(3.0), ("q1",))
         out = fn(np.zeros(4))
         assert out.shape == (4,)
         assert np.all(out == 3.0)
+
+
+class TestEvaluateBatch:
+    def test_rows_and_columns(self):
+        points = np.array([[0.5, 2.0, 0.0, 0.0, 0.0], [-1.0, 3.0, 0.0, 0.0, 0.0]])
+        exprs = [parse("q1*q2", NAMES), Num(4.0), parse("q2 - q1", NAMES)]
+        assert evaluate_batch(exprs, NAMES, points).tolist() == [[1.0, 4.0, 1.5], [-3.0, 4.0, 4.0]]
+
+    def test_domain_error_names_expression_and_first_bad_row(self):
+        points = np.zeros((6, len(NAMES)))
+        points[:, 0] = [1.0, 0.25, 0.5, -0.5, -1.0, 0.75]
+        with pytest.raises(DomainError) as err:
+            evaluate_batch([parse("sqrt(q1)", NAMES)], NAMES, points)
+        assert "sqrt(q1)" in str(err.value)
+        assert "q1=-0.5" in str(err.value)
+
+    def test_intermediate_overflow_breaks_contract(self):
+        # the product overflows although its reciprocal would round to 0
+        e = parse("1/(exp(q1)*exp(q1))", NAMES)
+        env = {"q1": 400.0}
+        with pytest.raises(DomainError):
+            evaluate(e, env)
+        with pytest.raises(DomainError):
+            evaluate_batch([e], ["q1"], [[400.0]])
+
+    def test_empty_sample_matrix(self):
+        empty = np.empty((0, len(NAMES)))
+        assert evaluate_batch([parse("1/q1", NAMES)], NAMES, empty).shape == (0, 1)
+
+
+PROPERTY_NAMES = ("q1", "q2", "v1_1")
+_coordinates = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+    st.floats(min_value=-3.0, max_value=3.0),
+)
+# Three variables to one constant, constants and exponents kept away from
+# 0 and 1: the smart constructors would fold such subtrees into constants.
+_constants = st.one_of(st.floats(0.25, 3.0), st.floats(-3.0, -0.25)).map(Num)
+_leaves = st.sampled_from([*PROPERTY_NAMES, None]).flatmap(
+    lambda name: _constants if name is None else st.just(Var(name))
+)
+
+
+def _branches(children):
+    return st.one_of(
+        st.tuples(st.sampled_from([add, sub, mul, div]), children, children).map(
+            lambda args: args[0](args[1], args[2])
+        ),
+        st.tuples(children, st.sampled_from([2, 3, -1, -2, -3])).map(
+            lambda args: pow_int(*args)
+        ),
+        children.map(neg),
+        st.tuples(st.sampled_from(["sin", "cos", "exp", "log", "sqrt"]), children).map(
+            lambda args: call(*args)
+        ),
+    )
+
+
+@given(
+    _branches(st.recursive(_leaves, _branches, max_leaves=8)),
+    st.lists(st.lists(_coordinates, min_size=3, max_size=3), min_size=1, max_size=6),
+)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_batched_evaluation_matches_scalar_reference(e, rows):
+    # the batched core either agrees row by row with the scalar evaluate,
+    # or raises DomainError exactly when some row's scalar evaluation does
+    scalar = []
+    for row in rows:
+        try:
+            scalar.append(evaluate(e, dict(zip(PROPERTY_NAMES, row))))
+        except DomainError:
+            scalar.append(None)
+    if None in scalar:
+        with pytest.raises(DomainError):
+            evaluate_batch([e], PROPERTY_NAMES, rows)
+        return
+    batched = evaluate_batch([e], PROPERTY_NAMES, rows)[:, 0]
+    for got, want in zip(batched, scalar):
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
 class TestVarTable:

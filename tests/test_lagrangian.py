@@ -193,6 +193,15 @@ class TestEulerLagrangeResidual:
         r = el_residual(free_model, phi, (0.4, -1.2))
         assert np.max(np.abs(r)) == 0.0
 
+    def test_batched_rows_match_single_calls(self, kg_model):
+        table = kg_model.table
+        phi = (parse("sin(t1 - t2)*exp(t1/3) + t2^2", table.t_names),)
+        ts = np.random.default_rng(17).uniform(-2, 2, (40, 2))
+        batched = el_residual(kg_model, phi, ts)
+        stacked = np.array([el_residual(kg_model, phi, t) for t in ts])
+        assert batched.shape == stacked.shape == (40, 1)
+        assert np.all(np.abs(batched - stacked) <= 1e-12 * np.maximum(1.0, np.abs(stacked)))
+
     def test_parabola_misses_by_two(self, free_model):
         phi = (parse("t1^2", free_model.table.t_names),)
         r = el_residual(free_model, phi, (0.3, 0.9))
