@@ -398,13 +398,18 @@ class TotalMap:
         J = self.jacobian_at(env)
         return TangentVector(self.map_point(X.base), J @ X.components)
 
-    def pushforward_field(self, legs_fn: Callable, w) -> list:
-        """Push the legs of a pointwise k-vector field from Phi^-1(w) to w."""
+    def pushforward_legs(self, legs_fn: Callable, points) -> np.ndarray:
+        """Legs of the pushforward of a k-vector field at the rows of ``points``.
+
+        ``legs_fn`` maps an (N, dim) matrix of points to their (N, k, dim)
+        legs; each is taken at the preimage Phi^-1(w) and pushed to w by the
+        Jacobian there.
+        """
         if self.inverse is None:
             raise BundleError("pushforward through a map without declared inverse")
-        pre = self._point(evaluate_envs(self.inverse, [w.env()])[0])
-        J = self.jacobian_at(pre.env())
-        return [TangentVector(w, J @ leg.components) for leg in legs_fn(pre)]
+        rows, _ = point_rows(points, len(self.chart))
+        pre = evaluate_batch(self.inverse, self.chart, rows)
+        return np.einsum("nij,naj->nai", self.jacobians(pre), legs_fn(pre))
 
     def verify_inverse(self, points, tol: float = 1e-9) -> float:
         if self.inverse is None:

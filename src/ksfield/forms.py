@@ -206,15 +206,3 @@ def largest_abs(values) -> float:
 def max_abs(exprs, names, points) -> float:
     """Largest |value| of the expressions over the rows of ``points``."""
     return largest_abs(evaluate_batch(exprs, names, points))
-
-
-def max_abs_one_form(beta: OneForm, envs) -> float:
-    return largest_abs(evaluate_envs(beta.coeffs, envs))
-
-
-def max_abs_two_form(omega: TwoForm, envs) -> float:
-    return largest_abs(evaluate_envs(tuple(omega.entries.values()), envs))
-
-
-def max_abs_expr(e: Expr, envs) -> float:
-    return largest_abs(evaluate_envs((e,), envs))

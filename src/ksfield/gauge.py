@@ -93,25 +93,23 @@ def gauge_compare(
     if not len(rows):
         raise GaugeError("need sample points")
 
-    # (1) no quadratic-or-higher velocity dependence
-    entries = []
+    # (1) no quadratic-or-higher velocity dependence; entries are evaluated
+    # one at a time, so the first entry over tol decides the verdict even
+    # when a later entry leaves its domain somewhere in the samples
     for a, name_a in enumerate(table.v_names):
         first = diff(D, name_a)
         for name_b in table.v_names[a:]:
-            entries.append((f"d2(L1-L2)/d{name_a} d{name_b}", diff(first, name_b)))
-    values = evaluate_batch([e for _, e in entries], chart, rows)
-    for column, (label, _) in enumerate(entries):
-        worst, at = _argmax_abs(values[:, column], rows)
-        if worst > tol:
-            return GaugeVerdict(
-                "inequivalent",
-                witness={
-                    "reason": "two_forms_differ",
-                    "entry": label,
-                    "value": worst,
-                    "point": at,
-                },
-            )
+            worst, at = _argmax_abs(diff(first, name_b), chart, rows)
+            if worst > tol:
+                return GaugeVerdict(
+                    "inequivalent",
+                    witness={
+                        "reason": "two_forms_differ",
+                        "entry": f"d2(L1-L2)/d{name_a} d{name_b}",
+                        "value": worst,
+                        "point": at,
+                    },
+                )
 
     # (2) base one-form coefficients from the v = 0 slice
     zero_v = _zero_velocity_map(table)
@@ -123,26 +121,21 @@ def gauge_compare(
     )
 
     # (3) closedness of every alpha^A
-    curls = [
-        (f"d(alpha^{A + 1})[{i + 1},{j + 1}]",
-         sub(diff(alpha[A][i], table.q(j)), diff(alpha[A][j], table.q(i))))
-        for A in range(table.k)
-        for i in range(table.n)
-        for j in range(i + 1, table.n)
-    ]
-    values = evaluate_batch([e for _, e in curls], chart, rows)
-    for column, (label, _) in enumerate(curls):
-        worst, at = _argmax_abs(values[:, column], rows)
-        if worst > closedness_tol:
-            return GaugeVerdict(
-                "inequivalent",
-                witness={
-                    "reason": "alpha_not_closed",
-                    "entry": label,
-                    "value": worst,
-                    "point": at,
-                },
-            )
+    for A in range(table.k):
+        for i in range(table.n):
+            for j in range(i + 1, table.n):
+                curl = sub(diff(alpha[A][i], table.q(j)), diff(alpha[A][j], table.q(i)))
+                worst, at = _argmax_abs(curl, chart, rows)
+                if worst > closedness_tol:
+                    return GaugeVerdict(
+                        "inequivalent",
+                        witness={
+                            "reason": "alpha_not_closed",
+                            "entry": f"d(alpha^{A + 1})[{i + 1},{j + 1}]",
+                            "value": worst,
+                            "point": at,
+                        },
+                    )
 
     # (4) the remainder must be constant, or the energies separate
     remainder = substitute(D, zero_v)
@@ -158,7 +151,7 @@ def gauge_compare(
 
     decomposition = GaugeDecomposition(alpha, Num(0.0), c)
     reconstruction = sub(D, add(decomposition.alpha_hat(table), Num(c)))
-    worst, at = _argmax_abs(evaluate_batch([reconstruction], chart, rows)[:, 0], rows)
+    worst, at = _argmax_abs(reconstruction, chart, rows)
     if worst > tol:
         return GaugeVerdict(
             "inequivalent",
@@ -170,8 +163,9 @@ def gauge_compare(
     return GaugeVerdict(kind, decomposition=decomposition)
 
 
-def _argmax_abs(values: np.ndarray, rows: np.ndarray):
-    """Largest |value| and the coordinates of the first row attaining it."""
+def _argmax_abs(e: Expr, chart: tuple, rows: np.ndarray):
+    """Largest |e| over the rows and the coordinates of the first row attaining it."""
+    values = evaluate_batch([e], chart, rows)[:, 0]
     index = int(np.argmax(np.abs(values)))
     return float(abs(values[index])), [float(x) for x in rows[index]]
 

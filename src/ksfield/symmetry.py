@@ -440,11 +440,8 @@ def verify_bracket_theorem(
 def kvector_residual_after_pushforward(Phi: TotalMap, model: HamiltonianModel, samples) -> float:
     """Max residual of the field equation for the pushforward of the
     canonical k-vector field through Phi, evaluated at the samples."""
-    if Phi.inverse is None:
-        raise SymmetryError("pushforward through a map without declared inverse")
     rows, _ = point_rows(samples, len(Phi.chart))
-    pre = evaluate_batch(Phi.inverse, Phi.chart, rows)
-    pushed = np.einsum("nij,naj->nai", Phi.jacobians(pre), ham_kvector(model, pre))
+    pushed = Phi.pushforward_legs(lambda pre: ham_kvector(model, pre), rows)
     return largest_abs(kvector_equation_residual(model, rows, pushed))
 
 

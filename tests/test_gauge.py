@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from ksfield.bundles import DiffeoQ, tangent_prolongation
-from ksfield.expr import Num, add, diff, evaluate, mul, parse, substitute
-from ksfield.forms import max_abs_one_form, pullback_one_form
+from ksfield.expr import DomainError, Num, add, diff, evaluate, mul, parse, substitute
+from ksfield.forms import max_abs, pullback_one_form
 from ksfield.gauge import GaugeError, gauge_compare, verify_same_solutions
 from ksfield.lagrangian import (
     LagrangianModel,
@@ -72,6 +72,23 @@ class TestGaugeCompare:
         assert verdict.kind == "inequivalent"
         assert verdict.witness["reason"] == "two_forms_differ"
         assert verdict.witness["point"] is not None
+
+    def test_first_differing_entry_decides_before_a_later_domain_error(self, wave_model):
+        # d2/dv1_1^2 differs everywhere; d2/dv1_2^2 of sqrt(v1_2) leaves its
+        # domain at the samples with v1_2 <= 0, but is never reached
+        L2 = lagrangian_model(1, 2, "(v1_1^2 - v1_2^2)/2 + v1_1^3 + sqrt(v1_2)")
+        samples = samples_for(wave_model)
+        assert min(w.flat()[-1] for w in samples) < 0.0
+        verdict = gauge_compare(wave_model, L2, samples)
+        assert verdict.kind == "inequivalent"
+        assert verdict.witness["reason"] == "two_forms_differ"
+        assert verdict.witness["entry"] == "d2(L1-L2)/dv1_1 dv1_1"
+        with pytest.raises(DomainError):
+            gauge_compare(
+                wave_model,
+                lagrangian_model(1, 2, "(v1_1^2 - v1_2^2)/2 + sqrt(v1_2)"),
+                samples,
+            )
 
     def test_table_mismatch_rejected(self, wave_model):
         other = lagrangian_model(2, 2, "(v1_1^2 + v2_1^2 + v1_2^2 + v2_2^2)/2")
@@ -206,16 +223,14 @@ class TestGaugeSymmetryLink:
         pulled_L = substitute(rotational_model.L, dict(zip(chart, Phi.components)))
         pulled_model = LagrangianModel(table, pulled_L)
         samples = samples_for(rotational_model, count=30, seed=31)
-        envs = [w.env() for w in samples]
+        rows = np.array([w.flat() for w in samples])
         for A in range(table.k):
             lhs = pullback_one_form(
                 chart, Phi.components, poincare_cartan_form(rotational_model, A)
             )
             rhs = poincare_cartan_form(pulled_model, A)
             gap_coeffs = tuple(a - b for a, b in zip(lhs.coeffs, rhs.coeffs))
-            from ksfield.forms import OneForm
-
-            assert max_abs_one_form(OneForm(chart, gap_coeffs), envs) <= 1e-9
+            assert max_abs(gap_coeffs, chart, rows) <= 1e-9
 
     def test_natural_cartan_iff_natural_gauge(self, rotational_model):
         # rotation: strict gauge symmetry and Cartan symmetry of the
