@@ -581,66 +581,88 @@ class _Scanner:
 # parser up to five Python frames, so this keeps it well inside the limit.
 MAX_NESTING = 100
 
+# Cap on the weighted depth of a parsed tree.  The recursive tree walks (diff,
+# subs, free_vars, printing, compiling) take one Python frame per level, and
+# the second derivatives that ``analyze`` takes deepen each level of the
+# source by up to its weight here (measured per operator chain): 1 for "+",
+# "-" and prefix signs, 3 for "*", 5 for a call, 6 for "/", and 3 for "^",
+# whose levels each also nest one more pair of parentheses in the compiled
+# source (Python allows 200); parentheses weigh nothing.  At the cap the
+# derived trees stay well inside the default recursion limit.
+MAX_DEPTH = 600
+_WEIGHTS = {"+": 1, "-": 1, "^": 3, "*": 3, "call": 5, "/": 6}
+
 
 class _Parser:
+    """Recursive descent; each method returns the parsed tree and its
+    weighted depth (an upper bound: folding only makes trees shallower)."""
+
     def __init__(self, source: str, names):
         self.sc = _Scanner(source)
         self.names = frozenset(names)
-        self.depth = 0
+        self.nesting = 0
 
     def enter(self, offset: int):
-        self.depth += 1
-        if self.depth > MAX_NESTING:
+        self.nesting += 1
+        if self.nesting > MAX_NESTING:
             raise ParseError(f"nesting deeper than {MAX_NESTING} levels", offset)
 
+    @staticmethod
+    def deepen(depth: int, op: str, offset: int) -> int:
+        depth += _WEIGHTS[op]
+        if depth > MAX_DEPTH:
+            raise ParseError(f"expression deeper than the cap of {MAX_DEPTH}", offset)
+        return depth
+
     def parse(self) -> Expr:
-        e = self.expr()
+        e, _ = self.expr()
         if self.sc.peek() != "":
             raise ParseError(f"unexpected character {self.sc.peek()!r}", self.sc.pos)
         return e
 
-    def expr(self) -> Expr:
-        e = self.term()
+    def expr(self):
+        e, depth = self.term()
         while True:
             ch = self.sc.peek()
-            if ch == "+":
-                self.sc.pos += 1
-                e = add(e, self.term())
-            elif ch == "-":
-                self.sc.pos += 1
-                e = sub(e, self.term())
-            else:
-                return e
+            if ch not in ("+", "-"):
+                return e, depth
+            offset = self.sc.pos
+            self.sc.pos += 1
+            right, right_depth = self.term()
+            e = add(e, right) if ch == "+" else sub(e, right)
+            depth = self.deepen(max(depth, right_depth), ch, offset)
 
-    def term(self) -> Expr:
-        e = self.unary()
+    def term(self):
+        e, depth = self.unary()
         while True:
             ch = self.sc.peek()
-            if ch == "*":
-                self.sc.pos += 1
-                e = mul(e, self.unary())
-            elif ch == "/":
-                self.sc.pos += 1
-                e = div(e, self.unary())
-            else:
-                return e
+            if ch not in ("*", "/"):
+                return e, depth
+            offset = self.sc.pos
+            self.sc.pos += 1
+            right, right_depth = self.unary()
+            e = mul(e, right) if ch == "*" else div(e, right)
+            depth = self.deepen(max(depth, right_depth), ch, offset)
 
-    def unary(self) -> Expr:
+    def unary(self):
         ch = self.sc.peek()
         if ch not in ("+", "-"):
             return self.power()
-        self.enter(self.sc.pos)
+        offset = self.sc.pos
+        self.enter(offset)
         self.sc.pos += 1
-        e = self.unary()
-        self.depth -= 1
-        return neg(e) if ch == "-" else e
+        e, depth = self.unary()
+        self.nesting -= 1
+        return (neg(e) if ch == "-" else e), self.deepen(depth, ch, offset)
 
-    def power(self) -> Expr:
-        e = self.atom()
+    def power(self):
+        e, depth = self.atom()
         while self.sc.peek() == "^":
+            offset = self.sc.pos
             self.sc.pos += 1
             e = pow_int(e, self.exponent())
-        return e
+            depth = self.deepen(depth, "^", offset)
+        return e, depth
 
     def exponent(self) -> int:
         ch = self.sc.peek()
@@ -650,7 +672,7 @@ class _Parser:
             self.sc.pos += 1
             value = self.exponent()
             self.sc.expect(")")
-            self.depth -= 1
+            self.nesting -= 1
             return value
         sign = 1
         if ch == "-":
@@ -665,7 +687,7 @@ class _Parser:
             raise ParseError("exponent must be an integer constant", start)
         return sign * int(value)
 
-    def atom(self) -> Expr:
+    def atom(self):
         ch = self.sc.peek()
         offset = self.sc.pos
         if ch == "":
@@ -673,12 +695,12 @@ class _Parser:
         if ch == "(":
             self.enter(offset)
             self.sc.pos += 1
-            e = self.expr()
+            parsed = self.expr()
             self.sc.expect(")")
-            self.depth -= 1
-            return e
+            self.nesting -= 1
+            return parsed
         if ch.isdigit() or ch == ".":
-            return Num(self.sc.scan_number())
+            return Num(self.sc.scan_number()), 0
         if ch.isalpha() or ch == "_":
             name = self.sc.scan_name()
             if self.sc.peek() == "(":
@@ -686,15 +708,15 @@ class _Parser:
                     raise ParseError(f"unknown function '{name}'", offset)
                 self.enter(self.sc.pos)
                 self.sc.pos += 1
-                arg = self.expr()
+                arg, depth = self.expr()
                 self.sc.expect(")")
-                self.depth -= 1
-                return call(name, arg)
+                self.nesting -= 1
+                return call(name, arg), self.deepen(depth, "call", offset)
             if name in _FUNCTIONS:
                 raise ParseError(f"function '{name}' requires an argument", offset)
             if name not in self.names:
                 raise UndeclaredNameError(name, offset)
-            return Var(name)
+            return Var(name), 0
         raise ParseError(f"unexpected character {ch!r}", offset)
 
 
@@ -711,7 +733,9 @@ def parse(source: str, names: Iterable[str]) -> Expr:
         atom     = number | name | name "(" expr ")" | "(" expr ")" ;
 
     Functions are limited to sin, cos, exp, log, sqrt.  Parentheses,
-    function calls and prefix signs nest at most MAX_NESTING levels deep.
+    function calls and prefix signs nest at most MAX_NESTING levels deep,
+    and the weighted depth of the tree is at most MAX_DEPTH (see there);
+    past either cap ParseError names the offending character's offset.
     """
     return _Parser(source, names).parse()
 
@@ -751,6 +775,26 @@ def _emit_python(e: Expr, consts: list, min_prec: int = 0) -> str:
     return f"({text})" if prec < min_prec else text
 
 
+def compile_tuple(exprs: Iterable[Expr], names) -> Callable:
+    """One callable returning the tuple of the expressions' values, else as
+    :func:`compile_vectorized` (no broadcasting of constant results)."""
+    import numpy as np
+
+    exprs, names = tuple(exprs), tuple(names)
+    missing = frozenset().union(*(free_vars(e) for e in exprs)) - set(names)
+    if missing:
+        raise UnboundVariableError(sorted(missing)[0])
+    arglist = ", ".join(names) if names else "*_ignored"
+    consts: list = []
+    try:
+        src = f"lambda {arglist}: ({', '.join(_emit_python(e, consts) for e in exprs)},)"
+        namespace = {f"_f_{fn}": getattr(np, fn) for fn in _FUNCTIONS}
+        namespace.update((f"_c{i}", np.float64(value)) for i, value in enumerate(consts))
+        return eval(src, namespace)  # source generated above; no user text reaches eval
+    except (RecursionError, SyntaxError, MemoryError):
+        raise EvalError("expression too deeply nested to compile") from None
+
+
 def compile_vectorized(e: Expr, names) -> Callable:
     """Compile to a callable over numpy arrays (one positional arg per name).
 
@@ -761,22 +805,10 @@ def compile_vectorized(e: Expr, names) -> Callable:
     """
     import numpy as np
 
-    names = tuple(names)
-    missing = free_vars(e) - set(names)
-    if missing:
-        raise UnboundVariableError(sorted(missing)[0])
-    arglist = ", ".join(names) if names else "*_ignored"
-    consts: list = []
-    try:
-        src = f"lambda {arglist}: {_emit_python(e, consts)}"
-        namespace = {f"_f_{fn}": getattr(np, fn) for fn in _FUNCTIONS}
-        namespace.update((f"_c{i}", np.float64(value)) for i, value in enumerate(consts))
-        fn = eval(src, namespace)  # source generated above; no user text reaches eval
-    except (RecursionError, SyntaxError, MemoryError):
-        raise EvalError("expression too deeply nested to compile") from None
+    fn = compile_tuple((e,), names)
 
     def wrapped(*args):
-        out = fn(*args)
+        out = fn(*args)[0]
         if args and np.ndim(out) == 0 and np.ndim(args[0]) > 0:
             out = np.full(np.shape(args[0]), float(out))
         return out

@@ -10,8 +10,8 @@ one-sided at the evolution-axis ends.
 
 from __future__ import annotations
 
-import csv
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -19,7 +19,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .coords import VarTable
-from .expr import Expr, compile_vectorized, diff, evaluate_batch, free_vars, is_zero_expr
+from .expr import (
+    Expr, Var, compile_tuple, compile_vectorized, diff, evaluate_batch, free_vars, is_zero_expr,
+    mul, sub,
+)
 from .lagrangian import LagrangianModel, RegularityError, energy, legendre_exprs
 
 
@@ -124,37 +127,41 @@ class SolutionGrid:
             return (ts,)
         return ts, self.spec.periodic_nodes()
 
-    def to_csv(self, path):
-        table = self.table
-        header = [f"t{A + 1}" for A in range(self.k)]
+    def _csv_columns(self):
+        """Header and per-node columns (shape of the grid) of the CSV form:
+        node coordinates, field values, then the jets v^i_A."""
+        table, k = self.table, self.k
+        header = [f"t{A + 1}" for A in range(k)]
         header += [f"phi{i + 1}" for i in range(table.n)]
-        header += [table.v(i, A) for i in range(table.n) for A in range(self.k)]
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(header)
-            for idx, coords in _iter_nodes(self):
-                row = list(coords)
-                row += [repr(float(v)) for v in self.phi[idx]]
-                row += [
-                    repr(float(self.jets[idx][i, A]))
-                    for i in range(table.n)
-                    for A in range(self.k)
-                ]
-                writer.writerow(row)
+        header += [table.v(i, A) for i in range(table.n) for A in range(k)]
+        columns = list(np.broadcast_arrays(*np.ix_(*self.node_coordinates())))
+        columns += [self.phi[..., i] for i in range(table.n)]
+        columns += [self.jets[..., i, A] for i in range(table.n) for A in range(k)]
+        return header, columns
+
+    def to_csv(self, path):
+        _write_csv(path, *self._csv_columns())
 
     def summary_json(self) -> str:
         return json.dumps(self.summary, sort_keys=True, indent=2)
 
 
-def _iter_nodes(sol: SolutionGrid):
-    coords = sol.node_coordinates()
-    if sol.k == 1:
-        for m, t in enumerate(coords[0]):
-            yield (m,), (repr(float(t)),)
-    else:
-        for m, t1 in enumerate(coords[0]):
-            for j, t2 in enumerate(coords[1]):
-                yield (m, j), (repr(float(t1)), repr(float(t2)))
+CSV_BLOCK_ROWS = 512
+
+
+def _write_csv(path, header, columns):
+    """One CSV row per grid node, in the bytes of ``csv.writer`` (float reprs
+    need no quoting; rows end in CRLF), formatted about CSV_BLOCK_ROWS rows
+    at a time so the grid is never held as Python floats all at once."""
+    levels_per_block = max(1, CSV_BLOCK_ROWS // columns[0][0].size)  # nodes per level
+    line = ",".join(["%r"] * len(columns)) + "\r\n"
+    with open(path, "w", newline="") as handle:
+        handle.write(",".join(header) + "\r\n")
+        for start in range(0, len(columns[0]), levels_per_block):
+            block = np.column_stack(
+                [c[start: start + levels_per_block].reshape(-1) for c in columns]
+            )
+            handle.write("".join([line % tuple(row) for row in block.tolist()]))
 
 
 def _time_derivative(phi: np.ndarray, h: float) -> np.ndarray:
@@ -171,52 +178,68 @@ def _time_derivative(phi: np.ndarray, h: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # k = 1: Runge-Kutta on the reduced second-order system
 
-class _CompiledSode:
-    """Compiled acceleration map for a regular k = 1 Lagrangian."""
+def _forces(model: LagrangianModel, A: int) -> list:
+    """dL/dq_i - sum_j (d2L/dv^i_A dq_j) v^j_A for each i: the part of the
+    field equation along t^A that is not the velocity-Hessian term."""
+    table = model.table
+    forces = []
+    for i in range(table.n):
+        force, momentum = model.dLdq(i), model.dLdv(i, A)
+        for j in range(table.n):
+            force = sub(force, mul(diff(momentum, table.q(j)), Var(table.v(j, A))))
+        forces.append(force)
+    return forces
 
-    def __init__(self, model: LagrangianModel):
-        table = model.table
-        if table.k != 1:
-            raise SolverError("k = 1 integrator needs a k = 1 model")
-        chart = table.velocity_chart
-        n = table.n
-        self.n = n
-        self.hess = [
-            [compile_vectorized(diff(model.dLdv(i, 0), table.v(j, 0)), chart) for j in range(n)]
-            for i in range(n)
-        ]
-        self.mixed = [
-            [compile_vectorized(diff(model.dLdv(i, 0), table.q(j)), chart) for j in range(n)]
-            for i in range(n)
-        ]
-        self.grad_q = [compile_vectorized(model.dLdq(i), chart) for i in range(n)]
-        self.energy = compile_vectorized(energy(model), chart)
 
-    def accel(self, q: np.ndarray, v: np.ndarray) -> np.ndarray:
-        args = tuple(q) + tuple(v)
-        n = self.n
-        with np.errstate(all="ignore"):
-            H = np.array(
-                [[self.hess[i][j](*args) for j in range(n)] for i in range(n)], dtype=float
-            )
-            rhs = np.array(
-                [
-                    self.grad_q[i](*args)
-                    - sum(self.mixed[i][j](*args) * v[j] for j in range(n))
-                    for i in range(n)
-                ],
-                dtype=float,
-            )
-        if not (np.all(np.isfinite(H)) and np.all(np.isfinite(rhs))):
-            raise SolverError("non-finite stage values; step rejected")
-        det = np.linalg.det(H)
-        scale = max(1.0, float(np.max(np.abs(H))) ** n)
-        if abs(det) <= 1e-10 * scale:
-            raise RegularityError("velocity Hessian became singular along the trajectory")
-        return np.linalg.solve(H, rhs)
+def _stage_function(model: LagrangianModel):
+    """One compiled call over the velocity chart returning, at (q, v), the
+    velocity Hessian (row-major), the forces and the energy."""
+    table = model.table
+    if table.k != 1:
+        raise SolverError("k = 1 integrator needs a k = 1 model")
+    n = table.n
+    hessian = [diff(model.dLdv(i, 0), table.v(j, 0)) for i in range(n) for j in range(n)]
+    return compile_tuple(hessian + _forces(model, 0) + [energy(model)], table.velocity_chart)
 
-    def energy_at(self, q, v) -> float:
-        return float(self.energy(*(tuple(q) + tuple(v))))
+
+def _acceleration(values, n: int) -> list:
+    """Solve H a = rhs from one stage's values by Gaussian elimination with
+    partial pivoting; the determinant is the product of the pivots."""
+    entries = [float(x) for x in values[: n * n + n]]
+    if not all(map(math.isfinite, entries)):
+        raise SolverError("non-finite stage values; step rejected")
+    rows = [entries[i * n: i * n + n] for i in range(n)]
+    accel = entries[n * n:]  # the right-hand side, solved in place
+    scale = max(1.0, max(map(abs, entries[: n * n])) ** n)
+    det = 1.0
+    for col in range(n):
+        best = col
+        for r in range(col + 1, n):
+            if abs(rows[r][col]) > abs(rows[best][col]):
+                best = r
+        if best != col:
+            rows[col], rows[best] = rows[best], rows[col]
+            accel[col], accel[best] = accel[best], accel[col]
+            det = -det
+        pivot_row = rows[col]
+        det *= pivot_row[col]
+        if det == 0.0:
+            break
+        for r in range(col + 1, n):
+            row = rows[r]
+            factor = row[col] / pivot_row[col]
+            for c in range(col + 1, n):
+                row[c] -= factor * pivot_row[c]
+            accel[r] -= factor * accel[col]
+    if abs(det) <= 1e-10 * scale:
+        raise RegularityError("velocity Hessian became singular along the trajectory")
+    for i in range(n - 1, -1, -1):
+        row = rows[i]
+        total = accel[i]
+        for j in range(i + 1, n):
+            total -= row[j] * accel[j]
+        accel[i] = total / row[i]
+    return accel
 
 
 def integrate_k1(
@@ -224,41 +247,47 @@ def integrate_k1(
 ) -> SolutionGrid:
     """RK4 integration of the second-order equation of motion.
 
-    The returned summary carries the energy drift max|E(t) - E(0)| measured
-    on the exact integrator state.
+    Each stage is one call of the compiled stage function; the call at a
+    step's new state also serves as the next step's first stage and gives
+    that level's energy.  The returned summary carries the energy drift
+    max|E(t) - E(0)| measured on the exact integrator state.
     """
     if grid.k != 1:
         raise SolverError("integrate_k1 needs a one-axis grid")
-    sode = _CompiledSode(model)
+    stage = _stage_function(model)
     n = model.table.n
     h = grid.axes[0].step
+    half, sixth = 0.5 * h, h / 6.0
     levels = grid.axes[0].count + 1
-    qs = np.empty((levels, n))
-    vs = np.empty((levels, n))
-    qs[0] = np.asarray(q0, dtype=float)
-    vs[0] = np.asarray(v0, dtype=float)
+    state = [float(x) for x in q0] + [float(x) for x in v0]
+    if len(state) != 2 * n:
+        raise SolverError(f"q0 and v0 need {n} entries each")
+    trajectory = [state]
+    try:
+        with np.errstate(all="ignore"):
+            values = stage(*state)
+            e0 = float(values[-1])
+            drift = 0.0
+            for m in range(1, levels):
+                k = [state[n:] + _acceleration(values, n)]
+                for dt in (half, half, h):
+                    point = [s + dt * d for s, d in zip(state, k[-1])]
+                    k.append(point[n:] + _acceleration(stage(*point), n))
+                state = [s + sixth * (a + 2 * b + 2 * c + d) for s, a, b, c, d in zip(state, *k)]
+                if not all(map(math.isfinite, state)):
+                    raise SolverError(f"non-finite state at step {m}; step rejected")
+                trajectory.append(state)
+                values = stage(*state)
+                drift = max(drift, abs(float(values[-1]) - e0))
+    except (ZeroDivisionError, OverflowError):
+        # Python-float operations raise where numpy's would give inf/nan
+        raise SolverError("non-finite stage values; step rejected") from None
 
-    def rhs(state):
-        q, v = state[:n], state[n:]
-        return np.concatenate([v, sode.accel(q, v)])
-
-    e0 = sode.energy_at(qs[0], vs[0])
-    drift = 0.0
-    state = np.concatenate([qs[0], vs[0]])
-    for m in range(1, levels):
-        k1 = rhs(state)
-        k2 = rhs(state + 0.5 * h * k1)
-        k3 = rhs(state + 0.5 * h * k2)
-        k4 = rhs(state + h * k3)
-        state = state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.all(np.isfinite(state)):
-            raise SolverError(f"non-finite state at step {m}; step rejected")
-        qs[m] = state[:n]
-        vs[m] = state[n:]
-        drift = max(drift, abs(sode.energy_at(qs[m], vs[m]) - e0))
-
+    trajectory = np.array(trajectory)
     summary = {"energy_drift": drift, "initial_energy": e0, "step": h, "levels": levels}
-    return SolutionGrid(model.table, grid, qs, state_v=vs, summary=summary)
+    return SolutionGrid(
+        model.table, grid, trajectory[:, :n], state_v=trajectory[:, n:], summary=summary
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -332,10 +361,9 @@ def integrate_k2_hyperbolic(
     symbol = np.linalg.solve(M11, -M22)
     speeds = np.linalg.eigvals(symbol)
     cmax = float(np.sqrt(np.max(np.abs(speeds.real)))) if speeds.size else 0.0
-    if cmax * h1 / h2 > 1.0 + 1e-12:
-        warnings.warn(
-            f"CFL bound exceeded: c*h1/h2 = {cmax * h1 / h2:.3f} > 1", CFLWarning
-        )
+    cfl_margin = cmax * h1 / h2
+    if cfl_margin > 1.0 + 1e-12:
+        warnings.warn(f"CFL bound exceeded: c*h1/h2 = {cfl_margin:.3f} > 1", CFLWarning)
 
     x = grid.periodic_nodes()
     env_names = ("t2",)
@@ -348,30 +376,17 @@ def integrate_k2_hyperbolic(
         axis=-1,
     )
 
-    chart = table.velocity_chart
-    grad_q = [compile_vectorized(model.dLdq(i), chart) for i in range(n)]
-    cross = [
-        [compile_vectorized(diff(model.dLdv(i, 1), table.q(j)), chart) for j in range(n)]
-        for i in range(n)
-    ]
+    force_fn = compile_tuple(_forces(model, 1), table.velocity_chart)
     m11_inv = np.linalg.inv(M11)
+    ahead, behind = np.roll(np.arange(x.size), -1), np.roll(np.arange(x.size), 1)  # along t2
+    zeros = np.zeros(x.size)  # v1 slots: certified unused
 
     def acceleration(phi_level: np.ndarray) -> np.ndarray:
-        v2 = (np.roll(phi_level, -1, axis=0) - np.roll(phi_level, 1, axis=0)) / (2 * h2)
-        phixx = (
-            np.roll(phi_level, -1, axis=0) - 2 * phi_level + np.roll(phi_level, 1, axis=0)
-        ) / h2**2
-        zeros = np.zeros_like(phi_level[:, 0])
-        args = [phi_level[:, i] for i in range(n)]
-        args += [zeros for _ in range(n)]        # v1 slots: certified unused
-        args += [v2[:, i] for i in range(n)]
-        rhs = np.empty_like(phi_level)
-        for i in range(n):
-            total = np.broadcast_to(grad_q[i](*args), zeros.shape).astype(float).copy()
-            for j in range(n):
-                coeff = cross[i][j](*args)
-                total -= np.broadcast_to(coeff, zeros.shape) * v2[:, j]
-            rhs[:, i] = total
+        right, left = phi_level[ahead], phi_level[behind]
+        v2 = (right - left) / (2 * h2)
+        phixx = (right - 2 * phi_level + left) / h2**2
+        args = [phi_level[:, i] for i in range(n)] + [zeros] * n + [v2[:, i] for i in range(n)]
+        rhs = np.stack([np.broadcast_to(f, zeros.shape) for f in force_fn(*args)], axis=-1)
         rhs -= phixx @ M22.T
         return rhs @ m11_inv.T
 
@@ -384,7 +399,8 @@ def integrate_k2_hyperbolic(
         if not np.all(np.isfinite(phi[m + 1])):
             raise SolverError(f"non-finite field at step {m + 1}; step rejected")
 
-    summary = {"steps": levels - 1, "h1": h1, "h2": h2, "max_speed": cmax}
+    summary = {"steps": levels - 1, "h1": h1, "h2": h2, "max_speed": cmax,
+               "cfl_margin": cfl_margin}
     return SolutionGrid(table, grid, phi, summary=summary)
 
 
@@ -407,27 +423,10 @@ class CurrentTrace:
     interior_count: int
 
     def to_csv(self, path):
-        k = self.sol.k
-        table = self.sol.table
-        header = [f"t{A + 1}" for A in range(k)]
-        header += [f"phi{i + 1}" for i in range(table.n)]
-        header += [table.v(i, A) for i in range(table.n) for A in range(k)]
-        header += [f"F{A + 1}" for A in range(k)]
-        header.append("divergence")
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(header)
-            for idx, coords in _iter_nodes(self.sol):
-                row = list(coords)
-                row += [repr(float(v)) for v in self.sol.phi[idx]]
-                row += [
-                    repr(float(self.sol.jets[idx][i, A]))
-                    for i in range(table.n)
-                    for A in range(k)
-                ]
-                row += [repr(float(self.values[idx][A])) for A in range(k)]
-                row.append(repr(float(self.divergence[idx])))
-                writer.writerow(row)
+        header, columns = self.sol._csv_columns()
+        header += [f"F{A + 1}" for A in range(self.sol.k)] + ["divergence"]
+        columns += [self.values[..., A] for A in range(self.sol.k)] + [self.divergence]
+        _write_csv(path, header, columns)
 
     def summary(self) -> dict:
         return {

@@ -148,6 +148,34 @@ class TestAnalyze:
         assert main(["analyze", str(path)]) == 2
         assert "nesting" in capsys.readouterr().err
 
+    def analyze_lagrangian(self, tmp_path, source):
+        path = tmp_path / "chain.yaml"
+        path.write_text(f'n: 1\nk: 1\nlagrangian: "{source}"\nsamples: 20\n')
+        out = tmp_path / "out"
+        return main(["analyze", str(path), "--out", str(out)]), out / "analyze.json"
+
+    def test_flat_sum_at_depth_cap_runs(self, tmp_path):
+        # "v1_1^2/2" weighs 3 + 6 and each "+ q1" one more: 591 of them reach the cap
+        code, report = self.analyze_lagrangian(tmp_path, "v1_1^2/2" + " + q1" * 591)
+        assert code == 0
+        assert json.loads(report.read_text())["lagrangian"]["regular"] is True
+
+    def test_product_chain_at_depth_cap_runs(self, tmp_path):
+        # each "*" weighs 3: 199 of them and the "+" make 598, the most this shape allows
+        code, report = self.analyze_lagrangian(tmp_path, "v1_1^2/2 + " + "*".join(["q1"] * 200))
+        assert code == 0
+        assert json.loads(report.read_text())["lagrangian"]["regular"] is True
+
+    @pytest.mark.parametrize("source", [
+        "v1_1^2/2" + " + q1" * 592,
+        "v1_1^2/2 + " + "*".join(["q1"] * 201),
+        "v1_1^2/2" + " + q1" * 2999,
+    ])
+    def test_past_depth_cap_exits_two(self, tmp_path, capsys, source):
+        code, _ = self.analyze_lagrangian(tmp_path, source)
+        assert code == 2
+        assert "deeper than the cap" in capsys.readouterr().err
+
     def test_json_identical_across_runs(self, wave_file, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         main(["analyze", str(wave_file), "--out", str(out1)])

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ksfield.expr import (
+    MAX_DEPTH,
     MAX_NESTING,
     DomainError,
     Num,
@@ -128,6 +129,24 @@ class TestParse:
     def test_nesting_up_to_cap_accepted(self):
         e = parse("(" * MAX_NESTING + "q1" + ")" * MAX_NESTING, NAMES)
         assert evaluate(e, {"q1": 2.0}) == 2.0
+
+    def test_flat_sum_capped_at_operator_offset(self):
+        # a flat chain needs no parser recursion but builds a left-deep tree
+        at_cap = " + ".join(["q1"] * (MAX_DEPTH + 1))
+        assert evaluate(parse(at_cap, NAMES), {"q1": 1.0}) == MAX_DEPTH + 1
+        with pytest.raises(ParseError) as err:
+            parse(at_cap + " - q1", NAMES)
+        assert err.value.offset == len(at_cap) + 1  # the "-" past the cap
+
+    def test_depth_weights_products_and_quotients(self):
+        assert parse("*".join(["q1"] * (MAX_DEPTH // 3 + 1)), NAMES) is not None
+        with pytest.raises(ParseError):
+            parse("*".join(["q1"] * (MAX_DEPTH // 3 + 2)), NAMES)
+        assert parse("q1" + "/q2" * (MAX_DEPTH // 6), NAMES) is not None
+        with pytest.raises(ParseError):
+            parse("q1" + "/q2" * (MAX_DEPTH // 6 + 1), NAMES)
+        with pytest.raises(ParseError):
+            parse("q1" + "^2" * 3000, NAMES)
 
     def test_unary_minus_binds_tighter_than_product(self):
         # "-a*b" reads as (-a)*b; value identical either way

@@ -1,14 +1,19 @@
 """Integrators, grids, current traces and convergence behaviour."""
 
+import csv
+
 import numpy as np
 import pytest
 
 from ksfield.expr import parse
+from ksfield.lagrangian import RegularityError
 from ksfield.solver import (
+    CSV_BLOCK_ROWS,
     Axis,
     CFLWarning,
     GridSpec,
     NotHyperbolicError,
+    SolutionGrid,
     SolverError,
     evaluate_current,
     integrate_k1,
@@ -90,6 +95,44 @@ class TestIntegrateK1:
         grid = GridSpec((Axis(0.0, 10.0, 0.1),))
         with pytest.raises(SolverError):
             integrate_k1(model, [1.0], [10.0], grid)
+
+    def test_singular_hessian_rejected(self):
+        model = lagrangian_model(1, 1, "v1_1^4/4")  # Hessian 3 v^2 vanishes at v = 0
+        grid = GridSpec((Axis(0.0, 1.0, 0.1),))
+        with pytest.raises(RegularityError):
+            integrate_k1(model, [0.0], [0.0], grid)
+
+    @pytest.mark.parametrize("source", [
+        "v1_1^2/2 + 1/q1",     # force -1/q^2 evaluates to -inf at q = 0
+        "v1_1^2/2 + v1_1/q1",  # -v/q^2 on two Python floats raises ZeroDivisionError
+    ])
+    def test_non_finite_stage_rejected(self, source):
+        model = lagrangian_model(1, 1, source)
+        grid = GridSpec((Axis(0.0, 1.0, 0.1),))
+        with pytest.raises(SolverError):
+            integrate_k1(model, [0.0], [0.0], grid)
+
+    def test_zero_diagonal_hessian_needs_pivoting(self):
+        # Hessian [[0, 1], [1, 0]]: elimination without a row swap divides by
+        # zero; the equations are q1'' = -q1, q2'' = -q2
+        model = lagrangian_model(2, 1, "v1_1*v2_1 - q1*q2")
+        grid = GridSpec((Axis(0.0, TWO_PI, TWO_PI / 628),))
+        sol = integrate_k1(model, [1.0, 1.0], [0.0, 0.0], grid)
+        ts = sol.spec.evolution_times()
+        assert np.max(np.abs(sol.phi - np.cos(ts)[:, None])) <= 1e-8
+
+    def test_coupled_hessian_converges_at_order_four(self):
+        # non-diagonal, q-dependent Hessian [[1 + q2^2/10, 1/2], [1/2, 1]], so
+        # the right-hand side carries the mixed d2L/dv dq terms too
+        model = lagrangian_model(
+            2, 1, "(1 + q2^2/10)*v1_1^2/2 + v1_1*v2_1/2 + v2_1^2/2 - (q1^2 + q2^2)/2"
+        )
+        grids = [GridSpec((Axis(0.0, 2.0, 0.05),))]
+        grids.append(grids[0].refined())
+        grids.append(grids[1].refined())
+        sols = [integrate_k1(model, [1.0, -0.5], [0.2, 0.3], g) for g in grids]
+        ratio = self_convergence_ratio(sols)
+        assert 16 / 1.6 <= ratio <= 16 * 1.6
 
     def test_state_velocities_accompany_stencil_jets(self, oscillator_model):
         grid = GridSpec((Axis(0.0, 1.0, 0.01),))
@@ -226,6 +269,79 @@ class TestCurrentTrace:
         assert float(cells[2]) == sol.phi[0, 0, 0]
         trace_rows = trace_path.read_text().strip().splitlines()
         assert trace_rows[0] == "t1,t2,phi1,v1_1,v1_2,F1,F2,divergence"
+
+
+def reference_csv(path, sol, trace=None):
+    """The csv.writer row loop both to_csv methods ran before the block
+    writer, kept as the byte-for-byte reference."""
+    table, k = sol.table, sol.k
+    header = [f"t{A + 1}" for A in range(k)]
+    header += [f"phi{i + 1}" for i in range(table.n)]
+    header += [table.v(i, A) for i in range(table.n) for A in range(k)]
+    if trace is not None:
+        header += [f"F{A + 1}" for A in range(k)] + ["divergence"]
+    coords = sol.node_coordinates()
+    if k == 1:
+        nodes = [((m,), (repr(float(t)),)) for m, t in enumerate(coords[0])]
+    else:
+        nodes = [
+            ((m, j), (repr(float(t1)), repr(float(t2))))
+            for m, t1 in enumerate(coords[0])
+            for j, t2 in enumerate(coords[1])
+        ]
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        for idx, row_coords in nodes:
+            row = list(row_coords)
+            row += [repr(float(v)) for v in sol.phi[idx]]
+            row += [repr(float(sol.jets[idx][i, A])) for i in range(table.n) for A in range(k)]
+            if trace is not None:
+                row += [repr(float(trace.values[idx][A])) for A in range(k)]
+                row.append(repr(float(trace.divergence[idx])))
+            writer.writerow(row)
+
+
+def with_special_cells(array):
+    """Copy of ``array`` with -0.0, 1e-300 and 1e+16 written into its first cells."""
+    out = np.array(array, dtype=float)
+    flat = out.reshape(-1)
+    flat[:3] = (-0.0, 1e-300, 1e16)
+    return out
+
+
+class TestCsvBytes:
+    def assert_same_bytes(self, tmp_path, sol, trace=None):
+        ours, reference = tmp_path / "ours.csv", tmp_path / "reference.csv"
+        (trace or sol).to_csv(ours)
+        reference_csv(reference, sol, trace)
+        assert ours.read_bytes() == reference.read_bytes()
+
+    def test_k1_grid(self, oscillator_model, tmp_path):
+        levels = 2 * CSV_BLOCK_ROWS + 7  # not a whole number of blocks
+        grid = GridSpec((Axis(0.0, (levels - 1) * 0.01, 0.01),))
+        sol = integrate_k1(oscillator_model, [1.0], [0.0], grid)
+        assert sol.phi.shape[0] == levels
+        special = SolutionGrid(
+            sol.table, grid, with_special_cells(sol.phi), jets=with_special_cells(sol.jets)
+        )
+        self.assert_same_bytes(tmp_path, special)
+
+    def test_k2_grid(self, wave_model, tmp_path):
+        sol = run_wave(wave_model, wave_grid(nodes=200, steps=6))  # 7 levels of 200 nodes
+        assert (7 * 200) % CSV_BLOCK_ROWS != 0
+        special = SolutionGrid(
+            sol.table, sol.spec, with_special_cells(sol.phi), jets=with_special_cells(sol.jets)
+        )
+        self.assert_same_bytes(tmp_path, special)
+
+    def test_current_trace_with_nan_divergence(self, wave_model, tmp_path):
+        sol = run_wave(wave_model, wave_grid(nodes=300, steps=8))
+        chart = wave_model.table.velocity_chart
+        trace = evaluate_current((parse("v1_1", chart), parse("-v1_2", chart)), sol)
+        assert np.isnan(trace.divergence[0]).all()  # outside the computed band
+        trace.values = with_special_cells(trace.values)
+        self.assert_same_bytes(tmp_path, sol, trace)
 
 
 class TestJetConsistency:
