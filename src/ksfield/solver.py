@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -147,21 +148,49 @@ class SolutionGrid:
 
 
 CSV_BLOCK_ROWS = 512
+# Wide rows get fewer: a block's text then stays under 64 KiB, so orjson's
+# output buffer never reaches glibc's 128 KiB mmap threshold, whose dynamic
+# rise otherwise fragments the heap and raises peak RSS by a few MB.
+CSV_BLOCK_CELLS = 2048
+# orjson writes the shortest round-trip digits, as repr does, but spells
+# exponents without a sign or padding: e16 for repr's e+16, e-7 for e-07.
+_EXP_PLUS = re.compile(rb"e(?=\d)")
+_EXP_ONE_DIGIT = re.compile(rb"e-(?=\d(?!\d))")
 
 
 def _write_csv(path, header, columns):
-    """One CSV row per grid node, in the bytes of ``csv.writer`` (float reprs
-    need no quoting; rows end in CRLF), formatted about CSV_BLOCK_ROWS rows
-    at a time so the grid is never held as Python floats all at once."""
-    levels_per_block = max(1, CSV_BLOCK_ROWS // columns[0][0].size)  # nodes per level
-    line = ",".join(["%r"] * len(columns)) + "\r\n"
-    with open(path, "w", newline="") as handle:
-        handle.write(",".join(header) + "\r\n")
+    """One CSV row per grid node, in the bytes of ``csv.writer`` of each
+    float's repr (no quoting; rows end in CRLF), formatted by orjson straight
+    to bytes in blocks of whole evolution levels, at most CSV_BLOCK_ROWS rows
+    and CSV_BLOCK_CELLS cells unless one level holds more."""
+    import orjson  # only commands that write a CSV load it
+
+    rows = min(CSV_BLOCK_ROWS, CSV_BLOCK_CELLS // len(columns))
+    levels_per_block = max(1, rows // columns[0][0].size)  # nodes per level
+    with open(path, "wb") as handle:
+        handle.write((",".join(header) + "\r\n").encode())
         for start in range(0, len(columns[0]), levels_per_block):
             block = np.column_stack(
                 [c[start: start + levels_per_block].reshape(-1) for c in columns]
             )
-            handle.write("".join([line % tuple(row) for row in block.tolist()]))
+            # orjson writes non-finite cells as null and 1e-5 <= |x| < 1e-4
+            # positionally: mask them as null and splice their reprs back
+            magnitude = np.abs(block)
+            mask = ~np.isfinite(block) | ((magnitude >= 1e-5) & (magnitude < 1e-4))
+            masked = block[mask].tolist()
+            block[mask] = np.nan
+            text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)
+            if b"e" in text:
+                text = _EXP_ONE_DIGIT.sub(b"e-0", _EXP_PLUS.sub(b"e+", text))
+            text = text.replace(b"],[", b"\r\n")
+            if masked:
+                pieces = text.split(b"null")
+                spliced = [b""] * (2 * len(pieces) - 1)
+                spliced[::2] = pieces
+                spliced[1::2] = [repr(x).encode() for x in masked]
+                text = b"".join(spliced)
+            handle.write(memoryview(text)[2:-2])  # without the outer brackets
+            handle.write(b"\r\n")
 
 
 def _time_derivative(phi: np.ndarray, h: float) -> np.ndarray:

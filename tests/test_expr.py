@@ -374,20 +374,23 @@ def _branches(children):
     )
 
 
-@given(
-    _branches(st.recursive(_leaves, _branches, max_leaves=8)),
-    st.lists(st.lists(_coordinates, min_size=3, max_size=3), min_size=1, max_size=6),
-)
+def _evaluate_or_none(e, row):
+    try:
+        return evaluate(e, dict(zip(PROPERTY_NAMES, row)))
+    except DomainError:
+        return None
+
+
+_trees = _branches(st.recursive(_leaves, _branches, max_leaves=8))
+_rows = st.lists(st.lists(_coordinates, min_size=3, max_size=3), min_size=1, max_size=6)
+
+
+@given(_trees, _rows)
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_batched_evaluation_matches_scalar_reference(e, rows):
     # the batched core either agrees row by row with the scalar evaluate,
     # or raises DomainError exactly when some row's scalar evaluation does
-    scalar = []
-    for row in rows:
-        try:
-            scalar.append(evaluate(e, dict(zip(PROPERTY_NAMES, row))))
-        except DomainError:
-            scalar.append(None)
+    scalar = [_evaluate_or_none(e, row) for row in rows]
     if None in scalar:
         with pytest.raises(DomainError):
             evaluate_batch([e], PROPERTY_NAMES, rows)
@@ -395,6 +398,18 @@ def test_batched_evaluation_matches_scalar_reference(e, rows):
     batched = evaluate_batch([e], PROPERTY_NAMES, rows)[:, 0]
     for got, want in zip(batched, scalar):
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+@given(_trees, _trees, _rows)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_source_round_trip_evaluates_the_same(a, b, rows):
+    # the printed source parses back into a tree with the same value at
+    # every row, or the same DomainError; joining two trees by each operator
+    # puts compound operands on both sides of it
+    for e in (a, add(a, b), sub(a, b), mul(a, b), div(a, b)):
+        again = parse(to_source(e), PROPERTY_NAMES)
+        for row in rows:
+            assert _evaluate_or_none(again, row) == _evaluate_or_none(e, row)
 
 
 class TestVarTable:

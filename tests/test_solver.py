@@ -1,9 +1,13 @@
 """Integrators, grids, current traces and convergence behaviour."""
 
 import csv
+import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ksfield.expr import parse
 from ksfield.lagrangian import RegularityError
@@ -15,6 +19,7 @@ from ksfield.solver import (
     NotHyperbolicError,
     SolutionGrid,
     SolverError,
+    _write_csv,
     evaluate_current,
     integrate_k1,
     integrate_k2_hyperbolic,
@@ -342,6 +347,61 @@ class TestCsvBytes:
         assert np.isnan(trace.divergence[0]).all()  # outside the computed band
         trace.values = with_special_cells(trace.values)
         self.assert_same_bytes(tmp_path, sol, trace)
+
+    def test_current_trace_with_infinite_values(self, wave_model, tmp_path):
+        sol = run_wave(wave_model, wave_grid(nodes=300, steps=8))
+        chart = wave_model.table.velocity_chart
+        trace = evaluate_current((parse("v1_1", chart), parse("-v1_2", chart)), sol)
+        assert np.isnan(trace.divergence[[0, -1]]).all()
+        trace.values[0, :5, 0] = np.inf   # beside the nan divergence levels
+        trace.values[-1, -5:, 1] = -np.inf
+        trace.values[1, 7] = (-np.inf, np.inf)
+        self.assert_same_bytes(tmp_path, sol, trace)
+
+    def test_k1_grid_in_the_positional_band(self, oscillator_model, tmp_path):
+        # repr writes 1e-5 <= |x| < 1e-4 with an exponent, orjson positionally
+        levels = CSV_BLOCK_ROWS + 11
+        grid = GridSpec((Axis(0.0, (levels - 1) * 0.01, 0.01),))
+        sol = integrate_k1(oscillator_model, [6e-5], [0.0], grid)
+        band = (np.abs(sol.jets) >= 1e-5) & (np.abs(sol.jets) < 1e-4)
+        assert band.sum() > CSV_BLOCK_ROWS // 2
+        self.assert_same_bytes(tmp_path, sol)
+
+
+# Cells whose repr orjson spells differently, or that sit at the edge of a
+# spelling rule: sign, non-finite, subnormal, exponent width and the
+# positional ranges of both writers.
+SPELLING_EDGES = (
+    0.0, math.inf, math.nan, 5e-324, 1e-07, 1e-05, 9.999999999999999e-05, 1e-4,
+    9999999999999998.0, 1e16, 1e300,
+)
+_cells = st.one_of(
+    st.integers(0, 2**64 - 1).map(lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0]),
+    st.tuples(st.sampled_from(SPELLING_EDGES), st.booleans()).map(
+        lambda edge: -edge[0] if edge[1] else edge[0]
+    ),
+)
+# Rows of a k = 1 column, and (levels, nodes) of a k = 2 one, around the block
+# size (rows wider than CSV_BLOCK_CELLS / CSV_BLOCK_ROWS cells make shorter blocks).
+_shapes = st.sampled_from([
+    (1,), (CSV_BLOCK_ROWS - 1,), (CSV_BLOCK_ROWS,), (CSV_BLOCK_ROWS + 1,),
+    (2 * CSV_BLOCK_ROWS + 7,), (5, 200), (3, CSV_BLOCK_ROWS + 1),
+])
+
+
+@given(_shapes, st.integers(1, 15), st.lists(_cells, min_size=1, max_size=64))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_csv_cells_spelled_as_repr(tmp_path_factory, shape, width, cells):
+    # the cells tile the columns, so each drawn cell lands in many rows and
+    # columns and, in the longer shapes, in more than one block
+    path = tmp_path_factory.getbasetemp() / "spelling.csv"
+    values = np.resize(np.array(cells), (width,) + shape)
+    _write_csv(path, [f"c{j}" for j in range(width)], list(values))
+    line = ",".join(["%r"] * width) + "\r\n"
+    rows = values.reshape(width, -1).T.tolist()
+    reference = ",".join(f"c{j}" for j in range(width)) + "\r\n"
+    reference += "".join(line % tuple(row) for row in rows)
+    assert path.read_bytes() == reference.encode()
 
 
 class TestJetConsistency:
