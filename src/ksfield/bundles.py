@@ -21,19 +21,18 @@ from .expr import (
     add,
     diff,
     evaluate_batch,
-    evaluate_envs,
     free_vars,
     mul,
     substitute,
 )
-from .forms import VectorField
+from .forms import VectorField, largest_abs
 
 
 class BundleError(ValueError):
     pass
 
 
-def _as_finite(array, shape, what: str) -> np.ndarray:
+def _checked_array(array, shape, what: str) -> np.ndarray:
     out = np.asarray(array, dtype=float)
     if out.shape != shape:
         raise BundleError(f"{what} must have shape {shape}, got {out.shape}")
@@ -52,13 +51,8 @@ class JetPoint:
 
     def __post_init__(self):
         n, k = self.table.n, self.table.k
-        self.q = _as_finite(self.q, (n,), "q")
-        self.v = _as_finite(self.v, (n, k), "v")
-
-    def env(self) -> dict:
-        out = dict(zip(self.table.q_names, self.q))
-        out.update(zip(self.table.v_names, self.v.T.reshape(-1)))
-        return out
+        self.q = _checked_array(self.q, (n,), "q")
+        self.v = _checked_array(self.v, (n, k), "v")
 
     def flat(self) -> np.ndarray:
         return np.concatenate([self.q, self.v.T.reshape(-1)])
@@ -80,13 +74,8 @@ class CoJetPoint:
 
     def __post_init__(self):
         n, k = self.table.n, self.table.k
-        self.q = _as_finite(self.q, (n,), "q")
-        self.p = _as_finite(self.p, (k, n), "p")
-
-    def env(self) -> dict:
-        out = dict(zip(self.table.q_names, self.q))
-        out.update(zip(self.table.p_names, self.p.reshape(-1)))
-        return out
+        self.q = _checked_array(self.q, (n,), "q")
+        self.p = _checked_array(self.p, (k, n), "p")
 
     def flat(self) -> np.ndarray:
         return np.concatenate([self.q, self.p.reshape(-1)])
@@ -125,7 +114,7 @@ class TangentVector:
 
     def __post_init__(self):
         dim = self.base.table.dim_total
-        self.components = _as_finite(self.components, (dim,), "components")
+        self.components = _checked_array(self.components, (dim,), "components")
 
     @property
     def table(self) -> VarTable:
@@ -151,7 +140,7 @@ class VectorFieldQ:
                 )
 
     def at(self, q: np.ndarray) -> np.ndarray:
-        return evaluate_envs(self.components, [dict(zip(self.table.q_names, q))])[0]
+        return evaluate_batch(self.components, self.table.q_names, np.reshape(q, (1, -1)))[0]
 
 
 @dataclass(frozen=True)
@@ -171,8 +160,7 @@ class KVectorField:
                 raise BundleError("leg chart does not match the declared side")
 
     def legs_at(self, w) -> list:
-        env = w.env()
-        return [TangentVector(w, leg.at(env)) for leg in self.legs]
+        return [TangentVector(w, leg.at(w)) for leg in self.legs]
 
 
 # ---------------------------------------------------------------------------
@@ -342,11 +330,16 @@ class DiffeoQ:
         """Max |phi(phi^-1(q)) - q| over sample base points; raises above tol."""
         names = self.table.q_names
         points = np.asarray(qs, dtype=float).reshape(-1, len(names))
-        back = evaluate_batch(self.forward, names, evaluate_batch(self.inverse, names, points))
-        worst = float(np.max(np.abs(back - points))) if points.size else 0.0
-        if worst > tol:
-            raise BundleError(f"declared inverse fails round-trip: residual {worst:.3e}")
-        return worst
+        return _round_trip(self.forward, self.inverse, names, points, tol)
+
+
+def _round_trip(forward, inverse, names, rows, tol: float) -> float:
+    """Max |forward(inverse(x)) - x| over the rows; BundleError above tol."""
+    back = evaluate_batch(forward, names, evaluate_batch(inverse, names, rows))
+    worst = largest_abs(back - rows)
+    if worst > tol:
+        raise BundleError(f"declared inverse fails round-trip: residual {worst:.3e}")
+    return worst
 
 
 @dataclass(frozen=True)
@@ -366,37 +359,26 @@ class TotalMap:
     def chart(self) -> tuple:
         return self.table.chart(self.side)
 
-    def apply_env(self, env: dict) -> np.ndarray:
-        return evaluate_envs(self.components, [env])[0]
-
     def images(self, points) -> np.ndarray:
         """Images of the rows of ``points`` (chart coordinates), as rows."""
         return evaluate_batch(self.components, self.chart, point_rows(points, len(self.chart))[0])
 
     def map_point(self, w):
-        return self._point(self.apply_env(w.env()))
-
-    def _point(self, values: np.ndarray):
         point_type = JetPoint if self.side == "lagrangian" else CoJetPoint
-        return point_type.from_flat(self.table, values)
+        return point_type.from_flat(self.table, self.images(w)[0])
 
-    def _jacobian_exprs(self) -> tuple:
-        return tuple(diff(comp, name) for comp in self.components for name in self.chart)
-
-    def jacobian_at(self, env: dict) -> np.ndarray:
-        dim = len(self.chart)
-        return evaluate_envs(self._jacobian_exprs(), [env])[0].reshape(dim, dim)
+    def jacobian_at(self, w) -> np.ndarray:
+        return self.jacobians(w)[0]
 
     def jacobians(self, points) -> np.ndarray:
         """Jacobian matrices at the rows of ``points``, shape (N, dim, dim)."""
         dim = len(self.chart)
         rows, _ = point_rows(points, dim)
-        return evaluate_batch(self._jacobian_exprs(), self.chart, rows).reshape(-1, dim, dim)
+        derivatives = [diff(comp, name) for comp in self.components for name in self.chart]
+        return evaluate_batch(derivatives, self.chart, rows).reshape(-1, dim, dim)
 
     def pushforward(self, X: TangentVector) -> TangentVector:
-        env = X.base.env()
-        J = self.jacobian_at(env)
-        return TangentVector(self.map_point(X.base), J @ X.components)
+        return TangentVector(self.map_point(X.base), self.jacobian_at(X.base) @ X.components)
 
     def pushforward_legs(self, legs_fn: Callable, points) -> np.ndarray:
         """Legs of the pushforward of a k-vector field at the rows of ``points``.
@@ -415,37 +397,27 @@ class TotalMap:
         if self.inverse is None:
             raise BundleError("no declared inverse")
         rows, _ = point_rows(points, len(self.chart))
-        back = self.images(evaluate_batch(self.inverse, self.chart, rows))
-        worst = float(np.max(np.abs(back - rows))) if rows.size else 0.0
-        if worst > tol:
-            raise BundleError(f"declared inverse fails round-trip: residual {worst:.3e}")
-        return worst
+        return _round_trip(self.components, self.inverse, self.chart, rows, tol)
 
 
 def tangent_prolongation(phi: DiffeoQ) -> TotalMap:
     """Prolong a base diffeomorphism to (q, v): (phi(q), Dphi(q) v_A)."""
     table = phi.table
-    comps = list(phi.forward)
-    for A in range(table.k):
-        for i in range(table.n):
-            out: Expr = Num(0.0)
-            for j in range(table.n):
-                out = add(
-                    out,
-                    mul(Var(table.v(j, A)), diff(phi.forward[i], table.q(j))),
-                )
-            comps.append(out)
-    inverse = list(phi.inverse)
-    for A in range(table.k):
-        for i in range(table.n):
-            out = Num(0.0)
-            for j in range(table.n):
-                out = add(
-                    out,
-                    mul(Var(table.v(j, A)), diff(phi.inverse[i], table.q(j))),
-                )
-            inverse.append(out)
-    return TotalMap(table, "lagrangian", tuple(comps), tuple(inverse))
+
+    def prolong(base) -> tuple:  # the same lift for phi and its inverse
+        comps = list(base)
+        for A in range(table.k):
+            for i in range(table.n):
+                out: Expr = Num(0.0)
+                for j in range(table.n):
+                    out = add(
+                        out,
+                        mul(Var(table.v(j, A)), diff(base[i], table.q(j))),
+                    )
+                comps.append(out)
+        return tuple(comps)
+
+    return TotalMap(table, "lagrangian", prolong(phi.forward), prolong(phi.inverse))
 
 
 def cotangent_prolongation(phi: DiffeoQ) -> TotalMap:
@@ -455,22 +427,19 @@ def cotangent_prolongation(phi: DiffeoQ) -> TotalMap:
     so the declared inverse supplies the Jacobian inverse.
     """
     table = phi.table
-    fwd_map = dict(zip(table.q_names, phi.forward))
-    inv_map = dict(zip(table.q_names, phi.inverse))
-    comps = list(phi.forward)
-    for A in range(table.k):
-        for i in range(table.n):
-            out: Expr = Num(0.0)
-            for j in range(table.n):
-                dinv = substitute(diff(phi.inverse[j], table.q(i)), fwd_map)
-                out = add(out, mul(Var(table.p(A, j)), dinv))
-            comps.append(out)
-    inverse = list(phi.inverse)
-    for A in range(table.k):
-        for i in range(table.n):
-            out = Num(0.0)
-            for j in range(table.n):
-                dfwd = substitute(diff(phi.forward[j], table.q(i)), inv_map)
-                out = add(out, mul(Var(table.p(A, j)), dfwd))
-            inverse.append(out)
-    return TotalMap(table, "hamiltonian", tuple(comps), tuple(inverse))
+
+    def prolong(base, other) -> tuple:  # p'_i = p_j d(other^j)/dq^i at base(q)
+        at_base = dict(zip(table.q_names, base))
+        comps = list(base)
+        for A in range(table.k):
+            for i in range(table.n):
+                out: Expr = Num(0.0)
+                for j in range(table.n):
+                    d_other = substitute(diff(other[j], table.q(i)), at_base)
+                    out = add(out, mul(Var(table.p(A, j)), d_other))
+                comps.append(out)
+        return tuple(comps)
+
+    return TotalMap(
+        table, "hamiltonian", prolong(phi.forward, phi.inverse), prolong(phi.inverse, phi.forward)
+    )

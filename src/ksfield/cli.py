@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bundles import BundleError, JetPoint
+from .bundles import BundleError, CoJetPoint, JetPoint
 from .expr import EvalError, ParseError, to_source
 from .gauge import GaugeError, gauge_compare, verify_same_solutions
 from .hamiltonian import ham_kvector, kvector_equation_residual
@@ -38,7 +38,6 @@ from .sampling import sample_parameters, sample_points
 from .solver import (
     NotHyperbolicError,
     SolverError,
-    evaluate_current,
     integrate_k1,
     integrate_k2_hyperbolic,
     self_convergence_ratio,
@@ -183,9 +182,8 @@ def cmd_analyze(args) -> int:
         dets = np.linalg.det(hessians)
         regular_everywhere = bool(np.all(regular))
         images = []
-        for row in samples[:3]:
-            w = JetPoint.from_flat(table, row)
-            p = legendre(model, w)
+        for row, image in zip(samples[:3], legendre(model, samples[:3])):
+            w, p = JetPoint.from_flat(table, row), CoJetPoint.from_flat(table, image)
             images.append(
                 {
                     "q": [float(x) for x in w.q],
@@ -384,8 +382,7 @@ def cmd_noether(args) -> int:
             )
             reports.append(report)
             if out is not None:
-                trace = evaluate_current(current.components, sol, side, spec.lagrangian)
-                trace.to_csv(out / f"{stem}_trace.csv")
+                report.trace.to_csv(out / f"{stem}_trace.csv")
 
     payload["reports"] = [r.as_dict() for r in reports]
     _emit(payload, out, f"{stem}.json")

@@ -3,7 +3,12 @@
 The AST covers real literals, named variables, +, -, *, /, integer powers
 and the unary functions sin, cos, exp, log, sqrt.  Nodes are immutable
 (frozen dataclasses), so expressions are safe to share across threads;
-differentiation, substitution and evaluation are pure.
+differentiation and substitution are pure.
+
+Expressions become numbers one way: :func:`evaluate_columns` compiles each
+to a numpy function and evaluates it over whole arrays under a strict
+domain contract, :func:`evaluate_batch` over the rows of a sample matrix.
+The scalar reference evaluator the tests compare against lives in tests/.
 
 Simplification is best-effort only (constant folding and 0/1 identities,
 applied by the smart constructors below).  Nothing downstream relies on a
@@ -57,22 +62,11 @@ _FUNCTIONS: dict[str, Callable[[float], float]] = {
     "sqrt": math.sqrt,
 }
 
-Bindings = Mapping[str, float]
-
-
-def _finite(value: float, what: str) -> float:
-    if not math.isfinite(value):
-        raise DomainError(f"{what} is not finite: {value!r}")
-    return value
-
-
 @dataclass(frozen=True)
 class Expr:
     def diff(self, name: str) -> "Expr":
         raise NotImplementedError
 
-    def _ev(self, env: Bindings) -> float:
-        raise NotImplementedError
 
     def subs(self, mapping: Mapping[str, "Expr"]) -> "Expr":
         raise NotImplementedError
@@ -122,8 +116,6 @@ class Num(Expr):
     def diff(self, name):
         return _ZERO
 
-    def _ev(self, env):
-        return self.value
 
     def subs(self, mapping):
         return self
@@ -139,11 +131,6 @@ class Var(Expr):
     def diff(self, name):
         return _ONE if name == self.name else _ZERO
 
-    def _ev(self, env):
-        try:
-            return env[self.name]
-        except KeyError:
-            raise UnboundVariableError(self.name) from None
 
     def subs(self, mapping):
         return mapping.get(self.name, self)
@@ -160,8 +147,6 @@ class Add(Expr):
     def diff(self, name):
         return add(self.left.diff(name), self.right.diff(name))
 
-    def _ev(self, env):
-        return _finite(self.left._ev(env) + self.right._ev(env), "sum")
 
     def subs(self, mapping):
         return add(self.left.subs(mapping), self.right.subs(mapping))
@@ -178,8 +163,6 @@ class Sub(Expr):
     def diff(self, name):
         return sub(self.left.diff(name), self.right.diff(name))
 
-    def _ev(self, env):
-        return _finite(self.left._ev(env) - self.right._ev(env), "difference")
 
     def subs(self, mapping):
         return sub(self.left.subs(mapping), self.right.subs(mapping))
@@ -199,8 +182,6 @@ class Mul(Expr):
             mul(self.left, self.right.diff(name)),
         )
 
-    def _ev(self, env):
-        return _finite(self.left._ev(env) * self.right._ev(env), "product")
 
     def subs(self, mapping):
         return mul(self.left.subs(mapping), self.right.subs(mapping))
@@ -226,11 +207,6 @@ class Div(Expr):
             pow_int(self.right, 2),
         )
 
-    def _ev(self, env):
-        denom = self.right._ev(env)
-        if denom == 0.0:
-            raise DomainError("division by zero")
-        return _finite(self.left._ev(env) / denom, "quotient")
 
     def subs(self, mapping):
         return div(self.left.subs(mapping), self.right.subs(mapping))
@@ -251,14 +227,6 @@ class Pow(Expr):
             self.base.diff(name),
         )
 
-    def _ev(self, env):
-        base = self.base._ev(env)
-        if base == 0.0 and self.exponent < 0:
-            raise DomainError("zero raised to a negative power")
-        try:
-            return _finite(base ** self.exponent, "power")
-        except OverflowError:
-            raise DomainError(f"{base!r}^{self.exponent} overflows") from None
 
     def subs(self, mapping):
         return pow_int(self.base.subs(mapping), self.exponent)
@@ -274,8 +242,6 @@ class Neg(Expr):
     def diff(self, name):
         return neg(self.arg.diff(name))
 
-    def _ev(self, env):
-        return -self.arg._ev(env)
 
     def subs(self, mapping):
         return neg(self.arg.subs(mapping))
@@ -308,12 +274,6 @@ class Call(Expr):
             raise ExprError(f"unknown function '{self.fn}'")
         return mul(outer, du)
 
-    def _ev(self, env):
-        x = self.arg._ev(env)
-        try:
-            return _FUNCTIONS[self.fn](x)
-        except (ValueError, OverflowError) as exc:
-            raise DomainError(f"{self.fn}({x!r}): {exc}") from None
 
     def subs(self, mapping):
         return call(self.fn, self.arg.subs(mapping))
@@ -437,18 +397,6 @@ def call(fn: str, arg: Expr) -> Expr:
 def diff(e: Expr, name: str) -> Expr:
     """Exact symbolic partial derivative of ``e`` with respect to ``name``."""
     return e.diff(name)
-
-
-def evaluate(e: Expr, env: Bindings) -> float:
-    """Scalar IEEE double evaluation, the reference for :func:`evaluate_batch`.
-
-    Raises UnboundVariableError, or DomainError as soon as any step leaves
-    the real domain or produces a non-finite value.
-    """
-    value = e._ev(env)
-    if not math.isfinite(value):
-        raise DomainError(f"non-finite result {value!r}")
-    return value
 
 
 def substitute(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
@@ -776,8 +724,10 @@ def _emit_python(e: Expr, consts: list, min_prec: int = 0) -> str:
 
 
 def compile_tuple(exprs: Iterable[Expr], names) -> Callable:
-    """One callable returning the tuple of the expressions' values, else as
-    :func:`compile_vectorized` (no broadcasting of constant results)."""
+    """One callable over numpy arrays (one positional arg per name) returning
+    the tuple of the expressions' values, constants not broadcast.  Domain
+    violations follow numpy semantics: callers check the results, as
+    :func:`evaluate_columns` and the solvers' per-step functions do."""
     import numpy as np
 
     exprs, names = tuple(exprs), tuple(names)
@@ -795,27 +745,6 @@ def compile_tuple(exprs: Iterable[Expr], names) -> Callable:
         raise EvalError("expression too deeply nested to compile") from None
 
 
-def compile_vectorized(e: Expr, names) -> Callable:
-    """Compile to a callable over numpy arrays (one positional arg per name).
-
-    The scalar result of a constant expression is broadcast to the shape of
-    the first argument.  Domain violations follow numpy semantics (inf/nan,
-    or an exception under ``np.errstate``); :func:`evaluate_batch` runs
-    compiled expressions under the strict contract.
-    """
-    import numpy as np
-
-    fn = compile_tuple((e,), names)
-
-    def wrapped(*args):
-        out = fn(*args)[0]
-        if args and np.ndim(out) == 0 and np.ndim(args[0]) > 0:
-            out = np.full(np.shape(args[0]), float(out))
-        return out
-
-    return wrapped
-
-
 _STRICT = {"divide": "raise", "invalid": "raise", "over": "raise"}
 _FLOAT_ERRORS = (FloatingPointError, ZeroDivisionError, OverflowError)
 
@@ -826,7 +755,7 @@ def _run_strict(fn, columns):
 
     try:
         with np.errstate(**_STRICT):
-            values = fn(*columns)
+            values = fn(*columns)[0]
     except _FLOAT_ERRORS as exc:
         return None, str(exc)
     if not np.all(np.isfinite(values)):
@@ -834,9 +763,9 @@ def _run_strict(fn, columns):
     return values, None
 
 
-def _first_failing_row(fn, columns, count: int) -> int:
+def _first_failing_row(fn, columns) -> int:
     """Smallest row index whose prefix breaks the contract (rows are independent)."""
-    lo, hi = 0, count  # rows [0, lo) pass, rows [0, hi) fail
+    lo, hi = 0, len(columns[0]) if columns else 1  # rows [0, lo) pass, rows [0, hi) fail
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if _run_strict(fn, [c[:mid] for c in columns])[1] is None:
@@ -855,52 +784,46 @@ def _domain_error(e: Expr, reason: str, names, row) -> DomainError:
     return DomainError(f"{reason} evaluating {source} {where}")
 
 
-def evaluate_batch(exprs: Iterable[Expr], names, points):
-    """Values of each expression at each row of ``points``, shape (N, len(exprs)).
+def evaluate_columns(exprs: Iterable[Expr], names, columns):
+    """Yield each expression's values over the arrays ``columns``, strictly.
 
-    Column j of the (N, len(names)) array ``points`` binds ``names[j]``.
-    Each expression is compiled once and evaluated over all rows in one
-    numpy call.  The contract is the strict one of :func:`evaluate`:
-    a division by zero, an invalid operation or an overflow at any step
-    raises DomainError naming the expression and the first offending row.
+    ``columns[j]`` binds ``names[j]``.  Each expression, compiled once,
+    yields an array of the columns' broadcast shape, or a scalar where it is
+    constant.  A division by zero, an invalid operation or an overflow at
+    any step raises DomainError naming the expression and the first
+    offending point in row-major order.
     """
     import numpy as np
 
-    exprs = tuple(exprs)
-    names = tuple(names)
+    for e in exprs:
+        if isinstance(e, Num) and math.isfinite(e.value):  # no compile needed
+            yield e.value
+            continue
+        fn = compile_tuple((e,), names)
+        values, reason = _run_strict(fn, columns)
+        if reason is not None:
+            flat = [c.reshape(-1) for c in np.broadcast_arrays(*columns)]
+            row = _first_failing_row(fn, flat)
+            raise _domain_error(e, reason, names, [c[row] for c in flat])
+        yield values
+
+
+def evaluate_batch(exprs: Iterable[Expr], names, points):
+    """Values of each expression at each row of ``points``, shape (N, len(exprs)).
+
+    Column j of the (N, len(names)) array ``points`` binds ``names[j]``;
+    each expression is evaluated over all rows in one numpy call under the
+    strict contract of :func:`evaluate_columns`.
+    """
+    import numpy as np
+
+    exprs, names = tuple(exprs), tuple(names)
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != len(names):
         raise ValueError(f"points must have shape (N, {len(names)}), got {points.shape}")
-    count = points.shape[0]
-    out = np.empty((count, len(exprs)))
-    if count == 0:
-        return out
-    columns = list(np.ascontiguousarray(points.T))
-    for j, e in enumerate(exprs):
-        if isinstance(e, Num):  # no compile needed
-            if not math.isfinite(e.value):
-                raise _domain_error(e, "non-finite constant", names, points[0])
-            out[:, j] = e.value
-            continue
-        fn = compile_vectorized(e, names)
-        values, reason = _run_strict(fn, columns)
-        if reason is not None:
-            row = _first_failing_row(fn, columns, count)
-            raise _domain_error(e, reason, names, points[row])
-        out[:, j] = values
+    out = np.empty((points.shape[0], len(exprs)))
+    if points.shape[0]:
+        columns = list(np.ascontiguousarray(points.T))
+        for j, values in enumerate(evaluate_columns(exprs, names, columns)):
+            out[:, j] = values
     return out
-
-
-def evaluate_envs(exprs: Iterable[Expr], envs: Iterable[Bindings]):
-    """:func:`evaluate_batch` over binding dicts, one row per dict."""
-    import numpy as np
-
-    exprs = tuple(exprs)
-    names = sorted(set().union(*(free_vars(e) for e in exprs)))
-    rows = []
-    for env in envs:
-        try:
-            rows.append([env[name] for name in names])
-        except KeyError as exc:
-            raise UnboundVariableError(exc.args[0]) from None
-    return evaluate_batch(exprs, names, np.array(rows, dtype=float).reshape(len(rows), len(names)))

@@ -14,7 +14,14 @@ from typing import Mapping
 
 import numpy as np
 
-from .expr import Expr, Num, add, diff, evaluate_batch, evaluate_envs, is_zero_expr, mul, neg, sub
+from .expr import Expr, Num, add, diff, evaluate_batch, is_zero_expr, mul, neg, sub
+
+
+def _one_row(point, dim: int) -> np.ndarray:
+    """A JetPoint, a CoJetPoint or a chart-ordered row, as a (1, dim) matrix."""
+    from .bundles import point_rows  # bundles builds on this module
+
+    return point_rows(point, dim)[0]
 
 
 @dataclass(frozen=True)
@@ -33,8 +40,8 @@ class VectorField:
             out = add(out, mul(comp, diff(f, name)))
         return out
 
-    def at(self, env: Mapping[str, float]) -> np.ndarray:
-        return evaluate_envs(self.components, [env])[0]
+    def at(self, point) -> np.ndarray:
+        return evaluate_batch(self.components, self.chart, _one_row(point, len(self.chart)))[0]
 
 
 def lie_bracket(Y1: VectorField, Y2: VectorField) -> VectorField:
@@ -61,8 +68,8 @@ class OneForm:
     chart: tuple
     coeffs: tuple  # one Expr per chart coordinate
 
-    def at(self, env) -> np.ndarray:
-        return evaluate_envs(self.coeffs, [env])[0]
+    def at(self, point) -> np.ndarray:
+        return evaluate_batch(self.coeffs, self.chart, _one_row(point, len(self.chart)))[0]
 
 
 @dataclass(frozen=True)
@@ -70,14 +77,12 @@ class TwoForm:
     chart: tuple
     entries: Mapping  # {(a, b) with a < b: Expr}
 
-    def matrix_at(self, env) -> np.ndarray:
-        return self._matrices(evaluate_envs(tuple(self.entries.values()), [env]))[0]
+    def matrix_at(self, point) -> np.ndarray:
+        return self.matrices(_one_row(point, len(self.chart)))[0]
 
     def matrices(self, points) -> np.ndarray:
         """Antisymmetric matrices at the rows of ``points`` (columns in chart order)."""
-        return self._matrices(evaluate_batch(tuple(self.entries.values()), self.chart, points))
-
-    def _matrices(self, values: np.ndarray) -> np.ndarray:
+        values = evaluate_batch(tuple(self.entries.values()), self.chart, points)
         dim = len(self.chart)
         M = np.zeros((values.shape[0], dim, dim))
         if self.entries:

@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bundles import CoJetPoint, TangentVector, point_rows
+from .bundles import TangentVector, point_rows
 from .coords import VarTable
 from .expr import Expr, Num, Var, diff, evaluate_batch, free_vars, substitute
 from .forms import OneForm, TwoForm
@@ -57,13 +57,6 @@ def canonical_two_form_matrix(table: VarTable, A: int) -> np.ndarray:
         M[i, slot] = 1.0
         M[slot, i] = -1.0
     return M
-
-
-def canonical_forms_at(table: VarTable, A: int, w: CoJetPoint):
-    """(coefficients of theta^A, matrix of omega^A) at the point w."""
-    theta = np.zeros(table.dim_total)
-    theta[: table.n] = w.p[A]
-    return theta, canonical_two_form_matrix(table, A)
 
 
 def pullback_by_section(

@@ -14,7 +14,7 @@ import numpy as np
 
 from .bundles import CoJetPoint, JetPoint, TangentVector, point_rows, pullback_by_prolongation
 from .coords import VarTable
-from .expr import Expr, Num, Var, add, diff, evaluate_batch, evaluate_envs, free_vars, mul, sub
+from .expr import Expr, Num, Var, add, diff, evaluate_batch, free_vars, mul, sub
 from .forms import OneForm, TwoForm, d_one
 
 
@@ -61,7 +61,7 @@ def lagrangian_two_form(model: LagrangianModel, A: int) -> TwoForm:
 
 def lagrangian_two_form_at(model: LagrangianModel, A: int, w: JetPoint) -> np.ndarray:
     """Evaluate the A-th two-form at w as an antisymmetric matrix."""
-    return lagrangian_two_form(model, A).matrix_at(w.env())
+    return lagrangian_two_form(model, A).matrix_at(w)
 
 
 def energy(model: LagrangianModel) -> Expr:
@@ -108,23 +108,34 @@ def legendre_exprs(model: LagrangianModel) -> tuple:
     return tuple(model.dLdv(i, A) for A in range(table.k) for i in range(table.n))
 
 
-def legendre(model: LagrangianModel, w: JetPoint) -> CoJetPoint:
-    """Fiber derivative of L at w: p^A_i = dL/dv^i_A."""
+def legendre(model: LagrangianModel, w):
+    """Fiber derivative of L at w: the same q, and p^A_i = dL/dv^i_A.
+
+    One JetPoint gives a CoJetPoint; an (N, dim) array of velocity-chart
+    rows gives the (N, dim) momentum-chart rows of their images.
+    """
     table = model.table
-    p = evaluate_envs(legendre_exprs(model), [w.env()])[0].reshape(table.k, table.n)
-    return CoJetPoint(table, w.q.copy(), p)
+    rows, single = point_rows(w, table.dim_total)
+    images = rows.copy()
+    images[:, table.n:] = evaluate_batch(legendre_exprs(model), table.velocity_chart, rows)
+    return CoJetPoint.from_flat(table, images[0]) if single else images
 
 
-def legendre_jacobian(model: LagrangianModel, w: JetPoint) -> np.ndarray:
-    """Jacobian of the fiber derivative at w (rows: (q, p), cols: (q, v))."""
+def legendre_jacobian(model: LagrangianModel, w) -> np.ndarray:
+    """Jacobian of the fiber derivative at w (rows: (q, p), cols: (q, v)).
+
+    One point gives a (dim, dim) matrix; an (N, dim) array of velocity-chart
+    rows gives the (N, dim, dim) matrices.
+    """
     table = model.table
-    dim = table.dim_total
+    n, dim = table.n, table.dim_total
+    rows, single = point_rows(w, dim)
     chart = table.velocity_chart
     derivatives = [diff(comp, name) for comp in legendre_exprs(model) for name in chart]
-    J = np.zeros((dim, dim))
-    J[: table.n, : table.n] = np.eye(table.n)
-    J[table.n:] = evaluate_envs(derivatives, [w.env()])[0].reshape(dim - table.n, dim)
-    return J
+    J = np.zeros((rows.shape[0], dim, dim))
+    J[:, :n, :n] = np.eye(n)
+    J[:, n:] = evaluate_batch(derivatives, chart, rows).reshape(-1, dim - n, dim)
+    return J[0] if single else J
 
 
 def el_residual(model: LagrangianModel, phi: Sequence[Expr], t) -> np.ndarray:

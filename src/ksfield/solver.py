@@ -10,7 +10,6 @@ one-sided at the evolution-axis ends.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 import warnings
@@ -21,7 +20,7 @@ import numpy as np
 
 from .coords import VarTable
 from .expr import (
-    Expr, Var, compile_tuple, compile_vectorized, diff, evaluate_batch, free_vars, is_zero_expr,
+    Expr, Var, compile_tuple, diff, evaluate_batch, evaluate_columns, free_vars, is_zero_expr,
     mul, sub,
 )
 from .lagrangian import LagrangianModel, RegularityError, energy, legendre_exprs
@@ -142,9 +141,6 @@ class SolutionGrid:
 
     def to_csv(self, path):
         _write_csv(path, *self._csv_columns())
-
-    def summary_json(self) -> str:
-        return json.dumps(self.summary, sort_keys=True, indent=2)
 
 
 CSV_BLOCK_ROWS = 512
@@ -395,14 +391,9 @@ def integrate_k2_hyperbolic(
         warnings.warn(f"CFL bound exceeded: c*h1/h2 = {cfl_margin:.3f} > 1", CFLWarning)
 
     x = grid.periodic_nodes()
-    env_names = ("t2",)
-    phi_now = np.stack(
-        [np.broadcast_to(compile_vectorized(c, env_names)(x), x.shape).astype(float) for c in phi0],
-        axis=-1,
-    )
-    rate0 = np.stack(
-        [np.broadcast_to(compile_vectorized(c, env_names)(x), x.shape).astype(float) for c in phidot0],
-        axis=-1,
+    phi_now, rate0 = (
+        np.stack([np.broadcast_to(v, x.shape) for v in evaluate_columns(c, ("t2",), [x])], -1)
+        for c in (phi0, phidot0)
     )
 
     force_fn = compile_tuple(_forces(model, 1), table.velocity_chart)
@@ -475,6 +466,9 @@ def evaluate_current(
     Lagrangian-side currents are functions of (q, v) evaluated on the jets;
     Hamiltonian-side currents are functions of (q, p) evaluated on the
     fiber-derivative image, which needs the underlying Lagrangian model.
+    Evaluation is strict: a value that leaves the real domain raises
+    DomainError naming the expression and the node (its coordinates t1..tk
+    are bound alongside the chart for that).
     """
     table = sol.table
     k = sol.k
@@ -483,6 +477,7 @@ def evaluate_current(
         raise SolverError(f"expected {k} current components")
 
     n = table.n
+    nodes = list(np.broadcast_arrays(*np.ix_(*sol.node_coordinates())))
     q_arrays = [sol.phi[..., i] for i in range(n)]
     v_arrays = [sol.jets[..., i, A] for A in range(k) for i in range(n)]
     if side == "lagrangian":
@@ -492,24 +487,17 @@ def evaluate_current(
         if model is None:
             raise SolverError("hamiltonian-side traces need the Lagrangian model")
         chart = table.momentum_chart
-        velocity_chart = table.velocity_chart
-        p_arrays = [
-            np.broadcast_to(
-                compile_vectorized(expr, velocity_chart)(*(q_arrays + v_arrays)),
-                sol.phi.shape[:-1],
-            )
-            for expr in legendre_exprs(model)
-        ]
-        args = q_arrays + p_arrays
+        momenta = evaluate_columns(
+            legendre_exprs(model), table.velocity_chart + table.t_names, q_arrays + v_arrays + nodes
+        )
+        args = q_arrays + list(momenta)
     else:
         raise SolverError(f"unknown side {side!r}")
 
     shape = sol.phi.shape[:-1]
     values = np.empty(shape + (k,))
-    for A, component in enumerate(F):
-        values[..., A] = np.broadcast_to(
-            compile_vectorized(component, chart)(*args), shape
-        )
+    for A, component in enumerate(evaluate_columns(F, chart + table.t_names, args + nodes)):
+        values[..., A] = component
 
     h1 = sol.spec.axes[0].step
     div = np.full(shape, np.nan)

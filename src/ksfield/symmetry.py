@@ -42,7 +42,6 @@ from .hamiltonian import (
     canonical_two_form,
     ham_kvector,
     hdw_residual,
-    kvector_equation_residual,
     pullback_by_section,
 )
 from .lagrangian import (
@@ -52,7 +51,7 @@ from .lagrangian import (
     lagrangian_two_form,
     sopde_solve,
 )
-from .solver import SolutionGrid, evaluate_current
+from .solver import CurrentTrace, SolutionGrid, evaluate_current
 
 
 class SymmetryError(ValueError):
@@ -74,6 +73,7 @@ class Report:
     sample_count: int
     passed: bool
     details: dict = field(default_factory=dict)
+    trace: Optional[CurrentTrace] = None  # grid conservation only; not reported
 
     def as_dict(self) -> dict:
         out = {
@@ -374,7 +374,7 @@ def verify_conservation(
     Analytic mode (``phi`` or ``section``): the symbolic total divergence is
     evaluated at the t samples.  Grid mode (``grid``): the discrete
     divergence of the trace, plus its refinement ratio when ``refined_grid``
-    is supplied.
+    is supplied; the report keeps the trace on ``grid`` as ``trace``.
     """
     if grid is not None:
         trace = evaluate_current(current.components, grid, current.side, model)
@@ -391,7 +391,7 @@ def verify_conservation(
                 # allow one binary order of slack around the nominal 4
                 passed = passed and 2.0 <= ratio <= 8.0
         return Report(
-            "grid_divergence", trace.max_divergence, trace.interior_count, passed, details
+            "grid_divergence", trace.max_divergence, trace.interior_count, passed, details, trace
         )
 
     if phi is not None:
@@ -435,14 +435,6 @@ def verify_bracket_theorem(
     values = evaluate_batch(gradients, chart, rows).reshape(legs.shape)
     worst = largest_abs(np.sum(legs * values, axis=(1, 2)))
     return Report("kvector_bracket_sum", worst, len(rows), worst <= tol)
-
-
-def kvector_residual_after_pushforward(Phi: TotalMap, model: HamiltonianModel, samples) -> float:
-    """Max residual of the field equation for the pushforward of the
-    canonical k-vector field through Phi, evaluated at the samples."""
-    rows, _ = point_rows(samples, len(Phi.chart))
-    pushed = Phi.pushforward_legs(lambda pre: ham_kvector(model, pre), rows)
-    return largest_abs(kvector_equation_residual(model, rows, pushed))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import numpy as np
 
 from ksfield.bundles import TangentVector, VectorFieldQ, cotangent_lift, sopde_check
 from ksfield.coords import VarTable
-from ksfield.expr import Num, diff, evaluate, parse
+from ksfield.expr import Num, diff, parse
 from ksfield.forms import lie_derivative_one, max_abs
 from ksfield.gauge import gauge_compare, verify_same_solutions
 from ksfield.hamiltonian import (
@@ -36,6 +36,7 @@ from ksfield.symmetry import (
 )
 
 from conftest import hamiltonian_model, lagrangian_model
+from reference import evaluate
 from test_expr import NAMES, centered_difference, random_polynomial
 
 TWO_PI = 2 * np.pi
@@ -349,10 +350,9 @@ def test_criterion_7_gauge_round_trip():
                 + Num(result.decomposition.c)
             )
             for w in samples:
-                env = w.env()
                 worst_reconstruction = max(
                     worst_reconstruction,
-                    abs(evaluate(rebuilt, env) - evaluate(base.L, env)),
+                    abs(evaluate(rebuilt, w) - evaluate(base.L, w)),
                 )
 
     inequivalent_ok = True
@@ -420,9 +420,8 @@ def test_criterion_9_classical_reduction():
     samples = sample_cojet_points(table, 100, seed=15)
     worst_field = 0.0
     for w in samples:
-        env = w.env()
         grad = np.array(
-            [evaluate(diff(model.H, name), env) for name in table.momentum_chart]
+            [evaluate(diff(model.H, name), w) for name in table.momentum_chart]
         )
         direct = np.linalg.solve(omega.T, grad)
         (leg,) = ham_kvector(model, w)
@@ -445,12 +444,11 @@ def test_criterion_9_classical_reduction():
     )
     worst_classic = 0.0
     for w in samples[:25]:
-        env = w.env()
         worst_classic = max(
             worst_classic,
-            abs(evaluate(momentum.components[0], env) - w.p[0, 0]),
+            abs(evaluate(momentum.components[0], w) - w.p[0, 0]),
             abs(
-                evaluate(angular.components[0], env)
+                evaluate(angular.components[0], w)
                 - (w.p[0, 0] * w.q[1] - w.p[0, 1] * w.q[0])
             ),
         )

@@ -23,7 +23,7 @@ from ksfield.bundles import (
     vertical_lift,
 )
 from ksfield.coords import VarTable
-from ksfield.expr import Num, Var, evaluate, parse
+from ksfield.expr import Num, Var, parse
 from ksfield.forms import (
     OneForm,
     lie_derivative_one,
@@ -35,6 +35,7 @@ from ksfield.hamiltonian import canonical_one_form, canonical_two_form
 from ksfield.sampling import sample_cojet_points, sample_jet_points
 
 from conftest import rotation_field
+from reference import evaluate
 
 
 T12 = VarTable(1, 2)
@@ -177,8 +178,7 @@ class TestCompleteLift:
         rng = np.random.default_rng(4)
         for _ in range(5):
             w = jet(T22, rng.uniform(-1, 1, 2), rng.uniform(-1, 1, (2, 2)))
-            env = w.env()
-            values = lifted.at(env)
+            values = lifted.at(w)
             # fiber part: v2_A d/dv1_A - v1_A d/dv2_A
             for A in range(2):
                 assert values[T22.fiber_slot(0, A)] == pytest.approx(w.v[1, A], abs=0)
@@ -188,14 +188,9 @@ class TestCompleteLift:
         # RK4-integrate the lifted field and compare with the prolonged
         # closed-form rotation flow after s = 0.1.
         Z = rotation_field(T22)
-        lifted = complete_lift(Z)
-        chart = T22.velocity_chart
+        velocity = complete_lift(Z).at  # at chart-ordered states
         rng = np.random.default_rng(9)
         y = np.concatenate([rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 4)])
-
-        def velocity(state):
-            env = dict(zip(chart, state))
-            return lifted.at(env)
 
         s, h = 0.0, 1e-3
         state = y.copy()
@@ -222,9 +217,8 @@ class TestCompleteLift:
         lhs = complete_lift(combo)
         for _ in range(5):
             w = jet(T22, rng.uniform(-1, 1, 2), rng.uniform(-1, 1, (2, 2)))
-            env = w.env()
-            rhs = 2.0 * complete_lift(Z1).at(env) - 3.0 * complete_lift(Z2).at(env)
-            assert np.max(np.abs(lhs.at(env) - rhs)) < 1e-12
+            rhs = 2.0 * complete_lift(Z1).at(w) - 3.0 * complete_lift(Z2).at(w)
+            assert np.max(np.abs(lhs.at(w) - rhs)) < 1e-12
 
 
 class TestCotangentLift:
@@ -241,7 +235,7 @@ class TestCotangentLift:
         rng = np.random.default_rng(3)
         for _ in range(5):
             w = CoJetPoint(table, rng.uniform(-1, 1, 1), rng.uniform(-1, 1, (2, 1)))
-            values = lifted.at(w.env())
+            values = lifted.at(w)
             assert values[0] == pytest.approx(w.q[0], abs=0)
             for A in range(2):
                 assert values[table.fiber_slot(0, A)] == pytest.approx(-w.p[A, 0], abs=0)
@@ -300,11 +294,10 @@ class TestTulczyjew:
         rng = np.random.default_rng(8)
         for _ in range(10):
             w = jet(T22, rng.uniform(-1, 1, 2), rng.uniform(-1, 1, (2, 2)))
-            env = w.env()
             expected = (
                 w.v[0, 0] * w.q[0] + w.v[0, 1] * w.q[1] + w.v[1, 1] * w.q[0]
             )
-            assert evaluate(out, env) == pytest.approx(expected, rel=1e-15)
+            assert evaluate(out, w) == pytest.approx(expected, rel=1e-15)
 
     def test_rejects_velocity_dependence(self):
         with pytest.raises(BundleError):

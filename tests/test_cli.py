@@ -247,6 +247,25 @@ class TestNoether:
         assert report["constructed"] is False
         assert "rejection" in report
 
+    def test_current_leaving_the_domain_on_a_grid_exits_two(self, tmp_path, capsys):
+        # v1_2*log(q1 + 1/2) is a null Lagrangian, so the shift is a symmetry
+        # up to the gauge term log(q1 + 1/2), and the current carries it as
+        # "+ log(q1 + 0.5) - log(q1 + 0.5)": fine in the sampling box, but
+        # not where the run grid reaches q1 < -1/2
+        path = tmp_path / "null.yaml"
+        path.write_text(
+            WAVE_YAML.replace(
+                'lagrangian: "(v1_1^2 - v1_2^2)/2"',
+                'lagrangian: "(v1_1^2 - v1_2^2)/2 + v1_2*log(q1 + 0.5)"\n'
+                "box:\n  q1: [0.0, 1.0]",
+            ).replace('components: ["1"]', 'components: ["1"]\n    gauge: ["0", "log(q1 + 0.5)"]')
+        )
+        argv = ["noether", str(path), "--symmetry", "shift", "--solution", "run"]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        error = capsys.readouterr().err
+        assert error.startswith("error: ") and "log(q1 + 0.5)" in error
+        assert not (tmp_path / "out" / "noether_shift_trace.csv").exists()
+
     def test_diffeomorphism_candidate_rejected(self, wave_file):
         assert main(["noether", str(wave_file), "--symmetry", "translate"]) == 2
 

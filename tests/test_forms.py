@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ksfield.expr import Num, Var, evaluate, parse
+from ksfield.expr import Num, Var, parse
 from ksfield.forms import (
     OneForm,
     ThreeForm,
@@ -19,6 +19,7 @@ from ksfield.forms import (
     lie_derivative_one,
     lie_derivative_two,
 )
+from reference import evaluate
 
 CHART = ("x", "y", "z")
 
@@ -27,10 +28,14 @@ def env(x=0.0, y=0.0, z=0.0):
     return {"x": x, "y": y, "z": z}
 
 
+def row(x=0.0, y=0.0, z=0.0):
+    return np.array([x, y, z])
+
+
 class TestExteriorDerivative:
     def test_gradient(self):
         beta = d_function(parse("x^2*y", CHART), CHART)
-        values = beta.at(env(x=2.0, y=3.0, z=-1.0))
+        values = beta.at(row(x=2.0, y=3.0, z=-1.0))
         assert values == pytest.approx([12.0, 4.0, 0.0], abs=0)
 
     def test_d_one_curl(self):
@@ -45,7 +50,7 @@ class TestExteriorDerivative:
         omega = d_one(beta)
         rng = np.random.default_rng(0)
         for _ in range(5):
-            point = env(*rng.uniform(-1, 1, 3))
+            point = row(*rng.uniform(-1, 1, 3))
             assert np.max(np.abs(omega.matrix_at(point))) <= 1e-15
 
     @pytest.mark.parametrize(
@@ -73,14 +78,14 @@ class TestContractions:
         # i(a dx + b dy + c dz)(dx^dy) = a dy - b dx
         Y = VectorField(CHART, (Num(2.0), Num(5.0), Num(7.0)))
         omega = TwoForm(CHART, {(0, 1): Num(1.0)})
-        coeffs = contract_two(Y, omega).at(env())
+        coeffs = contract_two(Y, omega).at(row())
         assert coeffs == pytest.approx([-5.0, 2.0, 0.0], abs=0)
 
     def test_three_form(self):
         # i(Y)(dx^dy^dz) = a dy^dz - b dx^dz + c dx^dy
         Y = VectorField(CHART, (Num(2.0), Num(5.0), Num(7.0)))
         eta = ThreeForm(CHART, {(0, 1, 2): Num(1.0)})
-        M = contract_three(Y, eta).matrix_at(env())
+        M = contract_three(Y, eta).matrix_at(row())
         expected = np.zeros((3, 3))
         expected[1, 2], expected[2, 1] = 2.0, -2.0
         expected[0, 2], expected[2, 0] = -5.0, 5.0
@@ -116,7 +121,7 @@ class TestLieDerivative:
         lie = lie_derivative_two(Y, omega)
         rng = np.random.default_rng(2)
         for _ in range(3):
-            point = env(*rng.uniform(-1, 1, 3))
+            point = row(*rng.uniform(-1, 1, 3))
             assert np.max(np.abs(lie.matrix_at(point))) == 0.0
 
     def test_two_form_flow_oracle(self):
@@ -127,7 +132,7 @@ class TestLieDerivative:
         lie = lie_derivative_two(Y, omega)
         rng = np.random.default_rng(3)
         for _ in range(5):
-            point = env(*rng.uniform(-1, 1, 3))
+            point = row(*rng.uniform(-1, 1, 3))
             expected = omega.matrix_at(point)
             assert np.max(np.abs(lie.matrix_at(point) - expected)) <= 1e-14
 
@@ -136,7 +141,7 @@ class TestLieDerivative:
         Y = VectorField(CHART, (Var("x"), Num(0.0), Num(0.0)))
         beta = OneForm(CHART, (Num(0.0), Var("x"), Num(0.0)))
         lie = lie_derivative_one(Y, beta)
-        point = env(0.7, -0.2, 0.4)
+        point = row(0.7, -0.2, 0.4)
         assert lie.at(point) == pytest.approx(beta.at(point), abs=0)
 
 
@@ -146,7 +151,7 @@ class TestBracket:
         T = VectorField(CHART, (Num(1.0), Num(0.0), Num(0.0)))
         R = VectorField(CHART, (parse("-y", CHART), Var("x"), Num(0.0)))
         B = lie_bracket(T, R)
-        assert B.at(env(0.3, 0.5, 0.0)) == pytest.approx([0.0, 1.0, 0.0], abs=0)
+        assert B.at(row(0.3, 0.5, 0.0)) == pytest.approx([0.0, 1.0, 0.0], abs=0)
 
     def test_antisymmetry(self):
         rng = np.random.default_rng(4)
@@ -155,5 +160,5 @@ class TestBracket:
         B12 = lie_bracket(Y1, Y2)
         B21 = lie_bracket(Y2, Y1)
         for _ in range(5):
-            point = env(*rng.uniform(-1, 1, 3))
+            point = row(*rng.uniform(-1, 1, 3))
             assert B12.at(point) == pytest.approx(-B21.at(point), abs=1e-15)

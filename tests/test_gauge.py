@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ksfield.bundles import DiffeoQ, tangent_prolongation
-from ksfield.expr import DomainError, Num, add, diff, evaluate, mul, parse, substitute
+from ksfield.expr import DomainError, Num, add, diff, mul, parse, substitute
 from ksfield.forms import max_abs, pullback_one_form
 from ksfield.gauge import GaugeError, gauge_compare, verify_same_solutions
 from ksfield.lagrangian import (
@@ -17,6 +17,7 @@ from ksfield.sampling import sample_jet_points, sample_parameters
 from ksfield.symmetry import all_pass, check_cartan_diffeomorphism
 
 from conftest import lagrangian_model
+from reference import evaluate
 
 
 def samples_for(model, count=60, seed=0):
@@ -30,7 +31,7 @@ def reconstruction_residual(L1, L2, verdict, samples):
         add(verdict.decomposition.f, Num(verdict.decomposition.c)),
     )
     return max(
-        abs(evaluate(rebuilt, w.env()) - evaluate(L1.L, w.env())) for w in samples
+        abs(evaluate(rebuilt, w) - evaluate(L1.L, w)) for w in samples
     )
 
 
@@ -109,9 +110,8 @@ class TestGaugeInvariants:
         # energy difference has vanishing gradient
         gap = energy(wave_model) - energy(gauge_shifted_model)
         chart = wave_model.table.velocity_chart
-        envs = [w.env() for w in samples]
         for name in chart:
-            worst = max(abs(evaluate(diff(gap, name), env)) for env in envs)
+            worst = max(abs(evaluate(diff(gap, name), w)) for w in samples)
             assert worst <= 1e-10
 
     def test_round_trip_random_closed_forms(self):
@@ -148,9 +148,8 @@ class TestGaugeInvariants:
                 for i in range(2):
                     expected = diff(g, table.q(i))
                     for w in samples[:10]:
-                        env = w.env()
-                        got = evaluate(verdict.decomposition.alpha[A][i], env)
-                        assert got == pytest.approx(-evaluate(expected, env), abs=1e-9)
+                        got = evaluate(verdict.decomposition.alpha[A][i], w)
+                        assert got == pytest.approx(-evaluate(expected, w), abs=1e-9)
 
     def test_random_non_closed_forms_rejected(self):
         rng = np.random.default_rng(13)

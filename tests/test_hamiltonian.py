@@ -5,10 +5,9 @@ import pytest
 
 from ksfield.bundles import CoJetPoint, pullback_by_prolongation
 from ksfield.coords import VarTable
-from ksfield.expr import diff, evaluate, parse
+from ksfield.expr import diff, parse
 from ksfield.forms import d_one
 from ksfield.hamiltonian import (
-    canonical_forms_at,
     canonical_one_form,
     canonical_two_form,
     canonical_two_form_matrix,
@@ -20,6 +19,7 @@ from ksfield.lagrangian import legendre_exprs
 from ksfield.sampling import sample_cojet_points
 
 from conftest import hamiltonian_model
+from reference import evaluate
 
 
 def cojet(table, q, p):
@@ -30,7 +30,8 @@ class TestCanonicalForms:
     def test_tautological_coefficients(self):
         table = VarTable(1, 2)
         w = cojet(table, [0.4], [[3.0], [-1.0]])
-        theta, omega = canonical_forms_at(table, 0, w)
+        theta = canonical_one_form(table, 0).at(w)
+        omega = canonical_two_form(table, 0).matrix_at(w)
         assert theta[0] == 3.0
         assert np.all(theta[1:] == 0.0)
         assert omega[0, table.fiber_slot(0, 0)] == 1.0
@@ -40,19 +41,19 @@ class TestCanonicalForms:
         rng = np.random.default_rng(0)
         w1 = cojet(table, rng.uniform(-1, 1, 2), rng.uniform(-1, 1, (2, 2)))
         w2 = cojet(table, rng.uniform(-1, 1, 2), rng.uniform(-1, 1, (2, 2)))
-        _, m1 = canonical_forms_at(table, 1, w1)
-        _, m2 = canonical_forms_at(table, 1, w2)
+        m1 = canonical_two_form(table, 1).matrix_at(w1)
+        m2 = canonical_two_form(table, 1).matrix_at(w2)
         assert np.array_equal(m1, m2)
 
     def test_exterior_derivative_relation(self):
         # d(theta^A) = -omega^A, computed symbolically
         table = VarTable(2, 2)
         rng = np.random.default_rng(1)
-        env = cojet(table, rng.uniform(-1, 1, 2), rng.uniform(-1, 1, (2, 2))).env()
+        w = cojet(table, rng.uniform(-1, 1, 2), rng.uniform(-1, 1, (2, 2)))
         for A in range(2):
             d_theta = d_one(canonical_one_form(table, A))
             omega = canonical_two_form(table, A)
-            assert np.max(np.abs(d_theta.matrix_at(env) + omega.matrix_at(env))) == 0.0
+            assert np.max(np.abs(d_theta.matrix_at(w) + omega.matrix_at(w))) == 0.0
 
 
 class TestHdwResidual:
@@ -93,7 +94,6 @@ class TestHamKVector:
         rng = np.random.default_rng(3)
         w = cojet(table, rng.uniform(-1, 1, 2), rng.uniform(-1, 1, (1, 2)))
         (leg,) = ham_kvector(model, w)
-        env = w.env()
         assert leg.components[0] == pytest.approx(w.p[0, 0], abs=0)
         assert leg.components[1] == pytest.approx(w.p[0, 1], abs=0)
         assert leg.components[2] == pytest.approx(-(w.q[0] + w.q[1]), abs=0)
@@ -122,9 +122,8 @@ class TestHamKVector:
         omega = canonical_two_form_matrix(table, 0)
         samples = sample_cojet_points(table, 50, seed=6)
         for w in samples:
-            env = w.env()
             grad = np.array(
-                [evaluate(diff(model.H, name), env) for name in table.momentum_chart]
+                [evaluate(diff(model.H, name), w) for name in table.momentum_chart]
             )
             direct = np.linalg.solve(omega.T, grad)
             (leg,) = ham_kvector(model, w)

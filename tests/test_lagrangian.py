@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ksfield.bundles import JetPoint, first_prolongation, sopde_check
-from ksfield.expr import evaluate, parse
+from ksfield.expr import parse
 from ksfield.hamiltonian import canonical_two_form_matrix
 from ksfield.lagrangian import (
     RegularityError,
@@ -20,6 +20,7 @@ from ksfield.lagrangian import (
 from ksfield.sampling import sample_jet_points
 
 from conftest import lagrangian_model
+from reference import evaluate
 
 
 def jet(table, q, v):
@@ -33,7 +34,7 @@ class TestPoincareCartanForm:
         for A in range(table.k):
             theta = poincare_cartan_form(rotational_model, A)
             w = jet(table, rng.uniform(-1, 1, 2), rng.uniform(-1, 1, (2, 2)))
-            values = theta.at(w.env())
+            values = theta.at(w)
             assert np.allclose(values[: table.n], w.v[:, A], atol=0)
             assert np.all(values[table.n:] == 0.0)
 
@@ -46,8 +47,8 @@ class TestPoincareCartanForm:
     def test_wave_signature(self, wave_model):
         table = wave_model.table
         w = jet(table, [0.3], [[1.5, -0.5]])
-        theta0 = poincare_cartan_form(wave_model, 0).at(w.env())
-        theta1 = poincare_cartan_form(wave_model, 1).at(w.env())
+        theta0 = poincare_cartan_form(wave_model, 0).at(w)
+        theta1 = poincare_cartan_form(wave_model, 1).at(w)
         assert theta0[0] == 1.5
         assert theta1[0] == 0.5  # -v1_2 with v1_2 = -0.5
 
@@ -86,8 +87,7 @@ class TestEnergy:
         rng = np.random.default_rng(1)
         for _ in range(10):
             w = jet(free_model.table, rng.uniform(-1, 1, 1), rng.uniform(-1, 1, (1, 2)))
-            env = w.env()
-            assert evaluate(e, env) == pytest.approx(evaluate(free_model.L, env), abs=1e-15)
+            assert evaluate(e, w) == pytest.approx(evaluate(free_model.L, w), abs=1e-15)
 
     def test_velocity_linear_energy_is_minus_potential(self):
         # L = alpha-hat + f(q): homogeneous degree-one part drops out of E.
@@ -96,9 +96,8 @@ class TestEnergy:
         rng = np.random.default_rng(2)
         for _ in range(10):
             w = jet(model.table, rng.uniform(-1, 1, 2), rng.uniform(-1, 1, (2, 2)))
-            env = w.env()
             expected = -(w.q[0] ** 2 + w.q[1])
-            assert abs(evaluate(e, env) - expected) <= 1e-12 * max(1.0, abs(expected))
+            assert abs(evaluate(e, w) - expected) <= 1e-12 * max(1.0, abs(expected))
 
     def test_wave_with_potential(self):
         model = lagrangian_model(1, 2, "(v1_1^2 - v1_2^2)/2 - (q1^4/4)")
@@ -107,7 +106,7 @@ class TestEnergy:
         for _ in range(10):
             w = jet(model.table, rng.uniform(-1, 1, 1), rng.uniform(-1, 1, (1, 2)))
             expected = 0.5 * (w.v[0, 0] ** 2 - w.v[0, 1] ** 2) + w.q[0] ** 4 / 4
-            assert evaluate(e, w.env()) == pytest.approx(expected, rel=1e-14, abs=1e-14)
+            assert evaluate(e, w) == pytest.approx(expected, rel=1e-14, abs=1e-14)
 
 
 class TestHessian:
@@ -161,6 +160,19 @@ class TestLegendre:
                 pulled = J.T @ canonical_two_form_matrix(table, A) @ J
                 direct = lagrangian_two_form_at(model, A, w)
                 assert np.max(np.abs(pulled - direct)) <= 1e-10
+
+    def test_batched_rows_match_single_points(self, rotational_model):
+        # an (N, dim) matrix of rows gives the images and Jacobians of each
+        # row, equal to the one-point calls
+        table = rotational_model.table
+        samples = sample_jet_points(table, 20, seed=43)
+        rows = np.array([w.flat() for w in samples])
+        images = legendre(rotational_model, rows)
+        jacobians = legendre_jacobian(rotational_model, rows)
+        assert images.shape == rows.shape and jacobians.shape == (20,) + (table.dim_total,) * 2
+        for w, image, J in zip(samples, images, jacobians):
+            assert np.array_equal(image, legendre(rotational_model, w).flat())
+            assert np.array_equal(J, legendre_jacobian(rotational_model, w))
 
     def test_regularity_matches_jacobian(self, free_model):
         w = jet(free_model.table, [0.3], [[0.1, 0.2]])

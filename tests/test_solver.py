@@ -3,14 +3,16 @@
 import csv
 import math
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ksfield.expr import parse
+from ksfield.expr import DomainError, parse
 from ksfield.lagrangian import RegularityError
+from ksfield.modelfile import load_model
 from ksfield.solver import (
     CSV_BLOCK_ROWS,
     Axis,
@@ -29,6 +31,7 @@ from ksfield.solver import (
 from conftest import lagrangian_model
 
 TWO_PI = 2 * np.pi
+MODELS = Path(__file__).resolve().parent.parent / "models"
 
 
 def wave_grid(nodes=314, steps=100, ratio=0.5):
@@ -175,6 +178,14 @@ class TestIntegrateK2:
         measured = -np.polyfit(ts, phase, 1)[0]
         assert abs(measured - omega) <= 1e-2
 
+    def test_initial_data_leaving_the_domain_raises(self, wave_model):
+        # log(t2) at the first node t2 = 0 of the periodic axis: rejected
+        # before the first step, naming the expression and the node
+        phi0 = (parse("log(t2)", ("t2",)),)
+        phidot0 = (parse("0", ("t2",)),)
+        with pytest.raises(DomainError, match=r"log\(t2\) at \(t2=0\.0\)"):
+            integrate_k2_hyperbolic(wave_model, phi0, phidot0, wave_grid(nodes=32, steps=16))
+
     def test_cfl_warning(self, wave_model):
         with pytest.warns(CFLWarning):
             run_wave(wave_model, wave_grid(nodes=64, steps=8, ratio=2.0))
@@ -233,6 +244,17 @@ class TestCurrentTrace:
         jets_band = sol.jets[2:-2, :, 0, 0]
         assert trace.max_divergence > 0.5
         assert np.max(np.abs(band - jets_band)) <= 5e-3
+
+    def test_current_leaving_the_domain_raises(self):
+        # q1 = sin(t2 - t1) is negative on half the shipped wave run grid
+        spec = load_model(MODELS / "wave.yaml")
+        run = spec.solutions["run"]
+        sol = integrate_k2_hyperbolic(spec.lagrangian, run.initial, run.initial_rate, run.grid)
+        chart = spec.table.velocity_chart
+        with pytest.raises(DomainError) as err:
+            evaluate_current((parse("log(q1)", chart), parse("v1_2", chart)), sol)
+        assert "log(q1)" in str(err.value)
+        assert "t1=" in str(err.value) and "t2=" in str(err.value)  # the node
 
     def test_hamiltonian_side_uses_fiber_derivative(self, wave_model):
         sol = run_wave(wave_model, wave_grid(nodes=32, steps=16))
