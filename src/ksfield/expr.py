@@ -67,7 +67,6 @@ class Expr:
     def diff(self, name: str) -> "Expr":
         raise NotImplementedError
 
-
     def subs(self, mapping: Mapping[str, "Expr"]) -> "Expr":
         raise NotImplementedError
 
@@ -116,7 +115,6 @@ class Num(Expr):
     def diff(self, name):
         return _ZERO
 
-
     def subs(self, mapping):
         return self
 
@@ -130,7 +128,6 @@ class Var(Expr):
 
     def diff(self, name):
         return _ONE if name == self.name else _ZERO
-
 
     def subs(self, mapping):
         return mapping.get(self.name, self)
@@ -147,7 +144,6 @@ class Add(Expr):
     def diff(self, name):
         return add(self.left.diff(name), self.right.diff(name))
 
-
     def subs(self, mapping):
         return add(self.left.subs(mapping), self.right.subs(mapping))
 
@@ -162,7 +158,6 @@ class Sub(Expr):
 
     def diff(self, name):
         return sub(self.left.diff(name), self.right.diff(name))
-
 
     def subs(self, mapping):
         return sub(self.left.subs(mapping), self.right.subs(mapping))
@@ -181,7 +176,6 @@ class Mul(Expr):
             mul(self.left.diff(name), self.right),
             mul(self.left, self.right.diff(name)),
         )
-
 
     def subs(self, mapping):
         return mul(self.left.subs(mapping), self.right.subs(mapping))
@@ -207,7 +201,6 @@ class Div(Expr):
             pow_int(self.right, 2),
         )
 
-
     def subs(self, mapping):
         return div(self.left.subs(mapping), self.right.subs(mapping))
 
@@ -227,7 +220,6 @@ class Pow(Expr):
             self.base.diff(name),
         )
 
-
     def subs(self, mapping):
         return pow_int(self.base.subs(mapping), self.exponent)
 
@@ -241,7 +233,6 @@ class Neg(Expr):
 
     def diff(self, name):
         return neg(self.arg.diff(name))
-
 
     def subs(self, mapping):
         return neg(self.arg.subs(mapping))
@@ -273,7 +264,6 @@ class Call(Expr):
         else:  # pragma: no cover - constructors reject unknown functions
             raise ExprError(f"unknown function '{self.fn}'")
         return mul(outer, du)
-
 
     def subs(self, mapping):
         return call(self.fn, self.arg.subs(mapping))
@@ -699,8 +689,8 @@ _PY_SUM, _PY_PRODUCT, _PY_SIGN, _PY_POWER, _PY_ATOM = range(5)
 
 def _emit_python(e: Expr, consts: list, min_prec: int = 0) -> str:
     if isinstance(e, Num):
-        # literals become numpy scalars, so constant-only subtrees follow the
-        # same floating-point error rules as the array operations
+        # literals become names that compile_source binds to numpy or Python
+        # floats, so constant-only subtrees follow the callers' error rules
         consts.append(e.value)
         return f"_c{len(consts) - 1}"
     if isinstance(e, Var):
@@ -727,22 +717,37 @@ def compile_tuple(exprs: Iterable[Expr], names) -> Callable:
     """One callable over numpy arrays (one positional arg per name) returning
     the tuple of the expressions' values, constants not broadcast.  Domain
     violations follow numpy semantics: callers check the results, as
-    :func:`evaluate_columns` and the solvers' per-step functions do."""
+    :func:`evaluate_columns` and the leapfrog forces do."""
+    names = tuple(names)
+    arglist = ", ".join(names) or "*_ignored"
+    return compile_source(exprs, names, lambda s: f"_fn = lambda {arglist}: ({', '.join(s)},)")
+
+
+def compile_source(exprs: Iterable[Expr], names, write, namespace=None, float_literals=False):
+    """The function ``_fn`` that the Python source ``write(sources)`` defines,
+    where ``sources`` holds each expression's Python source over ``names``.
+
+    Functions in the sources call numpy's ufuncs; literals are numpy floats,
+    or Python floats with ``float_literals``.  ``namespace`` adds the other
+    globals the source uses.  A source too deep to compile raises EvalError.
+    """
     import numpy as np
 
     exprs, names = tuple(exprs), tuple(names)
     missing = frozenset().union(*(free_vars(e) for e in exprs)) - set(names)
     if missing:
         raise UnboundVariableError(sorted(missing)[0])
-    arglist = ", ".join(names) if names else "*_ignored"
+    literal = float if float_literals else np.float64
     consts: list = []
     try:
-        src = f"lambda {arglist}: ({', '.join(_emit_python(e, consts) for e in exprs)},)"
-        namespace = {f"_f_{fn}": getattr(np, fn) for fn in _FUNCTIONS}
-        namespace.update((f"_c{i}", np.float64(value)) for i, value in enumerate(consts))
-        return eval(src, namespace)  # source generated above; no user text reaches eval
+        src = write([_emit_python(e, consts) for e in exprs])
+        scope = {f"_f_{fn}": getattr(np, fn) for fn in _FUNCTIONS}
+        scope.update((f"_c{i}", literal(value)) for i, value in enumerate(consts))
+        scope.update(namespace or {})
+        exec(src, scope)  # source generated above; no user text reaches exec
     except (RecursionError, SyntaxError, MemoryError):
         raise EvalError("expression too deeply nested to compile") from None
+    return scope["_fn"]
 
 
 _STRICT = {"divide": "raise", "invalid": "raise", "over": "raise"}

@@ -20,6 +20,9 @@ from .lagrangian import LagrangianModel
 from .solver import Axis, GridSpec
 from .symmetry import SymmetryCandidate
 
+# libyaml's parser where PyYAML was built with it; both give the same dicts
+_YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
 DEFAULT_TOLERANCES = {
     "cartan": 1e-9,          # Lie-derivative residuals of the symmetry checks
     "noether": 1e-9,         # current construction and defining relation
@@ -215,7 +218,7 @@ def _load_solution(name, raw, table: VarTable):
 def load_model(path) -> ModelSpec:
     try:
         with open(path) as handle:
-            raw = yaml.safe_load(handle)
+            raw = yaml.load(handle, Loader=_YAML_LOADER)
     except FileNotFoundError:
         raise ModelFileError(f"model file not found: {path}") from None
     except yaml.YAMLError as exc:

@@ -20,8 +20,8 @@ import numpy as np
 
 from .coords import VarTable
 from .expr import (
-    Expr, Var, compile_tuple, diff, evaluate_batch, evaluate_columns, free_vars, is_zero_expr,
-    mul, sub,
+    Expr, Var, compile_source, compile_tuple, diff, evaluate_batch, evaluate_columns, free_vars,
+    is_zero_expr, mul, sub,
 )
 from .lagrangian import LagrangianModel, RegularityError, energy, legendre_exprs
 
@@ -216,55 +216,88 @@ def _forces(model: LagrangianModel, A: int) -> list:
     return forces
 
 
-def _stage_function(model: LagrangianModel):
-    """One compiled call over the velocity chart returning, at (q, v), the
-    velocity Hessian (row-major), the forces and the energy."""
+# One RK4 step on Python floats; _rk4_step fills in the model's stage.
+_RK4_STEP = """def _fn(_state, _energy_only=False):
+    {Y} = {X} = _state
+    for _stage in range(4):
+        {stage}
+        {K} = {slope}
+        if _stage == 0:
+            {A} = {K}
+        elif _stage < 3:
+            {A} = {A2K}
+        else:  # the weighted sum of the four slopes
+            {K} = {AK}
+        _dt = _DT[_stage]
+        {X} = {update}
+    return ({X},) if {finite} else None, _e"""
+
+
+def _rk4_step(model: LagrangianModel, h: float):
+    """One generated function per run for an RK4 step of size ``h``.
+
+    ``step(state)`` takes the state (q..., v...) as a tuple of Python floats
+    and returns the next state (None where not finite) and the energy at
+    ``state``; ``step(state, True)`` returns only that energy.  Each stage
+    evaluates the velocity Hessian and the forces (at the state also the
+    energy) and solves H a = rhs by Gaussian elimination with partial
+    pivoting, unrolled for n; the determinant is the product of the pivots.
+    """
     table = model.table
     if table.k != 1:
         raise SolverError("k = 1 integrator needs a k = 1 model")
-    n = table.n
+    n, chart, join = table.n, list(table.velocity_chart), ", ".join
+    H = [[f"_h{i}_{j}" for j in range(n)] for i in range(n)]
+    entries, R = sum(H, []), [f"_r{i}" for i in range(n)]
+    Y, K, A = ([f"{x}{i}" for i in range(2 * n)] for x in ("_y", "_k", "_a"))
+    largest = join(f"abs({x})" for x in entries)
+
+    def stage(sources):
+        # numpy calls give numpy floats; the elimination runs on Python floats
+        for x, source in zip(entries + R, sources):
+            yield f"{x} = {f'float({source})' if '_f_' in source else source}"
+        yield f"if _stage == 0:\n    _e = {sources[-1]}\n    if _energy_only: return _e"
+        finite = " and ".join(f"_isfinite({x})" for x in entries + R)
+        yield f"if not ({finite}): raise _SolverError('non-finite stage values; step rejected')"
+        yield f"_scale = max(1.0, {f'max({largest})' if n > 1 else largest} ** {n})"
+        yield "_det = 1.0"
+        for col in range(n):
+            below = range(col + 1, n)
+            if below:
+                yield f"_best, _p = {col}, abs({H[col][col]})"
+            for r in below:
+                yield f"if abs({H[r][col]}) > _p: _best, _p = {r}, abs({H[r][col]})"
+            for r in below:
+                rows = H[col][col:] + [R[col]], H[r][col:] + [R[r]]
+                yield (f"{'if' if r == col + 1 else 'elif'} _best == {r}: "
+                       f"_det, {join(rows[0] + rows[1])} = -_det, {join(rows[1] + rows[0])}")
+            yield f"_det *= {H[col][col]}"
+            yield "if _det == 0.0: raise _RegularityError(_SINGULAR)"
+            for r in below:
+                yield f"_m = {H[r][col]} / {H[col][col]}"
+                yield from (f"{H[r][c]} -= _m * {H[col][c]}" for c in below)
+                yield f"{R[r]} -= _m * {R[col]}"
+        yield "if abs(_det) <= 1e-10 * _scale: raise _RegularityError(_SINGULAR)"
+        for i in reversed(range(n)):
+            rest = "".join(f" - {H[i][j]} * {R[j]}" for j in range(i + 1, n))
+            yield f"{R[i]} = ({R[i]}{rest}) / {H[i][i]}"
+
+    def write(sources):
+        return _RK4_STEP.format(
+            Y=join(Y), X=join(chart), K=join(K), A=join(A), slope=join(chart[n:] + R),
+            stage="\n".join(stage(sources)).replace("\n", "\n        "),
+            A2K=join(f"{a} + 2 * {k}" for a, k in zip(A, K)),
+            AK=join(f"{a} + {k}" for a, k in zip(A, K)),
+            update=join(f"{y} + _dt * {k}" for y, k in zip(Y, K)),
+            finite=" and ".join(f"_isfinite({x})" for x in chart))
+
     hessian = [diff(model.dLdv(i, 0), table.v(j, 0)) for i in range(n) for j in range(n)]
-    return compile_tuple(hessian + _forces(model, 0) + [energy(model)], table.velocity_chart)
-
-
-def _acceleration(values, n: int) -> list:
-    """Solve H a = rhs from one stage's values by Gaussian elimination with
-    partial pivoting; the determinant is the product of the pivots."""
-    entries = [float(x) for x in values[: n * n + n]]
-    if not all(map(math.isfinite, entries)):
-        raise SolverError("non-finite stage values; step rejected")
-    rows = [entries[i * n: i * n + n] for i in range(n)]
-    accel = entries[n * n:]  # the right-hand side, solved in place
-    scale = max(1.0, max(map(abs, entries[: n * n])) ** n)
-    det = 1.0
-    for col in range(n):
-        best = col
-        for r in range(col + 1, n):
-            if abs(rows[r][col]) > abs(rows[best][col]):
-                best = r
-        if best != col:
-            rows[col], rows[best] = rows[best], rows[col]
-            accel[col], accel[best] = accel[best], accel[col]
-            det = -det
-        pivot_row = rows[col]
-        det *= pivot_row[col]
-        if det == 0.0:
-            break
-        for r in range(col + 1, n):
-            row = rows[r]
-            factor = row[col] / pivot_row[col]
-            for c in range(col + 1, n):
-                row[c] -= factor * pivot_row[c]
-            accel[r] -= factor * accel[col]
-    if abs(det) <= 1e-10 * scale:
-        raise RegularityError("velocity Hessian became singular along the trajectory")
-    for i in range(n - 1, -1, -1):
-        row = rows[i]
-        total = accel[i]
-        for j in range(i + 1, n):
-            total -= row[j] * accel[j]
-        accel[i] = total / row[i]
-    return accel
+    return compile_source(hessian + _forces(model, 0) + [energy(model)], chart, write, {
+        "_isfinite": math.isfinite, "_SolverError": SolverError,
+        "_RegularityError": RegularityError,
+        "_SINGULAR": "velocity Hessian became singular along the trajectory",
+        "_DT": (0.5 * h, 0.5 * h, h, h / 6.0),  # each stage's step to the next point
+    }, float_literals=True)
 
 
 def integrate_k1(
@@ -272,42 +305,33 @@ def integrate_k1(
 ) -> SolutionGrid:
     """RK4 integration of the second-order equation of motion.
 
-    Each stage is one call of the compiled stage function; the call at a
-    step's new state also serves as the next step's first stage and gives
-    that level's energy.  The returned summary carries the energy drift
-    max|E(t) - E(0)| measured on the exact integrator state.
+    Each step is one call of the generated step function; the stage at a
+    step's state gives that level's energy.  The returned summary carries
+    the energy drift max|E(t) - E(0)| measured on the exact integrator state.
     """
     if grid.k != 1:
         raise SolverError("integrate_k1 needs a one-axis grid")
-    stage = _stage_function(model)
-    n = model.table.n
-    h = grid.axes[0].step
-    half, sixth = 0.5 * h, h / 6.0
-    levels = grid.axes[0].count + 1
-    state = [float(x) for x in q0] + [float(x) for x in v0]
+    h, n, levels = grid.axes[0].step, model.table.n, grid.axes[0].count + 1
+    step = _rk4_step(model, h)
+    state = tuple(float(x) for x in q0) + tuple(float(x) for x in v0)
     if len(state) != 2 * n:
         raise SolverError(f"q0 and v0 need {n} entries each")
-    trajectory = [state]
+    trajectory, energies = [state], []
     try:
         with np.errstate(all="ignore"):
-            values = stage(*state)
-            e0 = float(values[-1])
-            drift = 0.0
             for m in range(1, levels):
-                k = [state[n:] + _acceleration(values, n)]
-                for dt in (half, half, h):
-                    point = [s + dt * d for s, d in zip(state, k[-1])]
-                    k.append(point[n:] + _acceleration(stage(*point), n))
-                state = [s + sixth * (a + 2 * b + 2 * c + d) for s, a, b, c, d in zip(state, *k)]
-                if not all(map(math.isfinite, state)):
+                state, e = step(state)
+                if state is None:
                     raise SolverError(f"non-finite state at step {m}; step rejected")
                 trajectory.append(state)
-                values = stage(*state)
-                drift = max(drift, abs(float(values[-1]) - e0))
+                energies.append(e)
+            energies.append(step(state, True))
     except (ZeroDivisionError, OverflowError):
         # Python-float operations raise where numpy's would give inf/nan
         raise SolverError("non-finite stage values; step rejected") from None
 
+    e0 = float(energies[0])
+    drift = max([0.0] + [abs(float(e) - e0) for e in energies[1:]])
     trajectory = np.array(trajectory)
     summary = {"energy_drift": drift, "initial_energy": e0, "step": h, "levels": levels}
     return SolutionGrid(
@@ -396,17 +420,26 @@ def integrate_k2_hyperbolic(
         for c in (phi0, phidot0)
     )
 
-    force_fn = compile_tuple(_forces(model, 1), table.velocity_chart)
+    forces = _forces(model, 1)
+    force_fn = compile_tuple(forces, table.velocity_chart)
     m11_inv = np.linalg.inv(M11)
     ahead, behind = np.roll(np.arange(x.size), -1), np.roll(np.arange(x.size), 1)  # along t2
     zeros = np.zeros(x.size)  # v1 slots: certified unused
 
-    def acceleration(phi_level: np.ndarray) -> np.ndarray:
+    def acceleration(phi_level: np.ndarray, strict_t1=None) -> np.ndarray:
+        """phi_tt at one level; with ``strict_t1``, only evaluates the forces
+        there under the strict contract, so that a force that left its
+        domain raises DomainError naming the node (t1 = strict_t1, t2)."""
         right, left = phi_level[ahead], phi_level[behind]
         v2 = (right - left) / (2 * h2)
-        phixx = (right - 2 * phi_level + left) / h2**2
         args = [phi_level[:, i] for i in range(n)] + [zeros] * n + [v2[:, i] for i in range(n)]
-        rhs = np.stack([np.broadcast_to(f, zeros.shape) for f in force_fn(*args)], axis=-1)
+        if strict_t1 is not None:
+            names = table.velocity_chart + table.t_names
+            return list(evaluate_columns(forces, names, args + [np.full(x.size, strict_t1), x]))
+        phixx = (right - 2 * phi_level + left) / h2**2
+        with np.errstate(all="ignore"):  # a breach is named by the strict pass
+            values = force_fn(*args)
+        rhs = np.stack([np.broadcast_to(f, zeros.shape) for f in values], axis=-1)
         rhs -= phixx @ M22.T
         return rhs @ m11_inv.T
 
@@ -417,6 +450,9 @@ def integrate_k2_hyperbolic(
     for m in range(1, levels - 1):
         phi[m + 1] = 2 * phi[m] - phi[m - 1] + h1**2 * acceleration(phi[m])
         if not np.all(np.isfinite(phi[m + 1])):
+            # the first non-finite level is this one or, unchecked, level 1
+            source = m if np.all(np.isfinite(phi[m])) else 0
+            acceleration(phi[source], strict_t1=grid.evolution_times()[source])
             raise SolverError(f"non-finite field at step {m + 1}; step rejected")
 
     summary = {"steps": levels - 1, "h1": h1, "h2": h2, "max_speed": cmax,
@@ -534,11 +570,7 @@ def self_convergence_ratio(solutions: Sequence[SolutionGrid]) -> float:
 
 
 def _grid_gap(coarse: SolutionGrid, fine: SolutionGrid) -> float:
-    stride = tuple(2 for _ in range(coarse.k))
-    if coarse.k == 1:
-        sub = fine.phi[::2]
-    else:
-        sub = fine.phi[::2, ::2]
-    if sub.shape != coarse.phi.shape:
+    nested = fine.phi[(slice(None, None, 2),) * coarse.k]  # every other node on each axis
+    if nested.shape != coarse.phi.shape:
         raise SolverError("refined grid does not nest in the coarse grid")
-    return float(np.max(np.abs(sub - coarse.phi)))
+    return float(np.max(np.abs(nested - coarse.phi)))

@@ -1,6 +1,7 @@
 """Model-file loading and end-to-end command behaviour."""
 
 import json
+import warnings
 
 import pytest
 
@@ -141,6 +142,13 @@ class TestAnalyze:
         assert main(["analyze", str(path)]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_yaml_syntax_error_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "broken.yaml"
+        path.write_text('n: 1\nk: [1\nlagrangian: "v1_1^2/2"\n')
+        assert main(["analyze", str(path)]) == 2
+        error = capsys.readouterr().err
+        assert error.startswith("error: ") and "broken.yaml" in error
+
     def test_deeply_nested_lagrangian_exits_two(self, tmp_path, capsys):
         path = tmp_path / "deep.yaml"
         source = "(" * 3000 + "v1_1^2" + ")" * 3000
@@ -204,6 +212,21 @@ class TestSolve:
 
     def test_unknown_solution_exits_two(self, wave_file):
         assert main(["solve", str(wave_file), "--solution", "nope"]) == 2
+
+    def test_leapfrog_force_leaving_the_domain_exits_two(self, tmp_path, capsys):
+        # the force -(log(q1 + 0.5) + q1/(q1 + 0.5)) is fine in the sampling
+        # box, but the run grid starts at sin(t2), which reaches q1 < -1/2
+        path = tmp_path / "log.yaml"
+        path.write_text(WAVE_YAML.replace(
+            'lagrangian: "(v1_1^2 - v1_2^2)/2"',
+            'lagrangian: "(v1_1^2 - v1_2^2)/2 - q1*log(q1 + 0.5)"\nbox:\n  q1: [0.0, 1.0]',
+        ))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["solve", str(path), "--solution", "run"]) == 2
+        assert not caught
+        error = capsys.readouterr().err
+        assert error.startswith("error: ") and "log(q1 + 0.5)" in error
 
     def test_analytic_solution_rejected(self, wave_file):
         assert main(["solve", str(wave_file), "--solution", "dalembert"]) == 2

@@ -129,6 +129,26 @@ class TestIntegrateK1:
         ts = sol.spec.evolution_times()
         assert np.max(np.abs(sol.phi - np.cos(ts)[:, None])) <= 1e-8
 
+    def test_anti_diagonal_hessian_pivots_past_the_next_row(self):
+        # Hessian [[0, 0, 1], [0, 1, 0], [1, 0, 0]]: column 0 pivots on row 2,
+        # not the adjacent row; the equations are q_i'' = -q_i
+        model = lagrangian_model(3, 1, "v1_1*v3_1 + v2_1^2/2 - q1*q3 - q2^2/2")
+        grid = GridSpec((Axis(0.0, TWO_PI, TWO_PI / 628),))
+        sol = integrate_k1(model, [1.0, 1.0, 1.0], [0.0, 0.0, 0.0], grid)
+        ts = sol.spec.evolution_times()
+        assert np.max(np.abs(sol.phi - np.cos(ts)[:, None])) <= 1e-8
+
+    def test_hessian_singular_mid_run_rejected(self):
+        # the Hessian exp(-10 q) is regular at q = 0, but the force drives
+        # q'' = 5 v^2, and a stage point of step 2 reaches a q where the
+        # Hessian falls below the singularity threshold
+        model = lagrangian_model(1, 1, "exp(-10*q1)*v1_1^2/2")
+        h = TWO_PI / 100
+        with pytest.raises(SolverError, match="three evolution levels"):
+            integrate_k1(model, [0.0], [3.0], GridSpec((Axis(0.0, h, h),)))  # step 1 is fine
+        with pytest.raises(RegularityError):
+            integrate_k1(model, [0.0], [3.0], GridSpec((Axis(0.0, TWO_PI, h),)))
+
     def test_coupled_hessian_converges_at_order_four(self):
         # non-diagonal, q-dependent Hessian [[1 + q2^2/10, 1/2], [1/2, 1]], so
         # the right-hand side carries the mixed d2L/dv dq terms too
