@@ -51,7 +51,10 @@ class UnboundVariableError(EvalError):
 
 
 class DomainError(EvalError):
-    """Evaluation left the real domain or produced a non-finite value."""
+    """Evaluation left the real domain or produced a non-finite value; the
+    strict core sets ``reason``: "divide", "invalid", "overflow" or "non-finite"."""
+
+    reason = None
 
 
 _FUNCTIONS: dict[str, Callable[[float], float]] = {
@@ -755,16 +758,17 @@ _FLOAT_ERRORS = (FloatingPointError, ZeroDivisionError, OverflowError)
 
 
 def _run_strict(fn, columns):
-    """``(values, None)``, or ``(None, reason)`` when ``fn`` breaks the strict contract."""
+    """``(values, None)``, or ``(None, (DomainError.reason, message))`` on a breach."""
     import numpy as np
 
     try:
         with np.errstate(**_STRICT):
             values = fn(*columns)[0]
-    except _FLOAT_ERRORS as exc:
-        return None, str(exc)
+    except _FLOAT_ERRORS as exc:  # numpy's message starts with the breach, "overflow encountered"
+        breach = {ZeroDivisionError: "divide", OverflowError: "overflow"}.get(type(exc))
+        return None, (breach or str(exc).split()[0], str(exc))
     if not np.all(np.isfinite(values)):
-        return None, "non-finite result"
+        return None, ("non-finite", "non-finite result")
     return values, None
 
 
@@ -780,13 +784,15 @@ def _first_failing_row(fn, columns) -> int:
     return hi - 1
 
 
-def _domain_error(e: Expr, reason: str, names, row) -> DomainError:
+def _domain_error(e: Expr, breach, names, row) -> DomainError:
     source = to_source(e)
     if len(source) > 120:
         source = source[:117] + "..."
     point = ", ".join(f"{name}={float(x)!r}" for name, x in zip(names, row))
     where = f"at ({point})" if point else "everywhere"
-    return DomainError(f"{reason} evaluating {source} {where}")
+    error = DomainError(f"{breach[1]} evaluating {source} {where}")
+    error.reason = breach[0]
+    return error
 
 
 def evaluate_columns(exprs: Iterable[Expr], names, columns):
@@ -805,11 +811,11 @@ def evaluate_columns(exprs: Iterable[Expr], names, columns):
             yield e.value
             continue
         fn = compile_tuple((e,), names)
-        values, reason = _run_strict(fn, columns)
-        if reason is not None:
+        values, breach = _run_strict(fn, columns)
+        if breach is not None:
             flat = [c.reshape(-1) for c in np.broadcast_arrays(*columns)]
             row = _first_failing_row(fn, flat)
-            raise _domain_error(e, reason, names, [c[row] for c in flat])
+            raise _domain_error(e, breach, names, [c[row] for c in flat])
         yield values
 
 

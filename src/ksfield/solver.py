@@ -20,8 +20,8 @@ import numpy as np
 
 from .coords import VarTable
 from .expr import (
-    Expr, Var, compile_source, compile_tuple, diff, evaluate_batch, evaluate_columns, free_vars,
-    is_zero_expr, mul, sub,
+    DomainError, Expr, Var, compile_source, compile_tuple, diff, evaluate_batch, evaluate_columns,
+    free_vars, is_zero_expr, mul, sub,
 )
 from .lagrangian import LagrangianModel, RegularityError, energy, legendre_exprs
 
@@ -86,26 +86,39 @@ class GridSpec:
         return GridSpec(tuple(Axis(a.start, a.stop, a.step / 2) for a in self.axes))
 
 
+class _StencilJets:
+    """SolutionGrid.jets: kept as given, else computed from the stencil on first read."""
+
+    def __get__(self, sol, owner=None):
+        if sol is not None and sol._jets is None:
+            sol._jets = sol.jets_from_stencil()
+        return None if sol is None else sol._jets  # None: the field's default
+
+    def __set__(self, sol, jets):
+        sol._jets = jets
+
+
 @dataclass
 class SolutionGrid:
     """Discretized field with stencil-derived first-jet values.
 
     ``phi`` has shape (levels, n) for k = 1 and (levels, nodes, n) for k = 2;
-    ``jets`` appends (n, k) per node.  ``state_v`` (k = 1 only) keeps the
-    integrator's exact velocities, which back the energy diagnostics; the
-    stored jets always come from the declared stencil.
+    ``jets`` appends (n, k) per node.  Jets not given are computed from the
+    stencil on first read.  ``state_v`` (k = 1 only) keeps the integrator's
+    exact velocities, which back the energy diagnostics; the stored jets
+    always come from the declared stencil.
     """
 
     table: VarTable
     spec: GridSpec
     phi: np.ndarray
-    jets: np.ndarray = field(default=None)
+    jets: np.ndarray = _StencilJets()
     state_v: Optional[np.ndarray] = None
     summary: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.jets is None:
-            self.jets = self.jets_from_stencil()
+        if self.phi.shape[0] < 3:
+            raise SolverError("need at least three evolution levels for jet stencils")
 
     @property
     def k(self) -> int:
@@ -190,8 +203,6 @@ def _write_csv(path, header, columns):
 
 
 def _time_derivative(phi: np.ndarray, h: float) -> np.ndarray:
-    if phi.shape[0] < 3:
-        raise SolverError("need at least three evolution levels for jet stencils")
     out = np.empty_like(phi)
     out[1:-1] = (phi[2:] - phi[:-2]) / (2 * h)
     # second-order one-sided ends keep the O(h^2) consistency bound
@@ -423,36 +434,48 @@ def integrate_k2_hyperbolic(
     forces = _forces(model, 1)
     force_fn = compile_tuple(forces, table.velocity_chart)
     m11_inv = np.linalg.inv(M11)
-    ahead, behind = np.roll(np.arange(x.size), -1), np.roll(np.arange(x.size), 1)  # along t2
+    # one level's work arrays, reused by every step
+    level, right, left, v2, phixx, rhs = (np.empty((x.size, n)) for _ in range(6))
     zeros = np.zeros(x.size)  # v1 slots: certified unused
+    args = [level[:, i] for i in range(n)] + [zeros] * n + [v2[:, i] for i in range(n)]
 
-    def acceleration(phi_level: np.ndarray, strict_t1=None) -> np.ndarray:
-        """phi_tt at one level; with ``strict_t1``, only evaluates the forces
-        there under the strict contract, so that a force that left its
-        domain raises DomainError naming the node (t1 = strict_t1, t2)."""
-        right, left = phi_level[ahead], phi_level[behind]
-        v2 = (right - left) / (2 * h2)
-        args = [phi_level[:, i] for i in range(n)] + [zeros] * n + [v2[:, i] for i in range(n)]
-        if strict_t1 is not None:
-            names = table.velocity_chart + table.t_names
-            return list(evaluate_columns(forces, names, args + [np.full(x.size, strict_t1), x]))
-        phixx = (right - 2 * phi_level + left) / h2**2
-        with np.errstate(all="ignore"):  # a breach is named by the strict pass
-            values = force_fn(*args)
-        rhs = np.stack([np.broadcast_to(f, zeros.shape) for f in values], axis=-1)
-        rhs -= phixx @ M22.T
+    def acceleration(source: np.ndarray) -> np.ndarray:
+        """phi_tt at the level ``source``, which also fills ``args`` from it."""
+        np.copyto(level, source)
+        right[:-1], right[-1] = level[1:], level[0]  # periodic neighbours along t2
+        left[1:], left[0] = level[:-1], level[-1]
+        np.divide(np.subtract(right, left, out=v2), 2 * h2, out=v2)
+        np.subtract(right, np.multiply(level, 2, out=phixx), out=phixx)
+        np.divide(np.add(phixx, left, out=phixx), h2**2, out=phixx)
+        for i, force in enumerate(force_fn(*args)):
+            rhs[:, i] = force
+        np.subtract(rhs, phixx @ M22.T, out=rhs)
         return rhs @ m11_inv.T
 
     levels = grid.axes[0].count + 1
     phi = np.empty((levels, x.size, n))
     phi[0] = phi_now
-    phi[1] = phi_now + h1 * rate0 + 0.5 * h1**2 * acceleration(phi_now)
-    for m in range(1, levels - 1):
-        phi[m + 1] = 2 * phi[m] - phi[m - 1] + h1**2 * acceleration(phi[m])
-        if not np.all(np.isfinite(phi[m + 1])):
-            # the first non-finite level is this one or, unchecked, level 1
+    with np.errstate(all="ignore"):  # a breach is named by the strict pass
+        phi[1] = phi_now + h1 * rate0 + 0.5 * h1**2 * acceleration(phi_now)
+        for m in range(1, levels - 1):
+            acc = acceleration(phi[m])
+            new = np.multiply(phi[m], 2, out=phi[m + 1])
+            new -= phi[m - 1]
+            acc *= h1**2
+            new += acc
+            if np.all(np.isfinite(new)):
+                continue
+            # the first non-finite level is this one or, unchecked, level 1;
+            # the forces of the last finite level, run strictly, name one that
+            # left its domain there (an overflow is the blow-up itself)
             source = m if np.all(np.isfinite(phi[m])) else 0
-            acceleration(phi[source], strict_t1=grid.evolution_times()[source])
+            acceleration(phi[source])
+            t1 = np.full(x.size, grid.evolution_times()[source])
+            try:
+                list(evaluate_columns(forces, table.velocity_chart + table.t_names, args + [t1, x]))
+            except DomainError as exc:
+                if exc.reason != "overflow":
+                    raise
             raise SolverError(f"non-finite field at step {m + 1}; step rejected")
 
     summary = {"steps": levels - 1, "h1": h1, "h2": h2, "max_speed": cmax,

@@ -1,20 +1,28 @@
-"""Scalar reference evaluator the tests compare the library against.
+"""References the tests compare the library against.
 
-It walks an expression tree one IEEE double at a time with the ``math``
-module and shares no evaluation code with ``ksfield``: it reads only the
-node classes and raises the library's error types.  Every step is strict:
-a division by zero, a function outside its domain, or any intermediate sum,
-difference, product, quotient or power that is not finite raises
-DomainError, the contract the batched evaluator keeps as a whole.
+The scalar evaluator walks an expression tree one IEEE double at a time
+with the ``math`` module and shares no evaluation code with ``ksfield``: it
+reads only the node classes and raises the library's error types.  Every
+step is strict: a division by zero, a function outside its domain, or any
+intermediate sum, difference, product, quotient or power that is not finite
+raises DomainError, the contract the batched evaluator keeps as a whole.
+
+The reference leapfrog takes each k = 2 step in fresh arrays: fancy-indexed
+neighbours, stacked forces and a new array for every intermediate.  The
+library's step, which reuses its work arrays, must reproduce its bits.
 """
 
 import math
 from collections.abc import Mapping
 
+import numpy as np
+
 from ksfield.bundles import JetPoint
 from ksfield.expr import (
     Add, Call, Div, DomainError, Mul, Neg, Num, Pow, Sub, UnboundVariableError, Var,
+    compile_tuple, evaluate_columns,
 )
+from ksfield.solver import _forces, _hyperbolic_blocks
 
 _FUNCTIONS = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "log": math.log, "sqrt": math.sqrt}
 
@@ -77,3 +85,40 @@ def evaluate(e, at) -> float:
     if not math.isfinite(value):
         raise DomainError(f"non-finite result {value!r}")
     return value
+
+
+def leapfrog(model, phi0, phidot0, grid):
+    """phi on ``grid`` of the leapfrog from the initial field ``phi0`` and
+    rate ``phidot0`` (expressions in t2), or None once a level is not finite."""
+    M11, M22 = _hyperbolic_blocks(model)
+    n = model.table.n
+    h1, h2 = grid.axes[0].step, grid.axes[1].step
+    x = grid.periodic_nodes()
+    phi_now, rate0 = (
+        np.stack([np.broadcast_to(v, x.shape) for v in evaluate_columns(c, ("t2",), [x])], -1)
+        for c in (phi0, phidot0)
+    )
+    force_fn = compile_tuple(_forces(model, 1), model.table.velocity_chart)
+    m11_inv = np.linalg.inv(M11)
+    ahead, behind = np.roll(np.arange(x.size), -1), np.roll(np.arange(x.size), 1)
+    zeros = np.zeros(x.size)
+
+    def acceleration(phi_level):
+        right, left = phi_level[ahead], phi_level[behind]
+        v2 = (right - left) / (2 * h2)
+        args = [phi_level[:, i] for i in range(n)] + [zeros] * n + [v2[:, i] for i in range(n)]
+        phixx = (right - 2 * phi_level + left) / h2**2
+        rhs = np.stack([np.broadcast_to(f, zeros.shape) for f in force_fn(*args)], axis=-1)
+        rhs -= phixx @ M22.T
+        return rhs @ m11_inv.T
+
+    levels = grid.axes[0].count + 1
+    phi = np.empty((levels, x.size, n))
+    with np.errstate(all="ignore"):
+        phi[0] = phi_now
+        phi[1] = phi_now + h1 * rate0 + 0.5 * h1**2 * acceleration(phi_now)
+        for m in range(1, levels - 1):
+            phi[m + 1] = 2 * phi[m] - phi[m - 1] + h1**2 * acceleration(phi[m])
+            if not np.all(np.isfinite(phi[m + 1])):
+                return None
+    return phi

@@ -12,6 +12,7 @@ from ksfield.modelfile import (
     ModelFileError,
     load_model,
 )
+from ksfield.solver import SolutionGrid
 
 TWO_PI = 6.283185307179586
 
@@ -230,6 +231,25 @@ class TestSolve:
 
     def test_analytic_solution_rejected(self, wave_file):
         assert main(["solve", str(wave_file), "--solution", "dalembert"]) == 2
+
+
+@pytest.mark.parametrize("argv, built", [
+    (["solve"], 1),  # three grids run, the coarse one is written
+    (["noether", "--symmetry", "shift"], 2),  # the coarse and the refined trace
+])
+def test_jets_built_only_for_grids_that_are_read(wave_file, tmp_path, monkeypatch, argv, built):
+    calls = []
+    stencil = SolutionGrid.jets_from_stencil
+
+    def counted(sol):
+        calls.append(sol)
+        return stencil(sol)
+
+    monkeypatch.setattr(SolutionGrid, "jets_from_stencil", counted)
+    out = tmp_path / "out"
+    argv = [argv[0], str(wave_file), *argv[1:], "--solution", "run", "--out", str(out)]
+    assert main(argv) == 0
+    assert len(calls) == built
 
 
 class TestNoether:

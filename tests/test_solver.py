@@ -29,6 +29,7 @@ from ksfield.solver import (
 )
 
 from conftest import lagrangian_model
+from reference import leapfrog as reference_leapfrog
 
 TWO_PI = 2 * np.pi
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -209,6 +210,43 @@ class TestIntegrateK2:
     def test_cfl_warning(self, wave_model):
         with pytest.warns(CFLWarning):
             run_wave(wave_model, wave_grid(nodes=64, steps=8, ratio=2.0))
+
+    def test_cfl_blow_up_rejected_without_a_runtime_warning(self, wave_model):
+        # pytest turns a numpy RuntimeWarning from the overflowing step into an error
+        with pytest.warns(CFLWarning):
+            with pytest.raises(SolverError, match="non-finite field at step"):
+                run_wave(wave_model, wave_grid(nodes=64, steps=400, ratio=2.0))
+
+    def test_blow_up_of_cubic_forces_is_not_a_domain_error(self):
+        # the force -q1^3 overflows at the last finite level: the blow-up
+        # itself, not a model that left its domain
+        model = lagrangian_model(1, 2, "(v1_1^2 - v1_2^2)/2 - q1^4/4")
+        with pytest.warns(CFLWarning):
+            with pytest.raises(SolverError, match="non-finite field at step"):
+                run_wave(model, wave_grid(nodes=64, steps=3000, ratio=2.0))
+
+    @pytest.mark.parametrize("source, grid, initial, rate", [
+        ("(v1_1^2 - v1_2^2)/2", wave_grid(), ("sin(t2)",), ("-cos(t2)",)),
+        (  # the n = 3 chain of the benchmark, each component its own wave
+            "(v1_1^2 + v2_1^2 + v3_1^2 - v1_2^2 - v2_2^2 - v3_2^2)/2"
+            " + cos(q1 - q2) + cos(q2 - q3)",
+            GridSpec((Axis(0.0, 0.5, 0.01), Axis(0.0, TWO_PI, TWO_PI / 200))),
+            ("sin(t2)", "0.5*cos(2*t2)", "sin(3*t2)/3"), ("-cos(t2)", "0", "cos(t2)"),
+        ),
+        (  # non-diagonal M11 and M22: the matmuls sum over two terms
+            "(v1_1^2 + v1_1*v2_1 + 2*v2_1^2)/2 - (v1_2^2 + v1_2*v2_2 + 3*v2_2^2)/4"
+            " + cos(q1 - q2) - q1^2/2",
+            wave_grid(nodes=120, steps=400, ratio=0.4),
+            ("sin(t2)", "0.5*cos(2*t2)"), ("-cos(t2)", "0"),
+        ),
+    ])
+    def test_leapfrog_bits_match_the_reference(self, source, grid, initial, rate):
+        n = len(initial)
+        model = lagrangian_model(n, 2, source)
+        phi0, phidot0 = ([parse(c, ("t2",)) for c in cs] for cs in (initial, rate))
+        sol = integrate_k2_hyperbolic(model, phi0, phidot0, grid)
+        assert sol.summary["cfl_margin"] <= 1.0
+        assert sol.phi.tobytes() == reference_leapfrog(model, phi0, phidot0, grid).tobytes()
 
     def test_rejects_velocity_coupling(self):
         model = lagrangian_model(1, 2, "v1_1*v1_2")
