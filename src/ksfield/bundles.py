@@ -237,21 +237,19 @@ def liouville_field(A: int, w: JetPoint) -> TangentVector:
 
 def complete_lift(Z: VectorFieldQ) -> VectorField:
     """Lift to the velocity bundle: Z^i d/dq^i + v^j_A dZ^i/dq^j d/dv^i_A."""
-    table = Z.table
-    chart = table.velocity_chart
-    comps = [Num(0.0)] * table.dim_total
-    for i in range(table.n):
-        comps[i] = Z.components[i]
-    for i in range(table.n):
-        for A in range(table.k):
+    return VectorField(Z.table.velocity_chart, _tangent_lift(Z.table, Z.components))
+
+
+def _tangent_lift(table: VarTable, base) -> tuple:
+    """(base^i, v^j_A dbase^i/dq^j) in chart order, for a field or a map on Q."""
+    comps = list(base)
+    for A in range(table.k):
+        for i in range(table.n):
             out: Expr = Num(0.0)
             for j in range(table.n):
-                out = add(
-                    out,
-                    mul(Var(table.v(j, A)), diff(Z.components[i], table.q(j))),
-                )
-            comps[table.fiber_slot(i, A)] = out
-    return VectorField(chart, tuple(comps))
+                out = add(out, mul(Var(table.v(j, A)), diff(base[i], table.q(j))))
+            comps.append(out)
+    return tuple(comps)
 
 
 def cotangent_lift(Z: VectorFieldQ) -> VectorField:
@@ -402,22 +400,8 @@ class TotalMap:
 
 def tangent_prolongation(phi: DiffeoQ) -> TotalMap:
     """Prolong a base diffeomorphism to (q, v): (phi(q), Dphi(q) v_A)."""
-    table = phi.table
-
-    def prolong(base) -> tuple:  # the same lift for phi and its inverse
-        comps = list(base)
-        for A in range(table.k):
-            for i in range(table.n):
-                out: Expr = Num(0.0)
-                for j in range(table.n):
-                    out = add(
-                        out,
-                        mul(Var(table.v(j, A)), diff(base[i], table.q(j))),
-                    )
-                comps.append(out)
-        return tuple(comps)
-
-    return TotalMap(table, "lagrangian", prolong(phi.forward), prolong(phi.inverse))
+    lifts = (_tangent_lift(phi.table, phi.forward), _tangent_lift(phi.table, phi.inverse))
+    return TotalMap(phi.table, "lagrangian", *lifts)
 
 
 def cotangent_prolongation(phi: DiffeoQ) -> TotalMap:

@@ -522,9 +522,13 @@ _COMMANDS = {
 }
 
 
+_parser = None  # built by the first call of main; parsing leaves no state in it
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    _parser = _parser or _build_parser()
+    args = _parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (ModelFileError, UsageError, ParseError, BundleError, EvalError) as exc:

@@ -5,9 +5,9 @@ and the unary functions sin, cos, exp, log, sqrt.  Nodes are immutable
 (frozen dataclasses), so expressions are safe to share across threads;
 differentiation and substitution are pure.
 
-Expressions become numbers one way: :func:`evaluate_columns` compiles each
-to a numpy function and evaluates it over whole arrays under a strict
-domain contract, :func:`evaluate_batch` over the rows of a sample matrix.
+Expressions become numbers one way: :func:`evaluate_columns` compiles them
+together, a numpy function each, and evaluates each over whole arrays under
+a strict domain contract, :func:`evaluate_batch` over a sample matrix's rows.
 The scalar reference evaluator the tests compare against lives in tests/.
 
 Simplification is best-effort only (constant folding and 0/1 identities,
@@ -508,7 +508,10 @@ class _Scanner:
                     self.pos += 1
             else:
                 self.pos = mark  # not an exponent: back off
-        return float(src[start:self.pos])
+        try:
+            return float(src[start:self.pos])
+        except ValueError:  # no digits ("." or ".e5"), or a digit like "²" float() rejects
+            raise ParseError(f"malformed number {src[start:self.pos]!r}", start) from None
 
     def scan_name(self) -> str:
         start = self.pos
@@ -624,7 +627,7 @@ class _Parser:
             raise ParseError("exponent must be an integer constant", offset)
         start = self.sc.pos
         value = self.sc.scan_number()
-        if value != int(value):
+        if not value.is_integer():  # a fraction, or an overflow to inf
             raise ParseError("exponent must be an integer constant", start)
         return sign * int(value)
 
@@ -641,7 +644,10 @@ class _Parser:
             self.nesting -= 1
             return parsed
         if ch.isdigit() or ch == ".":
-            return Num(self.sc.scan_number()), 0
+            value = self.sc.scan_number()
+            if not math.isfinite(value):
+                raise ParseError("number too large for a float", offset)
+            return Num(value), 0
         if ch.isalpha() or ch == "_":
             name = self.sc.scan_name()
             if self.sc.peek() == "(":
@@ -722,8 +728,11 @@ def compile_tuple(exprs: Iterable[Expr], names) -> Callable:
     violations follow numpy semantics: callers check the results, as
     :func:`evaluate_columns` and the leapfrog forces do."""
     names = tuple(names)
-    arglist = ", ".join(names) or "*_ignored"
-    return compile_source(exprs, names, lambda s: f"_fn = lambda {arglist}: ({', '.join(s)},)")
+    return compile_source(exprs, names, lambda s: f"_fn = {_lambda(names)}({', '.join(s)},)")
+
+
+def _lambda(names) -> str:
+    return f"lambda {', '.join(names) or '*_ignored'}: "
 
 
 def compile_source(exprs: Iterable[Expr], names, write, namespace=None, float_literals=False):
@@ -798,19 +807,32 @@ def _domain_error(e: Expr, breach, names, row) -> DomainError:
 def evaluate_columns(exprs: Iterable[Expr], names, columns):
     """Yield each expression's values over the arrays ``columns``, strictly.
 
-    ``columns[j]`` binds ``names[j]``.  Each expression, compiled once,
+    ``columns[j]`` binds ``names[j]``.  The expressions are compiled
+    together, in one exec, and evaluated in order as they are read: each
     yields an array of the columns' broadcast shape, or a scalar where it is
     constant.  A division by zero, an invalid operation or an overflow at
     any step raises DomainError naming the expression and the first
-    offending point in row-major order.
+    offending point in row-major order; the earliest failing expression
+    raises, so an error of one not yet read never shows.
     """
     import numpy as np
 
-    for e in exprs:
-        if isinstance(e, Num) and math.isfinite(e.value):  # no compile needed
+    exprs, names = tuple(exprs), tuple(names)
+    constant = [isinstance(e, Num) and math.isfinite(e.value) for e in exprs]
+    compiled = [e for e, c in zip(exprs, constant) if not c]
+
+    def write(sources):  # the tuple of one-value lambdas, in order
+        return "_fn = " + "".join(f"{_lambda(names)}({x},), " for x in sources)
+
+    try:  # on failure, each compiles when reached, and the first failing one raises
+        fns = iter(compile_source(compiled, names, write) if compiled else ())
+    except EvalError:
+        fns = (compile_tuple((e,), names) for e in compiled)
+    for e, is_constant in zip(exprs, constant):
+        if is_constant:  # no compile needed
             yield e.value
             continue
-        fn = compile_tuple((e,), names)
+        fn = next(fns)
         values, breach = _run_strict(fn, columns)
         if breach is not None:
             flat = [c.reshape(-1) for c in np.broadcast_arrays(*columns)]

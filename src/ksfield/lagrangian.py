@@ -7,7 +7,7 @@ exact, and point evaluations return plain numpy arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -27,6 +27,8 @@ class RegularityError(ValueError):
 class LagrangianModel:
     table: VarTable
     L: Expr
+    # dL/dq and dL/dv by coordinate name, derived on first use and shared by every check
+    _firsts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         allowed = set(self.table.q_names) | set(self.table.v_names)
@@ -37,10 +39,15 @@ class LagrangianModel:
             )
 
     def dLdv(self, i: int, A: int) -> Expr:
-        return diff(self.L, self.table.v(i, A))
+        return self._first(self.table.v(i, A))
 
     def dLdq(self, i: int) -> Expr:
-        return diff(self.L, self.table.q(i))
+        return self._first(self.table.q(i))
+
+    def _first(self, name: str) -> Expr:
+        if name not in self._firsts:
+            self._firsts[name] = diff(self.L, name)
+        return self._firsts[name]
 
 
 def poincare_cartan_form(model: LagrangianModel, A: int) -> OneForm:
@@ -87,7 +94,7 @@ def velocity_hessian(model: LagrangianModel, w, det_rtol: float = 1e-10):
     rows, single = point_rows(w, table.dim_total)
     names = table.v_names
     pairs = [(a, b) for a in range(nk) for b in range(a, nk)]
-    firsts = [diff(model.L, name) for name in names]
+    firsts = legendre_exprs(model)  # dL/dv in the order of v_names
     seconds = [diff(firsts[a], names[b]) for a, b in pairs]
     values = evaluate_batch(seconds, table.velocity_chart, rows)
     M = np.zeros((rows.shape[0], nk, nk))

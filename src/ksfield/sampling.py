@@ -26,31 +26,36 @@ def _primes(count: int) -> list:
     return out
 
 
-def _radical_inverse(indices: np.ndarray, base: int) -> np.ndarray:
-    """Van der Corput values of the indices, one digit position per pass.
+def _radical_inverse(count: int, base: int) -> np.ndarray:
+    """Van der Corput values of 1..count, one digit position p per pass.
 
-    Each element sees the float operations of the digit-by-digit scalar
-    loop in the same order (finished indices add exact zeros), so the
-    points are bit-identical to it.
+    Digit p of 0, 1, 2, ... runs through 0..base-1, each repeated base**p
+    times, so a pass adds the digit weights over a (-1, base, base**p) view
+    of the indices padded to a power of the base.  Each element sees the
+    float operations of the digit-by-digit scalar loop in the same order
+    (finished indices add exact zeros), so the points are bit-identical.
     """
-    indices = indices.copy()
-    result = np.zeros(indices.shape)
-    digit = 1.0 / base
-    while np.any(indices > 0):
-        result += (indices % base) * digit
-        indices //= base
+    size = base
+    while size <= count:
+        size *= base
+    result = np.zeros(size)
+    digit, block = 1.0 / base, 1
+    while block <= count:  # some index up to count has a digit at position p
+        by_digit = result.reshape(-1, base, block)  # a view
+        by_digit += (np.arange(base) * digit)[:, None]
         digit /= base
-    return result
+        block *= base
+    return result[1:count + 1]
 
 
 def halton(dim: int, count: int, seed: int = 0) -> np.ndarray:
-    """count x dim points in [0, 1), Halton sequence rotated by the seed."""
+    """count x dim points in [0, 1), Halton sequence rotated by the seed;
+    column j is built in the j-th prime base without integer division."""
     bases = _primes(dim)
     shift = np.random.default_rng(seed).uniform(size=dim)
-    indices = np.arange(1, count + 1, dtype=np.int64)
     points = np.empty((count, dim))
     for j, base in enumerate(bases):
-        points[:, j] = (_radical_inverse(indices, base) + shift[j]) % 1.0
+        points[:, j] = (_radical_inverse(count, base) + shift[j]) % 1.0
     return points
 
 

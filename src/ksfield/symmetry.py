@@ -10,6 +10,7 @@ exterior derivatives; only the final residuals are numeric.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -24,7 +25,7 @@ from .bundles import (
     tulczyjew_derivative,
 )
 from .coords import VarTable
-from .expr import Expr, Num, add, diff, evaluate_batch, mul, sub, substitute
+from .expr import Expr, Num, add, diff, evaluate_batch, sub, substitute
 from .forms import (
     OneForm,
     VectorField,
@@ -49,6 +50,7 @@ from .lagrangian import (
     el_residual,
     energy,
     lagrangian_two_form,
+    poincare_cartan_form,
     sopde_solve,
 )
 from .solver import CurrentTrace, SolutionGrid, evaluate_current
@@ -259,12 +261,9 @@ def noether_current_lagrangian(
     if residual > tol:
         raise CurrentRejection("Z does not leave L quasi-invariant: Z^C(L) != d_T g", residual)
 
-    components = []
-    for A in range(table.k):
-        f_A: Expr = Num(0.0)
-        for i in range(table.n):
-            f_A = add(f_A, mul(Z.components[i], model.dLdv(i, A)))
-        components.append(sub(f_A, g[A]))
+    components = [
+        sub(contract_one(lifted, poincare_cartan_form(model, A)), g[A]) for A in range(table.k)
+    ]
 
     defects = []
     for A in range(table.k):
@@ -333,30 +332,6 @@ def _one_form_gap(a: OneForm, b: OneForm) -> list:
 # ---------------------------------------------------------------------------
 # conservation verification
 
-def analytic_divergence_lagrangian(
-    table: VarTable, current: Sequence[Expr], phi: Sequence[Expr]
-) -> Expr:
-    """Total divergence of the current along the prolongation of phi, in t."""
-    out: Expr = Num(0.0)
-    for A, f_A in enumerate(current):
-        restricted = pullback_by_prolongation(table, f_A, phi)
-        out = add(out, diff(restricted, table.t(A)))
-    return out
-
-
-def analytic_divergence_hamiltonian(
-    table: VarTable,
-    current: Sequence[Expr],
-    psi_base: Sequence[Expr],
-    psi_momenta: Sequence[Sequence[Expr]],
-) -> Expr:
-    out: Expr = Num(0.0)
-    for A, f_A in enumerate(current):
-        restricted = pullback_by_section(table, f_A, psi_base, psi_momenta)
-        out = add(out, diff(restricted, table.t(A)))
-    return out
-
-
 def verify_conservation(
     current: NoetherCurrent,
     table: VarTable,
@@ -397,16 +372,16 @@ def verify_conservation(
     if phi is not None:
         if current.side != "lagrangian":
             raise SymmetryError("map solutions verify lagrangian-side currents")
-        divergence = analytic_divergence_lagrangian(table, current.components, phi)
+        restrict = partial(pullback_by_prolongation, table, phi=phi)
     elif section is not None:
         if current.side != "hamiltonian":
             raise SymmetryError("bundle sections verify hamiltonian-side currents")
-        psi_base, psi_momenta = section
-        divergence = analytic_divergence_hamiltonian(
-            table, current.components, psi_base, psi_momenta
-        )
+        restrict = partial(pullback_by_section, table, psi_base=section[0], psi_momenta=section[1])
     else:
         raise SymmetryError("no solution supplied")
+    divergence: Expr = Num(0.0)  # total divergence of the current along the solution, in t
+    for A, f_A in enumerate(current.components):
+        divergence = add(divergence, diff(restrict(f_A), table.t(A)))
 
     if t_samples is None:
         raise SymmetryError("analytic mode needs t samples")

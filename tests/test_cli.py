@@ -4,7 +4,10 @@ import json
 import warnings
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from ksfield import cli
 from ksfield.cli import main
 from ksfield.modelfile import (
     AnalyticSolution,
@@ -184,6 +187,14 @@ class TestAnalyze:
         code, _ = self.analyze_lagrangian(tmp_path, source)
         assert code == 2
         assert "deeper than the cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["v1_1^2/2 + .", "v1_1^2/2 + q1^1e999", "9e999"])
+    def test_malformed_number_exits_two(self, tmp_path, capsys, source):
+        path = tmp_path / "number.yaml"
+        path.write_text(f'n: 1\nk: 2\nlagrangian: "{source}"\n')
+        assert main(["analyze", str(path)]) == 2
+        error = capsys.readouterr().err
+        assert error.startswith("error: lagrangian: ") and "Traceback" not in error
 
     def test_json_identical_across_runs(self, wave_file, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -388,3 +399,54 @@ class TestGauge:
     def test_identity_pair_is_strict(self, wave_file, tmp_path):
         code = main(["gauge", str(wave_file), str(wave_file)])
         assert code == 0
+
+
+class TestParserReuse:
+    """``main`` builds its argument parser once; no call may see another's options."""
+
+    def analyze(self, wave_file, out, *options):
+        assert main(["analyze", str(wave_file), "--out", str(out), *options]) == 0
+        return json.loads((out / "analyze.json").read_text())
+
+    def test_overrides_do_not_leak_into_the_next_call(self, wave_file, tmp_path):
+        before = self.analyze(wave_file, tmp_path / "before")
+        parser = cli._parser
+        overridden = self.analyze(
+            wave_file, tmp_path / "a", "--tol", "kvector=-1", "--seed", "5", "--samples", "3"
+        )
+        assert overridden["seed"] == 5 and overridden["hamiltonian"]["kvector_pass"] is False
+        after = self.analyze(wave_file, tmp_path / "after")
+        assert after["seed"] == 7 and after["hamiltonian"]["kvector_pass"] is True
+        assert after == before
+        assert cli._parser is parser  # built once, by the first call
+
+    @pytest.mark.parametrize("argv", [
+        [], ["bogus"], ["analyze"], ["solve", "model.yaml"], ["analyze", "m.yaml", "--tol", "x"],
+        ["analyze", "m.yaml", "--seed", "five"], ["--help"],
+    ])
+    def test_usage_errors_leave_the_parser_working(self, wave_file, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert self.analyze(wave_file, tmp_path / "after")["seed"] == 7
+
+
+# Lagrangian text from a token alphabet: operands (names, numbers with
+# malformed ones among them, a call, a parenthesis), each followed by an
+# operator or a closing parenthesis.  Whatever the text, main answers with
+# an exit code of the contract and never raises.
+_OPERANDS = ("q1", "v1_1", "v1_2", "2", "2.5", ".", "1.", "1e", "9e999", "sin(", "(")
+_OPERATORS = ("+", "-", "*", "/", "^", "^(", ")")
+
+
+@given(
+    st.lists(st.tuples(st.sampled_from(_OPERANDS), st.sampled_from(_OPERATORS)), max_size=10)
+    .map(lambda pairs: "".join(token for pair in pairs for token in pair))
+)
+@settings(
+    max_examples=300, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_fuzzed_lagrangian_text_gets_an_exit_code(tmp_path, source):
+    path = tmp_path / "fuzz.yaml"
+    path.write_text(f'n: 1\nk: 2\nsamples: 5\nlagrangian: "{source}"\n')
+    assert main(["analyze", str(path)]) in (0, 1, 2)

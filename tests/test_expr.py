@@ -22,6 +22,7 @@ from ksfield.expr import (
     diff,
     div,
     evaluate_batch,
+    evaluate_columns,
     free_vars,
     mul,
     neg,
@@ -107,6 +108,26 @@ class TestParse:
         with pytest.raises(ParseError):
             parse("q1^2.5", NAMES)
         assert evaluate(parse("q1^(-2)", NAMES), {"q1": 2.0}) == 0.25
+
+    @pytest.mark.parametrize(
+        "source, offset", [("v1_1^2/2 + .", 11), ("q1 + .e5", 5), ("q1*\u00b2", 3)]
+    )
+    def test_malformed_number(self, source, offset):
+        # float() rejects these; the scanner must report them, not raise ValueError
+        with pytest.raises(ParseError) as err:
+            parse(source, NAMES)
+        assert err.value.offset == offset
+        assert "malformed number" in str(err.value)
+
+    @pytest.mark.parametrize("source", ["q1^1e999", "q1^-9e999", "q1^(1e999)"])
+    def test_exponent_overflowing_a_float(self, source):
+        with pytest.raises(ParseError, match="exponent must be an integer constant"):
+            parse(source, NAMES)
+
+    def test_literal_overflowing_a_float(self):
+        with pytest.raises(ParseError, match="number too large") as err:
+            parse("v1_1^2/2 + 9e999", NAMES)
+        assert err.value.offset == 11
 
     def test_whitespace_insensitive(self):
         a = parse("q1+q2 * v1_1", NAMES)
@@ -339,6 +360,35 @@ class TestEvaluateBatch:
             evaluate(e, env)
         with pytest.raises(DomainError):
             evaluate_batch([e], ["q1"], [[400.0]])
+
+    def test_earlier_domain_error_wins(self):
+        # both fail at row 0; the expressions compile in one exec, yet the
+        # first in order is the one reported
+        points = np.zeros((3, len(NAMES)))
+        exprs = [parse("q2 + 1", NAMES), parse("log(q1)", NAMES), parse("1/q2", NAMES)]
+        with pytest.raises(DomainError, match=r"log\(q1\)"):
+            evaluate_batch(exprs, NAMES, points)
+        with pytest.raises(DomainError, match="1/q2"):
+            evaluate_batch(exprs[::-1], NAMES, points)
+
+    def test_columns_evaluate_in_order_as_read(self):
+        columns = [np.array([0.0, 2.0])]
+        values = evaluate_columns([Var("q1"), parse("1/q1", ["q1"])], ["q1"], columns)
+        assert next(values).tolist() == [0.0, 2.0]  # the later failure does not show yet
+        with pytest.raises(DomainError, match="q1=0.0"):
+            next(values)
+
+    def test_compile_failure_raises_for_the_first_failing_expression(self):
+        columns = [np.array([-1.0, 1.0])]
+        # an unbound name in a later expression: the earlier DomainError wins
+        with pytest.raises(DomainError, match=r"sqrt\(q1\)"):
+            list(evaluate_columns([parse("sqrt(q1)", ["q1"]), Var("zz")], ["q1"], columns))
+        # and values before the unbound one are still yielded first
+        values = evaluate_columns([Var("q1"), Var("zz"), Var("yy")], ["q1"], columns)
+        assert next(values).tolist() == [-1.0, 1.0]
+        with pytest.raises(UnboundVariableError) as err:
+            next(values)
+        assert err.value.name == "zz"
 
     def test_empty_sample_matrix(self):
         empty = np.empty((0, len(NAMES)))

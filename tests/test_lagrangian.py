@@ -27,6 +27,25 @@ def jet(table, q, v):
     return JetPoint(table, np.asarray(q, float), np.asarray(v, float))
 
 
+class TestFirstDerivatives:
+    SOURCE = "(v1_1^2 + v2_1^2 - v1_2^2)/2 + cos(q1 - q2)*v1_1"
+
+    def test_derived_once_per_model(self):
+        model = lagrangian_model(2, 2, self.SOURCE)
+        assert model.dLdv(0, 1) is model.dLdv(0, 1)
+        assert model.dLdq(1) is model.dLdq(1)
+        assert poincare_cartan_form(model, 0).coeffs[0] is model.dLdv(0, 0)
+
+    def test_memo_leaves_equality_hash_and_repr_alone(self):
+        filled, fresh = lagrangian_model(2, 2, self.SOURCE), lagrangian_model(2, 2, self.SOURCE)
+        before = repr(filled)
+        energy(filled)  # fills the memo with every dL/dv
+        filled.dLdq(0)
+        assert filled == fresh and hash(filled) == hash(fresh)
+        assert repr(filled) == repr(fresh) == before
+        assert filled != lagrangian_model(2, 2, self.SOURCE + " + q1")
+
+
 class TestPoincareCartanForm:
     def test_kinetic_form(self, rotational_model):
         table = rotational_model.table

@@ -29,7 +29,12 @@ def scalar_halton(dim, count, seed=0):
 
 @pytest.mark.parametrize(
     "dim, count, seed",
-    [(1, 1, 0), (2, 0, 3), (3, 5000, 1), (5, 777, 7), (9, 100, 42), (17, 2048, 11)],
+    [
+        (1, 1, 0), (2, 0, 3), (3, 5000, 1), (5, 777, 7), (9, 100, 42), (17, 2048, 11),
+        # counts at powers of the bases 2, 3 and 5 and one past them, and a
+        # base (37) larger than the count
+        (3, 8, 2), (3, 9, 5), (3, 26, 6), (3, 27, 8), (3, 125, 9), (12, 100, 13), (12, 1370, 4),
+    ],
 )
 def test_halton_bit_identical_to_scalar_loop(dim, count, seed):
     fast, reference = halton(dim, count, seed), scalar_halton(dim, count, seed)
