@@ -1,14 +1,19 @@
 """Symbolic scalar expressions over named real coordinates.
 
 The AST covers real literals, named variables, +, -, *, /, integer powers
-and the unary functions sin, cos, exp, log, sqrt.  Nodes are immutable
-(frozen dataclasses), so expressions are safe to share across threads;
-differentiation and substitution are pure.
+and the unary functions sin, cos, exp, log, sqrt.  Nodes are immutable and
+interned (hash-consed) as they are built, in a weak table: structurally
+equal expressions are one object, so ``==`` is identity, and an expression
+is a DAG whose repeated subtrees are one node.  Each node keeps the names
+of its free variables and memoizes its derivatives by variable name.  Every
+walk (diff, substitute, printing, compiling) visits each distinct node
+once, children first, through the one iterative :func:`_post_order`.
 
 Expressions become numbers one way: :func:`evaluate_columns` compiles them
-together, a numpy function each, and evaluates each over whole arrays under
-a strict domain contract, :func:`evaluate_batch` over a sample matrix's rows.
-The scalar reference evaluator the tests compare against lives in tests/.
+together into straight-line numpy code, one local per node, and evaluates
+each over whole arrays under a strict domain contract,
+:func:`evaluate_batch` over a sample matrix's rows.  The scalar reference
+evaluator the tests compare against lives in tests/.
 
 Simplification is best-effort only (constant folding and 0/1 identities,
 applied by the smart constructors below).  Nothing downstream relies on a
@@ -18,7 +23,9 @@ canonical form: all correctness checks are evaluation-based.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import weakref
+from itertools import islice
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Union
 
 
@@ -65,16 +72,41 @@ _FUNCTIONS: dict[str, Callable[[float], float]] = {
     "sqrt": math.sqrt,
 }
 
-@dataclass(frozen=True)
+# every live node, weakly, by its class and arguments; a child node by its
+# id, so that the key does not keep it alive: a node whose memoized
+# derivative refers back to it, like exp(u), would never be collected
+_TABLE: dict = {}
+
+
+class _Ref(weakref.ref):  # one object per entry, so the table adds little for gc to scan
+    __slots__ = ("key",)
+
+
+def _forget(ref: _Ref):
+    if _TABLE.get(ref.key) is ref:
+        del _TABLE[ref.key]
+
+
+def _node(cls, key: tuple, kids: tuple, fields: dict):
+    """A new node of ``cls`` with the attributes ``fields``, the child nodes
+    ``kids`` (left to right) and the names of its variables ``_vars``,
+    interned as ``key``."""
+    node = object.__new__(cls)
+    node._vars = kids[0]._vars.union(*[kid._vars for kid in kids[1:]]) if kids else frozenset()
+    node.__dict__.update(fields)
+    node._kids = kids
+    _TABLE[key] = ref = _Ref(node, _forget)
+    ref.key = key
+    return node
+
+
 class Expr:
-    def diff(self, name: str) -> "Expr":
-        raise NotImplementedError
+    """An interned node: each subclass's constructor returns the live node
+    of its arguments or registers a new one, and its ``_derive(name, *d)``
+    is d(node)/d(name) given the derivatives ``d`` of its child nodes.  The
+    constructor's arguments are the node's public attributes."""
 
-    def subs(self, mapping: Mapping[str, "Expr"]) -> "Expr":
-        raise NotImplementedError
-
-    def free_vars(self) -> frozenset:
-        raise NotImplementedError
+    _diffs: Mapping = MappingProxyType({})  # derivatives by variable name, once derived
 
     # Arithmetic sugar so library code can assemble expressions directly.
     def __add__(self, other):
@@ -110,149 +142,90 @@ class Expr:
     def __str__(self):
         return to_source(self)
 
+    def __repr__(self):
+        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items() if not k.startswith("_"))
+        return f"{type(self).__name__}({fields})"
 
-@dataclass(frozen=True)
+
 class Num(Expr):
-    value: float
+    def __new__(cls, value):
+        key = (cls, type(value), value, math.copysign(1.0, value))  # -0.0 apart from 0.0
+        ref = _TABLE.get(key)
+        return ref and ref() or _node(cls, key, (), {"value": value})
 
-    def diff(self, name):
+    def _derive(self, name):
         return _ZERO
 
-    def subs(self, mapping):
-        return self
 
-    def free_vars(self):
-        return frozenset()
-
-
-@dataclass(frozen=True)
 class Var(Expr):
-    name: str
+    def __new__(cls, name):
+        ref = _TABLE.get((cls, name))
+        return ref and ref() or _node(cls, (cls, name), (), {"name": name, "_vars": frozenset((name,))})
 
-    def diff(self, name):
+    def _derive(self, name):
         return _ONE if name == self.name else _ZERO
 
-    def subs(self, mapping):
-        return mapping.get(self.name, self)
 
-    def free_vars(self):
-        return frozenset((self.name,))
-
-
-@dataclass(frozen=True)
-class Add(Expr):
-    left: Expr
-    right: Expr
-
-    def diff(self, name):
-        return add(self.left.diff(name), self.right.diff(name))
-
-    def subs(self, mapping):
-        return add(self.left.subs(mapping), self.right.subs(mapping))
-
-    def free_vars(self):
-        return self.left.free_vars() | self.right.free_vars()
+class _Binary(Expr):
+    def __new__(cls, left, right):
+        key = (cls, id(left), id(right))
+        ref = _TABLE.get(key)
+        return ref and ref() or _node(cls, key, (left, right), {"left": left, "right": right})
 
 
-@dataclass(frozen=True)
-class Sub(Expr):
-    left: Expr
-    right: Expr
-
-    def diff(self, name):
-        return sub(self.left.diff(name), self.right.diff(name))
-
-    def subs(self, mapping):
-        return sub(self.left.subs(mapping), self.right.subs(mapping))
-
-    def free_vars(self):
-        return self.left.free_vars() | self.right.free_vars()
+class Add(_Binary):
+    def _derive(self, name, dl, dr):
+        return add(dl, dr)
 
 
-@dataclass(frozen=True)
-class Mul(Expr):
-    left: Expr
-    right: Expr
-
-    def diff(self, name):
-        return add(
-            mul(self.left.diff(name), self.right),
-            mul(self.left, self.right.diff(name)),
-        )
-
-    def subs(self, mapping):
-        return mul(self.left.subs(mapping), self.right.subs(mapping))
-
-    def free_vars(self):
-        return self.left.free_vars() | self.right.free_vars()
+class Sub(_Binary):
+    def _derive(self, name, dl, dr):
+        return sub(dl, dr)
 
 
-@dataclass(frozen=True)
-class Div(Expr):
-    left: Expr
-    right: Expr
+class Mul(_Binary):
+    def _derive(self, name, dl, dr):
+        return add(mul(dl, self.right), mul(self.left, dr))
 
-    def diff(self, name):
+
+class Div(_Binary):
+    def _derive(self, name, dl, dr):
         if isinstance(self.right, Num):
-            return div(self.left.diff(name), self.right)
+            return div(dl, self.right)
         # (u/w)' = (u'w - uw') / w^2
-        return div(
-            sub(
-                mul(self.left.diff(name), self.right),
-                mul(self.left, self.right.diff(name)),
-            ),
-            pow_int(self.right, 2),
-        )
-
-    def subs(self, mapping):
-        return div(self.left.subs(mapping), self.right.subs(mapping))
-
-    def free_vars(self):
-        return self.left.free_vars() | self.right.free_vars()
+        return div(sub(mul(dl, self.right), mul(self.left, dr)), pow_int(self.right, 2))
 
 
-@dataclass(frozen=True)
 class Pow(Expr):
-    base: Expr
-    exponent: int
+    def __new__(cls, base, exponent):
+        key = (cls, id(base), exponent)
+        ref = _TABLE.get(key)
+        return ref and ref() or _node(cls, key, (base,), {"base": base, "exponent": exponent})
 
-    def diff(self, name):
+    def _derive(self, name, du):
         # d(u^m) = m u^(m-1) u'
-        return mul(
-            mul(Num(float(self.exponent)), pow_int(self.base, self.exponent - 1)),
-            self.base.diff(name),
-        )
-
-    def subs(self, mapping):
-        return pow_int(self.base.subs(mapping), self.exponent)
-
-    def free_vars(self):
-        return self.base.free_vars()
+        return mul(mul(Num(float(self.exponent)), pow_int(self.base, self.exponent - 1)), du)
 
 
-@dataclass(frozen=True)
 class Neg(Expr):
-    arg: Expr
+    def __new__(cls, arg):
+        key = (cls, id(arg))
+        ref = _TABLE.get(key)
+        return ref and ref() or _node(cls, key, (arg,), {"arg": arg})
 
-    def diff(self, name):
-        return neg(self.arg.diff(name))
-
-    def subs(self, mapping):
-        return neg(self.arg.subs(mapping))
-
-    def free_vars(self):
-        return self.arg.free_vars()
+    def _derive(self, name, du):
+        return neg(du)
 
 
-@dataclass(frozen=True)
 class Call(Expr):
-    fn: str
-    arg: Expr
+    def __new__(cls, fn, arg):
+        key = (cls, fn, id(arg))
+        ref = _TABLE.get(key)
+        return ref and ref() or _node(cls, key, (arg,), {"fn": fn, "arg": arg})
 
-    def diff(self, name):
+    def _derive(self, name, du):
         u = self.arg
-        du = u.diff(name)
-        if _is_num(du, 0.0):
+        if is_zero_expr(du):
             return _ZERO  # no spurious domain conditions from log/sqrt factors
         if self.fn == "sin":
             outer = call("cos", u)
@@ -268,12 +241,6 @@ class Call(Expr):
             raise ExprError(f"unknown function '{self.fn}'")
         return mul(outer, du)
 
-    def subs(self, mapping):
-        return call(self.fn, self.arg.subs(mapping))
-
-    def free_vars(self):
-        return self.arg.free_vars()
-
 
 _ZERO = Num(0.0)
 _ONE = Num(1.0)
@@ -285,16 +252,13 @@ def as_expr(value: Union[Expr, int, float]) -> Expr:
     return Num(float(value))
 
 
-def _is_num(e: Expr, value: float | None = None) -> bool:
-    return isinstance(e, Num) and (value is None or e.value == value)
-
-
 def add(a: Expr, b: Expr) -> Expr:
-    if _is_num(a, 0.0):
+    a_num, b_num = isinstance(a, Num), isinstance(b, Num)
+    if a_num and a.value == 0.0:
         return b
-    if _is_num(b, 0.0):
+    if b_num and b.value == 0.0:
         return a
-    if isinstance(a, Num) and isinstance(b, Num):
+    if a_num and b_num:
         s = a.value + b.value
         if math.isfinite(s):
             return Num(s)
@@ -302,11 +266,12 @@ def add(a: Expr, b: Expr) -> Expr:
 
 
 def sub(a: Expr, b: Expr) -> Expr:
-    if _is_num(b, 0.0):
+    a_num, b_num = isinstance(a, Num), isinstance(b, Num)
+    if b_num and b.value == 0.0:
         return a
-    if _is_num(a, 0.0):
+    if a_num and a.value == 0.0:
         return neg(b)
-    if isinstance(a, Num) and isinstance(b, Num):
+    if a_num and b_num:
         s = a.value - b.value
         if math.isfinite(s):
             return Num(s)
@@ -314,13 +279,14 @@ def sub(a: Expr, b: Expr) -> Expr:
 
 
 def mul(a: Expr, b: Expr) -> Expr:
-    if _is_num(a, 0.0) or _is_num(b, 0.0):
+    a_num, b_num = isinstance(a, Num), isinstance(b, Num)
+    if (a_num and a.value == 0.0) or (b_num and b.value == 0.0):
         return _ZERO
-    if _is_num(a, 1.0):
+    if a_num and a.value == 1.0:
         return b
-    if _is_num(b, 1.0):
+    if b_num and b.value == 1.0:
         return a
-    if isinstance(a, Num) and isinstance(b, Num):
+    if a_num and b_num:
         p = a.value * b.value
         if math.isfinite(p):
             return Num(p)
@@ -328,7 +294,7 @@ def mul(a: Expr, b: Expr) -> Expr:
 
 
 def div(a: Expr, b: Expr) -> Expr:
-    if _is_num(b, 1.0):
+    if isinstance(b, Num) and b.value == 1.0:
         return a
     if isinstance(a, Num) and isinstance(b, Num) and b.value != 0.0:
         q = a.value / b.value
@@ -387,21 +353,69 @@ def call(fn: str, arg: Expr) -> Expr:
     return Call(fn, arg)
 
 
+def _post_order(roots: Iterable[Expr], done: Callable[[Expr], bool] | None = None) -> list:
+    """The distinct nodes reachable from ``roots``, each once and after its
+    children, left before right; a node for which ``done`` holds is neither
+    listed nor entered."""
+    order, seen = [], set()
+    stack = [(None, iter(roots))]  # the roots, as the children of no node
+    while stack:
+        for kid in stack[-1][1]:
+            if kid not in seen and (done is None or not done(kid)):
+                seen.add(kid)
+                if kid._kids:
+                    stack.append((kid, iter(kid._kids)))
+                    break
+                order.append(kid)  # a leaf
+        else:
+            node = stack.pop()[0]
+            if stack:
+                order.append(node)
+    return order
+
+
 def diff(e: Expr, name: str) -> Expr:
-    """Exact symbolic partial derivative of ``e`` with respect to ``name``."""
-    return e.diff(name)
+    """Exact symbolic partial derivative of ``e`` with respect to ``name``,
+    memoized on every node it derives.  The rules see only zero derivatives
+    at the leaves of a node free of ``name``, so its derivative is the same
+    for every name it is free of: it is memoized once, under None."""
+
+    def derivative(node):  # its memoized derivative, or None
+        return node._diffs.get(name if name in node._vars else None)
+
+    if derivative(e) is None:
+        for node in _post_order((e,), derivative):
+            if not node._diffs:
+                node._diffs = {}
+            node._diffs[name if name in node._vars else None] = node._derive(
+                name, *map(derivative, node._kids))
+    return derivative(e)
 
 
 def substitute(e: Expr, mapping: Mapping[str, Expr]) -> Expr:
-    return e.subs(mapping)
+    """``e`` with each variable named in ``mapping`` replaced by its image,
+    rebuilt through the smart constructors."""
+    image: dict = {}
+    for node in _post_order((e,)):
+        if isinstance(node, Var):
+            image[node] = mapping.get(node.name, node)
+        else:  # the public attributes are the constructor's arguments, in order
+            args = [image.get(v, v) for k, v in vars(node).items() if k[0] != "_"]
+            image[node] = _SMART[type(node)](*args)
+    return image[e]
 
 
 def free_vars(e: Expr) -> frozenset:
-    return e.free_vars()
+    """The names of the variables in ``e``, kept on every node as it is built."""
+    return e._vars
 
 
 def is_zero_expr(e: Expr) -> bool:
     return isinstance(e, Num) and e.value == 0.0
+
+
+_SMART = {Num: Num, Add: add, Sub: sub, Mul: mul, Div: div, Pow: pow_int, Neg: neg, Call: call}
+Expr.free_vars = free_vars  # a method too, which is also how outside tools tell nodes apart
 
 
 # ---------------------------------------------------------------------------
@@ -412,58 +426,43 @@ _PREC_NEG = 1.2
 _PREC_MUL = 2.0
 _PREC_POW = 3.0
 _PREC_ATOM = 4.0
-
-
-def _prec(e: Expr) -> float:
-    if isinstance(e, (Add, Sub)):
-        return _PREC_ADD
-    if isinstance(e, Neg):
-        return _PREC_NEG
-    if isinstance(e, Num) and e.value < 0:
-        return _PREC_NEG
-    if isinstance(e, (Mul, Div)):
-        return _PREC_MUL
-    if isinstance(e, Pow):
-        return _PREC_POW
-    return _PREC_ATOM
+_OPERATORS = {Add: " + ", Sub: " - ", Mul: "*", Div: "/"}
 
 
 def _fmt_num(value: float) -> str:
     if value == int(value) and abs(value) < 1e16:
-        return str(int(value))
+        return str(int(value))  # -0.0 prints as "0"
     return repr(value)
 
 
-def _emit(e: Expr, min_prec: float) -> str:
+def _print(e: Expr, text: Mapping) -> tuple:
+    """The source of ``e`` and its precedence, given those of its children."""
+
+    def operand(child, min_prec):
+        source, prec = text[child]
+        return f"({source})" if prec < min_prec else source
+
     if isinstance(e, Num):
-        text = _fmt_num(e.value)
-    elif isinstance(e, Var):
-        text = e.name
-    elif isinstance(e, Add):
-        text = f"{_emit(e.left, _PREC_ADD)} + {_emit(e.right, _PREC_ADD + 0.5)}"
-    elif isinstance(e, Sub):
-        text = f"{_emit(e.left, _PREC_ADD)} - {_emit(e.right, _PREC_ADD + 0.5)}"
-    elif isinstance(e, Mul):
-        text = f"{_emit(e.left, _PREC_MUL)}*{_emit(e.right, _PREC_MUL + 0.5)}"
-    elif isinstance(e, Div):
-        text = f"{_emit(e.left, _PREC_MUL)}/{_emit(e.right, _PREC_MUL + 0.5)}"
-    elif isinstance(e, Neg):
-        text = f"-{_emit(e.arg, _PREC_MUL + 0.5)}"
-    elif isinstance(e, Pow):
+        return _fmt_num(e.value), _PREC_NEG if e.value < 0 else _PREC_ATOM
+    if isinstance(e, Var):
+        return e.name, _PREC_ATOM
+    if isinstance(e, (Add, Sub, Mul, Div)):
+        prec = _PREC_ADD if isinstance(e, (Add, Sub)) else _PREC_MUL
+        return f"{operand(e.left, prec)}{_OPERATORS[type(e)]}{operand(e.right, prec + 0.5)}", prec
+    if isinstance(e, Neg):
+        return f"-{operand(e.arg, _PREC_MUL + 0.5)}", _PREC_NEG
+    if isinstance(e, Pow):
         exp = str(e.exponent) if e.exponent >= 0 else f"({e.exponent})"
-        text = f"{_emit(e.base, _PREC_POW + 0.5)}^{exp}"
-    elif isinstance(e, Call):
-        text = f"{e.fn}({_emit(e.arg, 0.0)})"
-    else:  # pragma: no cover
-        raise ExprError(f"cannot print {e!r}")
-    if _prec(e) < min_prec:
-        return f"({text})"
-    return text
+        return f"{operand(e.base, _PREC_POW + 0.5)}^{exp}", _PREC_POW
+    return f"{e.fn}({text[e.arg][0]})", _PREC_ATOM  # a Call
 
 
 def to_source(e: Expr) -> str:
     """Render in the DSL grammar; parse(to_source(e)) is evaluation-equal."""
-    return _emit(e, 0.0)
+    text: dict = {}
+    for node in _post_order((e,)):
+        text[node] = _print(node, text)
+    return text[e][0]
 
 
 # ---------------------------------------------------------------------------
@@ -525,14 +524,13 @@ class _Scanner:
 # parser up to five Python frames, so this keeps it well inside the limit.
 MAX_NESTING = 100
 
-# Cap on the weighted depth of a parsed tree.  The recursive tree walks (diff,
-# subs, free_vars, printing, compiling) take one Python frame per level, and
-# the second derivatives that ``analyze`` takes deepen each level of the
-# source by up to its weight here (measured per operator chain): 1 for "+",
-# "-" and prefix signs, 3 for "*", 5 for a call, 6 for "/", and 3 for "^",
-# whose levels each also nest one more pair of parentheses in the compiled
-# source (Python allows 200); parentheses weigh nothing.  At the cap the
-# derived trees stay well inside the default recursion limit.
+# Cap on the weighted depth of a parsed tree.  The second derivatives that
+# ``analyze`` takes deepen each level of the source by up to its weight here
+# (measured per operator chain): 1 for "+", "-" and prefix signs, 3 for "*"
+# and "^", 5 for a call and 6 for "/"; parentheses weigh nothing.  The walks
+# are iterative and compiled code is straight-line, so the cap no longer
+# guards the recursion limit: it bounds the depth of the derived trees that
+# ``to_source`` prints in full and that the walks descend.
 MAX_DEPTH = 600
 _WEIGHTS = {"+": 1, "-": 1, "^": 3, "*": 3, "call": 5, "/": 6}
 
@@ -688,38 +686,65 @@ def parse(source: str, names: Iterable[str]) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# compilation to vectorized numpy callables, and batched strict evaluation
+# compilation to straight-line numpy code, and batched strict evaluation
 
-# Python precedence of the emitted operators; operands are parenthesized
-# only where Python would otherwise regroup them, so long left-leaning
-# chains compile without hitting the parser's nesting limit.
-_PY_SUM, _PY_PRODUCT, _PY_SIGN, _PY_POWER, _PY_ATOM = range(5)
+def compile_source(groups: Iterable[Iterable[Expr]], names, write, namespace=None,
+                   float_literals=False):
+    """The function ``_fn`` that the Python source ``write(blocks)`` defines.
+
+    Per group of expressions, ``blocks`` holds the lines that compute the
+    group's DAG nodes not computed by an earlier group, one local per node
+    in post-order, and the names of the group's values.  Each node does its
+    IEEE operation on the same operands as in the expression; a variable not
+    in ``names`` raises UnboundVariableError when reached.  Functions are
+    numpy's ufuncs; literals are numpy floats, or Python floats with
+    ``float_literals``, which also makes Python floats of the values whose
+    DAG holds a function call.  ``namespace`` adds other globals.
+    """
+    import numpy as np
+
+    literal, names = (float if float_literals else np.float64), frozenset(names)
+    scope = {"_unbound": _unbound, **{f"_f_{fn}": getattr(np, fn) for fn in _FUNCTIONS}}
+    atom: dict = {}  # node -> the name holding its value
+    calls: set = set()  # nodes whose DAG holds a Call
+    blocks = []
+    for group in map(tuple, groups):
+        lines = []
+        for node in _post_order(group, atom.__contains__):
+            args = [atom[kid] for kid in node._kids]
+            if isinstance(node, Call) or any(kid in calls for kid in node._kids):
+                calls.add(node)
+            if isinstance(node, Var) and node.name in names:
+                atom[node] = node.name
+            elif isinstance(node, Num):
+                # a name bound to a numpy or Python float, so constant-only
+                # subtrees follow the callers' error rules
+                atom[node] = f"_c{len(atom)}"
+                scope[atom[node]] = literal(node.value)
+            else:
+                atom[node] = f"_t{len(atom)}"
+                lines.append(f"{atom[node]} = {_PYTHON[type(node)].format(*args, e=node)}")
+        values = [atom[e] for e in group]
+        if float_literals:  # numpy functions give numpy floats: make Python floats again
+            values = [f"float({v})" if e in calls else v for e, v in zip(group, values)]
+        blocks.append((lines, values))
+    scope.update(namespace or {})
+    exec(write(blocks), scope)  # source generated above; no user text reaches exec
+    return scope["_fn"]
 
 
-def _emit_python(e: Expr, consts: list, min_prec: int = 0) -> str:
-    if isinstance(e, Num):
-        # literals become names that compile_source binds to numpy or Python
-        # floats, so constant-only subtrees follow the callers' error rules
-        consts.append(e.value)
-        return f"_c{len(consts) - 1}"
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        prec = _PY_SUM if isinstance(e, (Add, Sub)) else _PY_PRODUCT
-        op = {Add: "+", Sub: "-", Mul: "*", Div: "/"}[type(e)]
-        left = _emit_python(e.left, consts, prec)
-        text = f"{left} {op} {_emit_python(e.right, consts, prec + 1)}"
-    elif isinstance(e, Neg):
-        prec = _PY_SIGN
-        text = f"-{_emit_python(e.arg, consts, _PY_SIGN)}"
-    elif isinstance(e, Pow):
-        prec = _PY_POWER
-        text = f"{_emit_python(e.base, consts, _PY_ATOM)} ** ({e.exponent})"
-    elif isinstance(e, Call):
-        return f"_f_{e.fn}({_emit_python(e.arg, consts)})"
-    else:  # pragma: no cover
-        raise ExprError(f"cannot compile {e!r}")
-    return f"({text})" if prec < min_prec else text
+# each node's Python expression over the names of its children, {0} and {1}
+_PYTHON = {Add: "{0} + {1}", Sub: "{0} - {1}", Mul: "{0} * {1}", Div: "{0} / {1}", Neg: "-{0}",
+           Pow: "{0} ** ({e.exponent})", Call: "_f_{e.fn}({0})", Var: "_unbound({e.name!r})"}
+
+
+def _unbound(name: str):
+    raise UnboundVariableError(name)
+
+
+def _function(names, body: list) -> str:
+    head = f"def _fn({', '.join(names) or '*_ignored'}):"
+    return "\n    ".join([head] + body)
 
 
 def compile_tuple(exprs: Iterable[Expr], names) -> Callable:
@@ -728,51 +753,25 @@ def compile_tuple(exprs: Iterable[Expr], names) -> Callable:
     violations follow numpy semantics: callers check the results, as
     :func:`evaluate_columns` and the leapfrog forces do."""
     names = tuple(names)
-    return compile_source(exprs, names, lambda s: f"_fn = {_lambda(names)}({', '.join(s)},)")
 
+    def write(blocks):
+        ((lines, values),) = blocks
+        return _function(names, lines + [f"return ({', '.join(values)},)"])
 
-def _lambda(names) -> str:
-    return f"lambda {', '.join(names) or '*_ignored'}: "
-
-
-def compile_source(exprs: Iterable[Expr], names, write, namespace=None, float_literals=False):
-    """The function ``_fn`` that the Python source ``write(sources)`` defines,
-    where ``sources`` holds each expression's Python source over ``names``.
-
-    Functions in the sources call numpy's ufuncs; literals are numpy floats,
-    or Python floats with ``float_literals``.  ``namespace`` adds the other
-    globals the source uses.  A source too deep to compile raises EvalError.
-    """
-    import numpy as np
-
-    exprs, names = tuple(exprs), tuple(names)
-    missing = frozenset().union(*(free_vars(e) for e in exprs)) - set(names)
-    if missing:
-        raise UnboundVariableError(sorted(missing)[0])
-    literal = float if float_literals else np.float64
-    consts: list = []
-    try:
-        src = write([_emit_python(e, consts) for e in exprs])
-        scope = {f"_f_{fn}": getattr(np, fn) for fn in _FUNCTIONS}
-        scope.update((f"_c{i}", literal(value)) for i, value in enumerate(consts))
-        scope.update(namespace or {})
-        exec(src, scope)  # source generated above; no user text reaches exec
-    except (RecursionError, SyntaxError, MemoryError):
-        raise EvalError("expression too deeply nested to compile") from None
-    return scope["_fn"]
+    return compile_source([exprs], names, write)
 
 
 _STRICT = {"divide": "raise", "invalid": "raise", "over": "raise"}
 _FLOAT_ERRORS = (FloatingPointError, ZeroDivisionError, OverflowError)
 
 
-def _run_strict(fn, columns):
-    """``(values, None)``, or ``(None, (DomainError.reason, message))`` on a breach."""
+def _run_strict(value_of):
+    """``(value_of(), None)``, or ``(None, (DomainError.reason, message))`` on a breach."""
     import numpy as np
 
     try:
         with np.errstate(**_STRICT):
-            values = fn(*columns)[0]
+            values = value_of()
     except _FLOAT_ERRORS as exc:  # numpy's message starts with the breach, "overflow encountered"
         breach = {ZeroDivisionError: "divide", OverflowError: "overflow"}.get(type(exc))
         return None, (breach or str(exc).split()[0], str(exc))
@@ -781,12 +780,17 @@ def _run_strict(fn, columns):
     return values, None
 
 
-def _first_failing_row(fn, columns) -> int:
-    """Smallest row index whose prefix breaks the contract (rows are independent)."""
+def _first_failing_row(fn, columns, index: int) -> int:
+    """Smallest row index whose prefix breaks the contract for the ``index``-th
+    value of the generator ``fn`` (rows are independent)."""
     lo, hi = 0, len(columns[0]) if columns else 1  # rows [0, lo) pass, rows [0, hi) fail
+
+    def value_of():
+        return next(islice(fn(*[c[:mid] for c in columns]), index, None))
+
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _run_strict(fn, [c[:mid] for c in columns])[1] is None:
+        if _run_strict(value_of)[1] is None:
             lo = mid
         else:
             hi = mid
@@ -807,38 +811,39 @@ def _domain_error(e: Expr, breach, names, row) -> DomainError:
 def evaluate_columns(exprs: Iterable[Expr], names, columns):
     """Yield each expression's values over the arrays ``columns``, strictly.
 
-    ``columns[j]`` binds ``names[j]``.  The expressions are compiled
-    together, in one exec, and evaluated in order as they are read: each
-    yields an array of the columns' broadcast shape, or a scalar where it is
-    constant.  A division by zero, an invalid operation or an overflow at
-    any step raises DomainError naming the expression and the first
-    offending point in row-major order; the earliest failing expression
-    raises, so an error of one not yet read never shows.
+    ``columns[j]`` binds ``names[j]``.  The expressions compile together,
+    in one exec, into one generator that computes each DAG node once, and
+    they are evaluated in order as they are read: each yields an array of
+    the columns' broadcast shape, or a scalar where it is constant.  A
+    division by zero, an invalid operation or an overflow at any step raises
+    DomainError naming the expression and the first offending point in
+    row-major order; the earliest failing expression raises, so an error of
+    one not yet read never shows.  So does an unbound variable's
+    UnboundVariableError.
     """
     import numpy as np
 
     exprs, names = tuple(exprs), tuple(names)
     constant = [isinstance(e, Num) and math.isfinite(e.value) for e in exprs]
-    compiled = [e for e, c in zip(exprs, constant) if not c]
 
-    def write(sources):  # the tuple of one-value lambdas, in order
-        return "_fn = " + "".join(f"{_lambda(names)}({x},), " for x in sources)
+    def write(blocks):  # one generator yielding the values in order
+        return _function(names, [line for lines, (value,) in blocks
+                                 for line in lines + [f"yield {value}"]])
 
-    try:  # on failure, each compiles when reached, and the first failing one raises
-        fns = iter(compile_source(compiled, names, write) if compiled else ())
-    except EvalError:
-        fns = (compile_tuple((e,), names) for e in compiled)
+    if not all(constant):
+        fn = compile_source([(e,) for e, c in zip(exprs, constant) if not c], names, write)
+        values, index = fn(*columns), 0
     for e, is_constant in zip(exprs, constant):
         if is_constant:  # no compile needed
             yield e.value
             continue
-        fn = next(fns)
-        values, breach = _run_strict(fn, columns)
+        value, breach = _run_strict(lambda: next(values))
         if breach is not None:
             flat = [c.reshape(-1) for c in np.broadcast_arrays(*columns)]
-            row = _first_failing_row(fn, flat)
+            row = _first_failing_row(fn, flat, index)
             raise _domain_error(e, breach, names, [c[row] for c in flat])
-        yield values
+        index += 1
+        yield value
 
 
 def evaluate_batch(exprs: Iterable[Expr], names, points):

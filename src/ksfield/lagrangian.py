@@ -7,7 +7,7 @@ exact, and point evaluations return plain numpy arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -27,8 +27,6 @@ class RegularityError(ValueError):
 class LagrangianModel:
     table: VarTable
     L: Expr
-    # dL/dq and dL/dv by coordinate name, derived on first use and shared by every check
-    _firsts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         allowed = set(self.table.q_names) | set(self.table.v_names)
@@ -39,15 +37,10 @@ class LagrangianModel:
             )
 
     def dLdv(self, i: int, A: int) -> Expr:
-        return self._first(self.table.v(i, A))
+        return diff(self.L, self.table.v(i, A))
 
     def dLdq(self, i: int) -> Expr:
-        return self._first(self.table.q(i))
-
-    def _first(self, name: str) -> Expr:
-        if name not in self._firsts:
-            self._firsts[name] = diff(self.L, name)
-        return self._firsts[name]
+        return diff(self.L, self.table.q(i))
 
 
 def poincare_cartan_form(model: LagrangianModel, A: int) -> OneForm:
@@ -84,8 +77,8 @@ def energy(model: LagrangianModel) -> Expr:
 def velocity_hessian(model: LagrangianModel, w, det_rtol: float = 1e-10):
     """Hessian in the velocities at w, flattened per the chart fiber order.
 
-    Returns (matrix, regular); regular iff |det| > det_rtol * max(1, max|entry|^(nk)),
-    a scale-relative threshold so the verdict is invariant under unit changes.
+    Returns (matrix, regular); regular iff |det(M / s)| > det_rtol with s = max(1, max|entry|),
+    a scale-relative threshold, invariant under unit changes, that cannot overflow.
     Given an (N, dim) array of velocity-chart rows instead of one JetPoint,
     returns the (N, nk, nk) matrices and the (N,) regularity flags.
     """
@@ -101,9 +94,8 @@ def velocity_hessian(model: LagrangianModel, w, det_rtol: float = 1e-10):
     upper, lower = np.array(pairs, dtype=int).reshape(-1, 2).T
     M[:, upper, lower] = values
     M[:, lower, upper] = values
-    det = np.linalg.det(M)
-    scale = np.maximum(1.0, np.max(np.abs(M), axis=(1, 2), initial=0.0) ** nk)
-    regular = np.abs(det) > det_rtol * scale
+    scale = np.maximum(1.0, np.max(np.abs(M), axis=(1, 2), initial=0.0))
+    regular = np.abs(np.linalg.det(M / scale[:, None, None])) > det_rtol
     if single:
         return M[0], bool(regular[0])
     return M, regular

@@ -263,11 +263,12 @@ def _rk4_step(model: LagrangianModel, h: float):
     Y, K, A = ([f"{x}{i}" for i in range(2 * n)] for x in ("_y", "_k", "_a"))
     largest = join(f"abs({x})" for x in entries)
 
-    def stage(sources):
-        # numpy calls give numpy floats; the elimination runs on Python floats
-        for x, source in zip(entries + R, sources):
-            yield f"{x} = {f'float({source})' if '_f_' in source else source}"
-        yield f"if _stage == 0:\n    _e = {sources[-1]}\n    if _energy_only: return _e"
+    def stage(blocks):
+        (lines, values), (energy_lines, (energy,)) = blocks
+        yield from lines
+        yield from (f"{x} = {value}" for x, value in zip(entries + R, values))
+        at_state = energy_lines + [f"_e = {energy}", "if _energy_only: return _e"]
+        yield "\n    ".join(["if _stage == 0:"] + at_state)
         finite = " and ".join(f"_isfinite({x})" for x in entries + R)
         yield f"if not ({finite}): raise _SolverError('non-finite stage values; step rejected')"
         yield f"_scale = max(1.0, {f'max({largest})' if n > 1 else largest} ** {n})"
@@ -293,17 +294,17 @@ def _rk4_step(model: LagrangianModel, h: float):
             rest = "".join(f" - {H[i][j]} * {R[j]}" for j in range(i + 1, n))
             yield f"{R[i]} = ({R[i]}{rest}) / {H[i][i]}"
 
-    def write(sources):
+    def write(blocks):
         return _RK4_STEP.format(
             Y=join(Y), X=join(chart), K=join(K), A=join(A), slope=join(chart[n:] + R),
-            stage="\n".join(stage(sources)).replace("\n", "\n        "),
+            stage="\n".join(stage(blocks)).replace("\n", "\n        "),
             A2K=join(f"{a} + 2 * {k}" for a, k in zip(A, K)),
             AK=join(f"{a} + {k}" for a, k in zip(A, K)),
             update=join(f"{y} + _dt * {k}" for y, k in zip(Y, K)),
             finite=" and ".join(f"_isfinite({x})" for x in chart))
 
     hessian = [diff(model.dLdv(i, 0), table.v(j, 0)) for i in range(n) for j in range(n)]
-    return compile_source(hessian + _forces(model, 0) + [energy(model)], chart, write, {
+    return compile_source([hessian + _forces(model, 0), [energy(model)]], chart, write, {
         "_isfinite": math.isfinite, "_SolverError": SolverError,
         "_RegularityError": RegularityError,
         "_SINGULAR": "velocity Hessian became singular along the trajectory",

@@ -178,6 +178,24 @@ class TestAnalyze:
         assert code == 0
         assert json.loads(report.read_text())["lagrangian"]["regular"] is True
 
+    def test_long_product_of_sums_runs(self, tmp_path):
+        # its second derivative is a tree of about 10^7 nodes but a DAG of
+        # about 1200, which every walk and the compiled code follow
+        code, report = self.analyze_lagrangian(tmp_path, "v1_1^2/2 + " + "*".join(["(v1_1+2)"] * 200))
+        assert code == 0
+        assert json.loads(report.read_text())["lagrangian"]["regular"] is True
+
+    @pytest.mark.parametrize("source", [
+        "(v1_1^2 - v1_2^2)/2 + (log((v1_1)^-1))*(((0)/(1e300))-(1e300))",
+        "1e200*(v1_1^2 + v1_2^2)/2",  # the determinant itself overflows
+    ])
+    def test_huge_hessian_entries_print_no_warning(self, tmp_path, capsys, source):
+        # runs under the error::RuntimeWarning filter: a numpy warning would raise
+        path = tmp_path / "huge.yaml"
+        path.write_text(f'n: 1\nk: 2\nlagrangian: "{source}"\n')
+        assert main(["analyze", str(path)]) in (0, 1)
+        assert "Warning" not in capsys.readouterr().err
+
     @pytest.mark.parametrize("source", [
         "v1_1^2/2" + " + q1" * 592,
         "v1_1^2/2 + " + "*".join(["q1"] * 201),

@@ -1,5 +1,6 @@
 """Expression kernel: parsing, differentiation, evaluation."""
 
+import gc
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ksfield import expr
 from ksfield.expr import (
     MAX_DEPTH,
     MAX_NESTING,
@@ -459,6 +461,58 @@ def test_source_round_trip_evaluates_the_same(a, b, rows):
         again = parse(to_source(e), PROPERTY_NAMES)
         for row in rows:
             assert _evaluate_or_none(again, row) == _evaluate_or_none(e, row)
+
+
+class TestInternedDag:
+    def test_equal_expressions_are_one_object(self):
+        source = "sin(q1)*v1_1 + q2^(-2)/(1 - q1)"
+        assert parse(source, NAMES) is parse(source, NAMES)
+        assert add(Var("q1"), Num(2.0)) is Var("q1") + 2
+        assert call("cos", Var("q2")) is parse("cos(q2)", NAMES)
+        assert parse("q1 + 2", NAMES) is not parse("2 + q1", NAMES)
+
+    def test_negative_zero_is_its_own_node(self):
+        assert Num(-0.0) is not Num(0.0)
+        assert neg(Num(0.0)) is Num(-0.0)
+        assert math.copysign(1.0, neg(Num(0.0)).value) == -1.0
+        # printed as before, and compiled with its sign, next to a +0.0
+        assert to_source(Num(-0.0)) == to_source(Num(0.0)) == "0"
+        values = compile_tuple([Num(0.0), Num(-0.0), div(Num(-0.0), Var("q1"))], ["q1"])(1.0)
+        assert [math.copysign(1.0, x) for x in values] == [1.0, -1.0, -1.0]
+
+    def test_derivatives_are_memoized(self):
+        e = parse("exp(q1*q2)/(1 + q1^2)", NAMES)
+        assert diff(e, "q1") is diff(e, "q1")
+        assert diff(diff(e, "q1"), "q2") is diff(diff(e, "q1"), "q2")
+
+    def test_second_derivative_of_a_long_product_stays_small(self):
+        # as a tree this derivative has about 10^7 nodes; as a DAG about 1200
+        product = parse(" * ".join(["(v1_1 + 2)"] * 200), NAMES)
+        second = diff(diff(product, "v1_1"), "v1_1")
+        assert len(expr._post_order([second])) <= 3000
+
+    def test_shared_call_is_computed_once(self, monkeypatch):
+        calls, sin = [], np.sin
+
+        def counting_sin(x):
+            calls.append(x)
+            return sin(x)
+
+        e = parse("sin(q1)*sin(q1) + sin(q1)", NAMES)
+        monkeypatch.setattr(np, "sin", counting_sin)
+        (value,) = compile_tuple([e], ["q1"])(np.array([0.5]))
+        assert len(calls) == 1
+        assert value[0] == math.sin(0.5) * math.sin(0.5) + math.sin(0.5)
+
+    def test_dropped_expressions_leave_the_table(self):
+        gc.collect()
+        before = len(expr._TABLE)
+        e = parse("exp(123.25*q1)*sqrt(q2 + 456.5) - q1^7", NAMES)
+        diff(diff(e, "q1"), "q2")  # memoized derivatives that refer back to e
+        assert len(expr._TABLE) > before
+        del e
+        gc.collect()
+        assert len(expr._TABLE) == before
 
 
 class TestVarTable:

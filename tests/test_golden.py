@@ -1,0 +1,72 @@
+"""Byte-exact outputs of the CLI on the shipped models.
+
+Each case runs one command at a fixed seed and pins the sha256 of its
+stdout and of every file it writes under ``--out``.  The digests were
+recorded from the command outputs before the expression kernel became a
+DAG; a change to how expressions are built, derived, printed or compiled
+must leave every byte of them as it was.
+
+After an intended output change, ``python tests/test_golden.py`` prints
+the table to paste in place of GOLDEN.
+"""
+
+import hashlib
+import io
+import tempfile
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from ksfield.cli import main
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
+WAVE, OSCILLATOR = str(MODELS / "wave.yaml"), str(MODELS / "oscillator.yaml")
+SEED = ("--seed", "11")
+
+CASES = {
+    "analyze wave": ("analyze", WAVE),
+    "check-symmetry wave shift": ("check-symmetry", WAVE, "--symmetry", "shift"),
+    "check-symmetry wave translate": ("check-symmetry", WAVE, "--symmetry", "translate"),
+    "noether wave shift dalembert": ("noether", WAVE, "--symmetry", "shift", "--solution", "dalembert"),
+    "noether wave shift run": ("noether", WAVE, "--symmetry", "shift", "--solution", "run"),
+    "gauge wave wave": ("gauge", WAVE, WAVE),
+    "solve wave run": ("solve", WAVE, "--solution", "run"),
+    "analyze oscillator": ("analyze", OSCILLATOR),
+    "gauge oscillator oscillator": ("gauge", OSCILLATOR, OSCILLATOR),
+    "solve oscillator orbit": ("solve", OSCILLATOR, "--solution", "orbit"),
+}
+
+GOLDEN = {
+    'analyze oscillator': {'exit': 0, 'stdout': 'fff0ec2a3b5b9ad76bf694a717c87ba3df61d073c5da4dfcf44afcef63a8a1ee', 'analyze.json': '5989db6368795877035abc4fd923226ea6846f39368423bff000ef4fef03ec6c'},
+    'analyze wave': {'exit': 0, 'stdout': '418e32f13b94cfaa979e9abf1d9ee46ca4d17ba558946716334a871d74e26e18', 'analyze.json': 'e1faf9ff457cc3d868e2cf04e76ed2fe3bd50def3b94ebb5c536100b16609689'},
+    'check-symmetry wave shift': {'exit': 0, 'stdout': 'c7387b3db70efe272b96e07804bec72f7dc8344ddf1156441f369e969df6f91b', 'check_shift.json': '61285ebb1e7bb607319ad1e5d6b97ff538d74fc871eb31908f222235fd6e691e'},
+    'check-symmetry wave translate': {'exit': 0, 'stdout': '55688c5d22c62f04374b0cb6005bb6b39a3f78cf3b6f3ad8bc24a140dcc3cb13', 'check_translate.json': '9dd0975fcc9e34e07b6bd24d308eaa960f7407bd2004772edd83d5963d1604df'},
+    'gauge oscillator oscillator': {'exit': 0, 'stdout': '7fea716e235ce19853ea9aa570a1ce2e0b99cec021fa1e4888822b11ea15034d', 'gauge.json': '3008ea8325d17bf029a3b73cb00276a1efa8c4f3a6b586e3182bac2baee8a16c'},
+    'gauge wave wave': {'exit': 0, 'stdout': 'c07a0c73311fe510ba77e7a30aa5849c5225dbee456a0244fce62939c825a3bb', 'gauge.json': 'f6d9744c4de8ff602f4d95e176167fb56291a0d9542067979bb08a20555dfd4e'},
+    'noether wave shift dalembert': {'exit': 0, 'stdout': '0e0d984b9374243c52dc38c14b55ed51d53016d21a25349f6f190b6c7a6bffd5', 'noether_shift.json': 'edd0c09e12545a2a9436e3df9429a044197d1fc6c430c74f92ab72d771684665'},
+    'noether wave shift run': {'exit': 0, 'stdout': 'aa08e6533152dff6452e659da0fa10197a5122e4c84f0efe8adf63083cdc2cae', 'noether_shift.json': '94ace9b843378a858be2993572d2f1ba4b8b4be2606c3b3d3ca2971c7575583b', 'noether_shift_trace.csv': '1bb599328ccb4acd25a744bd85b52c36a5e9612ce7e0df18f2d45f2ea3bec7ee'},
+    'solve oscillator orbit': {'exit': 0, 'stdout': 'd09dfc41161378a1bf2f0938caf2ed4843979f0925c1ba65f1ef516d9eeaaa37', 'orbit_grid.csv': 'c443be2fc6a8a49907a22dfbddc7de31a04cc55213b6b6377df0e2b04c89cde3', 'orbit_solve.json': 'b7736857eaeb116ad336869813b6df7da28154aab61fc57a2b06d01555819984'},
+    'solve wave run': {'exit': 0, 'stdout': '7b16542c0eafcc3f9d77f14fb59f524ad476cc29162ae5183f5906f9850bd47c', 'run_grid.csv': 'd124721ccc078a5d29c21144349f2688d8db40931cfcb55f1b64fe92ff47ea3f', 'run_solve.json': '7ce50e89a1415b3ca659738252ada65dc08038fd5577197d78180c38042aef58'},
+}
+
+
+def _digests(argv, out: Path) -> dict:
+    stdout = io.StringIO()
+    with redirect_stdout(stdout):
+        code = main(list(argv) + list(SEED) + ["--out", str(out)])
+    digests = {"exit": code, "stdout": hashlib.sha256(stdout.getvalue().encode()).hexdigest()}
+    for path in sorted(out.iterdir()):
+        digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return digests
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_outputs_match_recorded_digests(case, tmp_path):
+    assert _digests(CASES[case], tmp_path) == GOLDEN[case]
+
+
+if __name__ == "__main__":
+    for case in sorted(CASES):
+        with tempfile.TemporaryDirectory() as out:
+            print(f"    {case!r}: {_digests(CASES[case], Path(out))!r},")

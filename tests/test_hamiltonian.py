@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ksfield import hamiltonian
 from ksfield.bundles import CoJetPoint, pullback_by_prolongation
 from ksfield.coords import VarTable
 from ksfield.expr import diff, parse
@@ -16,7 +17,7 @@ from ksfield.hamiltonian import (
     kvector_equation_residual,
 )
 from ksfield.lagrangian import legendre_exprs
-from ksfield.sampling import sample_cojet_points
+from ksfield.sampling import sample_cojet_points, sample_points
 
 from conftest import hamiltonian_model
 from reference import evaluate
@@ -128,6 +129,24 @@ class TestHamKVector:
             direct = np.linalg.solve(omega.T, grad)
             (leg,) = ham_kvector(model, w)
             assert np.max(np.abs(leg.components - direct)) <= 1e-12
+
+    def test_residual_reuses_the_derivatives_of_the_field(self, monkeypatch):
+        # kvector_equation_residual derives dH again; the node memo hands back
+        # the very objects ham_kvector evaluated
+        model = hamiltonian_model(2, 2, "(p1_1^2 - p2_2^2)/2 + q1^2*q2 + p1_2*p2_1")
+        table, evaluated = model.table, []
+
+        def recording(exprs, names, points):
+            evaluated.append((tuple(exprs), tuple(names)))
+            return real(exprs, names, points)
+
+        real = hamiltonian.evaluate_batch
+        monkeypatch.setattr(hamiltonian, "evaluate_batch", recording)
+        samples = sample_points(table, "hamiltonian", 5, seed=1)
+        kvector_equation_residual(model, samples, ham_kvector(model, samples))
+        (field, names), (grad, chart) = evaluated
+        assert names == chart == table.momentum_chart  # dH/dq, then dH/dp in chart order
+        assert len(grad) == len(field) and all(g is f for g, f in zip(grad, field))
 
 
 class TestLegendreLink:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ksfield import lagrangian, solver
 from ksfield.bundles import JetPoint, first_prolongation, sopde_check
 from ksfield.expr import parse
 from ksfield.hamiltonian import canonical_two_form_matrix
@@ -149,6 +150,29 @@ class TestHessian:
         M, regular = velocity_hessian(model, w)
         assert not regular
         assert np.all(M == 0.0)
+
+    def test_solver_reuses_the_hessian_entries(self, monkeypatch):
+        # the k = 1 step and velocity_hessian build the same second
+        # derivatives; the node memo makes them the same objects
+        model = lagrangian_model(2, 1, "(v1_1^2 + v2_1^2)/2 + cos(q1 - q2)*v1_1*v2_1")
+        built = {}
+
+        def recording(module, name):
+            real = getattr(module, name)
+
+            def record(exprs, *args, **kwargs):
+                built[name] = exprs
+                return real(exprs, *args, **kwargs)
+            monkeypatch.setattr(module, name, record)
+
+        recording(lagrangian, "evaluate_batch")
+        recording(solver, "compile_source")
+        velocity_hessian(model, jet(model.table, [0.1, 0.2], [[0.3], [0.4]]))
+        solver._rk4_step(model, 0.01)
+        upper = built["evaluate_batch"]  # H[a][b] for a <= b, row by row
+        step = built["compile_source"][0]  # H[i][j] row by row, then the forces
+        assert len(upper) == 3
+        assert all(x is y for x, y in zip([step[0], step[1], step[3]], upper))
 
 
 class TestLegendre:
