@@ -124,6 +124,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _apply_overrides(spec: ModelSpec, args) -> ModelSpec:
     if args.seed is not None:
+        if args.seed < 0:
+            raise UsageError("--seed must be non-negative")
         spec.seed = args.seed
     if args.samples is not None:
         if args.samples < 1:
@@ -233,14 +235,17 @@ def cmd_analyze(args) -> int:
 # ---------------------------------------------------------------------------
 # solve
 
-def _run_grid(spec: ModelSpec, solution: GridSolution):
+def _run_grid(spec: ModelSpec, solution: GridSolution, name: str):
     if spec.lagrangian is None:
         raise UsageError("grid solutions need a lagrangian model")
-    if spec.table.k == 1:
-        return integrate_k1(spec.lagrangian, solution.q0, solution.v0, solution.grid)
-    return integrate_k2_hyperbolic(
-        spec.lagrangian, solution.initial, solution.initial_rate, solution.grid
-    )
+    try:
+        if spec.table.k == 1:
+            return integrate_k1(spec.lagrangian, solution.q0, solution.v0, solution.grid)
+        return integrate_k2_hyperbolic(
+            spec.lagrangian, solution.initial, solution.initial_rate, solution.grid
+        )
+    except MemoryError as exc:  # numpy refuses an array past the address space at once
+        raise UsageError(f"grid of solution {name!r} is too large: {exc}") from None
 
 
 def _named_solution(spec: ModelSpec, name: str):
@@ -265,7 +270,7 @@ def cmd_solve(args) -> int:
             initial=solution.initial,
             initial_rate=solution.initial_rate,
         )
-        sols.append(_run_grid(spec, cfg))
+        sols.append(_run_grid(spec, cfg, args.solution))
 
     ratio = self_convergence_ratio(sols)
     nominal = 2.0 ** NOMINAL_ORDER[spec.table.k]
@@ -369,7 +374,7 @@ def cmd_noether(args) -> int:
                 )
             reports.append(report)
         else:
-            sol = _run_grid(spec, solution)
+            sol = _run_grid(spec, solution, args.solution)
             refined = _run_grid(
                 spec,
                 GridSolution(
@@ -377,6 +382,7 @@ def cmd_noether(args) -> int:
                     q0=solution.q0, v0=solution.v0,
                     initial=solution.initial, initial_rate=solution.initial_rate,
                 ),
+                args.solution,
             )
             report = verify_conservation(
                 current, table, grid=sol, refined_grid=refined, model=spec.lagrangian

@@ -8,6 +8,7 @@ See README.md for the full schema.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -17,7 +18,7 @@ from .coords import VarTable
 from .expr import Expr, ParseError, parse
 from .hamiltonian import HamiltonianModel
 from .lagrangian import LagrangianModel
-from .solver import Axis, GridSpec
+from .solver import Axis, GridSpec, SolverError
 from .symmetry import SymmetryCandidate
 
 # libyaml's parser where PyYAML was built with it; both give the same dicts
@@ -106,6 +107,13 @@ def _float(value, context) -> float:
         raise ModelFileError(f"{context}: expected a number, got {value!r}") from None
 
 
+def _floats(values, context, count) -> list:
+    floats = [_float(x, context) for x in values] if isinstance(values, list) else []
+    if len(floats) != count or not all(map(math.isfinite, floats)):
+        raise ModelFileError(f"{context}: expected a list of {count} finite numbers")
+    return floats
+
+
 def _load_symmetry(name, raw, table: VarTable) -> SymmetryCandidate:
     context = f"symmetries.{name}"
     if not isinstance(raw, dict):
@@ -178,11 +186,9 @@ def _load_solution(name, raw, table: VarTable):
             raise ModelFileError(f"{context}: unknown side {side!r}")
         t_box = raw.get("t_box")
         if t_box is not None:
-            if len(t_box) != table.k:
+            if not isinstance(t_box, list) or len(t_box) != table.k:
                 raise ModelFileError(f"{context}.t_box: expected {table.k} intervals")
-            t_box = [
-                (_float(lo, context), _float(hi, context)) for lo, hi in t_box
-            ]
+            t_box = [tuple(_floats(box, f"{context}.t_box", 2)) for box in t_box]
         return AnalyticSolution(side, comps, momenta, t_box)
 
     if kind == "grid":
@@ -190,19 +196,12 @@ def _load_solution(name, raw, table: VarTable):
         if not isinstance(axes_raw, (list, tuple)) or len(axes_raw) != table.k:
             raise ModelFileError(f"{context}.axes: expected {table.k} axes")
         try:
-            grid = GridSpec(
-                tuple(
-                    Axis(_float(a[0], context), _float(a[1], context), _float(a[2], context))
-                    for a in axes_raw
-                )
-            )
-        except (ValueError, IndexError) as exc:
+            grid = GridSpec(tuple(Axis(*_floats(a, f"{context}.axes", 3)) for a in axes_raw))
+        except SolverError as exc:
             raise ModelFileError(f"{context}.axes: {exc}") from exc
         if table.k == 1:
-            q0 = [_float(x, context) for x in _require(raw, "q0", context)]
-            v0 = [_float(x, context) for x in _require(raw, "v0", context)]
-            if len(q0) != table.n or len(v0) != table.n:
-                raise ModelFileError(f"{context}: q0/v0 must have {table.n} entries")
+            q0 = _floats(_require(raw, "q0", context), f"{context}.q0", table.n)
+            v0 = _floats(_require(raw, "v0", context), f"{context}.v0", table.n)
             return GridSolution(grid, q0=q0, v0=v0)
         initial = _parse_exprs(
             _require(raw, "initial", context), ("t2",), f"{context}.initial", table.n
@@ -228,7 +227,7 @@ def load_model(path) -> ModelSpec:
 
     n = raw.get("n")
     k = raw.get("k")
-    if not isinstance(n, int) or not isinstance(k, int):
+    if type(n) is not int or type(k) is not int:  # not bool
         raise ModelFileError("n and k must be positive integers")
     try:
         table = VarTable(n, k)
@@ -246,12 +245,14 @@ def load_model(path) -> ModelSpec:
     if lagrangian is None and hamiltonian is None:
         raise ModelFileError("model declares neither a lagrangian nor a hamiltonian")
 
+    for key in ("box", "tolerances", "symmetries", "solutions"):
+        if not isinstance(raw.get(key) or {}, dict):
+            raise ModelFileError(f"{key}: expected a mapping")
     box = {}
     for name, interval in (raw.get("box") or {}).items():
         if name not in table.velocity_chart and name not in table.momentum_chart:
             raise ModelFileError(f"box: unknown coordinate {name!r}")
-        lo, hi = interval
-        box[name] = (_float(lo, "box"), _float(hi, "box"))
+        box[name] = tuple(_floats(interval, f"box.{name}", 2))
 
     tolerances = dict(DEFAULT_TOLERANCES)
     for key, value in (raw.get("tolerances") or {}).items():
@@ -270,8 +271,8 @@ def load_model(path) -> ModelSpec:
 
     seed = raw.get("seed", 0)
     samples = raw.get("samples", 100)
-    if not isinstance(seed, int) or not isinstance(samples, int) or samples < 1:
-        raise ModelFileError("seed must be an integer and samples a positive integer")
+    if type(seed) is not int or type(samples) is not int or seed < 0 or samples < 1:
+        raise ModelFileError("seed must be a non-negative integer and samples a positive integer")
 
     return ModelSpec(
         table=table,

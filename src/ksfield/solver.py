@@ -162,16 +162,42 @@ CSV_BLOCK_ROWS = 512
 # rise otherwise fragments the heap and raises peak RSS by a few MB.
 CSV_BLOCK_CELLS = 2048
 # orjson writes the shortest round-trip digits, as repr does, but spells
-# exponents without a sign or padding: e16 for repr's e+16, e-7 for e-07.
+# exponents without sign or padding (e16, e-7 for repr's e+16, e-07), 1e-5 <=
+# |x| < 1e-4 positionally and non-finite cells as null; _spliced mends these.
 _EXP_PLUS = re.compile(rb"e(?=\d)")
-_EXP_ONE_DIGIT = re.compile(rb"e-(?=\d(?!\d))")
+_ROW_BREAK = re.compile(rb"\],\[")  # a literal pattern: faster than bytes.replace
+
+
+def _spliced(text, values, magnitude):
+    """``text`` with its nulls replaced, in order, by repr's spelling of ``values``."""
+    import orjson
+
+    pieces = text.split(b"null")
+    spliced = np.empty(2 * len(pieces) - 1, dtype=object)
+    spliced[::2], cells = pieces, spliced[1::2]
+    band = (magnitude >= 1e-5) & (magnitude < 1e-4)
+    for part in (band, ~band):
+        if part.any():
+            text = orjson.dumps(values[part], option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
+            if part is band:  # [-]0.0000Dddd -> [-]D.ddde-05, one "." a cell
+                chars = np.frombuffer(text, np.uint8).copy()
+                dot = np.flatnonzero(chars == ord("."))
+                chars[dot - 1] = chars[dot + 5]  # D over the 0 before the "."
+                text = np.delete(chars, (dot[:, None] + np.arange(1, 6)).ravel()).tobytes()
+                text = (text.replace(b",", b"e-05,") + b"e-05").replace(b".e", b"e")  # 2.e-05
+            else:  # exponents e-6 to e-9, or e16 and up
+                text = _EXP_PLUS.sub(b"e+", text.replace(b"e-", b"e-0"))
+            cells[part] = text.split(b",")
+    nonfinite = ~np.isfinite(values)
+    cells[nonfinite] = [repr(x).encode() for x in values[nonfinite].tolist()]
+    return b"".join(spliced.tolist())
 
 
 def _write_csv(path, header, columns):
     """One CSV row per grid node, in the bytes of ``csv.writer`` of each
-    float's repr (no quoting; rows end in CRLF), formatted by orjson straight
-    to bytes in blocks of whole evolution levels, at most CSV_BLOCK_ROWS rows
-    and CSV_BLOCK_CELLS cells unless one level holds more."""
+    float's repr (no quoting; rows end in CRLF), formatted by orjson in blocks
+    of whole levels (at most CSV_BLOCK_ROWS rows and CSV_BLOCK_CELLS cells
+    unless one level holds more); _spliced respells the cells orjson spells otherwise."""
     import orjson  # only commands that write a CSV load it
 
     rows = min(CSV_BLOCK_ROWS, CSV_BLOCK_CELLS // len(columns))
@@ -182,22 +208,14 @@ def _write_csv(path, header, columns):
             block = np.column_stack(
                 [c[start: start + levels_per_block].reshape(-1) for c in columns]
             )
-            # orjson writes non-finite cells as null and 1e-5 <= |x| < 1e-4
-            # positionally: mask them as null and splice their reprs back
             magnitude = np.abs(block)
-            mask = ~np.isfinite(block) | ((magnitude >= 1e-5) & (magnitude < 1e-4))
-            masked = block[mask].tolist()
+            # the cells orjson spells otherwise (not < 1e16 holds for NaN too)
+            mask = ~(magnitude < 1e16) | ((magnitude >= 1e-9) & (magnitude < 1e-4))
+            special = block[mask]
             block[mask] = np.nan
-            text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)
-            if b"e" in text:
-                text = _EXP_ONE_DIGIT.sub(b"e-0", _EXP_PLUS.sub(b"e+", text))
-            text = text.replace(b"],[", b"\r\n")
-            if masked:
-                pieces = text.split(b"null")
-                spliced = [b""] * (2 * len(pieces) - 1)
-                spliced[::2] = pieces
-                spliced[1::2] = [repr(x).encode() for x in masked]
-                text = b"".join(spliced)
+            text = _ROW_BREAK.sub(b"\r\n", orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY))
+            if special.size:
+                text = _spliced(text, special, magnitude[mask])
             handle.write(memoryview(text)[2:-2])  # without the outer brackets
             handle.write(b"\r\n")
 

@@ -1,9 +1,13 @@
 """Model-file loading and end-to-end command behaviour."""
 
+import functools
 import json
+import math
 import warnings
+from pathlib import Path
 
 import pytest
+import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +22,7 @@ from ksfield.modelfile import (
 from ksfield.solver import SolutionGrid
 
 TWO_PI = 6.283185307179586
+MODELS = Path(__file__).resolve().parent.parent / "models"
 
 WAVE_YAML = f"""
 n: 1
@@ -121,6 +126,30 @@ class TestModelFile:
         )
         with pytest.raises(ModelFileError):
             load_model(path)
+
+    @pytest.mark.parametrize("text, old, new", [
+        (WAVE_YAML, "samples: 60", "samples: 60\nbox: [q1]"),  # a section, not a mapping
+        (WAVE_YAML, "samples: 60", "samples: 60\nbox:\n  q1: [-1.0]"),
+        (WAVE_YAML, "t_box: [[0.0, 1.0], [0.0, 6.0]]", "t_box: 2"),
+        (WAVE_YAML, "t_box: [[0.0, 1.0], [0.0, 6.0]]", "t_box: [[0.0, 1.0], []]"),
+        (WAVE_YAML, "axes: [[0.0, 1.0, 0.01]", "axes: [[0.0, .inf, 0.01]"),
+        (WAVE_YAML, "samples: 60", "samples: true"),
+        (OSCILLATOR_YAML, "k: 1", "k: true"),
+        (WAVE_YAML, "seed: 7", "seed: -1"),
+        (OSCILLATOR_YAML, "q0: [1.0]", "q0: 1.0"),
+    ], ids=[
+        "box", "box-interval", "t_box", "t_box-interval", "axis", "samples", "k", "seed", "q0",
+    ])
+    def test_malformed_structure_exits_two(self, tmp_path, capsys, text, old, new):
+        path = tmp_path / "bad.yaml"
+        path.write_text(text.replace(old, new))
+        assert path.read_text() != text
+        assert main(["analyze", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_negative_seed_override_exits_two(self, wave_file, capsys):
+        assert main(["analyze", str(wave_file), "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "error: --seed must be non-negative\n"
 
 
 class TestAnalyze:
@@ -260,6 +289,19 @@ class TestSolve:
 
     def test_analytic_solution_rejected(self, wave_file):
         assert main(["solve", str(wave_file), "--solution", "dalembert"]) == 2
+
+    @pytest.mark.parametrize("argv", [["solve"], ["noether", "--symmetry", "shift"]])
+    def test_grid_too_large_to_allocate_exits_two(self, tmp_path, capsys, argv):
+        # 1e11 levels of 628 nodes: 457 TiB, past the 47-bit user address
+        # space, so numpy refuses the array at once and nothing is allocated
+        shipped = (MODELS / "wave.yaml").read_text()
+        path = tmp_path / "huge.yaml"
+        path.write_text(shipped.replace("[[0.0, 0.5, 0.005]", "[[0.0, 100000000.0, 0.001]"))
+        assert path.read_text() != shipped
+        assert main([argv[0], str(path), *argv[1:], "--solution", "run"]) == 2
+        error = capsys.readouterr().err
+        assert error.startswith("error: grid of solution 'run' is too large")
+        assert error.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv, built", [
@@ -468,3 +510,110 @@ def test_fuzzed_lagrangian_text_gets_an_exit_code(tmp_path, source):
     path = tmp_path / "fuzz.yaml"
     path.write_text(f'n: 1\nk: 2\nsamples: 5\nlagrangian: "{source}"\n')
     assert main(["analyze", str(path)]) in (0, 1, 2)
+
+
+# Model files fuzzed over their structure: one of two complete models with
+# up to two entries (the whole file, a section, a key or a list item)
+# dropped or replaced by a value of another shape or out of range.  Grid
+# axes come from the models or from _JUNK, so no example runs a grid larger
+# than the models' own (about 0.1 s).
+_FUZZ_MODELS = (
+    {
+        "n": 1, "k": 2, "seed": 7, "samples": 6,
+        "lagrangian": "(v1_1^2 - v1_2^2)/2",
+        "hamiltonian": "(p1_1^2 - p2_1^2)/2",
+        "box": {"q1": [-1.0, 1.0], "v1_1": [-2.0, 2.0]},
+        "tolerances": {"cartan": 1e-9, "conservation": 1e-9},
+        "symmetries": {
+            "shift": {"kind": "vector-field-on-q", "components": ["1"],
+                      "gauge": ["0", "0"], "zeta": ["0", "0"]},
+            "translate": {"kind": "diffeomorphism", "side": "lagrangian",
+                          "components": ["q1 + 1", "v1_1", "v1_2"],
+                          "inverse": ["q1 - 1", "v1_1", "v1_2"]},
+            "flow": {"kind": "vector-field", "side": "hamiltonian",
+                     "components": ["1", "0", "0"]},
+        },
+        "solutions": {
+            "dalembert": {"kind": "analytic", "components": ["sin(t1 - t2)"],
+                          "t_box": [[0.0, 1.0], [0.0, 6.0]]},
+            "hdw": {"kind": "analytic", "side": "hamiltonian", "components": ["sin(t1 - t2)"],
+                    "momenta": [["cos(t1 - t2)"], ["cos(t1 - t2)"]]},
+            "run": {"kind": "grid", "axes": [[0.0, 0.2, 0.02], [0.0, TWO_PI, TWO_PI / 16]],
+                    "initial": ["sin(t2)"], "initial_rate": ["-cos(t2)"]},
+        },
+    },
+    {
+        "n": 1, "k": 1, "samples": 6,
+        "lagrangian": "v1_1^2/2 - q1^2/2",
+        "hamiltonian": "p1_1^2/2 + q1^2/2",
+        "symmetries": {"shift": {"kind": "vector-field-on-q", "components": ["q1"]}},
+        "solutions": {
+            "orbit": {"kind": "grid", "axes": [[0.0, 1.0, 0.05]], "q0": [1.0], "v0": [0.0]},
+            "wave": {"kind": "analytic", "components": ["cos(t1)"], "t_box": [[0.0, 1.0]]},
+        },
+    },
+)
+_DROPPED = object()
+_JUNK = (
+    _DROPPED, None, 0, -1, 2.5, True, math.inf, math.nan, "", "q1", "q1 +", "1/0",
+    "log(q1)", "t3", [], ["q1"], [[0.0, 1.0]], [[0.0, 1.0, 0.3]], [[1.0, 0.0, 0.1]], {"q1": 1},
+)
+
+
+def _entries(value, path=()):
+    """Paths of every entry of ``value``: itself, then its keys and items."""
+    yield path
+    if isinstance(value, (dict, list)):
+        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from _entries(item, path + (key,))
+
+
+def _mutated(value, path, junk):
+    """``value`` with the entry at ``path`` replaced by ``junk``, or dropped."""
+    if not path:
+        return junk
+    if not isinstance(value, (dict, list)) or path[0] not in (
+        value if isinstance(value, dict) else range(len(value))
+    ):
+        return value  # an earlier mutation took the entry away
+    copy = type(value)(value)
+    copy[path[0]] = _mutated(value[path[0]], path[1:], junk)
+    if copy[path[0]] is _DROPPED:
+        del copy[path[0]]
+    return copy
+
+
+def _fuzzed_run(model):
+    """A fuzzed copy of ``model`` and a command naming its symmetries and
+    solutions (or "nope"); MODEL stands for the file's path."""
+    symmetries = st.sampled_from([*model["symmetries"], "nope"])
+    solutions = st.sampled_from([*model["solutions"], "nope"])
+    argv = st.one_of(
+        st.just(["analyze", "MODEL"]),
+        symmetries.map(lambda s: ["check-symmetry", "MODEL", "--symmetry", s]),
+        st.tuples(symmetries, st.one_of(st.none(), solutions)).map(
+            lambda names: ["noether", "MODEL", "--symmetry", names[0]]
+            + (["--solution", names[1]] if names[1] else [])
+        ),
+        solutions.map(lambda s: ["solve", "MODEL", "--solution", s]),
+        st.just(["gauge", "MODEL", "MODEL"]),
+    )
+    changes = st.lists(
+        st.tuples(st.sampled_from(list(_entries(model))), st.sampled_from(_JUNK)), max_size=2
+    )
+    fuzzed = changes.map(
+        lambda cs: functools.reduce(lambda m, change: _mutated(m, *change), cs, model)
+    )
+    return st.tuples(fuzzed.map(lambda m: None if m is _DROPPED else m), argv)
+
+
+@given(st.one_of(*map(_fuzzed_run, _FUZZ_MODELS)))
+@settings(
+    max_examples=200, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_fuzzed_model_files_get_an_exit_code(tmp_path, run):
+    model, argv = run
+    path = tmp_path / "fuzz.yaml"
+    path.write_text(yaml.safe_dump(model))
+    assert main([str(path) if arg == "MODEL" else arg for arg in argv]) in (0, 1, 2)

@@ -1,10 +1,12 @@
-"""Byte-exact outputs of the CLI on the shipped models.
+"""Byte-exact outputs of the CLI on the shipped models and the test chain.
 
 Each case runs one command at a fixed seed and pins the sha256 of its
 stdout and of every file it writes under ``--out``.  The digests were
 recorded from the command outputs before the expression kernel became a
-DAG; a change to how expressions are built, derived, printed or compiled
-must leave every byte of them as it was.
+DAG (the two chain cases: before the CSV writer respelled cells from
+orjson's digits); a change to how expressions are built, derived,
+printed or compiled, or to how CSV cells are spelled, must leave every
+byte of them as it was.
 
 After an intended output change, ``python tests/test_golden.py`` prints
 the table to paste in place of GOLDEN.
@@ -22,6 +24,8 @@ from ksfield.cli import main
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 WAVE, OSCILLATOR = str(MODELS / "wave.yaml"), str(MODELS / "oscillator.yaml")
+# n = 3, k = 2: grid rows of 11 cells and trace rows of 14, one level per CSV block
+CHAIN = str(Path(__file__).resolve().parent / "models" / "chain.yaml")
 SEED = ("--seed", "11")
 
 CASES = {
@@ -35,6 +39,8 @@ CASES = {
     "analyze oscillator": ("analyze", OSCILLATOR),
     "gauge oscillator oscillator": ("gauge", OSCILLATOR, OSCILLATOR),
     "solve oscillator orbit": ("solve", OSCILLATOR, "--solution", "orbit"),
+    "solve chain run": ("solve", CHAIN, "--solution", "run"),
+    "noether chain shift run": ("noether", CHAIN, "--symmetry", "shift", "--solution", "run"),
 }
 
 GOLDEN = {
@@ -44,8 +50,10 @@ GOLDEN = {
     'check-symmetry wave translate': {'exit': 0, 'stdout': '55688c5d22c62f04374b0cb6005bb6b39a3f78cf3b6f3ad8bc24a140dcc3cb13', 'check_translate.json': '9dd0975fcc9e34e07b6bd24d308eaa960f7407bd2004772edd83d5963d1604df'},
     'gauge oscillator oscillator': {'exit': 0, 'stdout': '7fea716e235ce19853ea9aa570a1ce2e0b99cec021fa1e4888822b11ea15034d', 'gauge.json': '3008ea8325d17bf029a3b73cb00276a1efa8c4f3a6b586e3182bac2baee8a16c'},
     'gauge wave wave': {'exit': 0, 'stdout': 'c07a0c73311fe510ba77e7a30aa5849c5225dbee456a0244fce62939c825a3bb', 'gauge.json': 'f6d9744c4de8ff602f4d95e176167fb56291a0d9542067979bb08a20555dfd4e'},
+    'noether chain shift run': {'exit': 0, 'stdout': 'b68c0fba19bed89788bcbf300812a12c3d99f3c2266d0e230e5126b6a970ae35', 'noether_shift.json': '070da1d591e8505b3549c34b409dc87621ee6061a0d5665318f534b75ecc22a9', 'noether_shift_trace.csv': 'df43bd9681382087a190bfad1655f00e62b7916e67bece4945945b16ebe7a4ef'},
     'noether wave shift dalembert': {'exit': 0, 'stdout': '0e0d984b9374243c52dc38c14b55ed51d53016d21a25349f6f190b6c7a6bffd5', 'noether_shift.json': 'edd0c09e12545a2a9436e3df9429a044197d1fc6c430c74f92ab72d771684665'},
     'noether wave shift run': {'exit': 0, 'stdout': 'aa08e6533152dff6452e659da0fa10197a5122e4c84f0efe8adf63083cdc2cae', 'noether_shift.json': '94ace9b843378a858be2993572d2f1ba4b8b4be2606c3b3d3ca2971c7575583b', 'noether_shift_trace.csv': '1bb599328ccb4acd25a744bd85b52c36a5e9612ce7e0df18f2d45f2ea3bec7ee'},
+    'solve chain run': {'exit': 0, 'stdout': '7b16542c0eafcc3f9d77f14fb59f524ad476cc29162ae5183f5906f9850bd47c', 'run_grid.csv': '458a0b5dd9ca615a4912ed220777386e9977a6c6ef7824c89edfc1c300bb2a9d', 'run_solve.json': '257217c32f1f7d5c76f9ec0facb0af8fb2fa3b3154434bdc3348d3fa9eaa59e7'},
     'solve oscillator orbit': {'exit': 0, 'stdout': 'd09dfc41161378a1bf2f0938caf2ed4843979f0925c1ba65f1ef516d9eeaaa37', 'orbit_grid.csv': 'c443be2fc6a8a49907a22dfbddc7de31a04cc55213b6b6377df0e2b04c89cde3', 'orbit_solve.json': 'b7736857eaeb116ad336869813b6df7da28154aab61fc57a2b06d01555819984'},
     'solve wave run': {'exit': 0, 'stdout': '7b16542c0eafcc3f9d77f14fb59f524ad476cc29162ae5183f5906f9850bd47c', 'run_grid.csv': 'd124721ccc078a5d29c21144349f2688d8db40931cfcb55f1b64fe92ff47ea3f', 'run_solve.json': '7ce50e89a1415b3ca659738252ada65dc08038fd5577197d78180c38042aef58'},
 }

@@ -484,6 +484,48 @@ def test_csv_cells_spelled_as_repr(tmp_path_factory, shape, width, cells):
     assert path.read_bytes() == reference.encode()
 
 
+def _decimal(exponents):
+    """Floats of either sign with 1-17 significant decimal digits, the
+    leading one in the decimal place drawn from ``exponents``."""
+    mantissas = st.integers(1, 17).flatmap(
+        lambda digits: st.tuples(st.just(digits), st.integers(10 ** (digits - 1), 10 ** digits - 1))
+    )
+    return st.tuples(st.sampled_from("+-"), mantissas, exponents).map(
+        lambda t: float(f"{t[0]}{t[1][1]}e{t[2] - t[1][0] + 1}")
+    )
+
+
+# Mostly cells that orjson spells otherwise and the writer respells: the
+# positional band 1e-5 <= |x| < 1e-4, unpadded exponents down to 1e-09
+# (9.999999999999999e-10 is the first cell spelled alike), unsigned ones
+# from 1e+16, and the non-finite.
+DENSE_EDGES = (
+    1e-05, 2e-05, 9.999999999999999e-05, 1e-09, 9.999999999999999e-10, 1e16,
+    math.nan, math.inf,
+)
+_dense_cells = st.one_of(
+    _decimal(st.just(-5)),
+    _decimal(st.integers(-9, -6)),
+    _decimal(st.integers(16, 307)),
+    st.tuples(st.sampled_from(DENSE_EDGES), st.booleans()).map(
+        lambda edge: -edge[0] if edge[1] else edge[0]
+    ),
+    _cells,
+)
+
+
+@given(_shapes, st.integers(1, 15), st.lists(_dense_cells, min_size=1, max_size=64))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_csv_dense_special_cells_spelled_as_repr(tmp_path_factory, shape, width, cells):
+    path = tmp_path_factory.getbasetemp() / "dense.csv"
+    values = np.resize(np.array(cells), (width,) + shape)
+    _write_csv(path, [f"c{j}" for j in range(width)], list(values))
+    line = ",".join(["%r"] * width) + "\r\n"
+    reference = ",".join(f"c{j}" for j in range(width)) + "\r\n"
+    reference += "".join(line % tuple(row) for row in values.reshape(width, -1).T.tolist())
+    assert path.read_bytes() == reference.encode()
+
+
 class TestJetConsistency:
     def test_stencil_error_within_second_order_bound(self, wave_model):
         # stencil jets of exactly sampled values stay within 2h^2 times the
