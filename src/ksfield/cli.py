@@ -46,12 +46,10 @@ from .symmetry import (
     CurrentRejection,
     SymmetryError,
     all_pass,
+    check_cartan,
     check_cartan_diffeomorphism,
-    check_cartan_hamiltonian,
-    check_cartan_lagrangian,
     check_symmetry_by_transport,
-    noether_current_hamiltonian,
-    noether_current_lagrangian,
+    noether_current,
     verify_bracket_theorem,
     verify_conservation,
 )
@@ -154,14 +152,17 @@ def _emit(payload: dict, out: Path | None, filename: str):
         (out / filename).write_text(text)
 
 
-def _jet_samples(spec: ModelSpec):
-    """Sample points of the velocity chart, one row each."""
-    return sample_points(spec.table, "lagrangian", spec.samples, spec.seed, spec.box)
+def _samples(spec: ModelSpec, side: str):
+    """Sample points of the side's chart, one row each."""
+    return sample_points(spec.table, side, spec.samples, spec.seed, spec.box)
 
 
-def _cojet_samples(spec: ModelSpec):
-    """Sample points of the momentum chart, one row each."""
-    return sample_points(spec.table, "hamiltonian", spec.samples, spec.seed, spec.box)
+def _model(spec: ModelSpec, side: str):
+    """The file's model of the side; a usage error when the file has none."""
+    model = spec.lagrangian if side == "lagrangian" else spec.hamiltonian
+    if model is None:
+        raise UsageError(f"no {side} model in the file")
+    return model
 
 
 def _t_samples(spec: ModelSpec, solution: AnalyticSolution):
@@ -179,7 +180,7 @@ def cmd_analyze(args) -> int:
 
     if spec.lagrangian is not None:
         model = spec.lagrangian
-        samples = _jet_samples(spec)
+        samples = _samples(spec, "lagrangian")
         hessians, regular = velocity_hessian(model, samples, spec.tol("hessian"))
         with np.errstate(over="ignore", invalid="ignore"):  # huge entries: the report shows inf
             dets = np.linalg.det(hessians)
@@ -218,7 +219,7 @@ def cmd_analyze(args) -> int:
 
     if spec.hamiltonian is not None:
         model = spec.hamiltonian
-        samples = _cojet_samples(spec)
+        samples = _samples(spec, "hamiltonian")
         residuals = kvector_equation_residual(model, samples, ham_kvector(model, samples))
         worst = float(np.max(residuals, initial=0.0))
         report["hamiltonian"] = {
@@ -294,16 +295,6 @@ def cmd_solve(args) -> int:
 # ---------------------------------------------------------------------------
 # noether
 
-def _current_side(spec: ModelSpec, candidate) -> str:
-    if candidate.kind == "vector-field-on-q":
-        if spec.lagrangian is not None:
-            return "lagrangian"
-        return "hamiltonian"
-    if candidate.side is None:
-        raise UsageError("symmetry candidate declares no side")
-    return candidate.side
-
-
 def cmd_noether(args) -> int:
     spec = _apply_overrides(load_model(args.model), args)
     table = spec.table
@@ -312,34 +303,20 @@ def cmd_noether(args) -> int:
     candidate = spec.symmetries[args.symmetry]
     if candidate.kind == "diffeomorphism":
         raise UsageError("currents come from infinitesimal symmetries; use check-symmetry")
-    side = _current_side(spec, candidate)
+    side = candidate.side or ("lagrangian" if spec.lagrangian is not None else "hamiltonian")
+    model = _model(spec, side)
+    samples = _samples(spec, side)
+    # a natural symmetry's Lagrangian current subtracts its gauge term g
+    natural_lagrangian = candidate.kind == "vector-field-on-q" and side == "lagrangian"
+    zeta = candidate.gauge if natural_lagrangian else candidate.zeta
     stem = f"noether_{args.symmetry}"  # one report per symmetry, whatever the solution
 
     reports = []
     payload = {"command": "noether", "symmetry": args.symmetry, "side": side}
-    tol = spec.tol("noether")
     try:
-        if side == "lagrangian":
-            if spec.lagrangian is None:
-                raise UsageError("no lagrangian model in the file")
-            samples = _jet_samples(spec)
-            current = noether_current_lagrangian(
-                candidate.base_field(table), spec.lagrangian, candidate.gauge,
-                samples=samples, tol=tol,
-            )
-            bracket_model = spec.lagrangian
-        else:
-            if spec.hamiltonian is None:
-                raise UsageError("no hamiltonian model in the file")
-            samples = _cojet_samples(spec)
-            provenance = (
-                "natural-lift" if candidate.kind == "vector-field-on-q" else "user-supplied"
-            )
-            current = noether_current_hamiltonian(
-                candidate.vector_field(table, "hamiltonian"), spec.hamiltonian,
-                candidate.zeta, samples=samples, tol=tol, provenance=provenance,
-            )
-            bracket_model = spec.hamiltonian
+        current = noether_current(
+            candidate.vector_field(table), model, zeta, samples, spec.tol("noether")
+        )
     except CurrentRejection as exc:
         payload["constructed"] = False
         payload["rejection"] = {"message": str(exc), "max_residual": exc.residual}
@@ -352,7 +329,7 @@ def cmd_noether(args) -> int:
     payload["provenance"] = current.provenance
     print("current: " + ", ".join(payload["current"]))
 
-    bracket = verify_bracket_theorem(current, bracket_model, samples, tol=spec.tol("cartan"))
+    bracket = verify_bracket_theorem(current, model, samples, tol=spec.tol("cartan"))
     reports.append(bracket)
 
     out = _out_dir(args)
@@ -414,11 +391,9 @@ def cmd_check_symmetry(args) -> int:
 
     if candidate.kind == "diffeomorphism":
         side = candidate.side
-        model = spec.lagrangian if side == "lagrangian" else spec.hamiltonian
-        if model is None:
-            raise UsageError(f"no {side} model in the file")
+        model = _model(spec, side)
         Phi = candidate.total_map(table, side)
-        samples = _jet_samples(spec) if side == "lagrangian" else _cojet_samples(spec)
+        samples = _samples(spec, side)
         Phi.verify_inverse(samples[: min(10, len(samples))], spec.tol("inverse"))
         reports.extend(check_cartan_diffeomorphism(Phi, model, samples, tol))
         for name, solution in sorted(spec.solutions.items()):
@@ -436,22 +411,14 @@ def cmd_check_symmetry(args) -> int:
                 r.details["solution"] = name
                 reports.append(r)
     else:
-        sides = (
-            [candidate.side]
-            if candidate.kind == "vector-field"
-            else ["lagrangian", "hamiltonian"]
-        )
+        sides = [candidate.side] if candidate.side else ["lagrangian", "hamiltonian"]
+        Y = candidate.vector_field(table)
         checked = False
         for side in sides:
             model = spec.lagrangian if side == "lagrangian" else spec.hamiltonian
             if model is None:
                 continue
-            Y = candidate.vector_field(table, side)
-            if side == "lagrangian":
-                side_reports = check_cartan_lagrangian(Y, model, _jet_samples(spec), tol)
-            else:
-                side_reports = check_cartan_hamiltonian(Y, model, _cojet_samples(spec), tol)
-            for r in side_reports:
+            for r in check_cartan(Y, model, _samples(spec, side), tol):
                 r.details["side"] = side
                 reports.append(r)
             checked = True
@@ -480,7 +447,7 @@ def cmd_gauge(args) -> int:
             f"(n={spec2.table.n}, k={spec2.table.k})"
         )
 
-    samples = _jet_samples(spec1)
+    samples = _samples(spec1, "lagrangian")
     verdict = gauge_compare(
         spec1.lagrangian,
         spec2.lagrangian,

@@ -346,14 +346,16 @@ def integrate_k1(
     state = tuple(float(x) for x in q0) + tuple(float(x) for x in v0)
     if len(state) != 2 * n:
         raise SolverError(f"q0 and v0 need {n} entries each")
-    trajectory, energies = [state], []
+    trajectory = np.empty((levels, 2 * n))  # a grid too large to hold fails here, at once
+    trajectory[0] = state
+    energies = []
     try:
         with np.errstate(all="ignore"):
             for m in range(1, levels):
                 state, e = step(state)
                 if state is None:
                     raise SolverError(f"non-finite state at step {m}; step rejected")
-                trajectory.append(state)
+                trajectory[m] = state
                 energies.append(e)
             energies.append(step(state, True))
     except (ZeroDivisionError, OverflowError):
@@ -362,7 +364,6 @@ def integrate_k1(
 
     e0 = float(energies[0])
     drift = max([0.0] + [abs(float(e) - e0) for e in energies[1:]])
-    trajectory = np.array(trajectory)
     summary = {"energy_drift": drift, "initial_energy": e0, "step": h, "levels": levels}
     return SolutionGrid(
         model.table, grid, trajectory[:, :n], state_v=trajectory[:, n:], summary=summary

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -100,7 +100,8 @@ def all_pass(reports: Sequence[Report]) -> bool:
 class SymmetryCandidate:
     """User-declared symmetry datum.
 
-    kind "vector-field-on-q": n components over q (lifted on demand);
+    kind "vector-field-on-q": n components over q (lifted to each side by
+    the check that reads it);
     kind "vector-field": components over the full chart of ``side``;
     kind "diffeomorphism": total-space map with declared inverse.
     Optional gauge data g (k expressions over q) and zeta (k expressions).
@@ -113,22 +114,13 @@ class SymmetryCandidate:
     gauge: Optional[tuple] = None
     zeta: Optional[tuple] = None
 
-    def vector_field(self, table: VarTable, side: str) -> VectorField:
+    def vector_field(self, table: VarTable):
+        """A VectorFieldQ for a field on the base, else a VectorField on its side's chart."""
         if self.kind == "vector-field-on-q":
-            Z = VectorFieldQ(table, self.components)
-            return complete_lift(Z) if side == "lagrangian" else cotangent_lift(Z)
+            return VectorFieldQ(table, self.components)
         if self.kind == "vector-field":
-            if self.side is not None and self.side != side:
-                raise SymmetryError(
-                    f"candidate lives on the {self.side} side, requested {side}"
-                )
-            return VectorField(table.chart(side), self.components)
+            return VectorField(table.chart(self.side), self.components)
         raise SymmetryError(f"candidate of kind {self.kind!r} is not a vector field")
-
-    def base_field(self, table: VarTable) -> VectorFieldQ:
-        if self.kind != "vector-field-on-q":
-            raise SymmetryError("candidate is not a vector field on the base")
-        return VectorFieldQ(table, self.components)
 
     def total_map(self, table: VarTable, side: str) -> TotalMap:
         if self.kind != "diffeomorphism":
@@ -144,6 +136,40 @@ class NoetherCurrent:
     provenance: str    # "natural-lift" | "user-supplied"
 
 
+@dataclass(frozen=True)
+class Side:
+    """One formalism's k-symplectic structure: what the symmetry checks read.
+
+    The forms and the scalar are built on demand, so a check pays only for
+    what it uses.
+    """
+
+    name: str             # "lagrangian" | "hamiltonian"
+    chart: tuple
+    fiber: str            # "velocity" | "momentum"
+    lift: Callable        # VectorFieldQ -> VectorField on the chart
+    theta: Callable       # A -> one-form theta^A
+    omega: Callable       # A -> two-form omega^A = -d theta^A
+    scalar: Callable      # () -> H, or the energy E_L
+    invariance: str       # report condition of Y(scalar) = 0
+    legs: Callable        # (N, dim) rows -> (N, k, dim) k-vector field legs
+
+
+def _side(model) -> Side:
+    table = model.table
+    if isinstance(model, HamiltonianModel):
+        return Side(
+            "hamiltonian", table.momentum_chart, "momentum", cotangent_lift,
+            partial(canonical_one_form, table), partial(canonical_two_form, table),
+            lambda: model.H, "hamiltonian_invariance", partial(ham_kvector, model),
+        )
+    return Side(
+        "lagrangian", table.velocity_chart, "velocity", complete_lift,
+        partial(poincare_cartan_form, model), partial(lagrangian_two_form, model),
+        partial(energy, model), "energy_invariance", partial(sopde_solve, model),
+    )
+
+
 # ---------------------------------------------------------------------------
 # Cartan symmetry checks
 #
@@ -151,45 +177,25 @@ class NoetherCurrent:
 # chart rows; every residual expression is derived once per call and
 # evaluated over all rows together.
 
-def check_cartan_hamiltonian(
-    Y: VectorField, model: HamiltonianModel, samples, tol: float = 1e-9
-):
-    """Infinitesimal conditions: L(Y) omega^A = 0 for all A, and Y(H) = 0."""
-    table = model.table
-    if Y.chart != table.momentum_chart:
-        raise SymmetryError("vector field does not live on the momentum chart")
-    rows, _ = point_rows(samples, table.dim_total)
+def check_cartan(Y, model, samples, tol: float = 1e-9):
+    """Infinitesimal conditions: L(Y) omega^A = 0 for all A, and Y(H) = 0
+    (Y(E_L) = 0 on the Lagrangian side).  A VectorFieldQ is lifted first."""
+    side = _side(model)
+    if isinstance(Y, VectorFieldQ):
+        Y = side.lift(Y)
+    if Y.chart != side.chart:
+        raise SymmetryError(f"vector field does not live on the {side.fiber} chart")
+    rows, _ = point_rows(samples, len(side.chart))
     lie = [
         e
-        for A in range(table.k)
-        for e in lie_derivative_two(Y, canonical_two_form(table, A)).entries.values()
+        for A in range(model.table.k)
+        for e in lie_derivative_two(Y, side.omega(A)).entries.values()
     ]
     worst_omega = max_abs(lie, Y.chart, rows)
-    worst_h = max_abs([Y.apply(model.H)], Y.chart, rows)
+    worst_scalar = max_abs([Y.apply(side.scalar())], Y.chart, rows)
     return [
         Report("lie_derivative_two_forms", worst_omega, len(rows), worst_omega <= tol),
-        Report("hamiltonian_invariance", worst_h, len(rows), worst_h <= tol),
-    ]
-
-
-def check_cartan_lagrangian(
-    Y: VectorField, model: LagrangianModel, samples, tol: float = 1e-9
-):
-    """Infinitesimal conditions: L(Y) omega_L^A = 0 for all A, and Y(E_L) = 0."""
-    table = model.table
-    if Y.chart != table.velocity_chart:
-        raise SymmetryError("vector field does not live on the velocity chart")
-    rows, _ = point_rows(samples, table.dim_total)
-    lie = [
-        e
-        for A in range(table.k)
-        for e in lie_derivative_two(Y, lagrangian_two_form(model, A)).entries.values()
-    ]
-    worst_omega = max_abs(lie, Y.chart, rows)
-    worst_e = max_abs([Y.apply(energy(model))], Y.chart, rows)
-    return [
-        Report("lie_derivative_two_forms", worst_omega, len(rows), worst_omega <= tol),
-        Report("energy_invariance", worst_e, len(rows), worst_e <= tol),
+        Report(side.invariance, worst_scalar, len(rows), worst_scalar <= tol),
     ]
 
 
@@ -200,26 +206,20 @@ def check_cartan_diffeomorphism(Phi: TotalMap, model, samples, tol: float = 1e-9
     function minus the original, which is what every downstream equation
     sees.
     """
-    table = Phi.table
-    if isinstance(model, HamiltonianModel):
-        scalar = model.H
-        two_forms = [canonical_two_form(table, A) for A in range(table.k)]
-        side = "hamiltonian"
-    else:
-        scalar = energy(model)
-        two_forms = [lagrangian_two_form(model, A) for A in range(table.k)]
-        side = "lagrangian"
-    if Phi.side != side:
-        raise SymmetryError(f"map lives on the {Phi.side} side, model needs {side}")
+    side = _side(model)
+    if Phi.side != side.name:
+        raise SymmetryError(f"map lives on the {Phi.side} side, model needs {side.name}")
 
     chart = Phi.chart
     rows, _ = point_rows(samples, len(chart))
     J = Phi.jacobians(rows)
     images = Phi.images(rows)
     worst_omega = 0.0
-    for omega in two_forms:
+    for A in range(Phi.table.k):
+        omega = side.omega(A)
         pulled = np.swapaxes(J, 1, 2) @ omega.matrices(images) @ J
         worst_omega = max(worst_omega, largest_abs(pulled - omega.matrices(rows)))
+    scalar = side.scalar()
     gap = sub(substitute(scalar, dict(zip(chart, Phi.components))), scalar)
     worst_grad = max_abs([diff(gap, name) for name in chart], chart, rows)
     return [
@@ -231,97 +231,63 @@ def check_cartan_diffeomorphism(Phi: TotalMap, model, samples, tol: float = 1e-9
 # ---------------------------------------------------------------------------
 # Noether currents
 
-def noether_current_lagrangian(
-    Z: VectorFieldQ,
-    model: LagrangianModel,
-    g: Optional[Sequence[Expr]] = None,
-    samples: Sequence = (),
-    tol: float = 1e-9,
-) -> NoetherCurrent:
-    """Current of a natural symmetry: f^A = Z-vertical-lift(L) - g^A.
-
-    Preconditions, sampled: Z^C(L) = d_T g (g defaults to zero, the strict
-    case).  The construction is re-verified against i(Z^C) omega_L^A = d f^A
-    before the current is returned.
-    """
-    table = model.table
-    if not len(samples):
-        raise SymmetryError("need sample points to verify the construction")
-    lifted = complete_lift(Z)
-    if g is None:
-        g = tuple(Num(0.0) for _ in range(table.k))
-    g = tuple(g)
-    if len(g) != table.k:
-        raise SymmetryError(f"expected {table.k} gauge components")
-    chart = table.velocity_chart
-    rows, _ = point_rows(samples, len(chart))
-
-    quasi_invariance = sub(lifted.apply(model.L), tulczyjew_derivative(table, g))
-    residual = max_abs([quasi_invariance], chart, rows)
-    if residual > tol:
-        raise CurrentRejection("Z does not leave L quasi-invariant: Z^C(L) != d_T g", residual)
-
-    components = [
-        sub(contract_one(lifted, poincare_cartan_form(model, A)), g[A]) for A in range(table.k)
-    ]
-
-    defects = []
-    for A in range(table.k):
-        omega = lagrangian_two_form(model, A)
-        defects += _one_form_gap(contract_two(lifted, omega), d_function(components[A], chart))
-    worst = max_abs(defects, chart, rows)
-    if worst > tol:
-        raise CurrentRejection("constructed current fails i(Y) omega = df", worst)
-    return NoetherCurrent(tuple(components), "lagrangian", "natural-lift")
-
-
-def noether_current_hamiltonian(
-    Y: VectorField,
-    model: HamiltonianModel,
+def noether_current(
+    Y,
+    model,
     zeta: Optional[Sequence[Expr]] = None,
     samples: Sequence = (),
     tol: float = 1e-9,
-    provenance: str = "user-supplied",
 ) -> NoetherCurrent:
-    """Current of an infinitesimal Cartan symmetry: f^A = i(Y) theta^A - zeta^A.
+    """Current of an infinitesimal symmetry: f^A = i(Y) theta^A - zeta^A.
 
-    zeta defaults to zero, exact for natural lifts where L(Y) theta^A = 0;
-    otherwise the caller supplies zeta^A with L(Y) theta^A = d zeta^A,
-    verified at the samples.
+    ``Y`` is a VectorField on the model's chart or a VectorFieldQ Z, which
+    is lifted to the model's side; zeta defaults to zero.  Preconditions,
+    sampled: on the Lagrangian side a lifted Z^C must leave L
+    quasi-invariant, Z^C(L) = d_T zeta (zeta is the gauge term g); every
+    other Y must be a Cartan symmetry with L(Y) theta^A = d zeta^A.  The
+    construction is re-verified against i(Y) omega^A = d f^A before the
+    current is returned.
     """
     table = model.table
     if not len(samples):
         raise SymmetryError("need sample points to verify the construction")
-    reports = check_cartan_hamiltonian(Y, model, samples, tol)
-    if not all_pass(reports):
-        worst = max(r.max_residual for r in reports)
-        raise CurrentRejection("Y is not an infinitesimal Cartan symmetry", worst)
-    if zeta is None:
-        zeta = tuple(Num(0.0) for _ in range(table.k))
-    zeta = tuple(zeta)
+    side = _side(model)
+    natural = isinstance(Y, VectorFieldQ)
+    if natural:
+        Y = side.lift(Y)
+    zeta = tuple(zeta) if zeta is not None else (Num(0.0),) * table.k
     if len(zeta) != table.k:
         raise SymmetryError(f"expected {table.k} zeta components")
-    chart = table.momentum_chart
+    chart = side.chart
     rows, _ = point_rows(samples, len(chart))
+    thetas = [side.theta(A) for A in range(table.k)]
 
-    components = []
+    if natural and side.name == "lagrangian":
+        quasi_invariance = sub(Y.apply(model.L), tulczyjew_derivative(table, zeta))
+        residual = max_abs([quasi_invariance], chart, rows)
+        if residual > tol:
+            raise CurrentRejection("Z does not leave L quasi-invariant: Z^C(L) != d_T g", residual)
+    else:
+        reports = check_cartan(Y, model, rows, tol)
+        if not all_pass(reports):
+            worst = max(r.max_residual for r in reports)
+            raise CurrentRejection("Y is not an infinitesimal Cartan symmetry", worst)
+        defects = []
+        for A, theta in enumerate(thetas):
+            defects += _one_form_gap(lie_derivative_one(Y, theta), d_function(zeta[A], chart))
+        worst_zeta = max_abs(defects, chart, rows)
+        if worst_zeta > tol:
+            raise CurrentRejection("zeta does not satisfy L(Y) theta^A = d zeta^A", worst_zeta)
+
+    components = [sub(contract_one(Y, theta), zeta[A]) for A, theta in enumerate(thetas)]
     defects = []
     for A in range(table.k):
-        theta = canonical_one_form(table, A)
-        defects += _one_form_gap(lie_derivative_one(Y, theta), d_function(zeta[A], chart))
-        components.append(sub(contract_one(Y, theta), zeta[A]))
-    worst_zeta = max_abs(defects, chart, rows)
-    if worst_zeta > tol:
-        raise CurrentRejection("zeta does not satisfy L(Y) theta^A = d zeta^A", worst_zeta)
-
-    defects = []
-    for A in range(table.k):
-        omega = canonical_two_form(table, A)
-        defects += _one_form_gap(contract_two(Y, omega), d_function(components[A], chart))
+        defects += _one_form_gap(contract_two(Y, side.omega(A)), d_function(components[A], chart))
     worst = max_abs(defects, chart, rows)
     if worst > tol:
         raise CurrentRejection("constructed current fails i(Y) omega = df", worst)
-    return NoetherCurrent(tuple(components), "hamiltonian", provenance)
+    provenance = "natural-lift" if natural else "user-supplied"
+    return NoetherCurrent(tuple(components), side.name, provenance)
 
 
 def _one_form_gap(a: OneForm, b: OneForm) -> list:
@@ -394,18 +360,12 @@ def verify_bracket_theorem(
     current: NoetherCurrent, model, samples, tol: float = 1e-9
 ) -> Report:
     """Evaluate sum_A X_A(f^A) with the canonically constructed k-vector field."""
-    if isinstance(model, HamiltonianModel):
-        if current.side != "hamiltonian":
-            raise SymmetryError("current/model side mismatch")
-        chart = model.table.momentum_chart
-        construct = ham_kvector
-    else:
-        if current.side != "lagrangian":
-            raise SymmetryError("current/model side mismatch")
-        chart = model.table.velocity_chart
-        construct = sopde_solve
+    side = _side(model)
+    if current.side != side.name:
+        raise SymmetryError("current/model side mismatch")
+    chart = side.chart
     rows, _ = point_rows(samples, len(chart))
-    legs = construct(model, rows)  # (N, k, dim)
+    legs = side.legs(rows)  # (N, k, dim)
     gradients = [diff(f_A, name) for f_A in current.components for name in chart]
     values = evaluate_batch(gradients, chart, rows).reshape(legs.shape)
     worst = largest_abs(np.sum(legs * values, axis=(1, 2)))

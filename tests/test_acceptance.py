@@ -30,7 +30,7 @@ from ksfield.solver import Axis, GridSpec, integrate_k1, integrate_k2_hyperbolic
 from ksfield.symmetry import (
     CurrentRejection,
     NoetherCurrent,
-    noether_current_lagrangian,
+    noether_current,
     verify_bracket_theorem,
     verify_conservation,
 )
@@ -154,7 +154,7 @@ def test_criterion_4_noether_conservation():
     samples = sample_jet_points(table, 100, seed=5)
     t_samples = sample_parameters(table, 100, seed=6, t_box=[(0.0, 1.0), (0.0, TWO_PI)])
 
-    momentum = noether_current_lagrangian(
+    momentum = noether_current(
         VectorFieldQ(table, (Num(1.0),)), model, samples=samples
     )
     boost = NoetherCurrent(
@@ -235,7 +235,7 @@ def test_criterion_5_broken_symmetry_control():
     kg_phi = (parse(f"cos(t2 - {omega!r}*t1)", ts),)
     construction_rejected = False
     try:
-        noether_current_lagrangian(
+        noether_current(
             VectorFieldQ(table, (Num(1.0),)), kg,
             samples=sample_jet_points(table, 50, seed=8),
         )
@@ -428,10 +428,10 @@ def test_criterion_9_classical_reduction():
         worst_field = max(worst_field, float(np.max(np.abs(leg.components - direct))))
 
     # classical conserved quantities from the natural lifts
-    from ksfield.symmetry import noether_current_hamiltonian
+    from ksfield.symmetry import noether_current
 
     free = hamiltonian_model(2, 1, "(p1_1^2 + p1_2^2)/2")
-    momentum = noether_current_hamiltonian(
+    momentum = noether_current(
         cotangent_lift(VectorFieldQ(free.table, (Num(1.0), Num(0.0)))),
         free,
         samples=sample_cojet_points(free.table, 50, seed=16),
@@ -439,7 +439,7 @@ def test_criterion_9_classical_reduction():
     rotation = VectorFieldQ(
         table, (parse("q2", table.q_names), parse("-q1", table.q_names))
     )
-    angular = noether_current_hamiltonian(
+    angular = noether_current(
         cotangent_lift(rotation), model, samples=samples
     )
     worst_classic = 0.0

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from ksfield import cli
 from ksfield.cli import main
+from ksfield.expr import evaluate_batch, parse
 from ksfield.modelfile import (
     AnalyticSolution,
     GridSolution,
@@ -290,17 +291,27 @@ class TestSolve:
     def test_analytic_solution_rejected(self, wave_file):
         assert main(["solve", str(wave_file), "--solution", "dalembert"]) == 2
 
-    @pytest.mark.parametrize("argv", [["solve"], ["noether", "--symmetry", "shift"]])
+    @pytest.mark.parametrize("argv", [
+        ["solve", "wave.yaml", "--solution", "run"],
+        ["noether", "wave.yaml", "--symmetry", "shift", "--solution", "run"],
+        ["solve", "oscillator.yaml", "--solution", "orbit"],
+    ])
     def test_grid_too_large_to_allocate_exits_two(self, tmp_path, capsys, argv):
-        # 1e11 levels of 628 nodes: 457 TiB, past the 47-bit user address
+        # wave: 1e11 levels of 628 nodes, 457 TiB; oscillator (k = 1): 2e13
+        # levels of 2 values, 291 TiB.  Both are past the 47-bit user address
         # space, so numpy refuses the array at once and nothing is allocated
-        shipped = (MODELS / "wave.yaml").read_text()
+        command, model, *rest = argv
+        shipped = (MODELS / model).read_text()
         path = tmp_path / "huge.yaml"
-        path.write_text(shipped.replace("[[0.0, 0.5, 0.005]", "[[0.0, 100000000.0, 0.001]"))
+        path.write_text(shipped.replace(*{
+            "wave.yaml": ("[[0.0, 0.5, 0.005]", "[[0.0, 100000000.0, 0.001]"),
+            "oscillator.yaml": ("[[0.0, 6.283185307179586, 0.006283185307179586]]",
+                                "[[0.0, 1.0e13, 0.5]]"),
+        }[model]))
         assert path.read_text() != shipped
-        assert main([argv[0], str(path), *argv[1:], "--solution", "run"]) == 2
+        assert main([command, str(path), *rest]) == 2
         error = capsys.readouterr().err
-        assert error.startswith("error: grid of solution 'run' is too large")
+        assert error.startswith(f"error: grid of solution '{rest[-1]}' is too large")
         assert error.count("\n") == 1
 
 
@@ -379,6 +390,40 @@ class TestNoether:
         error = capsys.readouterr().err
         assert error.startswith("error: ") and "log(q1 + 0.5)" in error
         assert not (tmp_path / "out" / "noether_shift_trace.csv").exists()
+
+    def test_declared_side_of_a_base_field_is_honoured(self, tmp_path):
+        # both commands read only the declared side, and the current keeps zeta
+        path = tmp_path / "wave.yaml"
+        path.write_text(WAVE_YAML.replace(
+            'components: ["1"]', 'components: ["1"]\n    side: hamiltonian\n    zeta: ["5", "0"]'
+        ))
+        out = tmp_path / "out"
+        assert main(["noether", str(path), "--symmetry", "shift", "--out", str(out)]) == 0
+        report = json.loads((out / "noether_shift.json").read_text())
+        assert (report["side"], report["current"]) == ("hamiltonian", ["p1_1 - 5", "p2_1"])
+        assert main(["check-symmetry", str(path), "--symmetry", "shift", "--out", str(out)]) == 0
+        report = json.loads((out / "check_shift.json").read_text())
+        assert {r["details"]["side"] for r in report["reports"]} == {"hamiltonian"}
+
+    @pytest.mark.parametrize("solution, condition", [
+        ("closed_form", "analytic_divergence"), ("orbit", "grid_divergence"),
+    ])
+    def test_lagrangian_cartan_symmetry_yields_the_energy(self, tmp_path, solution, condition):
+        # rot_l is the oscillator's phase-space rotation as a general field on
+        # the lagrangian side; its current i(Y) theta - zeta is the energy
+        path = Path(__file__).resolve().parent / "models" / "rotation.yaml"
+        out = tmp_path / "out"
+        argv = ["noether", str(path), "--symmetry", "rot_l", "--solution", solution]
+        assert main(argv + ["--out", str(out)]) == 0
+        report = json.loads((out / "noether_rot_l.json").read_text())
+        assert (report["side"], report["provenance"]) == ("lagrangian", "user-supplied")
+        chart = ("q1", "v1_1")
+        points = [[0.3, -0.7], [-1.0, 0.5], [0.9, 0.9]]
+        values = evaluate_batch([parse(report["current"][0], chart)], chart, points)
+        for (q1, v1_1), (value,) in zip(points, values):
+            assert value == pytest.approx(v1_1**2 / 2 + q1**2 / 2, abs=1e-15)
+        conserved = {r["condition"]: r for r in report["reports"]}[condition]
+        assert conserved["pass"] is True
 
     def test_diffeomorphism_candidate_rejected(self, wave_file):
         assert main(["noether", str(wave_file), "--symmetry", "translate"]) == 2

@@ -1,5 +1,7 @@
 """Cartan symmetry checks, Noether currents, conservation verification."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,21 +14,26 @@ from ksfield.bundles import (
     tangent_prolongation,
 )
 from ksfield.coords import VarTable
-from ksfield.expr import Num, Var, parse, substitute
+from ksfield.expr import Num, Var, evaluate_batch, parse, substitute
 from ksfield.forms import VectorField, largest_abs, lie_bracket
 from ksfield.hamiltonian import ham_kvector, kvector_equation_residual
-from ksfield.sampling import sample_cojet_points, sample_jet_points, sample_parameters
+from ksfield.lagrangian import legendre
+from ksfield.modelfile import load_model
+from ksfield.sampling import (
+    sample_cojet_points,
+    sample_jet_points,
+    sample_parameters,
+    sample_points,
+)
 from ksfield.solver import Axis, GridSpec, integrate_k2_hyperbolic
 from ksfield.symmetry import (
     CurrentRejection,
     NoetherCurrent,
     all_pass,
+    check_cartan,
     check_cartan_diffeomorphism,
-    check_cartan_hamiltonian,
-    check_cartan_lagrangian,
     check_symmetry_by_transport,
-    noether_current_hamiltonian,
-    noether_current_lagrangian,
+    noether_current,
     verify_bracket_theorem,
     verify_conservation,
 )
@@ -34,6 +41,7 @@ from ksfield.symmetry import (
 from conftest import hamiltonian_model, lagrangian_model, rotation_field
 from reference import evaluate
 
+TESTS = Path(__file__).resolve().parent
 T12 = VarTable(1, 2)
 T22 = VarTable(2, 2)
 
@@ -50,14 +58,14 @@ class TestCartanHamiltonian:
         Z = VectorFieldQ(table, (parse("q1^2 + 2*q1", table.q_names),))
         Y = cotangent_lift(Z)
         samples = sample_cojet_points(table, 50, seed=0)
-        reports = check_cartan_hamiltonian(Y, free_hamiltonian, samples)
+        reports = check_cartan(Y, free_hamiltonian, samples)
         assert reports[0].passed and reports[0].max_residual <= 1e-12
 
     def test_translation_of_free_hamiltonian(self, free_hamiltonian):
         table = free_hamiltonian.table
         Y = cotangent_lift(q_translation(table))
         samples = sample_cojet_points(table, 100, seed=1)
-        reports = check_cartan_hamiltonian(Y, free_hamiltonian, samples)
+        reports = check_cartan(Y, free_hamiltonian, samples)
         assert all_pass(reports)
 
     def test_non_lift_fails_form_condition(self, free_hamiltonian):
@@ -66,7 +74,7 @@ class TestCartanHamiltonian:
         comps[0] = Var("q1")  # q1 d/dq1 on the total space, no momentum part
         Y = VectorField(table.momentum_chart, tuple(comps))
         samples = sample_cojet_points(table, 50, seed=2)
-        reports = check_cartan_hamiltonian(Y, free_hamiltonian, samples)
+        reports = check_cartan(Y, free_hamiltonian, samples)
         assert not reports[0].passed
         assert reports[0].max_residual > 0.5
 
@@ -75,12 +83,12 @@ class TestCartanLagrangian:
     def test_rotation_of_isotropic_lagrangian(self, rotational_model):
         Y = complete_lift(rotation_field(rotational_model.table))
         samples = sample_jet_points(rotational_model.table, 100, seed=3)
-        assert all_pass(check_cartan_lagrangian(Y, rotational_model, samples))
+        assert all_pass(check_cartan(Y, rotational_model, samples))
 
     def test_translation_of_q_free_lagrangian(self, wave_model):
         Y = complete_lift(q_translation(wave_model.table))
         samples = sample_jet_points(wave_model.table, 50, seed=4)
-        assert all_pass(check_cartan_lagrangian(Y, wave_model, samples))
+        assert all_pass(check_cartan(Y, wave_model, samples))
 
     def test_scaling_fails_both_conditions(self, free_model):
         # Y = (q d/dq)^C doubles the two-forms (L(Y) omega = 2 omega) and
@@ -88,7 +96,7 @@ class TestCartanLagrangian:
         table = free_model.table
         Y = complete_lift(VectorFieldQ(table, (Var("q1"),)))
         samples = sample_jet_points(table, 50, seed=5)
-        reports = check_cartan_lagrangian(Y, free_model, samples)
+        reports = check_cartan(Y, free_model, samples)
         by_name = {r.condition: r for r in reports}
         assert not by_name["lie_derivative_two_forms"].passed
         assert by_name["lie_derivative_two_forms"].max_residual == pytest.approx(2.0, abs=1e-12)
@@ -103,7 +111,7 @@ class TestCartanLagrangian:
         bracket = lie_bracket(Y1, Y2)
         samples = sample_jet_points(table, 50, seed=6)
         for Y in (Y1, Y2, bracket):
-            reports = check_cartan_lagrangian(Y, rotational_model, samples, tol=1e-8)
+            reports = check_cartan(Y, rotational_model, samples, tol=1e-8)
             assert all_pass(reports)
 
 
@@ -111,7 +119,7 @@ class TestNoetherLagrangian:
     def test_translation_momentum_current(self, rotational_model):
         table = rotational_model.table
         samples = sample_jet_points(table, 60, seed=7)
-        current = noether_current_lagrangian(
+        current = noether_current(
             q_translation(table), rotational_model, samples=samples
         )
         rng = np.random.default_rng(0)
@@ -124,7 +132,7 @@ class TestNoetherLagrangian:
     def test_rotation_angular_momentum_current(self, rotational_model):
         table = rotational_model.table
         samples = sample_jet_points(table, 60, seed=9)
-        current = noether_current_lagrangian(
+        current = noether_current(
             rotation_field(table), rotational_model, samples=samples
         )
         for w in sample_jet_points(table, 10, seed=10):
@@ -139,8 +147,8 @@ class TestNoetherLagrangian:
         table = model.table
         samples = sample_jet_points(table, 40, seed=11)
         with pytest.raises(CurrentRejection):
-            noether_current_lagrangian(
-                q_translation(table), model, g=(Var("q1"),), samples=samples
+            noether_current(
+                q_translation(table), model, zeta=(Var("q1"),), samples=samples
             )
 
     def test_quasi_invariance_with_correct_gauge(self):
@@ -152,8 +160,8 @@ class TestNoetherLagrangian:
         table = model.table
         samples = sample_jet_points(table, 40, seed=12)
         # Z^C(L) = v = d_T(q)
-        current = noether_current_lagrangian(
-            q_translation(table), model, g=(Var("q1"),), samples=samples
+        current = noether_current(
+            q_translation(table), model, zeta=(Var("q1"),), samples=samples
         )
         for w in sample_jet_points(table, 5, seed=13):
             expected = w.v[0, 0] + w.q[0] - w.q[0]
@@ -165,7 +173,7 @@ class TestNoetherHamiltonian:
         table = free_hamiltonian.table
         Y = cotangent_lift(q_translation(table))
         samples = sample_cojet_points(table, 60, seed=14)
-        current = noether_current_hamiltonian(Y, free_hamiltonian, samples=samples)
+        current = noether_current(Y, free_hamiltonian, samples=samples)
         for w in sample_cojet_points(table, 10, seed=15):
             for A in range(table.k):
                 assert evaluate(current.components[A], w) == pytest.approx(
@@ -177,7 +185,7 @@ class TestNoetherHamiltonian:
         table = model.table
         Y = cotangent_lift(rotation_field(table))
         samples = sample_cojet_points(table, 60, seed=16)
-        current = noether_current_hamiltonian(Y, model, samples=samples)
+        current = noether_current(Y, model, samples=samples)
         for w in sample_cojet_points(table, 10, seed=17):
             for A in range(table.k):
                 expected = w.p[A, 0] * w.q[1] - w.p[A, 1] * w.q[0]
@@ -190,7 +198,7 @@ class TestNoetherHamiltonian:
         Y = cotangent_lift(q_translation(table))
         samples = sample_cojet_points(table, 60, seed=18)
         zeta = (Num(5.0), Num(-2.0))
-        shifted = noether_current_hamiltonian(Y, free_hamiltonian, zeta=zeta, samples=samples)
+        shifted = noether_current(Y, free_hamiltonian, zeta=zeta, samples=samples)
         ts = model_section_solution()
         t_samples = sample_parameters(table, 30, seed=19)
         report = verify_conservation(
@@ -205,7 +213,7 @@ class TestNoetherHamiltonian:
         Y = VectorField(table.momentum_chart, tuple(comps))
         samples = sample_cojet_points(table, 40, seed=20)
         with pytest.raises(CurrentRejection):
-            noether_current_hamiltonian(Y, free_hamiltonian, samples=samples)
+            noether_current(Y, free_hamiltonian, samples=samples)
 
 
 def model_section_solution():
@@ -218,7 +226,7 @@ class TestVerifyConservation:
     def test_wave_momentum_current_analytic(self, wave_model):
         table = wave_model.table
         samples = sample_jet_points(table, 60, seed=21)
-        current = noether_current_lagrangian(q_translation(table), wave_model, samples=samples)
+        current = noether_current(q_translation(table), wave_model, samples=samples)
         phi = (parse("sin(t1 - t2)", table.t_names),)
         t_samples = sample_parameters(table, 50, seed=22)
         report = verify_conservation(
@@ -229,7 +237,7 @@ class TestVerifyConservation:
     def test_non_solution_is_flagged(self, wave_model):
         table = wave_model.table
         samples = sample_jet_points(table, 60, seed=23)
-        current = noether_current_lagrangian(q_translation(table), wave_model, samples=samples)
+        current = noether_current(q_translation(table), wave_model, samples=samples)
         phi = (parse("t1^2 + t2", table.t_names),)  # not a wave solution
         t_samples = sample_parameters(table, 50, seed=24)
         report = verify_conservation(current, table, phi=phi, t_samples=t_samples)
@@ -239,7 +247,7 @@ class TestVerifyConservation:
     def test_grid_mode_reports_ratio(self, wave_model):
         table = wave_model.table
         samples = sample_jet_points(table, 60, seed=25)
-        current = noether_current_lagrangian(q_translation(table), wave_model, samples=samples)
+        current = noether_current(q_translation(table), wave_model, samples=samples)
         h2 = 2 * np.pi / 314
         grid = GridSpec((Axis(0.0, 100 * h2 / 2, h2 / 2), Axis(0.0, 2 * np.pi, h2)))
         phi0 = (parse("sin(t2)", ("t2",)),)
@@ -258,7 +266,7 @@ class TestBracketTheorem:
         table = free_hamiltonian.table
         Y = cotangent_lift(q_translation(table))
         samples = sample_cojet_points(table, 60, seed=26)
-        current = noether_current_hamiltonian(Y, free_hamiltonian, samples=samples)
+        current = noether_current(Y, free_hamiltonian, samples=samples)
         report = verify_bracket_theorem(current, free_hamiltonian, samples)
         assert report.passed
 
@@ -267,7 +275,7 @@ class TestBracketTheorem:
         table = model.table
         Y = cotangent_lift(rotation_field(table))
         samples = sample_cojet_points(table, 60, seed=27)
-        current = noether_current_hamiltonian(Y, model, samples=samples)
+        current = noether_current(Y, model, samples=samples)
         report = verify_bracket_theorem(current, model, samples)
         assert report.passed
 
@@ -288,7 +296,7 @@ class TestBracketTheorem:
     def test_lagrangian_side_wave_currents(self, wave_model):
         table = wave_model.table
         samples = sample_jet_points(table, 60, seed=29)
-        current = noether_current_lagrangian(q_translation(table), wave_model, samples=samples)
+        current = noether_current(q_translation(table), wave_model, samples=samples)
         report = verify_bracket_theorem(current, wave_model, samples)
         assert report.passed
 
@@ -376,7 +384,7 @@ class TestCurrentTransport:
         table = free_hamiltonian.table
         Y = cotangent_lift(q_translation(table))
         samples = sample_cojet_points(table, 60, seed=37)
-        current = noether_current_hamiltonian(Y, free_hamiltonian, samples=samples)
+        current = noether_current(Y, free_hamiltonian, samples=samples)
         phi = DiffeoQ(table, (parse("q1 + 1", table.q_names),), (parse("q1 - 1", table.q_names),))
         Phi = cotangent_prolongation(phi)
         mapping = dict(zip(table.momentum_chart, Phi.components))
@@ -394,7 +402,7 @@ class TestCurrentTransport:
     def test_current_unique_up_to_constants(self, wave_model):
         table = wave_model.table
         samples = sample_jet_points(table, 60, seed=39)
-        current = noether_current_lagrangian(q_translation(table), wave_model, samples=samples)
+        current = noether_current(q_translation(table), wave_model, samples=samples)
         shifted = NoetherCurrent(
             tuple(f + Num(3.0) for f in current.components),
             current.side,
@@ -405,3 +413,24 @@ class TestCurrentTransport:
         for c in (current, shifted):
             report = verify_conservation(c, table, phi=phi, t_samples=t_samples, tol=1e-12)
             assert report.passed
+
+
+class TestLegendreCorrespondence:
+    @pytest.mark.parametrize("path, y_l, y_h", [
+        (TESTS.parent / "models" / "wave.yaml", "shift", "shift"),  # natural lifts
+        (TESTS / "models" / "rotation.yaml", "rot_l", "rot_h"),  # FL-related general fields
+    ])
+    def test_currents_agree_through_the_fiber_derivative(self, path, y_l, y_h):
+        # f_L = f_H o FL at jet samples: the two sides build one conserved quantity
+        spec = load_model(path)
+        table = spec.table
+        jets = sample_points(table, "lagrangian", spec.samples, spec.seed, spec.box)
+        cojets = sample_points(table, "hamiltonian", spec.samples, spec.seed, spec.box)
+        # neither file declares a gauge term, so zeta is the candidate's own
+        sym_l, sym_h = spec.symmetries[y_l], spec.symmetries[y_h]
+        current_l = noether_current(sym_l.vector_field(table), spec.lagrangian, sym_l.zeta, jets)
+        current_h = noether_current(sym_h.vector_field(table), spec.hamiltonian, sym_h.zeta, cojets)
+        images = legendre(spec.lagrangian, jets)
+        f_l = evaluate_batch(current_l.components, table.velocity_chart, jets)
+        f_h = evaluate_batch(current_h.components, table.momentum_chart, images)
+        assert largest_abs(f_l - f_h) <= 1e-12
