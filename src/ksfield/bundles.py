@@ -143,57 +143,54 @@ class VectorFieldQ:
         return evaluate_batch(self.components, self.table.q_names, np.reshape(q, (1, -1)))[0]
 
 
+# ---------------------------------------------------------------------------
+# analytic solutions: sections in t
+
 @dataclass(frozen=True)
-class KVectorField:
-    """k tangent-vector legs, each a symbolic vector field on the total space."""
+class Section:
+    """An analytic solution: one expression in t per chart coordinate of its side.
+
+    On the lagrangian side it is the first prolongation (phi^i, dphi^i/dt^A)
+    of a map phi: R^k -> Q, on the hamiltonian side a section (psi^i, psi^A_i)
+    of the k-covelocity bundle.
+    """
 
     table: VarTable
     side: str  # "lagrangian" | "hamiltonian"
-    legs: tuple  # k VectorField values on table.chart(side)
+    components: tuple
 
     def __post_init__(self):
-        if len(self.legs) != self.table.k:
-            raise BundleError(f"expected {self.table.k} legs")
-        chart = self.table.chart(self.side)
-        for leg in self.legs:
-            if leg.chart != chart:
-                raise BundleError("leg chart does not match the declared side")
+        if len(self.components) != self.table.dim_total:
+            raise BundleError(f"expected {self.table.dim_total} section components")
+        allowed = set(self.table.t_names)
+        for comp in self.components:
+            extra = free_vars(comp) - allowed
+            if extra:
+                raise BundleError(f"section component depends on {sorted(extra)[0]}")
 
-    def legs_at(self, w) -> list:
-        return [TangentVector(w, leg.at(w)) for leg in self.legs]
+    @classmethod
+    def prolongation(cls, table: VarTable, phi: Sequence[Expr]) -> "Section":
+        """The first prolongation of the map phi, in velocity-chart order."""
+        phi = tuple(phi)
+        if len(phi) != table.n:
+            raise BundleError(f"expected {table.n} map components")
+        jets = tuple(diff(c, table.t(A)) for A in range(table.k) for c in phi)
+        return cls(table, "lagrangian", phi + jets)
 
+    @property
+    def base(self) -> tuple:
+        return self.components[: self.table.n]
 
-# ---------------------------------------------------------------------------
-# prolongation of maps R^k -> Q
+    def restrict(self, e: Expr) -> Expr:
+        """e over the side's chart, restricted to the section: an expression in t."""
+        return substitute(e, dict(zip(self.table.chart(self.side), self.components)))
+
 
 def first_prolongation(table: VarTable, phi: Sequence[Expr], t: Sequence[float]) -> JetPoint:
     """Lift phi to the velocity bundle at t: (phi^i(t), dphi^i/dt^A(t))."""
-    phi = tuple(phi)
-    if len(phi) != table.n:
-        raise BundleError(f"expected {table.n} map components")
-    allowed = set(table.t_names)
-    for comp in phi:
-        extra = free_vars(comp) - allowed
-        if extra:
-            raise BundleError(f"map component depends on {sorted(extra)[0]}")
-    jets = phi + tuple(diff(c, table.t(A)) for c in phi for A in range(table.k))
+    section = Section.prolongation(table, phi)
     t_row, _ = point_rows(t, table.k)
-    values = evaluate_batch(jets, table.t_names, t_row)[0]
-    return JetPoint(table, values[: table.n], values[table.n:].reshape(table.n, table.k))
-
-
-def pullback_by_prolongation(table: VarTable, e: Expr, phi: Sequence[Expr]) -> Expr:
-    """Restrict an expression over (q, v) to the first prolongation of phi.
-
-    Substitutes q^i -> phi^i(t) and v^i_A -> dphi^i/dt^A(t), yielding an
-    expression in the parameters t alone.
-    """
-    mapping = {}
-    for i, comp in enumerate(phi):
-        mapping[table.q(i)] = comp
-        for A in range(table.k):
-            mapping[table.v(i, A)] = diff(comp, table.t(A))
-    return substitute(e, mapping)
+    return JetPoint.from_flat(table, evaluate_batch(section.components, table.t_names, t_row)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -294,13 +291,12 @@ def tulczyjew_derivative(table: VarTable, g: Sequence[Expr]) -> Expr:
 def sopde_check(gamma, samples: Sequence[JetPoint], tol: float = 1e-10):
     """Check the second-order condition S^A(Gamma_A) = Delta_A at the samples.
 
-    ``gamma`` is a KVectorField or a callable JetPoint -> list[TangentVector].
+    ``gamma`` maps a JetPoint to its k legs, a list of TangentVectors.
     Returns (passed, max_residual) with the max-norm residual over samples.
     """
     worst = 0.0
     for w in samples:
-        legs = gamma.legs_at(w) if isinstance(gamma, KVectorField) else gamma(w)
-        for A, leg in enumerate(legs):
+        for A, leg in enumerate(gamma(w)):
             lhs = vertical_endomorphism(A, leg)
             rhs = liouville_field(A, w)
             r = float(np.max(np.abs(lhs.components - rhs.components)))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +50,7 @@ from .symmetry import (
     check_cartan,
     check_cartan_diffeomorphism,
     check_symmetry_by_transport,
+    gauge_entry,
     noether_current,
     verify_bracket_theorem,
     verify_conservation,
@@ -262,16 +264,7 @@ def cmd_solve(args) -> int:
         raise UsageError(f"solution {args.solution!r} is not a grid solution")
 
     runs = [solution.grid, solution.grid.refined(), solution.grid.refined().refined()]
-    sols = []
-    for grid in runs:
-        cfg = GridSolution(
-            grid,
-            q0=solution.q0,
-            v0=solution.v0,
-            initial=solution.initial,
-            initial_rate=solution.initial_rate,
-        )
-        sols.append(_run_grid(spec, cfg, args.solution))
+    sols = [_run_grid(spec, replace(solution, grid=grid), args.solution) for grid in runs]
 
     ratio = self_convergence_ratio(sols)
     nominal = 2.0 ** NOMINAL_ORDER[spec.table.k]
@@ -306,16 +299,14 @@ def cmd_noether(args) -> int:
     side = candidate.side or ("lagrangian" if spec.lagrangian is not None else "hamiltonian")
     model = _model(spec, side)
     samples = _samples(spec, side)
-    # a natural symmetry's Lagrangian current subtracts its gauge term g
-    natural_lagrangian = candidate.kind == "vector-field-on-q" and side == "lagrangian"
-    zeta = candidate.gauge if natural_lagrangian else candidate.zeta
     stem = f"noether_{args.symmetry}"  # one report per symmetry, whatever the solution
 
     reports = []
     payload = {"command": "noether", "symmetry": args.symmetry, "side": side}
     try:
         current = noether_current(
-            candidate.vector_field(table), model, zeta, samples, spec.tol("noether")
+            candidate.vector_field(table), model,
+            getattr(candidate, gauge_entry(candidate.kind, side)), samples, spec.tol("noether"),
         )
     except CurrentRejection as exc:
         payload["constructed"] = False
@@ -336,31 +327,17 @@ def cmd_noether(args) -> int:
     if args.solution is not None:
         solution = _named_solution(spec, args.solution)
         if isinstance(solution, AnalyticSolution):
-            if solution.side != side:
+            if solution.section.side != side:
                 raise UsageError("solution and current live on different sides")
-            t_samples = _t_samples(spec, solution)
-            if side == "lagrangian":
-                report = verify_conservation(
-                    current, table, phi=solution.components,
-                    t_samples=t_samples, tol=spec.tol("conservation"),
-                )
-            else:
-                report = verify_conservation(
-                    current, table, section=(solution.components, solution.momenta),
-                    t_samples=t_samples, tol=spec.tol("conservation"),
-                )
+            report = verify_conservation(
+                current, table, section=solution.section,
+                t_samples=_t_samples(spec, solution), tol=spec.tol("conservation"),
+            )
             reports.append(report)
         else:
             sol = _run_grid(spec, solution, args.solution)
-            refined = _run_grid(
-                spec,
-                GridSolution(
-                    solution.grid.refined(),
-                    q0=solution.q0, v0=solution.v0,
-                    initial=solution.initial, initial_rate=solution.initial_rate,
-                ),
-                args.solution,
-            )
+            finer = replace(solution, grid=solution.grid.refined())
+            refined = _run_grid(spec, finer, args.solution)
             report = verify_conservation(
                 current, table, grid=sol, refined_grid=refined, model=spec.lagrangian
             )
@@ -397,16 +374,10 @@ def cmd_check_symmetry(args) -> int:
         Phi.verify_inverse(samples[: min(10, len(samples))], spec.tol("inverse"))
         reports.extend(check_cartan_diffeomorphism(Phi, model, samples, tol))
         for name, solution in sorted(spec.solutions.items()):
-            if not isinstance(solution, AnalyticSolution) or solution.side != side:
+            if not isinstance(solution, AnalyticSolution) or solution.section.side != side:
                 continue
-            t_samples = _t_samples(spec, solution)
-            sol = (
-                solution.components
-                if side == "lagrangian"
-                else (solution.components, solution.momenta)
-            )
             for r in check_symmetry_by_transport(
-                Phi, model, sol, t_samples, spec.tol("transport")
+                Phi, model, solution.section, _t_samples(spec, solution), spec.tol("transport")
             ):
                 r.details["solution"] = name
                 reports.append(r)
@@ -463,7 +434,7 @@ def cmd_gauge(args) -> int:
         name
         for name, sol in spec1.solutions.items()
         if isinstance(sol, AnalyticSolution)
-        and sol.side == "lagrangian"
+        and sol.section.side == "lagrangian"
         and isinstance(spec2.solutions.get(name), AnalyticSolution)
     )
     reports = []
@@ -471,7 +442,7 @@ def cmd_gauge(args) -> int:
         solution = spec1.solutions[name]
         t_samples = _t_samples(spec1, solution)
         r = verify_same_solutions(
-            spec1.lagrangian, spec2.lagrangian, solution.components, t_samples,
+            spec1.lagrangian, spec2.lagrangian, solution.section.base, t_samples,
             tol=spec1.tol("gauge"),
         )
         r.details["solution"] = name

@@ -14,7 +14,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .expr import Expr, Num, add, diff, evaluate_batch, is_zero_expr, mul, neg, sub
+from .expr import Expr, Num, add, diff, evaluate_batch, is_zero_expr, mul, neg, sub, substitute
 
 
 def _one_row(point, dim: int) -> np.ndarray:
@@ -183,18 +183,11 @@ def lie_derivative_two(Y: VectorField, omega: TwoForm) -> TwoForm:
     return TwoForm(omega.chart, table)
 
 
-def pullback_function(chart: tuple, map_components: tuple, f: Expr) -> Expr:
-    """(Phi^* f) = f o Phi for a self-map of the chart."""
-    from .expr import substitute
-
-    mapping = dict(zip(chart, map_components))
-    return substitute(f, mapping)
-
-
 def pullback_one_form(chart: tuple, map_components: tuple, beta: OneForm) -> OneForm:
     """(Phi^* beta)_a = sum_b (beta_b o Phi) dPhi^b/dx^a."""
     coeffs = []
-    pulled = [pullback_function(chart, map_components, c) for c in beta.coeffs]
+    mapping = dict(zip(chart, map_components))
+    pulled = [substitute(c, mapping) for c in beta.coeffs]
     for a, name in enumerate(chart):
         out: Expr = Num(0.0)
         for b, comp in enumerate(map_components):

@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .bundles import TangentVector, point_rows
+from .bundles import Section, TangentVector, point_rows
 from .coords import VarTable
-from .expr import Expr, Num, Var, diff, evaluate_batch, free_vars, substitute
+from .expr import Expr, Num, Var, diff, evaluate_batch, free_vars
 from .forms import OneForm, TwoForm
 
 
@@ -59,25 +58,7 @@ def canonical_two_form_matrix(table: VarTable, A: int) -> np.ndarray:
     return M
 
 
-def pullback_by_section(
-    table: VarTable, e: Expr, psi_base: Sequence[Expr], psi_momenta: Sequence[Sequence[Expr]]
-) -> Expr:
-    """Restrict an expression over (q, p) to a section psi(t) of the bundle."""
-    mapping = {}
-    for i, comp in enumerate(psi_base):
-        mapping[table.q(i)] = comp
-    for A in range(table.k):
-        for i in range(table.n):
-            mapping[table.p(A, i)] = psi_momenta[A][i]
-    return substitute(e, mapping)
-
-
-def hdw_residual(
-    model: HamiltonianModel,
-    psi_base: Sequence[Expr],
-    psi_momenta: Sequence[Sequence[Expr]],
-    t,
-) -> np.ndarray:
+def hdw_residual(model: HamiltonianModel, section: Section, t) -> np.ndarray:
     """Field-equation residual of the section psi at t, as 2n values.
 
     First block (i = 0..n-1):  dH/dq^i o psi + sum_A dpsi^A_i/dt^A.
@@ -87,11 +68,12 @@ def hdw_residual(
     table = model.table
     n, k = table.n, table.k
     rows, single = point_rows(t, k)
+    psi = section.components
     pairs = [(i, A) for i in range(n) for A in range(k)]
-    exprs = [pullback_by_section(table, model.dHdq(i), psi_base, psi_momenta) for i in range(n)]
-    exprs += [diff(psi_momenta[A][i], table.t(A)) for i, A in pairs]
-    exprs += [pullback_by_section(table, model.dHdp(A, i), psi_base, psi_momenta) for i, A in pairs]
-    exprs += [diff(psi_base[i], table.t(A)) for i, A in pairs]
+    exprs = [section.restrict(model.dHdq(i)) for i in range(n)]
+    exprs += [diff(psi[table.fiber_slot(i, A)], table.t(A)) for i, A in pairs]
+    exprs += [section.restrict(model.dHdp(A, i)) for i, A in pairs]
+    exprs += [diff(psi[i], table.t(A)) for i, A in pairs]
     values = evaluate_batch(exprs, table.t_names, rows)
     div_p, dH_dp, dpsi = np.moveaxis(values[:, n:].reshape(-1, 3, n, k), 1, 0)  # each [N, i, A]
     out = np.empty((rows.shape[0], 2 * n))

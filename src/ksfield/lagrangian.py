@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bundles import CoJetPoint, JetPoint, TangentVector, point_rows, pullback_by_prolongation
+from .bundles import CoJetPoint, JetPoint, Section, TangentVector, point_rows
 from .coords import VarTable
 from .expr import Expr, Num, Var, add, diff, evaluate_batch, free_vars, mul, sub
 from .forms import OneForm, TwoForm, d_one
@@ -148,13 +148,13 @@ def el_residual(model: LagrangianModel, phi: Sequence[Expr], t) -> np.ndarray:
     """
     table = model.table
     rows, single = point_rows(t, table.k)
+    section = Section.prolongation(table, phi)
     totals = []
     for i in range(table.n):
         total: Expr = Num(0.0)
         for A in range(table.k):
-            restricted = pullback_by_prolongation(table, model.dLdv(i, A), phi)
-            total = add(total, diff(restricted, table.t(A)))
-        totals.append(sub(total, pullback_by_prolongation(table, model.dLdq(i), phi)))
+            total = add(total, diff(section.restrict(model.dLdv(i, A)), table.t(A)))
+        totals.append(sub(total, section.restrict(model.dLdq(i))))
     out = evaluate_batch(totals, table.t_names, rows)
     return out[0] if single else out
 

@@ -14,12 +14,13 @@ from typing import Optional
 
 import yaml
 
+from .bundles import Section
 from .coords import VarTable
 from .expr import Expr, ParseError, parse
 from .hamiltonian import HamiltonianModel
 from .lagrangian import LagrangianModel
 from .solver import Axis, GridSpec, SolverError
-from .symmetry import SymmetryCandidate
+from .symmetry import SymmetryCandidate, gauge_entry
 
 # libyaml's parser where PyYAML was built with it; both give the same dicts
 _YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
@@ -44,9 +45,7 @@ class ModelFileError(ValueError):
 
 @dataclass
 class AnalyticSolution:
-    side: str                      # "lagrangian" | "hamiltonian"
-    components: tuple              # n expressions in t
-    momenta: Optional[tuple] = None  # k x n expressions in t (hamiltonian side)
+    section: Section               # built once: one expression in t per chart coordinate
     t_box: Optional[list] = None
 
 
@@ -114,7 +113,9 @@ def _floats(values, context, count) -> list:
     return floats
 
 
-def _load_symmetry(name, raw, table: VarTable) -> SymmetryCandidate:
+def _load_symmetry(name, raw, table: VarTable, default_side: str) -> SymmetryCandidate:
+    """``default_side`` is the side a base field without one is read on:
+    the lagrangian side when the model has a lagrangian."""
     context = f"symmetries.{name}"
     if not isinstance(raw, dict):
         raise ModelFileError(f"{context}: expected a mapping")
@@ -122,44 +123,32 @@ def _load_symmetry(name, raw, table: VarTable) -> SymmetryCandidate:
     side = raw.get("side")
     if side not in (None, "lagrangian", "hamiltonian"):
         raise ModelFileError(f"{context}: unknown side {side!r}")
+    if kind not in ("vector-field-on-q", "vector-field", "diffeomorphism"):
+        raise ModelFileError(f"{context}: unknown kind {kind!r}")
+    if side is None and kind != "vector-field-on-q":
+        plural = "general vector fields" if kind == "vector-field" else "diffeomorphisms"
+        raise ModelFileError(f"{context}: {plural} need a side")
+    read = gauge_entry(kind, side or default_side)
+    for entry in ("gauge", "zeta"):
+        if raw.get(entry) is not None and entry != read:
+            on_side = f" on the {side or default_side} side" if read else ""
+            raise ModelFileError(f"{context}.{entry}: a {kind}{on_side} never reads it")
 
-    gauge = raw.get("gauge")
-    if gauge is not None:
-        gauge = _parse_exprs(gauge, table.q_names, f"{context}.gauge", table.k)
-    zeta = raw.get("zeta")
-
-    if kind == "vector-field-on-q":
-        comps = _parse_exprs(
-            _require(raw, "components", context), table.q_names, f"{context}.components", table.n
-        )
-        if zeta is not None:
-            zeta = _parse_exprs(zeta, table.momentum_chart, f"{context}.zeta", table.k)
-        return SymmetryCandidate("vector-field-on-q", comps, side, gauge=gauge, zeta=zeta)
-
-    if kind == "vector-field":
-        if side is None:
-            raise ModelFileError(f"{context}: general vector fields need a side")
-        chart = table.chart(side)
-        comps = _parse_exprs(
-            _require(raw, "components", context), chart, f"{context}.components", len(chart)
-        )
-        if zeta is not None:
-            zeta = _parse_exprs(zeta, chart, f"{context}.zeta", table.k)
-        return SymmetryCandidate("vector-field", comps, side, gauge=gauge, zeta=zeta)
-
+    chart = table.q_names if kind == "vector-field-on-q" else table.chart(side)
+    comps = _parse_exprs(
+        _require(raw, "components", context), chart, f"{context}.components", len(chart)
+    )
+    inverse = gauge = zeta = None
     if kind == "diffeomorphism":
-        if side is None:
-            raise ModelFileError(f"{context}: diffeomorphisms need a side")
-        chart = table.chart(side)
-        comps = _parse_exprs(
-            _require(raw, "components", context), chart, f"{context}.components", len(chart)
-        )
         inverse = _parse_exprs(
             _require(raw, "inverse", context), chart, f"{context}.inverse", len(chart)
         )
-        return SymmetryCandidate("diffeomorphism", comps, side, inverse=inverse)
-
-    raise ModelFileError(f"{context}: unknown kind {kind!r}")
+    if raw.get("gauge") is not None:
+        gauge = _parse_exprs(raw["gauge"], table.q_names, f"{context}.gauge", table.k)
+    if raw.get("zeta") is not None:  # a base field's zeta is read on the momentum chart
+        zeta_chart = table.momentum_chart if kind == "vector-field-on-q" else chart
+        zeta = _parse_exprs(raw["zeta"], zeta_chart, f"{context}.zeta", table.k)
+    return SymmetryCandidate(kind, comps, side, inverse, gauge, zeta)
 
 
 def _load_solution(name, raw, table: VarTable):
@@ -173,23 +162,23 @@ def _load_solution(name, raw, table: VarTable):
         comps = _parse_exprs(
             _require(raw, "components", context), table.t_names, f"{context}.components", table.n
         )
-        momenta = None
         if side == "hamiltonian":
             rows = _require(raw, "momenta", context)
             if not isinstance(rows, (list, tuple)) or len(rows) != table.k:
                 raise ModelFileError(f"{context}.momenta: expected {table.k} rows")
-            momenta = tuple(
-                _parse_exprs(row, table.t_names, f"{context}.momenta[{A}]", table.n)
-                for A, row in enumerate(rows)
-            )
-        elif side != "lagrangian":
+            for A, row in enumerate(rows):
+                comps += _parse_exprs(row, table.t_names, f"{context}.momenta[{A}]", table.n)
+            section = Section(table, side, comps)
+        elif side == "lagrangian":
+            section = Section.prolongation(table, comps)
+        else:
             raise ModelFileError(f"{context}: unknown side {side!r}")
         t_box = raw.get("t_box")
         if t_box is not None:
             if not isinstance(t_box, list) or len(t_box) != table.k:
                 raise ModelFileError(f"{context}.t_box: expected {table.k} intervals")
             t_box = [tuple(_floats(box, f"{context}.t_box", 2)) for box in t_box]
-        return AnalyticSolution(side, comps, momenta, t_box)
+        return AnalyticSolution(section, t_box)
 
     if kind == "grid":
         axes_raw = _require(raw, "axes", context)
@@ -261,7 +250,9 @@ def load_model(path) -> ModelSpec:
         tolerances[key] = _float(value, f"tolerances.{key}")
 
     symmetries = {
-        str(name): _load_symmetry(name, value, table)
+        str(name): _load_symmetry(
+            name, value, table, "lagrangian" if lagrangian is not None else "hamiltonian"
+        )
         for name, value in (raw.get("symmetries") or {}).items()
     }
     solutions = {

@@ -16,12 +16,12 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .bundles import (
+    Section,
     TotalMap,
     VectorFieldQ,
     complete_lift,
     cotangent_lift,
     point_rows,
-    pullback_by_prolongation,
     tulczyjew_derivative,
 )
 from .coords import VarTable
@@ -43,7 +43,6 @@ from .hamiltonian import (
     canonical_two_form,
     ham_kvector,
     hdw_residual,
-    pullback_by_section,
 )
 from .lagrangian import (
     LagrangianModel,
@@ -104,7 +103,8 @@ class SymmetryCandidate:
     the check that reads it);
     kind "vector-field": components over the full chart of ``side``;
     kind "diffeomorphism": total-space map with declared inverse.
-    Optional gauge data g (k expressions over q) and zeta (k expressions).
+    Optional gauge data g (k expressions over q) and zeta (k expressions);
+    :func:`gauge_entry` says which of them a current reads.
     """
 
     kind: str
@@ -127,6 +127,15 @@ class SymmetryCandidate:
             raise SymmetryError("candidate is not a diffeomorphism")
         use_side = self.side or side
         return TotalMap(table, use_side, self.components, self.inverse)
+
+
+def gauge_entry(kind: str, side: str) -> Optional[str]:
+    """The entry a current of this kind on this side subtracts: "gauge" (the
+    term g of a natural lagrangian symmetry) or "zeta"; None for a
+    diffeomorphism, which has no current."""
+    if kind == "diffeomorphism":
+        return None
+    return "gauge" if kind == "vector-field-on-q" and side == "lagrangian" else "zeta"
 
 
 @dataclass(frozen=True)
@@ -153,6 +162,7 @@ class Side:
     scalar: Callable      # () -> H, or the energy E_L
     invariance: str       # report condition of Y(scalar) = 0
     legs: Callable        # (N, dim) rows -> (N, k, dim) k-vector field legs
+    residual: Callable    # (Section, t rows) -> field-equation residuals along it
 
 
 def _side(model) -> Side:
@@ -162,11 +172,13 @@ def _side(model) -> Side:
             "hamiltonian", table.momentum_chart, "momentum", cotangent_lift,
             partial(canonical_one_form, table), partial(canonical_two_form, table),
             lambda: model.H, "hamiltonian_invariance", partial(ham_kvector, model),
+            partial(hdw_residual, model),
         )
     return Side(
         "lagrangian", table.velocity_chart, "velocity", complete_lift,
         partial(poincare_cartan_form, model), partial(lagrangian_two_form, model),
         partial(energy, model), "energy_invariance", partial(sopde_solve, model),
+        lambda section, t: el_residual(model, section.base, t),  # of the map it prolongs
     )
 
 
@@ -302,8 +314,7 @@ def verify_conservation(
     current: NoetherCurrent,
     table: VarTable,
     *,
-    phi: Optional[Sequence[Expr]] = None,
-    section=None,
+    section: Optional[Section] = None,
     grid: Optional[SolutionGrid] = None,
     refined_grid: Optional[SolutionGrid] = None,
     model: Optional[LagrangianModel] = None,
@@ -312,10 +323,11 @@ def verify_conservation(
 ) -> Report:
     """Check that the current's divergence vanishes along a solution.
 
-    Analytic mode (``phi`` or ``section``): the symbolic total divergence is
-    evaluated at the t samples.  Grid mode (``grid``): the discrete
-    divergence of the trace, plus its refinement ratio when ``refined_grid``
-    is supplied; the report keeps the trace on ``grid`` as ``trace``.
+    Analytic mode (``section``, on the current's side): the symbolic total
+    divergence is evaluated at the t samples.  Grid mode (``grid``): the
+    discrete divergence of the trace, plus its refinement ratio when
+    ``refined_grid`` is supplied; the report keeps the trace on ``grid`` as
+    ``trace``.
     """
     if grid is not None:
         trace = evaluate_current(current.components, grid, current.side, model)
@@ -335,19 +347,13 @@ def verify_conservation(
             "grid_divergence", trace.max_divergence, trace.interior_count, passed, details, trace
         )
 
-    if phi is not None:
-        if current.side != "lagrangian":
-            raise SymmetryError("map solutions verify lagrangian-side currents")
-        restrict = partial(pullback_by_prolongation, table, phi=phi)
-    elif section is not None:
-        if current.side != "hamiltonian":
-            raise SymmetryError("bundle sections verify hamiltonian-side currents")
-        restrict = partial(pullback_by_section, table, psi_base=section[0], psi_momenta=section[1])
-    else:
+    if section is None:
         raise SymmetryError("no solution supplied")
+    if section.side != current.side:
+        raise SymmetryError("solution and current live on different sides")
     divergence: Expr = Num(0.0)  # total divergence of the current along the solution, in t
     for A, f_A in enumerate(current.components):
-        divergence = add(divergence, diff(restrict(f_A), table.t(A)))
+        divergence = add(divergence, diff(section.restrict(f_A), table.t(A)))
 
     if t_samples is None:
         raise SymmetryError("analytic mode needs t samples")
@@ -378,7 +384,7 @@ def verify_bracket_theorem(
 def check_symmetry_by_transport(
     Phi: TotalMap,
     model,
-    solution,
+    section: Section,
     t_samples: np.ndarray,
     tol: Optional[float] = None,
 ):
@@ -386,56 +392,33 @@ def check_symmetry_by_transport(
     the image; the pass tolerance follows the input solution's own residual
     (an exact solution demands an exact image)."""
     table = Phi.table
+    side = _side(model)
     t_rows, _ = point_rows(t_samples, table.k)
-    threshold_floor = tol if tol is not None else 1e-10
-    if isinstance(model, HamiltonianModel):
-        psi_base, psi_momenta = solution
-        image = [pullback_by_section(table, c, psi_base, psi_momenta) for c in Phi.components]
-        image_base = tuple(image[: table.n])
-        image_momenta = tuple(
-            tuple(image[table.n + A * table.n + i] for i in range(table.n))
-            for A in range(table.k)
-        )
-        input_res = largest_abs(hdw_residual(model, psi_base, psi_momenta, t_rows))
-        image_res = largest_abs(hdw_residual(model, image_base, image_momenta, t_rows))
-        threshold = max(threshold_floor, 10.0 * input_res)
-        return [
-            Report(
-                "transport_field_equations",
-                image_res,
-                len(t_rows),
-                image_res <= threshold,
-                {"input_residual": input_res},
-            )
-        ]
-
-    phi = solution
-    image = [pullback_by_prolongation(table, c, phi) for c in Phi.components]
-    rho = tuple(image[: table.n])
-
-    input_res = largest_abs(el_residual(model, phi, t_rows))
-    image_res = largest_abs(el_residual(model, rho, t_rows))
-    # the image must itself be a first prolongation: fiber components of the
-    # image agree with the t-derivatives of its base part
-    gaps = [
-        sub(diff(rho[i], table.t(A)), image[table.fiber_slot(i, A)])
-        for A in range(table.k)
-        for i in range(table.n)
-    ]
-    worst_prolong = max_abs(gaps, table.t_names, t_rows)
-    threshold = max(threshold_floor, 10.0 * input_res)
-    return [
+    image = Section(table, section.side, tuple(map(section.restrict, Phi.components)))
+    input_res = largest_abs(side.residual(section, t_rows))
+    image_res = largest_abs(side.residual(image, t_rows))
+    threshold = max(tol if tol is not None else 1e-10, 10.0 * input_res)
+    reports = [
         Report(
             "transport_field_equations",
             image_res,
             len(t_rows),
             image_res <= threshold,
             {"input_residual": input_res},
-        ),
-        Report(
-            "transport_prolongation_consistency",
-            worst_prolong,
-            len(t_rows),
-            worst_prolong <= threshold,
-        ),
+        )
     ]
+    if side.name == "lagrangian":
+        # the image must itself be a first prolongation: fiber components of the
+        # image agree with the t-derivatives of its base part
+        holonomic = Section.prolongation(table, image.base).components
+        gaps = [sub(a, b) for a, b in zip(holonomic[table.n:], image.components[table.n:])]
+        worst_prolong = max_abs(gaps, table.t_names, t_rows)
+        reports.append(
+            Report(
+                "transport_prolongation_consistency",
+                worst_prolong,
+                len(t_rows),
+                worst_prolong <= threshold,
+            )
+        )
+    return reports

@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 
-from ksfield.bundles import TangentVector, VectorFieldQ, cotangent_lift, sopde_check
+from ksfield.bundles import Section, TangentVector, VectorFieldQ, cotangent_lift, sopde_check
 from ksfield.coords import VarTable
 from ksfield.expr import Num, diff, parse
 from ksfield.forms import lie_derivative_one, max_abs
@@ -166,7 +166,8 @@ def test_criterion_4_noether_conservation():
     analytic_worst = 0.0
     for current in (momentum, boost):
         report = verify_conservation(
-            current, table, phi=phi, t_samples=t_samples, tol=1e-12
+            current, table, section=Section.prolongation(table, phi), t_samples=t_samples,
+            tol=1e-12,
         )
         analytic_worst = max(analytic_worst, report.max_residual)
 
@@ -215,9 +216,10 @@ def test_criterion_5_broken_symmetry_control():
     ts = table.t_names
     psi_base = (parse("-(t1^2 + t2^2)/4", ts),)
     psi_momenta = ((parse("-t1/2", ts),), (parse("-t2/2", ts),))
+    psi = Section(table, "hamiltonian", psi_base + sum(psi_momenta, ()))
     t_samples = sample_parameters(table, 50, seed=7)
     solution_residual = max(
-        float(np.max(np.abs(hdw_residual(broken_h, psi_base, psi_momenta, t))))
+        float(np.max(np.abs(hdw_residual(broken_h, psi, t))))
         for t in t_samples
     )
     momentum = NoetherCurrent(
@@ -226,7 +228,7 @@ def test_criterion_5_broken_symmetry_control():
         "user-supplied",
     )
     report_h = verify_conservation(
-        momentum, table, section=(psi_base, psi_momenta), t_samples=t_samples
+        momentum, table, section=psi, t_samples=t_samples
     )
 
     # Lagrangian side: the mass term -q^2/2 breaks translation invariance
@@ -247,7 +249,7 @@ def test_criterion_5_broken_symmetry_control():
         "user-supplied",
     )
     report_l = verify_conservation(
-        wave_momentum, table, phi=kg_phi,
+        wave_momentum, table, section=Section.prolongation(table, kg_phi),
         t_samples=sample_parameters(table, 50, seed=9, t_box=[(0.0, 2.0), (0.0, TWO_PI)]),
     )
 
@@ -459,7 +461,7 @@ def test_criterion_9_classical_reduction():
     orbit_momenta = ((parse("-sin(t1)", ts), parse("cos(t1)", ts)),)
     t_samples = sample_parameters(table, 30, seed=17, t_box=[(0.0, TWO_PI)])
     report = verify_conservation(
-        angular, table, section=(orbit_base, orbit_momenta),
+        angular, table, section=Section(table, "hamiltonian", orbit_base + sum(orbit_momenta, ())),
         t_samples=t_samples, tol=1e-12,
     )
 

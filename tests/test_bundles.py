@@ -8,6 +8,7 @@ from ksfield.bundles import (
     CoJetPoint,
     DiffeoQ,
     JetPoint,
+    Section,
     TangentVector,
     VectorFieldQ,
     complete_lift,
@@ -15,7 +16,6 @@ from ksfield.bundles import (
     cotangent_prolongation,
     first_prolongation,
     liouville_field,
-    pullback_by_prolongation,
     sopde_check,
     tangent_prolongation,
     tulczyjew_derivative,
@@ -386,6 +386,6 @@ class TestPullbackByProlongation:
     def test_restriction_substitutes_jet(self):
         phi = (parse("t1*t2", T12.t_names),)
         e = parse("q1 + v1_1*v1_2", T12.velocity_chart)
-        restricted = pullback_by_prolongation(T12, e, phi)
+        restricted = Section.prolongation(T12, phi).restrict(e)
         # q -> t1 t2, v1 -> t2, v2 -> t1
         assert evaluate(restricted, {"t1": 2.0, "t2": 5.0}) == 10.0 + 5.0 * 2.0

@@ -405,6 +405,39 @@ class TestNoether:
         report = json.loads((out / "check_shift.json").read_text())
         assert {r["details"]["side"] for r in report["reports"]} == {"hamiltonian"}
 
+    # a natural lagrangian current reads only gauge, every other current only
+    # zeta, and a diffeomorphism neither; an entry nothing reads is an error
+    @pytest.mark.parametrize("old, new, argv, entry", [
+        ('components: ["1"]', 'components: ["1"]\n    side: lagrangian\n    zeta: ["5", "0"]',
+         ["noether", "--symmetry", "shift"], "zeta"),
+        ('components: ["1"]', 'components: ["1"]\n    side: hamiltonian\n    gauge: ["q1", "0"]',
+         ["noether", "--symmetry", "shift"], "gauge"),
+        ('components: ["1"]', 'components: ["1"]\n    zeta: ["5", "0"]',
+         ["noether", "--symmetry", "shift"], "zeta"),  # no side: read on the lagrangian side
+        ('inverse: ["q1 - 1", "v1_1", "v1_2"]',
+         'inverse: ["q1 - 1", "v1_1", "v1_2"]\n    zeta: ["junk(", "0"]',
+         ["check-symmetry", "--symmetry", "translate"], "zeta"),
+        ('inverse: ["q1 - 1", "v1_1", "v1_2"]',
+         'inverse: ["q1 - 1", "v1_1", "v1_2"]\n    gauge: ["0", "0"]',
+         ["check-symmetry", "--symmetry", "translate"], "gauge"),
+        ("symmetries:", 'symmetries:\n  flow:\n    kind: vector-field\n    side: hamiltonian\n'
+         '    components: ["1", "0", "0"]\n    gauge: ["0", "0"]',
+         ["noether", "--symmetry", "flow"], "gauge"),
+    ], ids=["lagrangian-zeta", "hamiltonian-gauge", "picked-side-zeta", "diffeomorphism-zeta",
+            "diffeomorphism-gauge", "vector-field-gauge"])
+    def test_entry_the_side_never_reads_exits_two(self, tmp_path, capsys, old, new, argv, entry):
+        path = tmp_path / "wave.yaml"
+        path.write_text(WAVE_YAML.replace(old, new, 1))
+        assert main([argv[0], str(path), *argv[1:]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and argv[-1] in err and entry in err
+
+    def test_solution_on_the_other_side_exits_two(self, capsys):
+        path = Path(__file__).resolve().parent / "models" / "rotation.yaml"
+        argv = ["noether", str(path), "--symmetry", "rot_l", "--solution", "closed_form_h"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: solution and current live on different sides\n"
+
     @pytest.mark.parametrize("solution, condition", [
         ("closed_form", "analytic_divergence"), ("orbit", "grid_divergence"),
     ])
@@ -570,8 +603,7 @@ _FUZZ_MODELS = (
         "box": {"q1": [-1.0, 1.0], "v1_1": [-2.0, 2.0]},
         "tolerances": {"cartan": 1e-9, "conservation": 1e-9},
         "symmetries": {
-            "shift": {"kind": "vector-field-on-q", "components": ["1"],
-                      "gauge": ["0", "0"], "zeta": ["0", "0"]},
+            "shift": {"kind": "vector-field-on-q", "components": ["1"], "gauge": ["0", "0"]},
             "translate": {"kind": "diffeomorphism", "side": "lagrangian",
                           "components": ["q1 + 1", "v1_1", "v1_2"],
                           "inverse": ["q1 - 1", "v1_1", "v1_2"]},

@@ -5,7 +5,9 @@ stdout and of every file it writes under ``--out``.  The digests were
 recorded from the command outputs before the expression kernel became a
 DAG (the two chain cases: before the CSV writer respelled cells from
 orjson's digits; the three rotation cases: before the two sides shared
-one Cartan check and one Noether construction); a change to how
+one Cartan check and one Noether construction; the two Hamiltonian
+analytic-solution cases: before both sides restricted expressions to a
+solution through one section record); a change to how
 expressions are built, derived, printed or compiled, or to how CSV cells
 are spelled, must leave every byte of them as it was.
 
@@ -47,6 +49,10 @@ CASES = {
     "check-symmetry rotation rot_l": ("check-symmetry", ROTATION, "--symmetry", "rot_l"),
     "check-symmetry rotation rot_h": ("check-symmetry", ROTATION, "--symmetry", "rot_h"),
     "noether rotation rot_h orbit": ("noether", ROTATION, "--symmetry", "rot_h", "--solution", "orbit"),
+    "noether rotation rot_h closed_form_h": (
+        "noether", ROTATION, "--symmetry", "rot_h", "--solution", "closed_form_h"
+    ),
+    "check-symmetry rotation turn_h": ("check-symmetry", ROTATION, "--symmetry", "turn_h"),
 }
 
 GOLDEN = {
@@ -54,11 +60,13 @@ GOLDEN = {
     'analyze wave': {'exit': 0, 'stdout': '418e32f13b94cfaa979e9abf1d9ee46ca4d17ba558946716334a871d74e26e18', 'analyze.json': 'e1faf9ff457cc3d868e2cf04e76ed2fe3bd50def3b94ebb5c536100b16609689'},
     'check-symmetry rotation rot_h': {'exit': 0, 'stdout': 'dd001a4e211c36098adf10ac680645d8f8a74d0ee364c029bcbc885ee523309f', 'check_rot_h.json': 'b0d743adb45e033c6b45ffbc76605a5920d99f301b5f7b991a38a2a5a5e8d555'},
     'check-symmetry rotation rot_l': {'exit': 0, 'stdout': '183c033400da0e8781125084af186294f7e0521913ca0348df2c6b8ed5ac8cbb', 'check_rot_l.json': '9747b77fe701e00ce0b7a11cfeb7e4134060750c7e37c80f79f07f5ce6baef11'},
+    'check-symmetry rotation turn_h': {'exit': 0, 'stdout': '8add176d02b8ac121eb7473c393754c186ad841274ea9f40636dc12e44057c34', 'check_turn_h.json': '0a602aec09a4503556d153bc25ef57594de342eac48152b6a1c3ce2a68b31596'},
     'check-symmetry wave shift': {'exit': 0, 'stdout': 'c7387b3db70efe272b96e07804bec72f7dc8344ddf1156441f369e969df6f91b', 'check_shift.json': '61285ebb1e7bb607319ad1e5d6b97ff538d74fc871eb31908f222235fd6e691e'},
     'check-symmetry wave translate': {'exit': 0, 'stdout': '55688c5d22c62f04374b0cb6005bb6b39a3f78cf3b6f3ad8bc24a140dcc3cb13', 'check_translate.json': '9dd0975fcc9e34e07b6bd24d308eaa960f7407bd2004772edd83d5963d1604df'},
     'gauge oscillator oscillator': {'exit': 0, 'stdout': '7fea716e235ce19853ea9aa570a1ce2e0b99cec021fa1e4888822b11ea15034d', 'gauge.json': '3008ea8325d17bf029a3b73cb00276a1efa8c4f3a6b586e3182bac2baee8a16c'},
     'gauge wave wave': {'exit': 0, 'stdout': 'c07a0c73311fe510ba77e7a30aa5849c5225dbee456a0244fce62939c825a3bb', 'gauge.json': 'f6d9744c4de8ff602f4d95e176167fb56291a0d9542067979bb08a20555dfd4e'},
     'noether chain shift run': {'exit': 0, 'stdout': 'b68c0fba19bed89788bcbf300812a12c3d99f3c2266d0e230e5126b6a970ae35', 'noether_shift.json': '070da1d591e8505b3549c34b409dc87621ee6061a0d5665318f534b75ecc22a9', 'noether_shift_trace.csv': 'df43bd9681382087a190bfad1655f00e62b7916e67bece4945945b16ebe7a4ef'},
+    'noether rotation rot_h closed_form_h': {'exit': 0, 'stdout': '13c03cbd030910ae70893f03ad8e2551ec4801b1ec926c983d16330ca01bdafb', 'noether_rot_h.json': '4d6e7ca61c6485acbb2dba3d65d8fe804507d61c895c944be8ffbe50ce535cc7'},
     'noether rotation rot_h orbit': {'exit': 0, 'stdout': 'cd8b4f35f4eff406bdda3216e04859d851b7d4becff8169dd3a395987a755545', 'noether_rot_h.json': '0c808f7f5549501cfb74a7aef5599deafe4f44eb5029c12680afac1fe3d9a265', 'noether_rot_h_trace.csv': 'a1e95bba4bc63c521ed9b1834732116b1be870d472cb53131ca63c9d4e515c4c'},
     'noether wave shift dalembert': {'exit': 0, 'stdout': '0e0d984b9374243c52dc38c14b55ed51d53016d21a25349f6f190b6c7a6bffd5', 'noether_shift.json': 'edd0c09e12545a2a9436e3df9429a044197d1fc6c430c74f92ab72d771684665'},
     'noether wave shift run': {'exit': 0, 'stdout': 'aa08e6533152dff6452e659da0fa10197a5122e4c84f0efe8adf63083cdc2cae', 'noether_shift.json': '94ace9b843378a858be2993572d2f1ba4b8b4be2606c3b3d3ca2971c7575583b', 'noether_shift_trace.csv': '1bb599328ccb4acd25a744bd85b52c36a5e9612ce7e0df18f2d45f2ea3bec7ee'},

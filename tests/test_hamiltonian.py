@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ksfield import hamiltonian
-from ksfield.bundles import CoJetPoint, pullback_by_prolongation
+from ksfield.bundles import CoJetPoint, Section
 from ksfield.coords import VarTable
 from ksfield.expr import diff, parse
 from ksfield.forms import d_one
@@ -25,6 +25,10 @@ from reference import evaluate
 
 def cojet(table, q, p):
     return CoJetPoint(table, np.asarray(q, float), np.asarray(p, float))
+
+
+def section(table, psi_base, psi_momenta):
+    return Section(table, "hamiltonian", psi_base + sum(psi_momenta, ()))
 
 
 class TestCanonicalForms:
@@ -67,7 +71,8 @@ class TestHdwResidual:
         psi_momenta = ((parse("t2", ts),), (parse("t1", ts),))
         rng = np.random.default_rng(2)
         for _ in range(10):
-            r = hdw_residual(model, psi_base, psi_momenta, rng.uniform(-2, 2, 2))
+            psi = section(model.table, psi_base, psi_momenta)
+            r = hdw_residual(model, psi, rng.uniform(-2, 2, 2))
             assert np.max(np.abs(r)) <= 1e-13
 
     def test_stationary_point(self):
@@ -75,7 +80,7 @@ class TestHdwResidual:
         ts = model.table.t_names
         psi_base = (parse("0", ts),)
         psi_momenta = ((parse("0", ts),), (parse("0", ts),))
-        r = hdw_residual(model, psi_base, psi_momenta, (0.1, 0.2))
+        r = hdw_residual(model, section(model.table, psi_base, psi_momenta), (0.1, 0.2))
         assert np.max(np.abs(r)) == 0.0
 
     def test_parabola_first_block(self):
@@ -83,7 +88,7 @@ class TestHdwResidual:
         ts = model.table.t_names
         psi_base = (parse("t1^2", ts),)
         psi_momenta = ((parse("2*t1", ts),), (parse("0", ts),))
-        r = hdw_residual(model, psi_base, psi_momenta, (0.7, -0.3))
+        r = hdw_residual(model, section(model.table, psi_base, psi_momenta), (0.7, -0.3))
         assert r[0] == pytest.approx(2.0, abs=1e-14)
         assert r[1] == pytest.approx(0.0, abs=1e-14)
 
@@ -157,18 +162,20 @@ class TestLegendreLink:
         model = hamiltonian_model(1, 2, "(p1_1^2 - p2_1^2)/2")
         phi = (parse("sin(t1 - t2)", table.t_names),)
         momenta_exprs = legendre_exprs(wave_model)
+        prolonged = Section.prolongation(table, phi)
         psi_base = tuple(
-            pullback_by_prolongation(table, parse(name, table.q_names), phi)
+            prolonged.restrict(parse(name, table.q_names))
             for name in table.q_names
         )
         psi_momenta = tuple(
             tuple(
-                pullback_by_prolongation(table, momenta_exprs[A * table.n + i], phi)
+                prolonged.restrict(momenta_exprs[A * table.n + i])
                 for i in range(table.n)
             )
             for A in range(table.k)
         )
         rng = np.random.default_rng(7)
         for _ in range(10):
-            r = hdw_residual(model, psi_base, psi_momenta, rng.uniform(-2, 2, 2))
+            psi = section(model.table, psi_base, psi_momenta)
+            r = hdw_residual(model, psi, rng.uniform(-2, 2, 2))
             assert np.max(np.abs(r)) <= 1e-10

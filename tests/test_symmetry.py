@@ -7,6 +7,7 @@ import pytest
 
 from ksfield.bundles import (
     DiffeoQ,
+    Section,
     VectorFieldQ,
     complete_lift,
     cotangent_lift,
@@ -219,7 +220,7 @@ class TestNoetherHamiltonian:
 def model_section_solution():
     """Section (t1 t2, (t2, t1)) of the n=1, k=2 momentum bundle."""
     ts = ("t1", "t2")
-    return ((parse("t1*t2", ts),), ((parse("t2", ts),), (parse("t1", ts),)))
+    return Section(T12, "hamiltonian", (parse("t1*t2", ts), parse("t2", ts), parse("t1", ts)))
 
 
 class TestVerifyConservation:
@@ -230,7 +231,8 @@ class TestVerifyConservation:
         phi = (parse("sin(t1 - t2)", table.t_names),)
         t_samples = sample_parameters(table, 50, seed=22)
         report = verify_conservation(
-            current, table, phi=phi, t_samples=t_samples, tol=1e-12
+            current, table, section=Section.prolongation(table, phi), t_samples=t_samples,
+            tol=1e-12,
         )
         assert report.passed
 
@@ -240,7 +242,9 @@ class TestVerifyConservation:
         current = noether_current(q_translation(table), wave_model, samples=samples)
         phi = (parse("t1^2 + t2", table.t_names),)  # not a wave solution
         t_samples = sample_parameters(table, 50, seed=24)
-        report = verify_conservation(current, table, phi=phi, t_samples=t_samples)
+        report = verify_conservation(
+            current, table, section=Section.prolongation(table, phi), t_samples=t_samples
+        )
         assert not report.passed
         assert report.max_residual > 0.5
 
@@ -319,7 +323,9 @@ class TestTransport:
         Phi = tangent_prolongation(ident)
         phi = (parse("sin(t1 - t2)", table.t_names),)
         t_samples = sample_parameters(table, 25, seed=31)
-        reports = check_symmetry_by_transport(Phi, wave_model, phi, t_samples)
+        reports = check_symmetry_by_transport(
+            Phi, wave_model, Section.prolongation(table, phi), t_samples
+        )
         assert all_pass(reports)
 
     def test_scaling_breaks_klein_gordon(self, kg_model):
@@ -329,7 +335,9 @@ class TestTransport:
         omega = float(np.sqrt(2.0))
         phi = (parse(f"sin(t2 - {omega!r}*t1)", table.t_names),)  # KG wave, kappa=1
         t_samples = sample_parameters(table, 25, seed=32)
-        reports = check_symmetry_by_transport(Phi, kg_model, phi, t_samples)
+        reports = check_symmetry_by_transport(
+            Phi, kg_model, Section.prolongation(table, phi), t_samples
+        )
         # scaling maps solutions of the massive equation off-shell? no - the
         # KG equation is linear, so scaling q by 2 PRESERVES solutions.
         assert all_pass(reports)
@@ -342,7 +350,9 @@ class TestTransport:
         omega = float(np.sqrt(2.0))
         phi = (parse(f"sin(t2 - {omega!r}*t1)", table.t_names),)
         t_samples = sample_parameters(table, 25, seed=33)
-        reports = check_symmetry_by_transport(Phi, kg_model, phi, t_samples)
+        reports = check_symmetry_by_transport(
+            Phi, kg_model, Section.prolongation(table, phi), t_samples
+        )
         assert not all_pass(reports)
 
 
@@ -411,7 +421,10 @@ class TestCurrentTransport:
         phi = (parse("sin(t1 - t2)", table.t_names),)
         t_samples = sample_parameters(table, 30, seed=40)
         for c in (current, shifted):
-            report = verify_conservation(c, table, phi=phi, t_samples=t_samples, tol=1e-12)
+            report = verify_conservation(
+                c, table, section=Section.prolongation(table, phi), t_samples=t_samples,
+                tol=1e-12,
+            )
             assert report.passed
 
 
