@@ -14,6 +14,7 @@ import math
 import re
 import warnings
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -262,55 +263,131 @@ _RK4_STEP = """def _fn(_state, _energy_only=False):
     return ({X},) if {finite} else None, _e"""
 
 
+def _finite_test(names) -> str:
+    test = " and ".join(f"_isfinite({x})" for x in names)
+    return f"if not ({test}): raise _SolverError('non-finite stage values; step rejected')"
+
+
+def _eliminate(H):
+    """Lines that check the n x n matrix named by ``H`` and eliminate below its
+    diagonal in place: Gaussian elimination with partial pivoting, unrolled
+    for n.  Column ``col`` pivots on row ``_best{col}`` (the first of the
+    largest magnitude); row ``r`` below it then takes ``_m{r}_{col}`` times
+    the pivot row.  The determinant is the product of the pivots; H is
+    singular where it is 0 or at most 1e-10 max(1, max|H|^n)."""
+    n, join = len(H), ", ".join
+    entries = sum(H, [])
+    largest = join(f"abs({x})" for x in entries)
+    yield _finite_test(entries)
+    yield f"_scale = max(1.0, {f'max({largest})' if n > 1 else largest} ** {n})"
+    yield "_det = 1.0"
+    for col in range(n):
+        below = range(col + 1, n)
+        if below:
+            yield f"_best{col}, _p = {col}, abs({H[col][col]})"
+        for r in below:
+            yield f"if abs({H[r][col]}) > _p: _best{col}, _p = {r}, abs({H[r][col]})"
+        for r in below:
+            rows = H[col][col:], H[r][col:]
+            yield (f"{'if' if r == col + 1 else 'elif'} _best{col} == {r}: "
+                   f"_det, {join(rows[0] + rows[1])} = -_det, {join(rows[1] + rows[0])}")
+        yield f"_det *= {H[col][col]}"
+        yield "if _det == 0.0: raise _RegularityError(_SINGULAR)"
+        for r in below:
+            yield f"_m{r}_{col} = {H[r][col]} / {H[col][col]}"
+            yield from (f"{H[r][c]} -= _m{r}_{col} * {H[col][c]}" for c in below)
+    yield "if abs(_det) <= 1e-10 * _scale: raise _RegularityError(_SINGULAR)"
+
+
+def _substitute(H, R, best):
+    """Lines that apply the row swaps and multipliers of :func:`_eliminate` to
+    the right-hand side named by ``R`` and back-substitute, leaving the
+    solution in ``R``.  ``best`` lists each column's pivot row where it is
+    known while building the step, else it is None and read at run time."""
+    n = len(R)
+    for col in range(n):
+        for r in range(col + 1, n):
+            swap = f"{R[col]}, {R[r]} = {R[r]}, {R[col]}"
+            if best is None:
+                yield f"{'if' if r == col + 1 else 'elif'} _best{col} == {r}: {swap}"
+            elif best[col] == r:
+                yield swap
+        yield from (f"{R[r]} -= _m{r}_{col} * {R[col]}" for r in range(col + 1, n))
+    for i in reversed(range(n)):
+        rest = "".join(f" - {H[i][j]} * {R[j]}" for j in range(i + 1, n))
+        yield f"{R[i]} = ({R[i]}{rest}) / {H[i][i]}"
+
+
+def _eliminated_constants(hessian, H, namespace):
+    """Run :func:`_eliminate` once on a velocity Hessian without free variables.
+
+    The entries are computed by the code a stage would run, and the
+    elimination runs as a stage would run it, so every float is the one a
+    stage would compute.  Returns each column's pivot row and binds in
+    ``namespace`` the eliminated entries and multipliers that
+    :func:`_substitute` reads.  Returns None where an entry has a free
+    variable or where the entries or their elimination raise: the stages
+    then do the work themselves and raise at the point they always did.
+    """
+    if any(free_vars(e) for e in hessian):
+        return None
+    n, entries = len(H), sum(H, [])
+    multipliers = [f"_m{r}_{col}" for col in range(n) for r in range(col + 1, n)]
+    pivots = [f"_best{col}" for col in range(n - 1)]
+
+    def write(blocks):
+        ((lines, values),) = blocks
+        assign = [f"{x} = {value}" for x, value in zip(entries, values)]
+        done = [f"return {', '.join(entries + multipliers + pivots)},"]
+        return "\n    ".join(["def _fn():"] + lines + assign + list(_eliminate(H)) + done)
+
+    try:
+        with np.errstate(all="ignore"):
+            values = compile_source([hessian], (), write, namespace, float_literals=True)()
+    except (ArithmeticError, SolverError, RegularityError):
+        return None
+    namespace.update(zip(entries + multipliers, values))
+    return values[len(entries) + len(multipliers):]
+
+
 def _rk4_step(model: LagrangianModel, h: float):
     """One generated function per run for an RK4 step of size ``h``.
 
     ``step(state)`` takes the state (q..., v...) as a tuple of Python floats
     and returns the next state (None where not finite) and the energy at
     ``state``; ``step(state, True)`` returns only that energy.  Each stage
-    evaluates the velocity Hessian and the forces (at the state also the
-    energy) and solves H a = rhs by Gaussian elimination with partial
-    pivoting, unrolled for n; the determinant is the product of the pivots.
+    evaluates the forces (at the state also the energy) and solves H a = rhs
+    for the velocity Hessian H.  A constant H is eliminated once, here;
+    any other is evaluated and eliminated in each stage.
     """
     table = model.table
     if table.k != 1:
         raise SolverError("k = 1 integrator needs a k = 1 model")
     n, chart, join = table.n, list(table.velocity_chart), ", ".join
     H = [[f"_h{i}_{j}" for j in range(n)] for i in range(n)]
-    entries, R = sum(H, []), [f"_r{i}" for i in range(n)]
+    R = [f"_r{i}" for i in range(n)]
     Y, K, A = ([f"{x}{i}" for i in range(2 * n)] for x in ("_y", "_k", "_a"))
-    largest = join(f"abs({x})" for x in entries)
+    namespace = {
+        "_isfinite": math.isfinite, "_SolverError": SolverError,
+        "_RegularityError": RegularityError,
+        "_SINGULAR": "velocity Hessian became singular along the trajectory",
+        "_DT": (0.5 * h, 0.5 * h, h, h / 6.0),  # each stage's step to the next point
+    }
+    hessian = [diff(model.dLdv(i, 0), table.v(j, 0)) for i in range(n) for j in range(n)]
+    best = _eliminated_constants(hessian, H, namespace)
+    varying = best is None
 
     def stage(blocks):
         (lines, values), (energy_lines, (energy,)) = blocks
         yield from lines
-        yield from (f"{x} = {value}" for x, value in zip(entries + R, values))
+        names = (sum(H, []) if varying else []) + R
+        yield from (f"{x} = {value}" for x, value in zip(names, values))
         at_state = energy_lines + [f"_e = {energy}", "if _energy_only: return _e"]
         yield "\n    ".join(["if _stage == 0:"] + at_state)
-        finite = " and ".join(f"_isfinite({x})" for x in entries + R)
-        yield f"if not ({finite}): raise _SolverError('non-finite stage values; step rejected')"
-        yield f"_scale = max(1.0, {f'max({largest})' if n > 1 else largest} ** {n})"
-        yield "_det = 1.0"
-        for col in range(n):
-            below = range(col + 1, n)
-            if below:
-                yield f"_best, _p = {col}, abs({H[col][col]})"
-            for r in below:
-                yield f"if abs({H[r][col]}) > _p: _best, _p = {r}, abs({H[r][col]})"
-            for r in below:
-                rows = H[col][col:] + [R[col]], H[r][col:] + [R[r]]
-                yield (f"{'if' if r == col + 1 else 'elif'} _best == {r}: "
-                       f"_det, {join(rows[0] + rows[1])} = -_det, {join(rows[1] + rows[0])}")
-            yield f"_det *= {H[col][col]}"
-            yield "if _det == 0.0: raise _RegularityError(_SINGULAR)"
-            for r in below:
-                yield f"_m = {H[r][col]} / {H[col][col]}"
-                yield from (f"{H[r][c]} -= _m * {H[col][c]}" for c in below)
-                yield f"{R[r]} -= _m * {R[col]}"
-        yield "if abs(_det) <= 1e-10 * _scale: raise _RegularityError(_SINGULAR)"
-        for i in reversed(range(n)):
-            rest = "".join(f" - {H[i][j]} * {R[j]}" for j in range(i + 1, n))
-            yield f"{R[i]} = ({R[i]}{rest}) / {H[i][i]}"
+        yield _finite_test(R)
+        if varying:
+            yield from _eliminate(H)
+        yield from _substitute(H, R, best)
 
     def write(blocks):
         return _RK4_STEP.format(
@@ -321,13 +398,13 @@ def _rk4_step(model: LagrangianModel, h: float):
             update=join(f"{y} + _dt * {k}" for y, k in zip(Y, K)),
             finite=" and ".join(f"_isfinite({x})" for x in chart))
 
-    hessian = [diff(model.dLdv(i, 0), table.v(j, 0)) for i in range(n) for j in range(n)]
-    return compile_source([hessian + _forces(model, 0), [energy(model)]], chart, write, {
-        "_isfinite": math.isfinite, "_SolverError": SolverError,
-        "_RegularityError": RegularityError,
-        "_SINGULAR": "velocity Hessian became singular along the trajectory",
-        "_DT": (0.5 * h, 0.5 * h, h, h / 6.0),  # each stage's step to the next point
-    }, float_literals=True)
+    return compile_source([(hessian if varying else []) + _forces(model, 0), [energy(model)]],
+                          chart, write, namespace, float_literals=True)
+
+
+# states a run keeps as tuples before it copies them into the trajectory at
+# once, which costs far less than a numpy row assignment per step
+_LEVELS_PER_COPY = 512
 
 
 def integrate_k1(
@@ -351,12 +428,16 @@ def integrate_k1(
     energies = []
     try:
         with np.errstate(all="ignore"):
-            for m in range(1, levels):
-                state, e = step(state)
-                if state is None:
-                    raise SolverError(f"non-finite state at step {m}; step rejected")
-                trajectory[m] = state
-                energies.append(e)
+            for start in range(1, levels, _LEVELS_PER_COPY):
+                states = []
+                for m in range(start, min(start + _LEVELS_PER_COPY, levels)):
+                    state, e = step(state)
+                    if state is None:
+                        raise SolverError(f"non-finite state at step {m}; step rejected")
+                    states.append(state)
+                    energies.append(e)
+                values = np.fromiter(chain.from_iterable(states), float, len(states) * 2 * n)
+                trajectory[start: start + len(states)] = values.reshape(-1, 2 * n)
             energies.append(step(state, True))
     except (ZeroDivisionError, OverflowError):
         # Python-float operations raise where numpy's would give inf/nan
@@ -456,15 +537,18 @@ def integrate_k2_hyperbolic(
     m11_inv = np.linalg.inv(M11)
     # one level's work arrays, reused by every step
     level, right, left, v2, phixx, rhs = (np.empty((x.size, n)) for _ in range(6))
-    zeros = np.zeros(x.size)  # v1 slots: certified unused
-    args = [level[:, i] for i in range(n)] + [zeros] * n + [v2[:, i] for i in range(n)]
+    zeros = np.zeros(x.size)  # v1 slots: certified unused; v2 slots where no force reads them
+    reads_v2 = any(free_vars(f) & {table.v(i, 1) for i in range(n)} for f in forces)
+    args = [level[:, i] for i in range(n)] + [zeros] * n
+    args += [v2[:, i] for i in range(n)] if reads_v2 else [zeros] * n
 
     def acceleration(source: np.ndarray) -> np.ndarray:
         """phi_tt at the level ``source``, which also fills ``args`` from it."""
         np.copyto(level, source)
         right[:-1], right[-1] = level[1:], level[0]  # periodic neighbours along t2
         left[1:], left[0] = level[:-1], level[-1]
-        np.divide(np.subtract(right, left, out=v2), 2 * h2, out=v2)
+        if reads_v2:
+            np.divide(np.subtract(right, left, out=v2), 2 * h2, out=v2)
         np.subtract(right, np.multiply(level, 2, out=phixx), out=phixx)
         np.divide(np.add(phixx, left, out=phixx), h2**2, out=phixx)
         for i, force in enumerate(force_fn(*args)):

@@ -288,6 +288,21 @@ class TestSolve:
         error = capsys.readouterr().err
         assert error.startswith("error: ") and "log(q1 + 0.5)" in error
 
+    @pytest.mark.parametrize("lagrangian, q0, message", [
+        pytest.param("(v1_1 + v2_1)^2/2 - q1^2/2", "[1.0, 0.0]",
+                     "velocity Hessian became singular along the trajectory", id="singular"),
+        # singular too, but the force is -inf at q0: the finiteness test comes first
+        pytest.param("(v1_1 + v2_1)^2/2 + 1/q1", "[0.0, 0.0]",
+                     "non-finite stage values; step rejected", id="singular-and-non-finite"),
+    ])
+    def test_singular_constant_hessian_exits_one(self, tmp_path, capsys, lagrangian, q0, message):
+        path = tmp_path / "singular.yaml"
+        path.write_text(OSCILLATOR_YAML.replace("n: 1", "n: 2").replace(
+            '"v1_1^2/2 - q1^2/2"', f'"{lagrangian}"'
+        ).replace("q0: [1.0]", f"q0: {q0}").replace("v0: [0.0]", "v0: [0.0, 0.0]"))
+        assert main(["solve", str(path), "--solution", "orbit"]) == 1
+        assert capsys.readouterr().err == f"check failed: {message}\n"
+
     def test_analytic_solution_rejected(self, wave_file):
         assert main(["solve", str(wave_file), "--solution", "dalembert"]) == 2
 

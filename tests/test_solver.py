@@ -1,6 +1,7 @@
 """Integrators, grids, current traces and convergence behaviour."""
 
 import csv
+import hashlib
 import math
 import struct
 from pathlib import Path
@@ -121,6 +122,62 @@ class TestIntegrateK1:
         with pytest.raises(SolverError):
             integrate_k1(model, [0.0], [0.0], grid)
 
+    @pytest.mark.parametrize("n, source", [
+        (1, "log(-1)*v1_1^2 - q1^2/2"),  # NaN
+        (1, "(1/0)*v1_1^2 - q1^2/2"),  # its value raises ZeroDivisionError
+        (2, "1e200*(v1_1^2 + v2_1^2) - q1^2/2"),  # the scale max|H|^2 overflows
+        # singular, with a force that is -inf at q = 0: the finiteness test comes first
+        (2, "(v1_1 + v2_1)^2/2 + 1/q1"),
+    ])
+    def test_broken_constant_hessian_rejected_as_non_finite(self, n, source):
+        model = lagrangian_model(n, 1, source)
+        grid = GridSpec((Axis(0.0, 1.0, 0.1),))
+        with pytest.raises(SolverError, match="^non-finite stage values; step rejected$"):
+            integrate_k1(model, [0.0] * n, [0.0] * n, grid)
+
+    def test_singular_constant_hessian_rejected(self):
+        model = lagrangian_model(2, 1, "(v1_1 + v2_1)^2/2 - q1^2/2")  # Hessian [[1, 1], [1, 1]]
+        grid = GridSpec((Axis(0.0, 1.0, 0.1),))
+        with pytest.raises(RegularityError, match="^velocity Hessian became singular along the trajectory$"):
+            integrate_k1(model, [1.0, 0.0], [0.0, 0.0], grid)
+
+    # sha256 of phi, state_v and the energy drift, recorded before the step
+    # folded constant Hessians: the constant ones (the first five; the
+    # pivoting ones start off the symmetric lines, so a lost row swap shows)
+    # and the v- or q-dependent ones eliminated in each stage keep their bits
+    @pytest.mark.parametrize("n, source, q0, v0, digest", [
+        pytest.param(1, "v1_1^2/2 - q1^2/2", [1.0], [0.0],
+                     "5f8bc0ea9f118f1229bfe3ac1c9adc9f93a791f25e87b18dbfebfa63d9130233",
+                     id="oscillator"),
+        pytest.param(3, "(v1_1^2 + v2_1^2 + v3_1^2)/2 + cos(q1 - q2) + cos(q2 - q3) - q1^2/2",
+                     [0.3, -0.2, 0.1], [0.0, 0.5, -0.4],
+                     "d75ce6a3d8646865bc1177826a74a4777c31bffc7ea23b29788497d6d584ff72",
+                     id="pendulum-chain"),
+        pytest.param(2, "v1_1*v2_1 - q1*q2", [1.0, -0.5], [0.2, 0.3],
+                     "5bbd1c895c8aaad9027e6f8b81eed6aff986bf767b60a830511c21ab0b37a7d6",
+                     id="zero-diagonal"),
+        pytest.param(3, "v1_1*v3_1 + v2_1^2/2 - q1*q3 - q2^2/2",
+                     [1.0, -0.5, 0.25], [0.2, 0.3, -0.1],
+                     "906a28ec1084a5d6559bbe2820a50e0ab8df1b1934939f749c3d1a9e581c993d",
+                     id="anti-diagonal"),
+        pytest.param(2, "(v1_1^2 + v1_1*v2_1 + 2*v2_1^2)/2 - (q1^2 + q2^2)/2 + cos(q1 - q2)",
+                     [1.0, -0.5], [0.2, 0.3],
+                     "2f7c85dfb84e373b89a0a8c3514581a100ab2feb34610acc78cd85c114885c2a",
+                     id="non-diagonal"),
+        pytest.param(1, "v1_1^4/12 + v1_1^2/2 - q1^2/2", [1.0], [0.5],
+                     "0a77188ba67ce54d251a9a95a8eb8923f358ff1a40b1f358f2bba75f93ef32df",
+                     id="v-dependent"),
+        pytest.param(2, "(1 + q2^2/10)*v1_1^2/2 + v1_1*v2_1/2 + v2_1^2/2 - (q1^2 + q2^2)/2",
+                     [1.0, -0.5], [0.2, 0.3],
+                     "7137f04b169e4f6a762c385034f912e13e18fdeeae164f17f6dedb885e0e4fe0",
+                     id="q-dependent"),
+    ])
+    def test_trajectory_bits_are_pinned(self, n, source, q0, v0, digest):
+        grid = GridSpec((Axis(0.0, TWO_PI, TWO_PI / 628),))
+        sol = integrate_k1(lagrangian_model(n, 1, source), q0, v0, grid)
+        drift = struct.pack("<d", sol.summary["energy_drift"])
+        assert hashlib.sha256(sol.phi.tobytes() + sol.state_v.tobytes() + drift).hexdigest() == digest
+
     def test_zero_diagonal_hessian_needs_pivoting(self):
         # Hessian [[0, 1], [1, 0]]: elimination without a row swap divides by
         # zero; the equations are q1'' = -q1, q2'' = -q2
@@ -237,6 +294,11 @@ class TestIntegrateK2:
             "(v1_1^2 + v1_1*v2_1 + 2*v2_1^2)/2 - (v1_2^2 + v1_2*v2_2 + 3*v2_2^2)/4"
             " + cos(q1 - q2) - q1^2/2",
             wave_grid(nodes=120, steps=400, ratio=0.4),
+            ("sin(t2)", "0.5*cos(2*t2)"), ("-cos(t2)", "0"),
+        ),
+        (  # forces v2_2 - sin(q1 - q2), sin(q1 - q2) - v1_2 read the t2 differences
+            "(v1_1^2 + v2_1^2 - v1_2^2 - v2_2^2)/2 + q1*v2_2 + cos(q1 - q2)",
+            wave_grid(nodes=120, steps=200, ratio=0.4),
             ("sin(t2)", "0.5*cos(2*t2)"), ("-cos(t2)", "0"),
         ),
     ])
