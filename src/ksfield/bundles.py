@@ -105,6 +105,19 @@ def point_rows(points, dim: int):
     return rows, single
 
 
+def fold_constant(kernel, entries, *stacks):
+    """``kernel(*stacks)`` over stacks of N rows built from the expressions ``entries``;
+    when none has a free variable the rows are alike, so the kernel runs on row 0 and
+    each array it returns comes back as a read-only broadcast view of N rows."""
+    if len(stacks[0]) < 2 or any(free_vars(e) for e in entries):
+        return kernel(*stacks)
+    out = kernel(*(stack[:1] for stack in stacks))
+
+    def spread(a):
+        return np.broadcast_to(a, (len(stacks[0]),) + a.shape[1:])
+    return tuple(map(spread, out)) if isinstance(out, tuple) else spread(out)
+
+
 @dataclass
 class TangentVector:
     """Tangent vector at a bundle point, components in the chart basis."""

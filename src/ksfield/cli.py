@@ -17,13 +17,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .bundles import BundleError, CoJetPoint, JetPoint
+from .bundles import BundleError, CoJetPoint, JetPoint, fold_constant
 from .expr import EvalError, ParseError, to_source
 from .gauge import GaugeError, gauge_compare, verify_same_solutions
 from .hamiltonian import ham_kvector, kvector_equation_residual
 from .lagrangian import (
     RegularityError,
     energy,
+    hessian_entries,
     legendre,
     poincare_cartan_form,
     velocity_hessian,
@@ -156,7 +157,10 @@ def _emit(payload: dict, out: Path | None, filename: str):
 
 def _samples(spec: ModelSpec, side: str):
     """Sample points of the side's chart, one row each."""
-    return sample_points(spec.table, side, spec.samples, spec.seed, spec.box)
+    try:
+        return sample_points(spec.table, side, spec.samples, spec.seed, spec.box)
+    except MemoryError as exc:  # numpy refuses an array past the address space at once
+        raise UsageError(f"sample count {spec.samples} is too large: {exc}") from None
 
 
 def _model(spec: ModelSpec, side: str):
@@ -185,7 +189,7 @@ def cmd_analyze(args) -> int:
         samples = _samples(spec, "lagrangian")
         hessians, regular = velocity_hessian(model, samples, spec.tol("hessian"))
         with np.errstate(over="ignore", invalid="ignore"):  # huge entries: the report shows inf
-            dets = np.linalg.det(hessians)
+            dets = fold_constant(np.linalg.det, hessian_entries(model), hessians)
         regular_everywhere = bool(np.all(regular))
         images = []
         for row, image in zip(samples[:3], legendre(model, samples[:3])):

@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bundles import CoJetPoint, JetPoint, Section, TangentVector, point_rows
+from .bundles import CoJetPoint, JetPoint, Section, TangentVector, fold_constant, point_rows
 from .coords import VarTable
 from .expr import Expr, Num, Var, add, diff, evaluate_batch, free_vars, mul, sub
 from .forms import OneForm, TwoForm, d_one
@@ -74,28 +74,36 @@ def energy(model: LagrangianModel) -> Expr:
     return sub(out, model.L)
 
 
+def hessian_entries(model: LagrangianModel) -> list:
+    """d2L/dv_a dv_b for a <= b, row by row over the velocities in v_names order."""
+    firsts, names = legendre_exprs(model), model.table.v_names  # dL/dv in v_names order
+    return [diff(firsts[a], names[b]) for a in range(len(names)) for b in range(a, len(names))]
+
+
 def velocity_hessian(model: LagrangianModel, w, det_rtol: float = 1e-10):
     """Hessian in the velocities at w, flattened per the chart fiber order.
 
     Returns (matrix, regular); regular iff |det(M / s)| > det_rtol with s = max(1, max|entry|),
     a scale-relative threshold, invariant under unit changes, that cannot overflow.
     Given an (N, dim) array of velocity-chart rows instead of one JetPoint,
-    returns the (N, nk, nk) matrices and the (N,) regularity flags.
+    returns the (N, nk, nk) matrices and the (N,) regularity flags; with constant
+    entries both are found at row 0 alone and come back as read-only broadcast views.
     """
     table = model.table
     nk = table.n * table.k
     rows, single = point_rows(w, table.dim_total)
-    names = table.v_names
-    pairs = [(a, b) for a in range(nk) for b in range(a, nk)]
-    firsts = legendre_exprs(model)  # dL/dv in the order of v_names
-    seconds = [diff(firsts[a], names[b]) for a, b in pairs]
-    values = evaluate_batch(seconds, table.velocity_chart, rows)
-    M = np.zeros((rows.shape[0], nk, nk))
-    upper, lower = np.array(pairs, dtype=int).reshape(-1, 2).T
-    M[:, upper, lower] = values
-    M[:, lower, upper] = values
-    scale = np.maximum(1.0, np.max(np.abs(M), axis=(1, 2), initial=0.0))
-    regular = np.abs(np.linalg.det(M / scale[:, None, None])) > det_rtol
+    seconds = hessian_entries(model)
+    upper, lower = np.triu_indices(nk)
+
+    def stack(rows):
+        values = evaluate_batch(seconds, table.velocity_chart, rows)
+        M = np.zeros((rows.shape[0], nk, nk))
+        M[:, upper, lower] = values
+        M[:, lower, upper] = values
+        scale = np.maximum(1.0, np.max(np.abs(M), axis=(1, 2), initial=0.0))
+        return M, np.abs(np.linalg.det(M / scale[:, None, None])) > det_rtol
+
+    M, regular = fold_constant(stack, seconds, rows)
     if single:
         return M[0], bool(regular[0])
     return M, regular
@@ -159,10 +167,6 @@ def el_residual(model: LagrangianModel, phi: Sequence[Expr], t) -> np.ndarray:
     return out[0] if single else out
 
 
-def _symmetric_pairs(k: int):
-    return [(a, b) for a in range(k) for b in range(a, k)]
-
-
 def sopde_solve(model: LagrangianModel, w, residual_tol: float = 1e-9):
     """Second-order field-equation legs at w for a regular Lagrangian.
 
@@ -198,7 +202,7 @@ def sopde_solve(model: LagrangianModel, w, residual_tol: float = 1e-9):
     # a != b) in equation i; off-diagonal pairs carry weight sqrt(2) so the
     # minimal norm is that of the full coefficient tensor, which makes the
     # selection invariant under relabelings of the copy index.
-    unknowns = [(a, b, j) for a, b in _symmetric_pairs(k) for j in range(n)]
+    unknowns = [(a, b, j) for a in range(k) for b in range(a, k) for j in range(n)]
     M = np.zeros((count, n, len(unknowns)))
     weights = np.zeros(len(unknowns))
     for col, (a, b, j) in enumerate(unknowns):
@@ -211,7 +215,8 @@ def sopde_solve(model: LagrangianModel, w, residual_tol: float = 1e-9):
     # one lstsq uses by default (machine epsilon times the larger dimension)
     scaled = M / weights
     rcond = np.finfo(float).eps * max(scaled.shape[1:])
-    s = (np.linalg.pinv(scaled, rcond=rcond) @ rhs[:, :, None])[:, :, 0] / weights
+    pinv = fold_constant(lambda m: np.linalg.pinv(m, rcond=rcond), hessian_entries(model), scaled)
+    s = (pinv @ rhs[:, :, None])[:, :, 0] / weights
 
     residual = float(np.max(np.abs(np.einsum("nic,nc->ni", M, s) - rhs))) if rhs.size else 0.0
     if residual > residual_tol:

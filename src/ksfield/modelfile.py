@@ -113,6 +113,13 @@ def _floats(values, context, count) -> list:
     return floats
 
 
+def _interval(values, context) -> tuple:
+    lo, hi = _floats(values, context, 2)
+    if not math.isfinite(hi - lo):
+        raise ModelFileError(f"{context}: the width of [{lo!r}, {hi!r}] overflows")
+    return lo, hi
+
+
 def _load_symmetry(name, raw, table: VarTable, default_side: str) -> SymmetryCandidate:
     """``default_side`` is the side a base field without one is read on:
     the lagrangian side when the model has a lagrangian."""
@@ -177,7 +184,7 @@ def _load_solution(name, raw, table: VarTable):
         if t_box is not None:
             if not isinstance(t_box, list) or len(t_box) != table.k:
                 raise ModelFileError(f"{context}.t_box: expected {table.k} intervals")
-            t_box = [tuple(_floats(box, f"{context}.t_box", 2)) for box in t_box]
+            t_box = [_interval(box, f"{context}.t_box") for box in t_box]
         return AnalyticSolution(section, t_box)
 
     if kind == "grid":
@@ -241,7 +248,7 @@ def load_model(path) -> ModelSpec:
     for name, interval in (raw.get("box") or {}).items():
         if name not in table.velocity_chart and name not in table.momentum_chart:
             raise ModelFileError(f"box: unknown coordinate {name!r}")
-        box[name] = tuple(_floats(interval, f"box.{name}", 2))
+        box[name] = _interval(interval, f"box.{name}")
 
     tolerances = dict(DEFAULT_TOLERANCES)
     for key, value in (raw.get("tolerances") or {}).items():

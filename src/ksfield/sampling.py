@@ -29,23 +29,15 @@ def _primes(count: int) -> list:
 def _radical_inverse(count: int, base: int) -> np.ndarray:
     """Van der Corput values of 1..count, one digit position p per pass.
 
-    Digit p of 0, 1, 2, ... runs through 0..base-1, each repeated base**p
-    times, so a pass adds the digit weights over a (-1, base, base**p) view
-    of the indices padded to a power of the base.  Each element sees the
-    float operations of the digit-by-digit scalar loop in the same order
-    (finished indices add exact zeros), so the points are bit-identical.
+    The first base**(p+1) values are the first base**p plus d * base**-(p+1),
+    concatenated over the digits d (d = 0 adds exact zeros), so each element sees
+    the float operations of the digit-by-digit scalar loop in order: bit-identical.
     """
-    size = base
-    while size <= count:
-        size *= base
-    result = np.zeros(size)
-    digit, block = 1.0 / base, 1
-    while block <= count:  # some index up to count has a digit at position p
-        by_digit = result.reshape(-1, base, block)  # a view
-        by_digit += (np.arange(base) * digit)[:, None]
-        digit /= base
-        block *= base
-    return result[1:count + 1]
+    values, weight, digits = np.zeros(1), 1.0 / base, np.arange(base, dtype=float)[:, None]
+    while values.size <= count:
+        values = (values + digits[:count // values.size + 1] * weight).ravel()
+        weight /= base
+    return values[1:count + 1]
 
 
 def halton(dim: int, count: int, seed: int = 0) -> np.ndarray:
@@ -55,7 +47,8 @@ def halton(dim: int, count: int, seed: int = 0) -> np.ndarray:
     shift = np.random.default_rng(seed).uniform(size=dim)
     points = np.empty((count, dim))
     for j, base in enumerate(bases):
-        points[:, j] = (_radical_inverse(count, base) + shift[j]) % 1.0
+        points[:, j] = _radical_inverse(count, base) + shift[j]  # in [0, 2)
+    points -= points >= 1.0  # the exact x - 1.0 that x % 1.0 gives there
     return points
 
 

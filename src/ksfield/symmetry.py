@@ -21,6 +21,7 @@ from .bundles import (
     VectorFieldQ,
     complete_lift,
     cotangent_lift,
+    fold_constant,
     point_rows,
     tulczyjew_derivative,
 )
@@ -226,10 +227,12 @@ def check_cartan_diffeomorphism(Phi: TotalMap, model, samples, tol: float = 1e-9
     rows, _ = point_rows(samples, len(chart))
     J = Phi.jacobians(rows)
     images = Phi.images(rows)
+    derivatives = [diff(comp, name) for comp in Phi.components for name in chart]
     worst_omega = 0.0
     for A in range(Phi.table.k):
         omega = side.omega(A)
-        pulled = np.swapaxes(J, 1, 2) @ omega.matrices(images) @ J
+        pulled = fold_constant(lambda jac, image: np.swapaxes(jac, 1, 2) @ image @ jac,
+                               derivatives + list(omega.entries.values()), J, omega.matrices(images))
         worst_omega = max(worst_omega, largest_abs(pulled - omega.matrices(rows)))
     scalar = side.scalar()
     gap = sub(substitute(scalar, dict(zip(chart, Phi.components))), scalar)

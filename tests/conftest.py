@@ -2,6 +2,7 @@
 
 import pytest
 
+from ksfield.bundles import fold_constant
 from ksfield.coords import VarTable
 from ksfield.expr import parse
 from ksfield.hamiltonian import HamiltonianModel
@@ -16,6 +17,25 @@ def lagrangian_model(n, k, source):
 def hamiltonian_model(n, k, source):
     table = VarTable(n, k)
     return HamiltonianModel(table, parse(source, table.momentum_chart))
+
+
+def checked_folds(monkeypatch, module) -> list:
+    """Run every fold_constant call made in ``module`` twice, as it runs and
+    with its kernel over the full stacks; assert both give the same shapes
+    and bytes.  Returns one flag per call: whether its kernel ran once."""
+    folded = []
+
+    def checked(kernel, entries, *stacks):
+        out, full = fold_constant(kernel, entries, *stacks), kernel(*stacks)
+        pairs = zip(out, full) if isinstance(out, tuple) else [(out, full)]
+        for got, want in pairs:
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        first = out[0] if isinstance(out, tuple) else out
+        folded.append(first.strides[0] == 0 and not first.flags.writeable)
+        return out
+
+    monkeypatch.setattr(module, "fold_constant", checked)
+    return folded
 
 
 @pytest.fixture

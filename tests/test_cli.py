@@ -148,6 +148,36 @@ class TestModelFile:
         assert main(["analyze", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("old, new, context", [
+        ("samples: 60", "samples: 60\nbox:\n  q1: [-1.0e+308, 1.0e+308]", "box.q1"),
+        ("t_box: [[0.0, 1.0], [0.0, 6.0]]", "t_box: [[-1.0e+308, 1.0e+308], [0.0, 6.0]]",
+         "solutions.dalembert.t_box"),
+    ], ids=["box", "t_box"])
+    def test_interval_whose_width_overflows_exits_two(self, tmp_path, capsys, old, new, context):
+        # both ends are finite, their difference is not
+        path = tmp_path / "wide.yaml"
+        path.write_text(WAVE_YAML.replace(old, new))
+        assert path.read_text() != WAVE_YAML
+        assert main(["noether", str(path), "--symmetry", "shift", "--solution", "dalembert"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {context}: the width of [-1e+308, 1e+308] overflows\n"
+        )
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "{model}", "--samples", "10000000000000"],
+        ["gauge", "{model}", "{model}", "--samples", "10000000000000"],
+        ["noether", "{model}", "--symmetry", "shift", "--solution", "dalembert"],  # file's count
+    ])
+    def test_sample_count_too_large_to_allocate_exits_two(self, wave_file, capsys, argv):
+        # 1e13 rows of 3 coordinates, 218 TiB: past the 47-bit user address
+        # space, so numpy refuses the array at once and nothing is allocated
+        if "--samples" not in argv:
+            wave_file.write_text(WAVE_YAML.replace("samples: 60", "samples: 10000000000000"))
+        assert main([arg.format(model=wave_file) for arg in argv]) == 2
+        error = capsys.readouterr().err
+        assert error.startswith("error: sample count 10000000000000 is too large")
+        assert error.count("\n") == 1
+
     def test_negative_seed_override_exits_two(self, wave_file, capsys):
         assert main(["analyze", str(wave_file), "--seed", "-1"]) == 2
         assert capsys.readouterr().err == "error: --seed must be non-negative\n"

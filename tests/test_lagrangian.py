@@ -1,5 +1,7 @@
 """Lagrangian forms, energy, Legendre map and field-equation machinery."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -18,10 +20,14 @@ from ksfield.lagrangian import (
     sopde_solve,
     velocity_hessian,
 )
-from ksfield.sampling import sample_jet_points
+from ksfield.modelfile import load_model
+from ksfield.sampling import sample_jet_points, sample_points
 
-from conftest import lagrangian_model
+from conftest import checked_folds, lagrangian_model
 from reference import evaluate
+
+
+TESTS = Path(__file__).resolve().parent
 
 
 def jet(table, q, v):
@@ -173,6 +179,53 @@ class TestHessian:
         step = built["compile_source"][0]  # H[i][j] row by row, then the forces
         assert len(upper) == 3
         assert all(x is y for x, y in zip([step[0], step[1], step[3]], upper))
+
+
+class TestConstantFold:
+    """A Hessian with constant entries is built, tested and pseudo-inverted at
+    one row; every bit matches the kernels run over the full stacks."""
+
+    @pytest.mark.parametrize("path, count", [  # the shipped wave at the benchmark's scale
+        (TESTS.parent / "models" / "wave.yaml", 5000), (TESTS / "models" / "chain.yaml", 100),
+    ], ids=["wave", "chain"])
+    def test_constant_hessian_folds_bit_identically(self, monkeypatch, path, count):
+        spec = load_model(path)
+        model = spec.lagrangian
+        rows = sample_points(spec.table, "lagrangian", count, spec.seed, spec.box)
+        folds = checked_folds(monkeypatch, lagrangian)
+        M, regular = velocity_hessian(model, rows)
+        assert M.shape == (len(rows),) + (model.table.n * model.table.k,) * 2
+        assert np.all(regular) and folds == [True]
+        legs = sopde_solve(model, rows)
+        assert folds == [True, True, True]  # the Hessian again, then the pseudo-inverse
+        monkeypatch.setattr(lagrangian, "fold_constant", lambda kernel, _, *stacks: kernel(*stacks))
+        assert sopde_solve(model, rows).tobytes() == legs.tobytes()
+
+    def test_row_dependent_hessian_runs_per_row(self, monkeypatch):
+        model = lagrangian_model(1, 2, "(1 + q1^2)*v1_1^2/2 - v1_2^2/2")
+        rows = sample_points(model.table, "lagrangian", 200, seed=4)
+        folds = checked_folds(monkeypatch, lagrangian)
+        M, _ = velocity_hessian(model, rows)
+        sopde_solve(model, rows)
+        assert folds == [False, False, False]
+        assert M.flags.writeable and len(np.unique(M[:, 0, 0])) == len(rows)
+
+    def test_singular_at_one_sampled_row_rejected(self):
+        model = lagrangian_model(1, 2, "q1*v1_1^2/2 - v1_2^2/2")
+        rows = sample_points(model.table, "lagrangian", 200, seed=4)
+        rows[117, 0] = 0.0
+        _, regular = velocity_hessian(model, rows)
+        assert np.flatnonzero(~regular).tolist() == [117]
+        with pytest.raises(RegularityError, match="singular"):
+            sopde_solve(model, rows)
+
+    def test_constant_singular_hessian_rejected(self, monkeypatch):
+        model = lagrangian_model(1, 2, "v1_1^2/2 + q1*v1_2")
+        rows = sample_points(model.table, "lagrangian", 200, seed=4)
+        folds = checked_folds(monkeypatch, lagrangian)
+        with pytest.raises(RegularityError, match="singular"):
+            sopde_solve(model, rows)
+        assert folds == [True]
 
 
 class TestLegendre:

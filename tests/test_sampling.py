@@ -34,6 +34,9 @@ def scalar_halton(dim, count, seed=0):
         # counts at powers of the bases 2, 3 and 5 and one past them, and a
         # base (37) larger than the count
         (3, 8, 2), (3, 9, 5), (3, 26, 6), (3, 27, 8), (3, 125, 9), (12, 100, 13), (12, 1370, 4),
+        # at and around 7**3, 11**3 and 13**3, where the last digit pass is partial or full
+        (4, 342, 1), (4, 343, 2), (4, 344, 3), (5, 1331, 4), (5, 1332, 5), (6, 2197, 6),
+        (6, 2198, 7),
     ],
 )
 def test_halton_bit_identical_to_scalar_loop(dim, count, seed):

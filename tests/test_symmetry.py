@@ -26,6 +26,7 @@ from ksfield.sampling import (
     sample_parameters,
     sample_points,
 )
+from ksfield import symmetry
 from ksfield.solver import Axis, GridSpec, integrate_k2_hyperbolic
 from ksfield.symmetry import (
     CurrentRejection,
@@ -39,7 +40,7 @@ from ksfield.symmetry import (
     verify_conservation,
 )
 
-from conftest import hamiltonian_model, lagrangian_model, rotation_field
+from conftest import checked_folds, hamiltonian_model, lagrangian_model, rotation_field
 from reference import evaluate
 
 TESTS = Path(__file__).resolve().parent
@@ -387,6 +388,42 @@ class TestDiffeoCartan:
         samples = sample_cojet_points(table, 40, seed=36)
         reports = check_cartan_diffeomorphism(Phi, free_hamiltonian, samples)
         assert not all_pass(reports)
+
+
+
+class TestDiffeoCartanFold:
+    """Jacobians and two-forms with constant entries are multiplied at one
+    row; every bit matches the products over the full stacks."""
+
+    @staticmethod
+    def q_map(table, source, inverse):
+        phi = DiffeoQ(table, tuple(parse(source.format(q=q), table.q_names) for q in table.q_names),
+                      tuple(parse(inverse.format(q=q), table.q_names) for q in table.q_names))
+        return tangent_prolongation(phi)
+
+    @pytest.mark.parametrize("path, count", [
+        (TESTS.parent / "models" / "wave.yaml", 5000), (TESTS / "models" / "chain.yaml", 100),
+    ], ids=["wave", "chain"])
+    def test_constant_products_fold_bit_identically(self, monkeypatch, path, count):
+        spec = load_model(path)
+        table = spec.table
+        Phi = self.q_map(table, "{q} + 1", "{q} - 1")
+        if "translate" in spec.symmetries:  # the shipped wave's own map
+            Phi = spec.symmetries["translate"].total_map(table, "lagrangian")
+        rows = sample_points(table, "lagrangian", count, spec.seed, spec.box)
+        folds = checked_folds(monkeypatch, symmetry)
+        reports = check_cartan_diffeomorphism(Phi, spec.lagrangian, rows)
+        assert all_pass(reports) and folds == [True] * table.k
+        monkeypatch.setattr(symmetry, "fold_constant", lambda kernel, _, *stacks: kernel(*stacks))
+        assert check_cartan_diffeomorphism(Phi, spec.lagrangian, rows) == reports
+
+    def test_row_dependent_jacobian_runs_per_row(self, monkeypatch):
+        model = lagrangian_model(1, 2, "(v1_1^2 - v1_2^2)/2")
+        Phi = self.q_map(model.table, "{q} + {q}^3", "{q}")  # the inverse is never read
+        rows = sample_points(model.table, "lagrangian", 200, seed=9)
+        folds = checked_folds(monkeypatch, symmetry)
+        assert not all_pass(check_cartan_diffeomorphism(Phi, model, rows))
+        assert folds == [False, False]
 
 
 class TestCurrentTransport:
