@@ -8,7 +8,6 @@ p[A, i].  Flat component vectors follow the chart ordering of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -26,9 +25,10 @@ from .expr import (
     substitute,
 )
 from .forms import VectorField, largest_abs
+from .records import InputError, Record
 
 
-class BundleError(ValueError):
+class BundleError(InputError):
     pass
 
 
@@ -41,8 +41,7 @@ def _checked_array(array, shape, what: str) -> np.ndarray:
     return out
 
 
-@dataclass
-class JetPoint:
+class JetPoint(Record):
     """A point of the k-velocity bundle: q in R^n, v in R^(n x k)."""
 
     table: VarTable
@@ -64,8 +63,7 @@ class JetPoint:
         return cls(table, row[:n], np.reshape(row[n:], (k, n)).T)
 
 
-@dataclass
-class CoJetPoint:
+class CoJetPoint(Record):
     """A point of the k-covelocity bundle: q in R^n, p in R^(k x n)."""
 
     table: VarTable
@@ -118,8 +116,7 @@ def fold_constant(kernel, entries, *stacks):
     return tuple(map(spread, out)) if isinstance(out, tuple) else spread(out)
 
 
-@dataclass
-class TangentVector:
+class TangentVector(Record):
     """Tangent vector at a bundle point, components in the chart basis."""
 
     base: object  # JetPoint or CoJetPoint
@@ -134,8 +131,7 @@ class TangentVector:
         return self.base.table
 
 
-@dataclass(frozen=True)
-class VectorFieldQ:
+class VectorFieldQ(Record, frozen=True):
     """Vector field on Q: n expression components over the base coordinates."""
 
     table: VarTable
@@ -159,8 +155,7 @@ class VectorFieldQ:
 # ---------------------------------------------------------------------------
 # analytic solutions: sections in t
 
-@dataclass(frozen=True)
-class Section:
+class Section(Record, frozen=True):
     """An analytic solution: one expression in t per chart coordinate of its side.
 
     On the lagrangian side it is the first prolongation (phi^i, dphi^i/dt^A)
@@ -320,8 +315,7 @@ def sopde_check(gamma, samples: Sequence[JetPoint], tol: float = 1e-10):
 # ---------------------------------------------------------------------------
 # diffeomorphisms and their prolongations
 
-@dataclass(frozen=True)
-class DiffeoQ:
+class DiffeoQ(Record, frozen=True):
     """Diffeomorphism of Q given by forward and declared inverse components."""
 
     table: VarTable
@@ -349,8 +343,7 @@ def _round_trip(forward, inverse, names, rows, tol: float) -> float:
     return worst
 
 
-@dataclass(frozen=True)
-class TotalMap:
+class TotalMap(Record, frozen=True):
     """Self-map of a bundle chart, with an optional declared inverse."""
 
     table: VarTable

@@ -1,66 +1,41 @@
 """Command-line surface: analyze | solve | noether | check-symmetry | gauge.
 
-Exit codes: 0 all checks pass, 1 a mathematical check failed, 2 input error.
+Exit codes: 0 all checks pass, 1 a mathematical check failed (a
+``CheckFailure``), 2 input error (an ``InputError``).
 Reports are JSON (sorted keys, fixed layout), so identical model files and
 seeds produce byte-identical outputs; grids and current traces go to CSV.
 Under --out, each file is named after its command and its symmetry or
 solution (for example noether_<symmetry>.json); README.md lists them all.
+
+``analyze`` runs here, on the model-file stack and the sampler.  Every
+other command lives in the module ``_MODULES`` names, which ``main``
+imports when it dispatches to it, so a command loads only the layers it calls.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
+import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .bundles import BundleError, CoJetPoint, JetPoint, fold_constant
-from .expr import EvalError, ParseError, to_source
-from .gauge import GaugeError, gauge_compare, verify_same_solutions
+from .bundles import CoJetPoint, JetPoint, fold_constant
+from .expr import to_source
 from .hamiltonian import ham_kvector, kvector_equation_residual
-from .lagrangian import (
-    RegularityError,
-    energy,
-    hessian_entries,
-    legendre,
-    poincare_cartan_form,
-    velocity_hessian,
-)
-from .modelfile import (
-    AnalyticSolution,
-    GridSolution,
-    ModelFileError,
-    ModelSpec,
-    load_model,
-)
+from .lagrangian import energy, hessian_entries, legendre, poincare_cartan_form, velocity_hessian
+from .modelfile import AnalyticSolution, ModelSpec, load_model
+from .records import CheckFailure, InputError
 from .sampling import sample_parameters, sample_points
-from .solver import (
-    NotHyperbolicError,
-    SolverError,
-    integrate_k1,
-    integrate_k2_hyperbolic,
-    self_convergence_ratio,
-)
-from .symmetry import (
-    CurrentRejection,
-    SymmetryError,
-    all_pass,
-    check_cartan,
-    check_cartan_diffeomorphism,
-    check_symmetry_by_transport,
-    gauge_entry,
-    noether_current,
-    verify_bracket_theorem,
-    verify_conservation,
-)
 
-NOMINAL_ORDER = {1: 4.0, 2: 2.0}  # RK4 and leapfrog respectively
+_MODULES = {"solve": "cli_solve", "noether": "cli_symmetry", "check-symmetry": "cli_symmetry",
+            "gauge": "cli_gauge"}
 
 
-class UsageError(ValueError):
+class UsageError(InputError):
     pass
 
 
@@ -135,6 +110,8 @@ def _apply_overrides(spec: ModelSpec, args) -> ModelSpec:
     for key, value in args.tol:
         if key not in spec.tolerances:
             raise UsageError(f"unknown tolerance key {key!r}")
+        if not 0.0 <= value < math.inf:
+            raise UsageError(f"--tol {key}: expected a finite non-negative number")
         spec.tolerances[key] = value
     return spec
 
@@ -143,7 +120,10 @@ def _out_dir(args) -> Path | None:
     if args.out is None:
         return None
     path = Path(args.out)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file in the way, no permission
+        raise UsageError(f"--out {args.out}: {exc.strerror or exc}") from None
     return path
 
 
@@ -174,6 +154,13 @@ def _model(spec: ModelSpec, side: str):
 def _t_samples(spec: ModelSpec, solution: AnalyticSolution):
     t_box = solution.t_box or [(0.0, 1.0)] * spec.table.k
     return sample_parameters(spec.table, spec.samples, spec.seed, t_box)
+
+
+def _named(declared: dict, what: str, name: str):
+    """The model's ``what`` (solution or symmetry) called ``name``."""
+    if name not in declared:
+        raise UsageError(f"model declares no {what} named {name!r}")
+    return declared[name]
 
 
 # ---------------------------------------------------------------------------
@@ -239,238 +226,6 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# solve
-
-def _run_grid(spec: ModelSpec, solution: GridSolution, name: str):
-    if spec.lagrangian is None:
-        raise UsageError("grid solutions need a lagrangian model")
-    try:
-        if spec.table.k == 1:
-            return integrate_k1(spec.lagrangian, solution.q0, solution.v0, solution.grid)
-        return integrate_k2_hyperbolic(
-            spec.lagrangian, solution.initial, solution.initial_rate, solution.grid
-        )
-    except MemoryError as exc:  # numpy refuses an array past the address space at once
-        raise UsageError(f"grid of solution {name!r} is too large: {exc}") from None
-
-
-def _named_solution(spec: ModelSpec, name: str):
-    if name not in spec.solutions:
-        raise UsageError(f"model declares no solution named {name!r}")
-    return spec.solutions[name]
-
-
-def cmd_solve(args) -> int:
-    spec = _apply_overrides(load_model(args.model), args)
-    solution = _named_solution(spec, args.solution)
-    if not isinstance(solution, GridSolution):
-        raise UsageError(f"solution {args.solution!r} is not a grid solution")
-
-    runs = [solution.grid, solution.grid.refined(), solution.grid.refined().refined()]
-    sols = [_run_grid(spec, replace(solution, grid=grid), args.solution) for grid in runs]
-
-    ratio = self_convergence_ratio(sols)
-    nominal = 2.0 ** NOMINAL_ORDER[spec.table.k]
-    converged = nominal / 1.6 <= ratio <= nominal * 1.6
-    payload = {
-        "command": "solve",
-        "solution": args.solution,
-        "convergence_ratio": ratio,
-        "nominal_ratio": nominal,
-        "converged": bool(converged),
-        "summary": {k: float(v) for k, v in sols[0].summary.items()},
-    }
-    out = _out_dir(args)
-    if out is not None:
-        sols[0].to_csv(out / f"{args.solution}_grid.csv")
-    _emit(payload, out, f"{args.solution}_solve.json")
-    print(f"convergence ratio: {ratio:.3f} (nominal {nominal:.0f})")
-    return 0 if converged else 1
-
-
-# ---------------------------------------------------------------------------
-# noether
-
-def cmd_noether(args) -> int:
-    spec = _apply_overrides(load_model(args.model), args)
-    table = spec.table
-    if args.symmetry not in spec.symmetries:
-        raise UsageError(f"model declares no symmetry named {args.symmetry!r}")
-    candidate = spec.symmetries[args.symmetry]
-    if candidate.kind == "diffeomorphism":
-        raise UsageError("currents come from infinitesimal symmetries; use check-symmetry")
-    side = candidate.side or ("lagrangian" if spec.lagrangian is not None else "hamiltonian")
-    model = _model(spec, side)
-    samples = _samples(spec, side)
-    stem = f"noether_{args.symmetry}"  # one report per symmetry, whatever the solution
-
-    reports = []
-    payload = {"command": "noether", "symmetry": args.symmetry, "side": side}
-    try:
-        current = noether_current(
-            candidate.vector_field(table), model,
-            getattr(candidate, gauge_entry(candidate.kind, side)), samples, spec.tol("noether"),
-        )
-    except CurrentRejection as exc:
-        payload["constructed"] = False
-        payload["rejection"] = {"message": str(exc), "max_residual": exc.residual}
-        _emit(payload, _out_dir(args), f"{stem}.json")
-        print(f"current rejected: {exc}")
-        return 1
-
-    payload["constructed"] = True
-    payload["current"] = [to_source(f) for f in current.components]
-    payload["provenance"] = current.provenance
-    print("current: " + ", ".join(payload["current"]))
-
-    bracket = verify_bracket_theorem(current, model, samples, tol=spec.tol("cartan"))
-    reports.append(bracket)
-
-    out = _out_dir(args)
-    if args.solution is not None:
-        solution = _named_solution(spec, args.solution)
-        if isinstance(solution, AnalyticSolution):
-            if solution.section.side != side:
-                raise UsageError("solution and current live on different sides")
-            report = verify_conservation(
-                current, table, section=solution.section,
-                t_samples=_t_samples(spec, solution), tol=spec.tol("conservation"),
-            )
-            reports.append(report)
-        else:
-            sol = _run_grid(spec, solution, args.solution)
-            finer = replace(solution, grid=solution.grid.refined())
-            refined = _run_grid(spec, finer, args.solution)
-            report = verify_conservation(
-                current, table, grid=sol, refined_grid=refined, model=spec.lagrangian
-            )
-            reports.append(report)
-            if out is not None:
-                report.trace.to_csv(out / f"{stem}_trace.csv")
-
-    payload["reports"] = [r.as_dict() for r in reports]
-    _emit(payload, out, f"{stem}.json")
-    for r in reports:
-        print(f"{r.condition}: max residual {r.max_residual:.3e} "
-              f"({'pass' if r.passed else 'FAIL'})")
-    return 0 if all_pass(reports) else 1
-
-
-# ---------------------------------------------------------------------------
-# check-symmetry
-
-def cmd_check_symmetry(args) -> int:
-    spec = _apply_overrides(load_model(args.model), args)
-    table = spec.table
-    if args.symmetry not in spec.symmetries:
-        raise UsageError(f"model declares no symmetry named {args.symmetry!r}")
-    candidate = spec.symmetries[args.symmetry]
-    tol = spec.tol("cartan")
-    reports = []
-    payload = {"command": "check-symmetry", "symmetry": args.symmetry, "kind": candidate.kind}
-
-    if candidate.kind == "diffeomorphism":
-        side = candidate.side
-        model = _model(spec, side)
-        Phi = candidate.total_map(table, side)
-        samples = _samples(spec, side)
-        Phi.verify_inverse(samples[: min(10, len(samples))], spec.tol("inverse"))
-        reports.extend(check_cartan_diffeomorphism(Phi, model, samples, tol))
-        for name, solution in sorted(spec.solutions.items()):
-            if not isinstance(solution, AnalyticSolution) or solution.section.side != side:
-                continue
-            for r in check_symmetry_by_transport(
-                Phi, model, solution.section, _t_samples(spec, solution), spec.tol("transport")
-            ):
-                r.details["solution"] = name
-                reports.append(r)
-    else:
-        sides = [candidate.side] if candidate.side else ["lagrangian", "hamiltonian"]
-        Y = candidate.vector_field(table)
-        checked = False
-        for side in sides:
-            model = spec.lagrangian if side == "lagrangian" else spec.hamiltonian
-            if model is None:
-                continue
-            for r in check_cartan(Y, model, _samples(spec, side), tol):
-                r.details["side"] = side
-                reports.append(r)
-            checked = True
-        if not checked:
-            raise UsageError("no model present for the candidate's side")
-
-    payload["reports"] = [r.as_dict() for r in reports]
-    _emit(payload, _out_dir(args), f"check_{args.symmetry}.json")
-    for r in reports:
-        print(f"{r.condition}: max residual {r.max_residual:.3e} "
-              f"({'pass' if r.passed else 'FAIL'})")
-    return 0 if all_pass(reports) else 1
-
-
-# ---------------------------------------------------------------------------
-# gauge
-
-def cmd_gauge(args) -> int:
-    spec1 = _apply_overrides(load_model(args.model1), args)
-    spec2 = load_model(args.model2)
-    if spec1.lagrangian is None or spec2.lagrangian is None:
-        raise UsageError("gauge comparison needs lagrangian models in both files")
-    if spec1.table != spec2.table:
-        raise UsageError(
-            f"dimension mismatch: (n={spec1.table.n}, k={spec1.table.k}) vs "
-            f"(n={spec2.table.n}, k={spec2.table.k})"
-        )
-
-    samples = _samples(spec1, "lagrangian")
-    verdict = gauge_compare(
-        spec1.lagrangian,
-        spec2.lagrangian,
-        samples,
-        tol=spec1.tol("gauge"),
-        closedness_tol=spec1.tol("closedness"),
-    )
-    payload = {"command": "gauge"}
-    payload.update(verdict.as_dict())
-    print(f"verdict: {verdict.kind}")
-
-    shared = sorted(
-        name
-        for name, sol in spec1.solutions.items()
-        if isinstance(sol, AnalyticSolution)
-        and sol.section.side == "lagrangian"
-        and isinstance(spec2.solutions.get(name), AnalyticSolution)
-    )
-    reports = []
-    for name in shared:
-        solution = spec1.solutions[name]
-        t_samples = _t_samples(spec1, solution)
-        r = verify_same_solutions(
-            spec1.lagrangian, spec2.lagrangian, solution.section.base, t_samples,
-            tol=spec1.tol("gauge"),
-        )
-        r.details["solution"] = name
-        reports.append(r)
-        print(f"shared solution {name}: residual gap {r.max_residual:.3e} "
-              f"({'pass' if r.passed else 'FAIL'})")
-    payload["same_solutions"] = [r.as_dict() for r in reports]
-    _emit(payload, _out_dir(args), "gauge.json")
-
-    equivalent = verdict.kind in ("strict", "gauge")
-    return 0 if equivalent and all_pass(reports) else 1
-
-
-# ---------------------------------------------------------------------------
-
-_COMMANDS = {
-    "analyze": cmd_analyze,
-    "solve": cmd_solve,
-    "noether": cmd_noether,
-    "check-symmetry": cmd_check_symmetry,
-    "gauge": cmd_gauge,
-}
-
-
 _parser = None  # built by the first call of main; parsing leaves no state in it
 
 
@@ -479,11 +234,14 @@ def main(argv=None) -> int:
     _parser = _parser or _build_parser()
     args = _parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
-    except (ModelFileError, UsageError, ParseError, BundleError, EvalError) as exc:
+        if args.command == "analyze":
+            return cmd_analyze(args)
+        module = importlib.import_module(f".{_MODULES[args.command]}", __package__)
+        return getattr(module, "cmd_" + args.command.replace("-", "_"))(args)
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RegularityError, SolverError, NotHyperbolicError, GaugeError, SymmetryError) as exc:
+    except CheckFailure as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
 

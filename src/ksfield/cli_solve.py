@@ -1,0 +1,52 @@
+"""The ``solve`` command: run a grid solution at three resolutions and check
+its convergence order.  Imported by ``cli.main`` on dispatch."""
+
+from __future__ import annotations
+
+from .cli import UsageError, _apply_overrides, _emit, _named, _out_dir
+from .modelfile import GridSolution, ModelSpec, load_model
+from .solver import integrate_k1, integrate_k2_hyperbolic, self_convergence_ratio
+
+NOMINAL_ORDER = {1: 4.0, 2: 2.0}  # RK4 and leapfrog respectively
+
+
+def _run_grid(spec: ModelSpec, solution: GridSolution, grid, name: str):
+    """The solution's initial data run on ``grid``."""
+    if spec.lagrangian is None:
+        raise UsageError("grid solutions need a lagrangian model")
+    try:
+        if spec.table.k == 1:
+            return integrate_k1(spec.lagrangian, solution.q0, solution.v0, grid)
+        return integrate_k2_hyperbolic(
+            spec.lagrangian, solution.initial, solution.initial_rate, grid
+        )
+    except MemoryError as exc:  # numpy refuses an array past the address space at once
+        raise UsageError(f"grid of solution {name!r} is too large: {exc}") from None
+
+
+def cmd_solve(args) -> int:
+    spec = _apply_overrides(load_model(args.model), args)
+    solution = _named(spec.solutions, "solution", args.solution)
+    if not isinstance(solution, GridSolution):
+        raise UsageError(f"solution {args.solution!r} is not a grid solution")
+
+    runs = [solution.grid, solution.grid.refined(), solution.grid.refined().refined()]
+    sols = [_run_grid(spec, solution, grid, args.solution) for grid in runs]
+
+    ratio = self_convergence_ratio(sols)
+    nominal = 2.0 ** NOMINAL_ORDER[spec.table.k]
+    converged = nominal / 1.6 <= ratio <= nominal * 1.6
+    payload = {
+        "command": "solve",
+        "solution": args.solution,
+        "convergence_ratio": ratio,
+        "nominal_ratio": nominal,
+        "converged": bool(converged),
+        "summary": {k: float(v) for k, v in sols[0].summary.items()},
+    }
+    out = _out_dir(args)
+    if out is not None:
+        sols[0].to_csv(out / f"{args.solution}_grid.csv")
+    _emit(payload, out, f"{args.solution}_solve.json")
+    print(f"convergence ratio: {ratio:.3f} (nominal {nominal:.0f})")
+    return 0 if converged else 1

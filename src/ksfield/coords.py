@@ -14,24 +14,20 @@ Python-level indices i and A are 0-based.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from .records import Record
 
 
 class CoordinateError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class VarTable:
-    """Declared coordinates for fixed field dimension n and base dimension k."""
+class VarTable(Record, frozen=True):
+    """Declared coordinates for fixed field dimension n and base dimension k;
+    the name tuples ``q_names``, ``v_names``, ``p_names``, ``t_names`` follow
+    from them."""
 
     n: int
     k: int
-
-    q_names: tuple = field(init=False, repr=False)
-    v_names: tuple = field(init=False, repr=False)
-    p_names: tuple = field(init=False, repr=False)
-    t_names: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.n < 1 or self.k < 1:
@@ -43,10 +39,7 @@ class VarTable:
         names = qs + vs + ps + ts
         if len(set(names)) != len(names):  # pragma: no cover - convention is clash-free
             raise CoordinateError("coordinate names are not unique")
-        object.__setattr__(self, "q_names", qs)
-        object.__setattr__(self, "v_names", vs)
-        object.__setattr__(self, "p_names", ps)
-        object.__setattr__(self, "t_names", ts)
+        vars(self).update(q_names=qs, v_names=vs, p_names=ps, t_names=ts)
 
     # -- single-name helpers (0-based i, A) --------------------------------
     def q(self, i: int) -> str:

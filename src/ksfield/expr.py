@@ -28,8 +28,10 @@ from itertools import islice
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Union
 
+from .records import InputError
 
-class ExprError(Exception):
+
+class ExprError(InputError):
     pass
 
 

@@ -9,12 +9,12 @@ identically-zero coefficients collapse and stay out of the tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
 from .expr import Expr, Num, add, diff, evaluate_batch, is_zero_expr, mul, neg, sub, substitute
+from .records import Record
 
 
 def _one_row(point, dim: int) -> np.ndarray:
@@ -24,8 +24,7 @@ def _one_row(point, dim: int) -> np.ndarray:
     return point_rows(point, dim)[0]
 
 
-@dataclass(frozen=True)
-class VectorField:
+class VectorField(Record, frozen=True):
     chart: tuple
     components: tuple
 
@@ -63,8 +62,7 @@ def _put(table: dict, key: tuple, value: Expr):
         table[key] = value
 
 
-@dataclass(frozen=True)
-class OneForm:
+class OneForm(Record, frozen=True):
     chart: tuple
     coeffs: tuple  # one Expr per chart coordinate
 
@@ -72,16 +70,18 @@ class OneForm:
         return evaluate_batch(self.coeffs, self.chart, _one_row(point, len(self.chart)))[0]
 
 
-@dataclass(frozen=True)
-class TwoForm:
+class Form(Record, frozen=True):
+    """A form of degree two, {(a, b) with a < b: Expr}, or three, {(a, b, c) with
+    a < b < c: Expr}: one record for both, the keys give the degree."""
+
     chart: tuple
-    entries: Mapping  # {(a, b) with a < b: Expr}
+    entries: Mapping
 
     def matrix_at(self, point) -> np.ndarray:
         return self.matrices(_one_row(point, len(self.chart)))[0]
 
     def matrices(self, points) -> np.ndarray:
-        """Antisymmetric matrices at the rows of ``points`` (columns in chart order)."""
+        """A two-form's antisymmetric matrices at the rows of ``points`` (columns in chart order)."""
         values = evaluate_batch(tuple(self.entries.values()), self.chart, points)
         dim = len(self.chart)
         M = np.zeros((values.shape[0], dim, dim))
@@ -92,10 +92,7 @@ class TwoForm:
         return M
 
 
-@dataclass(frozen=True)
-class ThreeForm:
-    chart: tuple
-    entries: Mapping  # {(a, b, c) with a < b < c: Expr}
+TwoForm = ThreeForm = Form
 
 
 def d_function(f: Expr, chart: tuple) -> OneForm:

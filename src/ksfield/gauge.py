@@ -10,7 +10,6 @@ through the v = 0 slice, so models must be defined there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -21,15 +20,14 @@ from .expr import Expr, Num, add, diff, evaluate_batch, mul, sub, substitute, to
 from .expr import Var
 from .forms import largest_abs, max_abs
 from .lagrangian import LagrangianModel, el_residual
-from .symmetry import Report
+from .records import CheckFailure, Record, Report
 
 
-class GaugeError(ValueError):
+class GaugeError(CheckFailure):
     pass
 
 
-@dataclass(frozen=True)
-class GaugeDecomposition:
+class GaugeDecomposition(Record, frozen=True):
     """L1 - L2 = alpha_hat + f + c with alpha^A one-forms on the base."""
 
     alpha: tuple       # k tuples of n coefficient expressions over q
@@ -51,8 +49,7 @@ class GaugeDecomposition:
         }
 
 
-@dataclass(frozen=True)
-class GaugeVerdict:
+class GaugeVerdict(Record, frozen=True):
     kind: str  # "strict" | "gauge" | "inequivalent"
     decomposition: Optional[GaugeDecomposition] = None
     witness: Optional[dict] = None

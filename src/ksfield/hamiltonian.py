@@ -2,18 +2,16 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .bundles import Section, TangentVector, point_rows
 from .coords import VarTable
 from .expr import Expr, Num, Var, diff, evaluate_batch, free_vars
 from .forms import OneForm, TwoForm
+from .records import Record
 
 
-@dataclass(frozen=True)
-class HamiltonianModel:
+class HamiltonianModel(Record, frozen=True):
     table: VarTable
     H: Expr
 

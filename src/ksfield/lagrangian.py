@@ -7,7 +7,6 @@ exact, and point evaluations return plain numpy arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -16,15 +15,15 @@ from .bundles import CoJetPoint, JetPoint, Section, TangentVector, fold_constant
 from .coords import VarTable
 from .expr import Expr, Num, Var, add, diff, evaluate_batch, free_vars, mul, sub
 from .forms import OneForm, TwoForm, d_one
+from .records import CheckFailure, Record
 
 
-class RegularityError(ValueError):
+class RegularityError(CheckFailure):
     """Raised when an operation needs a regular Lagrangian and the velocity
     Hessian is singular at the working point."""
 
 
-@dataclass(frozen=True)
-class LagrangianModel:
+class LagrangianModel(Record, frozen=True):
     table: VarTable
     L: Expr
 

@@ -3,24 +3,25 @@
 A model file declares the dimensions, a Lagrangian and/or Hamiltonian in
 the expression DSL, named symmetry candidates, named solutions (analytic
 maps or solver grids), the sampling box, seed and tolerance overrides.
-See README.md for the full schema.
+See README.md for the full schema.  The grid specs and symmetry candidates
+live here, so loading a file loads neither the solver nor the checks.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
 import yaml
 
-from .bundles import Section
+from .bundles import Section, TotalMap, VectorFieldQ
 from .coords import VarTable
 from .expr import Expr, ParseError, parse
+from .forms import VectorField
 from .hamiltonian import HamiltonianModel
 from .lagrangian import LagrangianModel
-from .solver import Axis, GridSpec, SolverError
-from .symmetry import SymmetryCandidate, gauge_entry
+from .records import InputError, Record, SolverError, SymmetryError
 
 # libyaml's parser where PyYAML was built with it; both give the same dicts
 _YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
@@ -39,18 +40,16 @@ DEFAULT_TOLERANCES = {
 }
 
 
-class ModelFileError(ValueError):
+class ModelFileError(InputError):
     pass
 
 
-@dataclass
-class AnalyticSolution:
+class AnalyticSolution(Record):
     section: Section               # built once: one expression in t per chart coordinate
     t_box: Optional[list] = None
 
 
-@dataclass
-class GridSolution:
+class GridSolution(Record):
     grid: GridSpec
     q0: Optional[list] = None      # k = 1 initial data
     v0: Optional[list] = None
@@ -58,8 +57,7 @@ class GridSolution:
     initial_rate: Optional[tuple] = None  # k = 2: its evolution rate
 
 
-@dataclass
-class ModelSpec:
+class ModelSpec(Record):
     table: VarTable
     lagrangian: Optional[LagrangianModel]
     hamiltonian: Optional[HamiltonianModel]
@@ -72,6 +70,94 @@ class ModelSpec:
 
     def tol(self, key: str) -> float:
         return self.tolerances[key]
+
+
+class Axis(Record, frozen=True):
+    start: float
+    stop: float
+    step: float
+
+    def __post_init__(self):
+        if self.step <= 0:
+            raise SolverError("axis step must be positive")
+        if self.stop <= self.start:
+            raise SolverError("axis extent must be increasing")
+        count = (self.stop - self.start) / self.step
+        if abs(count - round(count)) > 1e-9:
+            raise SolverError(
+                f"axis extent {self.stop - self.start} is not an integral number of steps {self.step}"
+            )
+
+    @property
+    def count(self) -> int:
+        return int(round((self.stop - self.start) / self.step))
+
+
+class GridSpec(Record, frozen=True):
+    """k = 1: one evolution axis.  k = 2: evolution axis then periodic axis."""
+
+    axes: tuple
+
+    def __post_init__(self):
+        if len(self.axes) not in (1, 2):
+            raise SolverError("time stepping supports k = 1 or k = 2 only")
+
+    @property
+    def k(self) -> int:
+        return len(self.axes)
+
+    def evolution_times(self) -> np.ndarray:
+        ax = self.axes[0]
+        return ax.start + ax.step * np.arange(ax.count + 1)
+
+    def periodic_nodes(self) -> np.ndarray:
+        ax = self.axes[1]
+        return ax.start + ax.step * np.arange(ax.count)
+
+    def refined(self) -> "GridSpec":
+        return GridSpec(tuple(Axis(a.start, a.stop, a.step / 2) for a in self.axes))
+
+
+class SymmetryCandidate(Record, frozen=True):
+    """User-declared symmetry datum.
+
+    kind "vector-field-on-q": n components over q (lifted to each side by
+    the check that reads it);
+    kind "vector-field": components over the full chart of ``side``;
+    kind "diffeomorphism": total-space map with declared inverse.
+    Optional gauge data g (k expressions over q) and zeta (k expressions);
+    :func:`gauge_entry` says which of them a current reads.
+    """
+
+    kind: str
+    components: tuple
+    side: Optional[str] = None
+    inverse: Optional[tuple] = None
+    gauge: Optional[tuple] = None
+    zeta: Optional[tuple] = None
+
+    def vector_field(self, table: VarTable):
+        """A VectorFieldQ for a field on the base, else a VectorField on its side's chart."""
+        if self.kind == "vector-field-on-q":
+            return VectorFieldQ(table, self.components)
+        if self.kind == "vector-field":
+            return VectorField(table.chart(self.side), self.components)
+        raise SymmetryError(f"candidate of kind {self.kind!r} is not a vector field")
+
+    def total_map(self, table: VarTable, side: str) -> TotalMap:
+        if self.kind != "diffeomorphism":
+            raise SymmetryError("candidate is not a diffeomorphism")
+        use_side = self.side or side
+        return TotalMap(table, use_side, self.components, self.inverse)
+
+
+def gauge_entry(kind: str, side: str) -> Optional[str]:
+    """The entry a current of this kind on this side subtracts: "gauge" (the
+    term g of a natural lagrangian symmetry) or "zeta"; None for a
+    diffeomorphism, which has no current."""
+    if kind == "diffeomorphism":
+        return None
+    return "gauge" if kind == "vector-field-on-q" and side == "lagrangian" else "zeta"
 
 
 def _require(mapping, key, context):
@@ -212,10 +298,12 @@ def _load_solution(name, raw, table: VarTable):
 
 def load_model(path) -> ModelSpec:
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             raw = yaml.load(handle, Loader=_YAML_LOADER)
     except FileNotFoundError:
         raise ModelFileError(f"model file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, no permission, not text
+        raise ModelFileError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from None
     except yaml.YAMLError as exc:
         raise ModelFileError(f"{path}: invalid YAML: {exc}") from exc
     if not isinstance(raw, dict):
@@ -255,6 +343,8 @@ def load_model(path) -> ModelSpec:
         if key not in DEFAULT_TOLERANCES:
             raise ModelFileError(f"tolerances: unknown key {key!r}")
         tolerances[key] = _float(value, f"tolerances.{key}")
+        if not 0.0 <= tolerances[key] < math.inf:
+            raise ModelFileError(f"tolerances.{key}: expected a finite non-negative number")
 
     symmetries = {
         str(name): _load_symmetry(
@@ -273,13 +363,5 @@ def load_model(path) -> ModelSpec:
         raise ModelFileError("seed must be a non-negative integer and samples a positive integer")
 
     return ModelSpec(
-        table=table,
-        lagrangian=lagrangian,
-        hamiltonian=hamiltonian,
-        symmetries=symmetries,
-        solutions=solutions,
-        box=box,
-        seed=seed,
-        samples=samples,
-        tolerances=tolerances,
+        table, lagrangian, hamiltonian, symmetries, solutions, box, seed, samples, tolerances
     )

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import re
 import warnings
-from dataclasses import dataclass, field
 from itertools import chain
 from typing import Optional, Sequence
 
@@ -25,10 +24,8 @@ from .expr import (
     free_vars, is_zero_expr, mul, sub,
 )
 from .lagrangian import LagrangianModel, RegularityError, energy, legendre_exprs
-
-
-class SolverError(ValueError):
-    pass
+from .modelfile import Axis, GridSpec  # grid specs live with the model file; importable here too
+from .records import Record, SolverError
 
 
 class NotHyperbolicError(SolverError):
@@ -37,54 +34,6 @@ class NotHyperbolicError(SolverError):
 
 class CFLWarning(UserWarning):
     pass
-
-
-@dataclass(frozen=True)
-class Axis:
-    start: float
-    stop: float
-    step: float
-
-    def __post_init__(self):
-        if self.step <= 0:
-            raise SolverError("axis step must be positive")
-        if self.stop <= self.start:
-            raise SolverError("axis extent must be increasing")
-        count = (self.stop - self.start) / self.step
-        if abs(count - round(count)) > 1e-9:
-            raise SolverError(
-                f"axis extent {self.stop - self.start} is not an integral number of steps {self.step}"
-            )
-
-    @property
-    def count(self) -> int:
-        return int(round((self.stop - self.start) / self.step))
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """k = 1: one evolution axis.  k = 2: evolution axis then periodic axis."""
-
-    axes: tuple
-
-    def __post_init__(self):
-        if len(self.axes) not in (1, 2):
-            raise SolverError("time stepping supports k = 1 or k = 2 only")
-
-    @property
-    def k(self) -> int:
-        return len(self.axes)
-
-    def evolution_times(self) -> np.ndarray:
-        ax = self.axes[0]
-        return ax.start + ax.step * np.arange(ax.count + 1)
-
-    def periodic_nodes(self) -> np.ndarray:
-        ax = self.axes[1]
-        return ax.start + ax.step * np.arange(ax.count)
-
-    def refined(self) -> "GridSpec":
-        return GridSpec(tuple(Axis(a.start, a.stop, a.step / 2) for a in self.axes))
 
 
 class _StencilJets:
@@ -99,8 +48,7 @@ class _StencilJets:
         sol._jets = jets
 
 
-@dataclass
-class SolutionGrid:
+class SolutionGrid(Record):
     """Discretized field with stencil-derived first-jet values.
 
     ``phi`` has shape (levels, n) for k = 1 and (levels, nodes, n) for k = 2;
@@ -115,7 +63,7 @@ class SolutionGrid:
     phi: np.ndarray
     jets: np.ndarray = _StencilJets()
     state_v: Optional[np.ndarray] = None
-    summary: dict = field(default_factory=dict)
+    summary: dict = {}
 
     def __post_init__(self):
         if self.phi.shape[0] < 3:
@@ -590,8 +538,7 @@ def integrate_k2_hyperbolic(
 # ---------------------------------------------------------------------------
 # current traces
 
-@dataclass
-class CurrentTrace:
+class CurrentTrace(Record):
     """Nodewise values of a candidate current and its discrete divergence.
 
     The divergence uses the same centered stencils as the stored jets; its

@@ -9,7 +9,6 @@ exterior derivatives; only the final residuals are numeric.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Optional, Sequence
 
@@ -29,7 +28,6 @@ from .coords import VarTable
 from .expr import Expr, Num, add, diff, evaluate_batch, sub, substitute
 from .forms import (
     OneForm,
-    VectorField,
     contract_one,
     contract_two,
     d_function,
@@ -53,11 +51,8 @@ from .lagrangian import (
     poincare_cartan_form,
     sopde_solve,
 )
-from .solver import CurrentTrace, SolutionGrid, evaluate_current
-
-
-class SymmetryError(ValueError):
-    pass
+from .records import Record, Report, SymmetryError, all_pass
+from .solver import SolutionGrid, evaluate_current
 
 
 class CurrentRejection(SymmetryError):
@@ -68,86 +63,13 @@ class CurrentRejection(SymmetryError):
         self.residual = residual
 
 
-@dataclass
-class Report:
-    condition: str
-    max_residual: float
-    sample_count: int
-    passed: bool
-    details: dict = field(default_factory=dict)
-    trace: Optional[CurrentTrace] = None  # grid conservation only; not reported
-
-    def as_dict(self) -> dict:
-        out = {
-            "condition": self.condition,
-            "max_residual": float(self.max_residual),
-            "sample_count": int(self.sample_count),
-            "pass": bool(self.passed),
-        }
-        if self.details:
-            out["details"] = {
-                key: float(v) if isinstance(v, (float, np.floating)) else v
-                for key, v in self.details.items()
-            }
-        return out
-
-
-def all_pass(reports: Sequence[Report]) -> bool:
-    return all(r.passed for r in reports)
-
-
-@dataclass(frozen=True)
-class SymmetryCandidate:
-    """User-declared symmetry datum.
-
-    kind "vector-field-on-q": n components over q (lifted to each side by
-    the check that reads it);
-    kind "vector-field": components over the full chart of ``side``;
-    kind "diffeomorphism": total-space map with declared inverse.
-    Optional gauge data g (k expressions over q) and zeta (k expressions);
-    :func:`gauge_entry` says which of them a current reads.
-    """
-
-    kind: str
-    components: tuple
-    side: Optional[str] = None
-    inverse: Optional[tuple] = None
-    gauge: Optional[tuple] = None
-    zeta: Optional[tuple] = None
-
-    def vector_field(self, table: VarTable):
-        """A VectorFieldQ for a field on the base, else a VectorField on its side's chart."""
-        if self.kind == "vector-field-on-q":
-            return VectorFieldQ(table, self.components)
-        if self.kind == "vector-field":
-            return VectorField(table.chart(self.side), self.components)
-        raise SymmetryError(f"candidate of kind {self.kind!r} is not a vector field")
-
-    def total_map(self, table: VarTable, side: str) -> TotalMap:
-        if self.kind != "diffeomorphism":
-            raise SymmetryError("candidate is not a diffeomorphism")
-        use_side = self.side or side
-        return TotalMap(table, use_side, self.components, self.inverse)
-
-
-def gauge_entry(kind: str, side: str) -> Optional[str]:
-    """The entry a current of this kind on this side subtracts: "gauge" (the
-    term g of a natural lagrangian symmetry) or "zeta"; None for a
-    diffeomorphism, which has no current."""
-    if kind == "diffeomorphism":
-        return None
-    return "gauge" if kind == "vector-field-on-q" and side == "lagrangian" else "zeta"
-
-
-@dataclass(frozen=True)
-class NoetherCurrent:
+class NoetherCurrent(Record, frozen=True):
     components: tuple  # k expressions
     side: str          # "lagrangian" | "hamiltonian"
     provenance: str    # "natural-lift" | "user-supplied"
 
 
-@dataclass(frozen=True)
-class Side:
+class Side(Record, frozen=True):
     """One formalism's k-symplectic structure: what the symmetry checks read.
 
     The forms and the scalar are built on demand, so a check pays only for

@@ -182,6 +182,43 @@ class TestModelFile:
         assert main(["analyze", str(wave_file), "--seed", "-1"]) == 2
         assert capsys.readouterr().err == "error: --seed must be non-negative\n"
 
+    @pytest.mark.parametrize("kind", ["directory", "undecodable"])
+    def test_unreadable_model_path_exits_two(self, tmp_path, capsys, kind):
+        path = tmp_path / "model.yaml"
+        if kind == "directory":
+            path.mkdir()
+        else:  # byte 0xff inside the lagrangian string
+            path.write_bytes(WAVE_YAML.encode().replace(b"v1_1^2 -", b"v1_1^2 \xff-", 1))
+        assert main(["analyze", str(path)]) == 2
+        error = capsys.readouterr().err
+        assert error.startswith(f"error: {path}: ") and error.count("\n") == 1
+
+    def test_out_onto_an_existing_file_exits_two(self, wave_file, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(["analyze", str(wave_file), "--out", str(taken)]) == 2
+        assert capsys.readouterr().err == f"error: --out {taken}: File exists\n"
+
+    @pytest.mark.parametrize("key, argv", [
+        ("cartan", ["check-symmetry", "{model}", "--symmetry", "shift"]),
+        ("conservation", ["noether", "{model}", "--symmetry", "shift", "--solution", "dalembert"]),
+    ])
+    @pytest.mark.parametrize("value, spelled", [
+        ("nan", ".nan"), ("-1", "-1.0"), ("inf", ".inf"), ("-inf", "-.inf"),
+    ])
+    def test_tolerance_must_be_finite_and_non_negative(
+        self, wave_file, tmp_path, capsys, key, argv, value, spelled
+    ):
+        command = [arg.format(model=wave_file) for arg in argv]
+        assert main(command + ["--tol", f"{key}={value}"]) == 2
+        assert capsys.readouterr().err == f"error: --tol {key}: expected a finite non-negative number\n"
+        path = tmp_path / "tolerances.yaml"
+        path.write_text(WAVE_YAML + f"tolerances:\n  {key}: {spelled}\n")
+        assert main([arg.format(model=path) for arg in argv]) == 2
+        assert capsys.readouterr().err == (
+            f"error: tolerances.{key}: expected a finite non-negative number\n"
+        )
+
 
 class TestAnalyze:
     def test_regular_model(self, wave_file, tmp_path, capsys):
@@ -595,11 +632,11 @@ class TestParserReuse:
         before = self.analyze(wave_file, tmp_path / "before")
         parser = cli._parser
         overridden = self.analyze(
-            wave_file, tmp_path / "a", "--tol", "kvector=-1", "--seed", "5", "--samples", "3"
+            wave_file, tmp_path / "a", "--tol", "hessian=2", "--seed", "5", "--samples", "3"
         )
-        assert overridden["seed"] == 5 and overridden["hamiltonian"]["kvector_pass"] is False
+        assert overridden["seed"] == 5 and overridden["lagrangian"]["regular"] is False
         after = self.analyze(wave_file, tmp_path / "after")
-        assert after["seed"] == 7 and after["hamiltonian"]["kvector_pass"] is True
+        assert after["seed"] == 7 and after["lagrangian"]["regular"] is True
         assert after == before
         assert cli._parser is parser  # built once, by the first call
 
