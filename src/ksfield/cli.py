@@ -222,7 +222,7 @@ def cmd_analyze(args) -> int:
         }
         print(f"hamiltonian field-equation residual: {worst:.3e}")
 
-    _emit(report, _out_dir(args), "analyze.json")
+    _emit(report, args.out, "analyze.json")
     return 0
 
 
@@ -234,6 +234,7 @@ def main(argv=None) -> int:
     _parser = _parser or _build_parser()
     args = _parser.parse_args(argv)
     try:
+        args.out = _out_dir(args)
         if args.command == "analyze":
             return cmd_analyze(args)
         module = importlib.import_module(f".{_MODULES[args.command]}", __package__)

@@ -4,7 +4,7 @@ and compare their field equations along shared solutions.  Imported by
 
 from __future__ import annotations
 
-from .cli import UsageError, _apply_overrides, _emit, _out_dir, _samples, _t_samples
+from .cli import UsageError, _apply_overrides, _emit, _samples, _t_samples
 from .gauge import gauge_compare, verify_same_solutions
 from .modelfile import AnalyticSolution, load_model
 from .records import all_pass
@@ -50,7 +50,7 @@ def cmd_gauge(args) -> int:
         print(f"shared solution {name}: residual gap {r.max_residual:.3e} "
               f"({'pass' if r.passed else 'FAIL'})")
     payload["same_solutions"] = [r.as_dict() for r in reports]
-    _emit(payload, _out_dir(args), "gauge.json")
+    _emit(payload, args.out, "gauge.json")
 
     equivalent = verdict.kind in ("strict", "gauge")
     return 0 if equivalent and all_pass(reports) else 1

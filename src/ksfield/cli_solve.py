@@ -3,7 +3,7 @@ its convergence order.  Imported by ``cli.main`` on dispatch."""
 
 from __future__ import annotations
 
-from .cli import UsageError, _apply_overrides, _emit, _named, _out_dir
+from .cli import UsageError, _apply_overrides, _emit, _named
 from .modelfile import GridSolution, ModelSpec, load_model
 from .solver import integrate_k1, integrate_k2_hyperbolic, self_convergence_ratio
 
@@ -44,9 +44,8 @@ def cmd_solve(args) -> int:
         "converged": bool(converged),
         "summary": {k: float(v) for k, v in sols[0].summary.items()},
     }
-    out = _out_dir(args)
-    if out is not None:
-        sols[0].to_csv(out / f"{args.solution}_grid.csv")
-    _emit(payload, out, f"{args.solution}_solve.json")
+    if args.out is not None:
+        sols[0].to_csv(args.out / f"{args.solution}_grid.csv")
+    _emit(payload, args.out, f"{args.solution}_solve.json")
     print(f"convergence ratio: {ratio:.3f} (nominal {nominal:.0f})")
     return 0 if converged else 1

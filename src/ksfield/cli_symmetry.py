@@ -5,7 +5,7 @@ Imported by ``cli.main`` on dispatch."""
 from __future__ import annotations
 
 from .cli import (
-    UsageError, _apply_overrides, _emit, _model, _named, _out_dir, _samples, _t_samples,
+    UsageError, _apply_overrides, _emit, _model, _named, _samples, _t_samples,
 )
 from .cli_solve import _run_grid
 from .expr import to_source
@@ -48,7 +48,7 @@ def cmd_noether(args) -> int:
     except CurrentRejection as exc:
         payload["constructed"] = False
         payload["rejection"] = {"message": str(exc), "max_residual": exc.residual}
-        _emit(payload, _out_dir(args), f"{stem}.json")
+        _emit(payload, args.out, f"{stem}.json")
         print(f"current rejected: {exc}")
         return 1
 
@@ -60,7 +60,6 @@ def cmd_noether(args) -> int:
     bracket = verify_bracket_theorem(current, model, samples, tol=spec.tol("cartan"))
     reports.append(bracket)
 
-    out = _out_dir(args)
     if args.solution is not None:
         solution = _named(spec.solutions, "solution", args.solution)
         if isinstance(solution, AnalyticSolution):
@@ -78,10 +77,10 @@ def cmd_noether(args) -> int:
                 current, table, grid=sol, refined_grid=refined, model=spec.lagrangian
             )
             reports.append(report)
-            if out is not None:
-                report.trace.to_csv(out / f"{stem}_trace.csv")
+            if args.out is not None:
+                report.trace.to_csv(args.out / f"{stem}_trace.csv")
 
-    return _verdict(payload, reports, out, f"{stem}.json")
+    return _verdict(payload, reports, args.out, f"{stem}.json")
 
 
 def cmd_check_symmetry(args) -> int:
@@ -122,4 +121,4 @@ def cmd_check_symmetry(args) -> int:
         if not checked:
             raise UsageError("no model present for the candidate's side")
 
-    return _verdict(payload, reports, _out_dir(args), f"check_{args.symmetry}.json")
+    return _verdict(payload, reports, args.out, f"check_{args.symmetry}.json")

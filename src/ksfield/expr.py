@@ -6,14 +6,14 @@ interned (hash-consed) as they are built, in a weak table: structurally
 equal expressions are one object, so ``==`` is identity, and an expression
 is a DAG whose repeated subtrees are one node.  Each node keeps the names
 of its free variables and memoizes its derivatives by variable name.  Every
-walk (diff, substitute, printing, compiling) visits each distinct node
-once, children first, through the one iterative :func:`_post_order`.
+walk (diff, substitute, printing, evaluating, compiling) visits each distinct
+node once, children first, through the one iterative :func:`_post_order`.
 
-Expressions become numbers one way: :func:`evaluate_columns` compiles them
-together into straight-line numpy code, one local per node, and evaluates
-each over whole arrays under a strict domain contract,
-:func:`evaluate_batch` over a sample matrix's rows.  The scalar reference
-evaluator the tests compare against lives in tests/.
+Expressions become numbers one way: :func:`evaluate_columns` walks their DAG,
+one numpy operation per node, over whole arrays under a strict domain
+contract, :func:`evaluate_batch` over a sample matrix's rows.  Only the
+solvers' per-step functions are compiled to numpy code (:func:`compile_source`).
+The scalar reference evaluator the tests compare against lives in tests/.
 
 Simplification is best-effort only (constant folding and 0/1 identities,
 applied by the smart constructors below).  Nothing downstream relies on a
@@ -23,8 +23,10 @@ canonical form: all correctness checks are evaluation-based.
 from __future__ import annotations
 
 import math
+import operator
 import weakref
-from itertools import islice
+from functools import partial
+from itertools import accumulate, islice
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Union
 
@@ -744,21 +746,54 @@ def _unbound(name: str):
     raise UnboundVariableError(name)
 
 
-def _function(names, body: list) -> str:
-    head = f"def _fn({', '.join(names) or '*_ignored'}):"
-    return "\n    ".join([head] + body)
+_OPERATIONS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.truediv,
+               Neg: operator.neg}
+
+
+def _walk(exprs: tuple, names: tuple) -> Callable:
+    """A generator of the expressions' values in order over arrays, one per name: one step
+    per DAG node in post-order, each the IEEE operation :func:`compile_source` emits for
+    the node, on the same operands, so every bit is the same."""
+    import numpy as np
+
+    bound, literals, steps, ends = frozenset(names), {}, [], {}
+    for node in _post_order(exprs):
+        kind = type(node)
+        if kind is Num:
+            literals[node] = np.float64(node.value)
+        elif kind is Pow:
+            steps.append((node, lambda base, m=node.exponent: base ** m, node._kids))
+        elif kind is not Var:  # an operator, or a call of a numpy ufunc
+            steps.append((node, _OPERATIONS.get(kind) or getattr(np, node.fn), node._kids))
+        elif node.name not in bound:  # a variable without a column raises when reached
+            steps.append((node, partial(_unbound, node.name), ()))
+        ends[node] = len(steps)  # the steps up to and including its own
+    stops, variables = tuple(accumulate((ends[e] for e in exprs), max)), list(map(Var, names))
+
+    def run(*columns):
+        value = dict(literals)  # every node's value, held until the walk ends
+        value.update(zip(variables, columns))
+        start = 0
+        for e, stop in zip(exprs, stops):
+            for node, fn, kids in steps[start:stop]:
+                value[node] = fn(*[value[kid] for kid in kids])
+            start = stop
+            yield value[e]
+
+    return run
 
 
 def compile_tuple(exprs: Iterable[Expr], names) -> Callable:
     """One callable over numpy arrays (one positional arg per name) returning
     the tuple of the expressions' values, constants not broadcast.  Domain
-    violations follow numpy semantics: callers check the results, as
-    :func:`evaluate_columns` and the leapfrog forces do."""
+    violations follow numpy semantics: callers check the results, as the
+    leapfrog forces do."""
     names = tuple(names)
 
     def write(blocks):
         ((lines, values),) = blocks
-        return _function(names, lines + [f"return ({', '.join(values)},)"])
+        head = f"def _fn({', '.join(names) or '*_ignored'}):"
+        return "\n    ".join([head] + lines + [f"return ({', '.join(values)},)"])
 
     return compile_source([exprs], names, write)
 
@@ -813,10 +848,10 @@ def _domain_error(e: Expr, breach, names, row) -> DomainError:
 def evaluate_columns(exprs: Iterable[Expr], names, columns):
     """Yield each expression's values over the arrays ``columns``, strictly.
 
-    ``columns[j]`` binds ``names[j]``.  The expressions compile together,
-    in one exec, into one generator that computes each DAG node once, and
-    they are evaluated in order as they are read: each yields an array of
-    the columns' broadcast shape, or a scalar where it is constant.  A
+    ``columns[j]`` binds ``names[j]``.  One walk over the expressions' DAG
+    computes each node once, with numpy's operators and ufuncs, and they
+    are evaluated in order as they are read: each yields an array of the
+    columns' broadcast shape, or a scalar where it is constant.  A
     division by zero, an invalid operation or an overflow at any step raises
     DomainError naming the expression and the first offending point in
     row-major order; the earliest failing expression raises, so an error of
@@ -827,16 +862,11 @@ def evaluate_columns(exprs: Iterable[Expr], names, columns):
 
     exprs, names = tuple(exprs), tuple(names)
     constant = [isinstance(e, Num) and math.isfinite(e.value) for e in exprs]
-
-    def write(blocks):  # one generator yielding the values in order
-        return _function(names, [line for lines, (value,) in blocks
-                                 for line in lines + [f"yield {value}"]])
-
     if not all(constant):
-        fn = compile_source([(e,) for e, c in zip(exprs, constant) if not c], names, write)
+        fn = _walk(tuple(e for e, c in zip(exprs, constant) if not c), names)
         values, index = fn(*columns), 0
     for e, is_constant in zip(exprs, constant):
-        if is_constant:  # no compile needed
+        if is_constant:  # nothing to walk
             yield e.value
             continue
         value, breach = _run_strict(lambda: next(values))

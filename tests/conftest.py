@@ -38,6 +38,20 @@ def checked_folds(monkeypatch, module) -> list:
     return folded
 
 
+def recording(monkeypatch, module, name, calls=None) -> list:
+    """Patch ``module.name`` to append each call's positional arguments to
+    ``calls`` (a new list by default) before running it; returns the list."""
+    calls = [] if calls is None else calls
+    real = getattr(module, name)
+
+    def record(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, record)
+    return calls
+
+
 @pytest.fixture
 def free_model():
     """n=1, k=2 free field: L = (v1^2 + v2^2)/2."""

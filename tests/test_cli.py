@@ -11,7 +11,7 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ksfield import cli
+from ksfield import cli, cli_solve, expr, solver
 from ksfield.cli import main
 from ksfield.expr import evaluate_batch, parse
 from ksfield.modelfile import (
@@ -21,6 +21,8 @@ from ksfield.modelfile import (
     load_model,
 )
 from ksfield.solver import SolutionGrid
+
+from conftest import recording
 
 TWO_PI = 6.283185307179586
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -198,6 +200,16 @@ class TestModelFile:
         taken.write_text("")
         assert main(["analyze", str(wave_file), "--out", str(taken)]) == 2
         assert capsys.readouterr().err == f"error: --out {taken}: File exists\n"
+
+    def test_out_is_refused_before_the_solver_runs(self, tmp_path, capsys, monkeypatch):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        runs = recording(monkeypatch, cli_solve, "integrate_k1")
+        recording(monkeypatch, cli_solve, "integrate_k2_hyperbolic", runs)
+        argv = ["solve", str(MODELS / "wave.yaml"), "--solution", "run", "--out", str(taken)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: --out {taken}: File exists\n"
+        assert runs == []
 
     @pytest.mark.parametrize("key, argv", [
         ("cartan", ["check-symmetry", "{model}", "--symmetry", "shift"]),
@@ -776,3 +788,35 @@ def test_fuzzed_model_files_get_an_exit_code(tmp_path, run):
     path = tmp_path / "fuzz.yaml"
     path.write_text(yaml.safe_dump(model))
     assert main([str(path) if arg == "MODEL" else arg for arg in argv]) in (0, 1, 2)
+
+
+class TestNoCodegen:
+    """Checks evaluate their expressions by walking the DAG; only the
+    solvers' per-step functions are generated and compiled."""
+
+    @staticmethod
+    def compiled(monkeypatch) -> list:
+        calls = recording(monkeypatch, expr, "compile_source")
+        return recording(monkeypatch, solver, "compile_source", calls)
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "{wave}"],
+        ["check-symmetry", "{wave}", "--symmetry", "translate"],
+        ["gauge", "{wave}", "{wave}"],
+        ["noether", "{wave}", "--symmetry", "shift", "--solution", "dalembert"],
+    ], ids=["analyze", "check-symmetry", "gauge", "noether"])
+    def test_checks_compile_nothing(self, monkeypatch, tmp_path, argv):
+        calls = self.compiled(monkeypatch)
+        wave = str(MODELS / "wave.yaml")
+        assert main([arg.format(wave=wave) for arg in argv] + ["--out", str(tmp_path)]) == 0
+        assert calls == []
+
+    def test_each_rk4_run_compiles_its_step_once(self, monkeypatch, tmp_path):
+        calls = self.compiled(monkeypatch)
+        runs = recording(monkeypatch, cli_solve, "integrate_k1")
+        argv = ["solve", str(MODELS / "oscillator.yaml"), "--solution", "orbit"]
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        steps = [names for _, names, *_ in calls if names]
+        assert len(runs) == 3 and steps == [["q1", "v1_1"]] * 3
+        # and the oscillator's constant velocity Hessian is eliminated once per run
+        assert len(calls) == 2 * len(runs)

@@ -12,9 +12,16 @@ from ksfield import expr
 from ksfield.expr import (
     MAX_DEPTH,
     MAX_NESTING,
+    Add,
+    Call,
+    Div,
     DomainError,
+    Mul,
+    Neg,
     Num,
+    Pow,
     ParseError,
+    Sub,
     UnboundVariableError,
     UndeclaredNameError,
     Var,
@@ -364,7 +371,7 @@ class TestEvaluateBatch:
             evaluate_batch([e], ["q1"], [[400.0]])
 
     def test_earlier_domain_error_wins(self):
-        # both fail at row 0; the expressions compile in one exec, yet the
+        # both fail at row 0; the expressions are walked as one DAG, yet the
         # first in order is the one reported
         points = np.zeros((3, len(NAMES)))
         exprs = [parse("q2 + 1", NAMES), parse("log(q1)", NAMES), parse("1/q2", NAMES)]
@@ -463,6 +470,56 @@ def test_source_round_trip_evaluates_the_same(a, b, rows):
             assert _evaluate_or_none(again, row) == _evaluate_or_none(e, row)
 
 
+@st.composite
+def _dags(draw):
+    """Names and root expressions of a random DAG over two or three of
+    PROPERTY_NAMES, built with the node classes, so no subtree is folded:
+    shared nodes, literals of both zero signs, negative integer powers,
+    every function and a constant-only subtree."""
+    names = PROPERTY_NAMES[: draw(st.integers(2, 3))]
+    literal = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0, -3.0]).map(Num)
+    functions = st.sampled_from(["sin", "cos", "exp", "log", "sqrt"])
+    pool = [Var(name) for name in names] + [Num(0.0), Num(-0.0)]
+    pool.append(Call(draw(functions), Add(draw(literal), Neg(draw(literal)))))
+    for _ in range(draw(st.integers(1, 12))):
+        left, right = (pool[draw(st.integers(0, len(pool) - 1))] for _ in range(2))
+        kind = draw(st.sampled_from(["binary", "pow", "neg", "call"]))
+        if kind == "binary":
+            pool.append(draw(st.sampled_from([Add, Sub, Mul, Div]))(left, right))
+        elif kind == "pow":
+            pool.append(Pow(left, draw(st.sampled_from([-3, -2, -1, 2, 3]))))
+        elif kind == "neg":
+            pool.append(Neg(left))
+        else:
+            pool.append(Call(draw(functions), left))
+    return names, draw(st.lists(st.sampled_from(pool[len(names):]), min_size=1, max_size=4))
+
+
+@given(_dags(), _rows)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_walk_matches_compiled_code_bit_for_bit(dag, rows):
+    # the walk does each node's IEEE operation on the same operands as the
+    # generated code: where every value is finite, the bytes are the same;
+    # where the generated code breaches the strict contract, the walk raises
+    names, roots = dag
+    columns = [np.array([row[j] for row in rows]) for j in range(len(names))]
+    try:
+        with np.errstate(divide="raise", invalid="raise", over="raise"):
+            compiled = compile_tuple(roots, names)(*columns)
+        finite = all(np.all(np.isfinite(value)) for value in compiled)
+    except ArithmeticError:
+        finite = False
+    if not finite:
+        with pytest.raises(DomainError):
+            list(evaluate_columns(roots, names, columns))
+        return
+    for e, got, want in zip(roots, evaluate_columns(roots, names, columns), compiled):
+        if not isinstance(e, Num):  # a literal root is yielded as its Python float
+            assert type(got) is type(want)
+        got, want = np.asarray(got), np.asarray(want)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
 class TestInternedDag:
     def test_equal_expressions_are_one_object(self):
         source = "sin(q1)*v1_1 + q2^(-2)/(1 - q1)"
@@ -503,6 +560,8 @@ class TestInternedDag:
         (value,) = compile_tuple([e], ["q1"])(np.array([0.5]))
         assert len(calls) == 1
         assert value[0] == math.sin(0.5) * math.sin(0.5) + math.sin(0.5)
+        (walked,) = evaluate_columns([e], ["q1"], [np.array([0.5])])
+        assert len(calls) == 2 and walked.tobytes() == value.tobytes()
 
     def test_dropped_expressions_leave_the_table(self):
         gc.collect()

@@ -23,7 +23,7 @@ from ksfield.lagrangian import (
 from ksfield.modelfile import load_model
 from ksfield.sampling import sample_jet_points, sample_points
 
-from conftest import checked_folds, lagrangian_model
+from conftest import checked_folds, lagrangian_model, recording
 from reference import evaluate
 
 
@@ -161,22 +161,12 @@ class TestHessian:
         # the k = 1 step and velocity_hessian build the same second
         # derivatives; the node memo makes them the same objects
         model = lagrangian_model(2, 1, "(v1_1^2 + v2_1^2)/2 + cos(q1 - q2)*v1_1*v2_1")
-        built = {}
-
-        def recording(module, name):
-            real = getattr(module, name)
-
-            def record(exprs, *args, **kwargs):
-                built[name] = exprs
-                return real(exprs, *args, **kwargs)
-            monkeypatch.setattr(module, name, record)
-
-        recording(lagrangian, "evaluate_batch")
-        recording(solver, "compile_source")
+        evaluated = recording(monkeypatch, lagrangian, "evaluate_batch")
+        compiled = recording(monkeypatch, solver, "compile_source")
         velocity_hessian(model, jet(model.table, [0.1, 0.2], [[0.3], [0.4]]))
         solver._rk4_step(model, 0.01)
-        upper = built["evaluate_batch"]  # H[a][b] for a <= b, row by row
-        step = built["compile_source"][0]  # H[i][j] row by row, then the forces
+        upper = evaluated[-1][0]  # H[a][b] for a <= b, row by row
+        step = compiled[-1][0][0]  # H[i][j] row by row, then the forces
         assert len(upper) == 3
         assert all(x is y for x, y in zip([step[0], step[1], step[3]], upper))
 
