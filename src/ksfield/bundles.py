@@ -1,9 +1,8 @@
-"""Points and maps of the k-velocity bundle and its dual.
+"""Fields, sections and maps of the k-velocity bundle and its dual.
 
-Conventions: a JetPoint stores q (n,) and v (n, k) with v[i, A] the A-th
-velocity of the i-th field coordinate; a CoJetPoint stores p (k, n) with
-p[A, i].  Flat component vectors follow the chart ordering of
-:mod:`ksfield.coords` (base block, then k fiber blocks of n).
+Points are chart rows: an (N, dim) matrix whose columns follow the chart
+ordering of :mod:`ksfield.coords` (base block q, then k fiber blocks of n,
+so row[n + A*n + i] is v^i_A or p^A_i).
 """
 
 from __future__ import annotations
@@ -32,75 +31,13 @@ class BundleError(InputError):
     pass
 
 
-def _checked_array(array, shape, what: str) -> np.ndarray:
-    out = np.asarray(array, dtype=float)
-    if out.shape != shape:
-        raise BundleError(f"{what} must have shape {shape}, got {out.shape}")
-    if not np.all(np.isfinite(out)):
-        raise BundleError(f"{what} has non-finite entries")
-    return out
-
-
-class JetPoint(Record):
-    """A point of the k-velocity bundle: q in R^n, v in R^(n x k)."""
-
-    table: VarTable
-    q: np.ndarray
-    v: np.ndarray
-
-    def __post_init__(self):
-        n, k = self.table.n, self.table.k
-        self.q = _checked_array(self.q, (n,), "q")
-        self.v = _checked_array(self.v, (n, k), "v")
-
-    def flat(self) -> np.ndarray:
-        return np.concatenate([self.q, self.v.T.reshape(-1)])
-
-    @classmethod
-    def from_flat(cls, table: VarTable, row) -> "JetPoint":
-        """Inverse of :meth:`flat`: a point from its velocity-chart coordinates."""
-        n, k = table.n, table.k
-        return cls(table, row[:n], np.reshape(row[n:], (k, n)).T)
-
-
-class CoJetPoint(Record):
-    """A point of the k-covelocity bundle: q in R^n, p in R^(k x n)."""
-
-    table: VarTable
-    q: np.ndarray
-    p: np.ndarray
-
-    def __post_init__(self):
-        n, k = self.table.n, self.table.k
-        self.q = _checked_array(self.q, (n,), "q")
-        self.p = _checked_array(self.p, (k, n), "p")
-
-    def flat(self) -> np.ndarray:
-        return np.concatenate([self.q, self.p.reshape(-1)])
-
-    @classmethod
-    def from_flat(cls, table: VarTable, row) -> "CoJetPoint":
-        """Inverse of :meth:`flat`: a point from its momentum-chart coordinates."""
-        n, k = table.n, table.k
-        return cls(table, row[:n], np.reshape(row[n:], (k, n)))
-
-
-def point_rows(points, dim: int):
-    """Coordinates of ``points`` as an (N, dim) matrix, and whether one point was given.
-
-    ``points`` is a JetPoint or CoJetPoint, a sequence of them, or an array
-    of coordinate rows in chart order; a 1-D array is a single point.
-    """
-    if isinstance(points, (JetPoint, CoJetPoint)):
-        return points.flat()[None, :], True
-    if not isinstance(points, np.ndarray):
-        points = [w.flat() if isinstance(w, (JetPoint, CoJetPoint)) else w for w in points]
+def point_rows(points, dim: int) -> np.ndarray:
+    """``points`` as an (N, dim) float matrix of chart rows, columns in chart
+    order; any other shape, a single 1-D row included, is a BundleError."""
     rows = np.asarray(points, dtype=float)
-    single = rows.ndim == 1 and rows.size > 0
-    rows = rows.reshape(-1, dim) if rows.size == 0 else np.atleast_2d(rows)
     if rows.ndim != 2 or rows.shape[1] != dim:
-        raise BundleError(f"points must have {dim} coordinates, got shape {rows.shape}")
-    return rows, single
+        raise BundleError(f"points must be an (N, {dim}) matrix of chart rows, got {rows.shape}")
+    return rows
 
 
 def fold_constant(kernel, entries, *stacks):
@@ -114,21 +51,6 @@ def fold_constant(kernel, entries, *stacks):
     def spread(a):
         return np.broadcast_to(a, (len(stacks[0]),) + a.shape[1:])
     return tuple(map(spread, out)) if isinstance(out, tuple) else spread(out)
-
-
-class TangentVector(Record):
-    """Tangent vector at a bundle point, components in the chart basis."""
-
-    base: object  # JetPoint or CoJetPoint
-    components: np.ndarray
-
-    def __post_init__(self):
-        dim = self.base.table.dim_total
-        self.components = _checked_array(self.components, (dim,), "components")
-
-    @property
-    def table(self) -> VarTable:
-        return self.base.table
 
 
 class VectorFieldQ(Record, frozen=True):
@@ -147,9 +69,6 @@ class VectorFieldQ(Record, frozen=True):
                 raise BundleError(
                     f"component depends on non-base coordinate {sorted(extra)[0]}"
                 )
-
-    def at(self, q: np.ndarray) -> np.ndarray:
-        return evaluate_batch(self.components, self.table.q_names, np.reshape(q, (1, -1)))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -194,51 +113,8 @@ class Section(Record, frozen=True):
         return substitute(e, dict(zip(self.table.chart(self.side), self.components)))
 
 
-def first_prolongation(table: VarTable, phi: Sequence[Expr], t: Sequence[float]) -> JetPoint:
-    """Lift phi to the velocity bundle at t: (phi^i(t), dphi^i/dt^A(t))."""
-    section = Section.prolongation(table, phi)
-    t_row, _ = point_rows(t, table.k)
-    return JetPoint.from_flat(table, evaluate_batch(section.components, table.t_names, t_row)[0])
-
-
 # ---------------------------------------------------------------------------
-# lifts and the canonical structures
-
-def _check_copy_index(table: VarTable, A: int):
-    if not (0 <= A < table.k):
-        raise BundleError(f"copy index {A} out of range 0..{table.k - 1}")
-
-
-def vertical_lift(Z: VectorFieldQ, A: int, w: JetPoint) -> TangentVector:
-    """Vertical A-lift of Z at w: Z^i(q) placed in the v^i_A slots."""
-    table = Z.table
-    _check_copy_index(table, A)
-    comps = np.zeros(table.dim_total)
-    values = Z.at(w.q)
-    for i in range(table.n):
-        comps[table.fiber_slot(i, A)] = values[i]
-    return TangentVector(w, comps)
-
-
-def vertical_endomorphism(A: int, X: TangentVector) -> TangentVector:
-    """Apply the A-th canonical tensor: dq^i components move to the v^i_A slots."""
-    table = X.table
-    _check_copy_index(table, A)
-    comps = np.zeros(table.dim_total)
-    for i in range(table.n):
-        comps[table.fiber_slot(i, A)] = X.components[i]
-    return TangentVector(X.base, comps)
-
-
-def liouville_field(A: int, w: JetPoint) -> TangentVector:
-    """Generator of scaling of the A-th fiber copy: v^i_A in the v^i_A slots."""
-    table = w.table
-    _check_copy_index(table, A)
-    comps = np.zeros(table.dim_total)
-    for i in range(table.n):
-        comps[table.fiber_slot(i, A)] = w.v[i, A]
-    return TangentVector(w, comps)
-
+# lifts
 
 def complete_lift(Z: VectorFieldQ) -> VectorField:
     """Lift to the velocity bundle: Z^i d/dq^i + v^j_A dZ^i/dq^j d/dv^i_A."""
@@ -294,25 +170,6 @@ def tulczyjew_derivative(table: VarTable, g: Sequence[Expr]) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# second-order condition
-
-def sopde_check(gamma, samples: Sequence[JetPoint], tol: float = 1e-10):
-    """Check the second-order condition S^A(Gamma_A) = Delta_A at the samples.
-
-    ``gamma`` maps a JetPoint to its k legs, a list of TangentVectors.
-    Returns (passed, max_residual) with the max-norm residual over samples.
-    """
-    worst = 0.0
-    for w in samples:
-        for A, leg in enumerate(gamma(w)):
-            lhs = vertical_endomorphism(A, leg)
-            rhs = liouville_field(A, w)
-            r = float(np.max(np.abs(lhs.components - rhs.components)))
-            worst = max(worst, r)
-    return worst <= tol, worst
-
-
-# ---------------------------------------------------------------------------
 # diffeomorphisms and their prolongations
 
 class DiffeoQ(Record, frozen=True):
@@ -327,11 +184,10 @@ class DiffeoQ(Record, frozen=True):
         if len(self.forward) != n or len(self.inverse) != n:
             raise BundleError(f"expected {n} forward and inverse components")
 
-    def verify_inverse(self, qs: Sequence[np.ndarray], tol: float = 1e-9) -> float:
-        """Max |phi(phi^-1(q)) - q| over sample base points; raises above tol."""
+    def verify_inverse(self, qs, tol: float = 1e-9) -> float:
+        """Max |phi(phi^-1(q)) - q| over the (N, n) base rows qs; raises above tol."""
         names = self.table.q_names
-        points = np.asarray(qs, dtype=float).reshape(-1, len(names))
-        return _round_trip(self.forward, self.inverse, names, points, tol)
+        return _round_trip(self.forward, self.inverse, names, point_rows(qs, len(names)), tol)
 
 
 def _round_trip(forward, inverse, names, rows, tol: float) -> float:
@@ -361,24 +217,14 @@ class TotalMap(Record, frozen=True):
 
     def images(self, points) -> np.ndarray:
         """Images of the rows of ``points`` (chart coordinates), as rows."""
-        return evaluate_batch(self.components, self.chart, point_rows(points, len(self.chart))[0])
-
-    def map_point(self, w):
-        point_type = JetPoint if self.side == "lagrangian" else CoJetPoint
-        return point_type.from_flat(self.table, self.images(w)[0])
-
-    def jacobian_at(self, w) -> np.ndarray:
-        return self.jacobians(w)[0]
+        return evaluate_batch(self.components, self.chart, point_rows(points, len(self.chart)))
 
     def jacobians(self, points) -> np.ndarray:
         """Jacobian matrices at the rows of ``points``, shape (N, dim, dim)."""
         dim = len(self.chart)
-        rows, _ = point_rows(points, dim)
+        rows = point_rows(points, dim)
         derivatives = [diff(comp, name) for comp in self.components for name in self.chart]
         return evaluate_batch(derivatives, self.chart, rows).reshape(-1, dim, dim)
-
-    def pushforward(self, X: TangentVector) -> TangentVector:
-        return TangentVector(self.map_point(X.base), self.jacobian_at(X.base) @ X.components)
 
     def pushforward_legs(self, legs_fn: Callable, points) -> np.ndarray:
         """Legs of the pushforward of a k-vector field at the rows of ``points``.
@@ -389,14 +235,14 @@ class TotalMap(Record, frozen=True):
         """
         if self.inverse is None:
             raise BundleError("pushforward through a map without declared inverse")
-        rows, _ = point_rows(points, len(self.chart))
+        rows = point_rows(points, len(self.chart))
         pre = evaluate_batch(self.inverse, self.chart, rows)
         return np.einsum("nij,naj->nai", self.jacobians(pre), legs_fn(pre))
 
     def verify_inverse(self, points, tol: float = 1e-9) -> float:
         if self.inverse is None:
             raise BundleError("no declared inverse")
-        rows, _ = point_rows(points, len(self.chart))
+        rows = point_rows(points, len(self.chart))
         return _round_trip(self.components, self.inverse, self.chart, rows, tol)
 
 

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bundles import CoJetPoint, JetPoint, fold_constant
+from .bundles import fold_constant
 from .expr import to_source
 from .hamiltonian import ham_kvector, kvector_equation_residual
 from .lagrangian import energy, hessian_entries, legendre, poincare_cartan_form, velocity_hessian
@@ -178,16 +178,15 @@ def cmd_analyze(args) -> int:
         with np.errstate(over="ignore", invalid="ignore"):  # huge entries: the report shows inf
             dets = fold_constant(np.linalg.det, hessian_entries(model), hessians)
         regular_everywhere = bool(np.all(regular))
-        images = []
-        for row, image in zip(samples[:3], legendre(model, samples[:3])):
-            w, p = JetPoint.from_flat(table, row), CoJetPoint.from_flat(table, image)
-            images.append(
-                {
-                    "q": [float(x) for x in w.q],
-                    "v": [[float(x) for x in row] for row in w.v],
-                    "p": [[float(x) for x in row] for row in p.p],
-                }
-            )
+        n, k = table.n, table.k
+        images = [
+            {
+                "q": row[:n].tolist(),
+                "v": row[n:].reshape(k, n).T.tolist(),
+                "p": image[n:].reshape(k, n).tolist(),
+            }
+            for row, image in zip(samples[:3], legendre(model, samples[:3]))
+        ]
         report["lagrangian"] = {
             "theta": [
                 [to_source(c) for c in poincare_cartan_form(model, A).coeffs[: table.n]]

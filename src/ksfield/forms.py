@@ -17,13 +17,6 @@ from .expr import Expr, Num, add, diff, evaluate_batch, is_zero_expr, mul, neg, 
 from .records import Record
 
 
-def _one_row(point, dim: int) -> np.ndarray:
-    """A JetPoint, a CoJetPoint or a chart-ordered row, as a (1, dim) matrix."""
-    from .bundles import point_rows  # bundles builds on this module
-
-    return point_rows(point, dim)[0]
-
-
 class VectorField(Record, frozen=True):
     chart: tuple
     components: tuple
@@ -38,9 +31,6 @@ class VectorField(Record, frozen=True):
         for name, comp in zip(self.chart, self.components):
             out = add(out, mul(comp, diff(f, name)))
         return out
-
-    def at(self, point) -> np.ndarray:
-        return evaluate_batch(self.components, self.chart, _one_row(point, len(self.chart)))[0]
 
 
 def lie_bracket(Y1: VectorField, Y2: VectorField) -> VectorField:
@@ -66,9 +56,6 @@ class OneForm(Record, frozen=True):
     chart: tuple
     coeffs: tuple  # one Expr per chart coordinate
 
-    def at(self, point) -> np.ndarray:
-        return evaluate_batch(self.coeffs, self.chart, _one_row(point, len(self.chart)))[0]
-
 
 class Form(Record, frozen=True):
     """A form of degree two, {(a, b) with a < b: Expr}, or three, {(a, b, c) with
@@ -76,9 +63,6 @@ class Form(Record, frozen=True):
 
     chart: tuple
     entries: Mapping
-
-    def matrix_at(self, point) -> np.ndarray:
-        return self.matrices(_one_row(point, len(self.chart)))[0]
 
     def matrices(self, points) -> np.ndarray:
         """A two-form's antisymmetric matrices at the rows of ``points`` (columns in chart order)."""

@@ -86,7 +86,7 @@ def gauge_compare(
     table = L1.table
     chart = table.velocity_chart
     D = sub(L1.L, L2.L)
-    rows, _ = point_rows(samples, len(chart))
+    rows = point_rows(samples, len(chart))
     if not len(rows):
         raise GaugeError("need sample points")
 
@@ -177,7 +177,7 @@ def verify_same_solutions(
     """Field-equation residuals under both Lagrangians agree along phi."""
     if L1.table != L2.table:
         raise GaugeError("models use different coordinate tables")
-    t_rows, _ = point_rows(t_samples, L1.table.k)
+    t_rows = point_rows(t_samples, L1.table.k)
     gap = el_residual(L1, phi, t_rows) - el_residual(L2, phi, t_rows)
     worst = largest_abs(gap)
     return Report("equal_field_equation_residuals", worst, len(t_rows), worst <= tol)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bundles import Section, TangentVector, point_rows
+from .bundles import Section, point_rows
 from .coords import VarTable
 from .expr import Expr, Num, Var, diff, evaluate_batch, free_vars
 from .forms import OneForm, TwoForm
@@ -57,15 +57,14 @@ def canonical_two_form_matrix(table: VarTable, A: int) -> np.ndarray:
 
 
 def hdw_residual(model: HamiltonianModel, section: Section, t) -> np.ndarray:
-    """Field-equation residual of the section psi at t, as 2n values.
+    """Field-equation residual of the section psi at the (N, k) parameter rows t, shape (N, 2n).
 
     First block (i = 0..n-1):  dH/dq^i o psi + sum_A dpsi^A_i/dt^A.
     Second block: max over A of |dH/dp^A_i o psi - dpsi^i/dt^A|.
-    ``t`` is one point (result (2n,)) or an (N, k) array (result (N, 2n)).
     """
     table = model.table
     n, k = table.n, table.k
-    rows, single = point_rows(t, k)
+    rows = point_rows(t, k)
     psi = section.components
     pairs = [(i, A) for i in range(n) for A in range(k)]
     exprs = [section.restrict(model.dHdq(i)) for i in range(n)]
@@ -77,22 +76,21 @@ def hdw_residual(model: HamiltonianModel, section: Section, t) -> np.ndarray:
     out = np.empty((rows.shape[0], 2 * n))
     out[:, :n] = values[:, :n] + div_p.sum(axis=2)
     out[:, n:] = np.max(np.abs(dH_dp - dpsi), axis=2, initial=0.0)
-    return out[0] if single else out
+    return out
 
 
 def ham_kvector(model: HamiltonianModel, w):
-    """Canonical k-vector field legs at w solving sum_A i(X_A) omega^A = dH.
+    """Canonical k-vector field legs at the rows of w solving sum_A i(X_A) omega^A = dH.
 
     Base components are forced: (X_A)^i = dH/dp^A_i.  Only the trace of the
     vertical block is constrained, so the equal-distribution representative
     (X_A)^B_i = -delta^B_A (1/k) dH/dq^i is returned; it is symmetric under
     relabeling of the copies and reduces to the classical field at k = 1.
-    Returns k TangentVectors for one CoJetPoint, or the (N, k, dim) leg
-    components for an (N, dim) array of momentum-chart rows.
+    Returns the (N, k, dim) leg components at the (N, dim) momentum-chart rows.
     """
     table = model.table
     n, k = table.n, table.k
-    rows, single = point_rows(w, table.dim_total)
+    rows = point_rows(w, table.dim_total)
     exprs = [model.dHdq(i) for i in range(n)]
     exprs += [model.dHdp(A, i) for A in range(k) for i in range(n)]
     values = evaluate_batch(exprs, table.momentum_chart, rows)
@@ -101,26 +99,18 @@ def ham_kvector(model: HamiltonianModel, w):
         legs[:, A, :n] = values[:, n + A * n: n + (A + 1) * n]
         for i in range(n):
             legs[:, A, table.fiber_slot(i, A)] = -values[:, i] / k
-    if single:
-        return [TangentVector(w, legs[0, A]) for A in range(k)]
     return legs
 
 
 def kvector_equation_residual(model: HamiltonianModel, w, legs):
-    """Max-norm residual of sum_A i(X_A) omega^A - dH at w for given legs.
-
-    One CoJetPoint with a list of k TangentVectors gives a float; an
-    (N, dim) array of rows with (N, k, dim) leg components gives (N,).
-    """
+    """Max-norm residuals of sum_A i(X_A) omega^A - dH, shape (N,), at the
+    (N, dim) rows of w for their (N, k, dim) leg components."""
     table = model.table
-    rows, single = point_rows(w, table.dim_total)
-    if single:
-        legs = np.array([leg.components for leg in legs])[None]
+    rows = point_rows(w, table.dim_total)
     covector = np.zeros(rows.shape)
     for A in range(table.k):
         covector += legs[:, A] @ canonical_two_form_matrix(table, A)
     grad = evaluate_batch(
         [diff(model.H, name) for name in table.momentum_chart], table.momentum_chart, rows
     )
-    residual = np.max(np.abs(covector - grad), axis=1)
-    return float(residual[0]) if single else residual
+    return np.max(np.abs(covector - grad), axis=1)

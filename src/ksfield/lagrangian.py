@@ -2,7 +2,8 @@
 
 All objects derive from a single Lagrangian expression L(q, v); the
 one/two-forms are built symbolically so downstream Lie derivatives stay
-exact, and point evaluations return plain numpy arrays.
+exact.  Numeric functions take an (N, dim) matrix of velocity-chart rows (or
+(N, k) parameter rows) and return arrays with one leading row per point.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bundles import CoJetPoint, JetPoint, Section, TangentVector, fold_constant, point_rows
+from .bundles import Section, fold_constant, point_rows
 from .coords import VarTable
 from .expr import Expr, Num, Var, add, diff, evaluate_batch, free_vars, mul, sub
 from .forms import OneForm, TwoForm, d_one
@@ -58,11 +59,6 @@ def lagrangian_two_form(model: LagrangianModel, A: int) -> TwoForm:
     return TwoForm(theta.chart, {key: mul(Num(-1.0), e) for key, e in d_theta.entries.items()})
 
 
-def lagrangian_two_form_at(model: LagrangianModel, A: int, w: JetPoint) -> np.ndarray:
-    """Evaluate the A-th two-form at w as an antisymmetric matrix."""
-    return lagrangian_two_form(model, A).matrix_at(w)
-
-
 def energy(model: LagrangianModel) -> Expr:
     """Energy function: v^i_A dL/dv^i_A - L."""
     table = model.table
@@ -80,17 +76,16 @@ def hessian_entries(model: LagrangianModel) -> list:
 
 
 def velocity_hessian(model: LagrangianModel, w, det_rtol: float = 1e-10):
-    """Hessian in the velocities at w, flattened per the chart fiber order.
+    """Hessians in the velocities at the rows of w, flattened per the chart fiber order.
 
-    Returns (matrix, regular); regular iff |det(M / s)| > det_rtol with s = max(1, max|entry|),
-    a scale-relative threshold, invariant under unit changes, that cannot overflow.
-    Given an (N, dim) array of velocity-chart rows instead of one JetPoint,
-    returns the (N, nk, nk) matrices and the (N,) regularity flags; with constant
-    entries both are found at row 0 alone and come back as read-only broadcast views.
+    Returns the (N, nk, nk) matrices and the (N,) flags regular; a row is regular iff
+    |det(M / s)| > det_rtol with s = max(1, max|entry|), a scale-relative threshold,
+    invariant under unit changes, that cannot overflow.  With constant entries both
+    are found at row 0 alone and come back as read-only broadcast views.
     """
     table = model.table
     nk = table.n * table.k
-    rows, single = point_rows(w, table.dim_total)
+    rows = point_rows(w, table.dim_total)
     seconds = hessian_entries(model)
     upper, lower = np.triu_indices(nk)
 
@@ -102,10 +97,7 @@ def velocity_hessian(model: LagrangianModel, w, det_rtol: float = 1e-10):
         scale = np.maximum(1.0, np.max(np.abs(M), axis=(1, 2), initial=0.0))
         return M, np.abs(np.linalg.det(M / scale[:, None, None])) > det_rtol
 
-    M, regular = fold_constant(stack, seconds, rows)
-    if single:
-        return M[0], bool(regular[0])
-    return M, regular
+    return fold_constant(stack, seconds, rows)
 
 
 def legendre_exprs(model: LagrangianModel) -> tuple:
@@ -115,46 +107,39 @@ def legendre_exprs(model: LagrangianModel) -> tuple:
 
 
 def legendre(model: LagrangianModel, w):
-    """Fiber derivative of L at w: the same q, and p^A_i = dL/dv^i_A.
-
-    One JetPoint gives a CoJetPoint; an (N, dim) array of velocity-chart
-    rows gives the (N, dim) momentum-chart rows of their images.
-    """
+    """Fiber derivative of L at the rows of w: the same q, and p^A_i = dL/dv^i_A,
+    as the (N, dim) momentum-chart rows of the images."""
     table = model.table
-    rows, single = point_rows(w, table.dim_total)
+    rows = point_rows(w, table.dim_total)
     images = rows.copy()
     images[:, table.n:] = evaluate_batch(legendre_exprs(model), table.velocity_chart, rows)
-    return CoJetPoint.from_flat(table, images[0]) if single else images
+    return images
 
 
 def legendre_jacobian(model: LagrangianModel, w) -> np.ndarray:
-    """Jacobian of the fiber derivative at w (rows: (q, p), cols: (q, v)).
-
-    One point gives a (dim, dim) matrix; an (N, dim) array of velocity-chart
-    rows gives the (N, dim, dim) matrices.
-    """
+    """Jacobians of the fiber derivative at the rows of w, shape (N, dim, dim)
+    (rows: (q, p), cols: (q, v))."""
     table = model.table
     n, dim = table.n, table.dim_total
-    rows, single = point_rows(w, dim)
+    rows = point_rows(w, dim)
     chart = table.velocity_chart
     derivatives = [diff(comp, name) for comp in legendre_exprs(model) for name in chart]
     J = np.zeros((rows.shape[0], dim, dim))
     J[:, :n, :n] = np.eye(n)
     J[:, n:] = evaluate_batch(derivatives, chart, rows).reshape(-1, dim - n, dim)
-    return J[0] if single else J
+    return J
 
 
 def el_residual(model: LagrangianModel, phi: Sequence[Expr], t) -> np.ndarray:
-    """Euler-Lagrange residual of the map phi at parameter value t.
+    """Euler-Lagrange residual of the map phi at the (N, k) parameter rows t, shape (N, n).
 
     residual^i = sum_A d/dt^A [dL/dv^i_A o phi^(1)] - dL/dq^i o phi^(1),
     expanded by symbolic substitution and differentiation in t (no numeric
-    differencing along t).  ``t`` is one point (k values, result (n,)) or
-    an (N, k) array (result (N, n)); the residual expressions are built
-    once and evaluated over all rows.
+    differencing along t); the residual expressions are built once and
+    evaluated over all rows.
     """
     table = model.table
-    rows, single = point_rows(t, table.k)
+    rows = point_rows(t, table.k)
     section = Section.prolongation(table, phi)
     totals = []
     for i in range(table.n):
@@ -162,12 +147,11 @@ def el_residual(model: LagrangianModel, phi: Sequence[Expr], t) -> np.ndarray:
         for A in range(table.k):
             total = add(total, diff(section.restrict(model.dLdv(i, A)), table.t(A)))
         totals.append(sub(total, section.restrict(model.dLdq(i))))
-    out = evaluate_batch(totals, table.t_names, rows)
-    return out[0] if single else out
+    return evaluate_batch(totals, table.t_names, rows)
 
 
 def sopde_solve(model: LagrangianModel, w, residual_tol: float = 1e-9):
-    """Second-order field-equation legs at w for a regular Lagrangian.
+    """Second-order field-equation legs at the rows of w for a regular Lagrangian.
 
     Base components are forced to v^i_A; the vertical coefficients solve the
     n coupled equations
@@ -175,13 +159,12 @@ def sopde_solve(model: LagrangianModel, w, residual_tol: float = 1e-9):
         sum_{A,j} d2L/dq^j dv^i_A v^j_A + sum_{A,j,B} d2L/dv^i_A dv^j_B G[A][j][B] = dL/dq^i
 
     with the symmetric minimal-norm selection G[A][j][B] = G[B][j][A] of
-    least Euclidean norm over the full coefficient tensor.  Returns k
-    TangentVectors for one JetPoint, or the (N, k, dim) leg components for
-    an (N, dim) array of velocity-chart rows.
+    least Euclidean norm over the full coefficient tensor.  Returns the
+    (N, k, dim) leg components.
     """
     table = model.table
     n, k = table.n, table.k
-    rows, single = point_rows(w, table.dim_total)
+    rows = point_rows(w, table.dim_total)
     count = rows.shape[0]
     H, regular = velocity_hessian(model, rows)
     if not np.all(regular):
@@ -229,6 +212,4 @@ def sopde_solve(model: LagrangianModel, w, residual_tol: float = 1e-9):
     for col, (a, b, j) in enumerate(unknowns):
         legs[:, a, table.fiber_slot(j, b)] = s[:, col]
         legs[:, b, table.fiber_slot(j, a)] = s[:, col]
-    if single:
-        return [TangentVector(w, legs[0, A]) for A in range(k)]
     return legs

@@ -30,7 +30,6 @@ DEFAULT_TOLERANCES = {
     "cartan": 1e-9,          # Lie-derivative residuals of the symmetry checks
     "noether": 1e-9,         # current construction and defining relation
     "conservation": 1e-9,    # analytic divergence along solutions
-    "sopde": 1e-10,          # second-order condition residual
     "kvector": 1e-12,        # field-equation residual of constructed fields
     "closedness": 1e-10,     # curl of gauge one-forms
     "gauge": 1e-9,           # decomposition reconstruction

@@ -10,7 +10,6 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .bundles import CoJetPoint, JetPoint
 from .coords import VarTable
 
 DEFAULT_INTERVAL = (-1.0, 1.0)
@@ -70,22 +69,6 @@ def sample_points(
     spread over the per-coordinate box (default [-1, 1] each)."""
     names = table.chart(side)
     return sample_box(_intervals_for(names, box), count, seed)
-
-
-def sample_jet_points(
-    table: VarTable, count: int, seed: int = 0, box: Optional[Mapping] = None
-) -> list:
-    """The rows of :func:`sample_points` on the velocity side, as JetPoints."""
-    points = sample_points(table, "lagrangian", count, seed, box)
-    return [JetPoint.from_flat(table, row) for row in points]
-
-
-def sample_cojet_points(
-    table: VarTable, count: int, seed: int = 0, box: Optional[Mapping] = None
-) -> list:
-    """The rows of :func:`sample_points` on the momentum side, as CoJetPoints."""
-    points = sample_points(table, "hamiltonian", count, seed, box)
-    return [CoJetPoint.from_flat(table, row) for row in points]
 
 
 def sample_parameters(

@@ -108,9 +108,8 @@ def _side(model) -> Side:
 # ---------------------------------------------------------------------------
 # Cartan symmetry checks
 #
-# ``samples`` is a sequence of JetPoints/CoJetPoints or an (N, dim) array of
-# chart rows; every residual expression is derived once per call and
-# evaluated over all rows together.
+# ``samples`` is an (N, dim) matrix of chart rows; every residual expression
+# is derived once per call and evaluated over all rows together.
 
 def check_cartan(Y, model, samples, tol: float = 1e-9):
     """Infinitesimal conditions: L(Y) omega^A = 0 for all A, and Y(H) = 0
@@ -121,7 +120,7 @@ def check_cartan(Y, model, samples, tol: float = 1e-9):
         Y = side.lift(Y)
     if Y.chart != side.chart:
         raise SymmetryError(f"vector field does not live on the {side.fiber} chart")
-    rows, _ = point_rows(samples, len(side.chart))
+    rows = point_rows(samples, len(side.chart))
     lie = [
         e
         for A in range(model.table.k)
@@ -147,7 +146,7 @@ def check_cartan_diffeomorphism(Phi: TotalMap, model, samples, tol: float = 1e-9
         raise SymmetryError(f"map lives on the {Phi.side} side, model needs {side.name}")
 
     chart = Phi.chart
-    rows, _ = point_rows(samples, len(chart))
+    rows = point_rows(samples, len(chart))
     J = Phi.jacobians(rows)
     images = Phi.images(rows)
     derivatives = [diff(comp, name) for comp in Phi.components for name in chart]
@@ -197,7 +196,7 @@ def noether_current(
     if len(zeta) != table.k:
         raise SymmetryError(f"expected {table.k} zeta components")
     chart = side.chart
-    rows, _ = point_rows(samples, len(chart))
+    rows = point_rows(samples, len(chart))
     thetas = [side.theta(A) for A in range(table.k)]
 
     if natural and side.name == "lagrangian":
@@ -283,7 +282,7 @@ def verify_conservation(
 
     if t_samples is None:
         raise SymmetryError("analytic mode needs t samples")
-    t_rows, _ = point_rows(t_samples, table.k)
+    t_rows = point_rows(t_samples, table.k)
     worst = max_abs([divergence], table.t_names, t_rows)
     return Report("analytic_divergence", worst, len(t_rows), worst <= tol)
 
@@ -296,7 +295,7 @@ def verify_bracket_theorem(
     if current.side != side.name:
         raise SymmetryError("current/model side mismatch")
     chart = side.chart
-    rows, _ = point_rows(samples, len(chart))
+    rows = point_rows(samples, len(chart))
     legs = side.legs(rows)  # (N, k, dim)
     gradients = [diff(f_A, name) for f_A in current.components for name in chart]
     values = evaluate_batch(gradients, chart, rows).reshape(legs.shape)
@@ -319,7 +318,7 @@ def check_symmetry_by_transport(
     (an exact solution demands an exact image)."""
     table = Phi.table
     side = _side(model)
-    t_rows, _ = point_rows(t_samples, table.k)
+    t_rows = point_rows(t_samples, table.k)
     image = Section(table, section.side, tuple(map(section.restrict, Phi.components)))
     input_res = largest_abs(side.residual(section, t_rows))
     image_res = largest_abs(side.residual(image, t_rows))

@@ -1,10 +1,11 @@
 """Shared fixture models used across the suite."""
 
+import numpy as np
 import pytest
 
-from ksfield.bundles import fold_constant
+from ksfield.bundles import Section, fold_constant
 from ksfield.coords import VarTable
-from ksfield.expr import parse
+from ksfield.expr import evaluate_batch, parse
 from ksfield.hamiltonian import HamiltonianModel
 from ksfield.lagrangian import LagrangianModel
 
@@ -17,6 +18,22 @@ def lagrangian_model(n, k, source):
 def hamiltonian_model(n, k, source):
     table = VarTable(n, k)
     return HamiltonianModel(table, parse(source, table.momentum_chart))
+
+
+def jet(q, v):
+    """The velocity-chart row of q (n,) and v (n, k), v[i, A] = v^i_A, as a (1, dim) matrix."""
+    return np.concatenate([np.asarray(q, float), np.asarray(v, float).T.ravel()])[None]
+
+
+def cojet(q, p):
+    """The momentum-chart row of q (n,) and p (k, n), p[A, i] = p^A_i, as a (1, dim) matrix."""
+    return np.concatenate([np.asarray(q, float), np.asarray(p, float).ravel()])[None]
+
+
+def prolong(table, phi, t):
+    """The first prolongation of the map phi at the parameter point t, as a (1, dim) matrix."""
+    section = Section.prolongation(table, phi)
+    return evaluate_batch(section.components, table.t_names, np.array([t], float))
 
 
 def checked_folds(monkeypatch, module) -> list:

@@ -13,11 +13,9 @@ library's step, which reuses its work arrays, must reproduce its bits.
 """
 
 import math
-from collections.abc import Mapping
 
 import numpy as np
 
-from ksfield.bundles import JetPoint
 from ksfield.expr import (
     Add, Call, Div, DomainError, Mul, Neg, Num, Pow, Sub, UnboundVariableError, Var,
     compile_tuple, evaluate_columns,
@@ -71,16 +69,15 @@ def _walk(e, env) -> float:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def evaluate(e, at) -> float:
-    """Value of ``e`` at ``at``: a {name: value} mapping, a JetPoint (bound
-    over its velocity chart) or a CoJetPoint (over its momentum chart).
+def evaluate(e, at, row=None) -> float:
+    """Value of ``e`` at ``at``: a {name: value} mapping, or a chart (a tuple
+    of names) with ``row`` its coordinates in chart order.
 
     Raises UnboundVariableError, or DomainError as soon as any step leaves
     the real domain or produces a non-finite value.
     """
-    if not isinstance(at, Mapping):
-        side = "lagrangian" if isinstance(at, JetPoint) else "hamiltonian"
-        at = dict(zip(at.table.chart(side), at.flat()))
+    if row is not None:
+        at = dict(zip(at, (float(x) for x in row)))
     value = _walk(e, at)
     if not math.isfinite(value):
         raise DomainError(f"non-finite result {value!r}")

@@ -1,29 +1,25 @@
-"""Bundle points, lifts, prolongations and the canonical tensors."""
+"""Chart rows, lifts, prolongations and the canonical tensors."""
+
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ksfield.bundles import (
     BundleError,
-    CoJetPoint,
     DiffeoQ,
-    JetPoint,
     Section,
-    TangentVector,
     VectorFieldQ,
     complete_lift,
     cotangent_lift,
     cotangent_prolongation,
-    first_prolongation,
-    liouville_field,
-    sopde_check,
+    point_rows,
     tangent_prolongation,
     tulczyjew_derivative,
-    vertical_endomorphism,
-    vertical_lift,
 )
 from ksfield.coords import VarTable
-from ksfield.expr import Num, Var, parse
+from ksfield.expr import Num, Var, evaluate_batch, parse
 from ksfield.forms import (
     OneForm,
     lie_derivative_one,
@@ -31,10 +27,24 @@ from ksfield.forms import (
     max_abs,
     pullback_one_form,
 )
-from ksfield.hamiltonian import canonical_one_form, canonical_two_form
-from ksfield.sampling import sample_cojet_points, sample_jet_points
+from ksfield.hamiltonian import (
+    canonical_one_form,
+    canonical_two_form,
+    ham_kvector,
+    hdw_residual,
+    kvector_equation_residual,
+)
+from ksfield.lagrangian import (
+    el_residual,
+    legendre,
+    legendre_jacobian,
+    sopde_solve,
+    velocity_hessian,
+)
+from ksfield.modelfile import load_model
+from ksfield.sampling import sample_parameters, sample_points
 
-from conftest import rotation_field
+from conftest import hamiltonian_model, lagrangian_model, prolong, rotation_field
 from reference import evaluate
 
 
@@ -42,125 +52,40 @@ T12 = VarTable(1, 2)
 T22 = VarTable(2, 2)
 
 
-def jet(table, q, v):
-    return JetPoint(table, np.asarray(q, float), np.asarray(v, float))
+def values(field, rows):
+    """The components of a vector field at the chart rows, shape (N, dim)."""
+    return evaluate_batch(field.components, field.chart, rows)
 
 
 class TestFirstProlongation:
     def test_product_rule(self):
         phi = (parse("t1*t2", T12.t_names),)
-        w = first_prolongation(T12, phi, (2.0, 3.0))
-        assert w.q[0] == 6.0
-        assert w.v[0, 0] == 3.0 and w.v[0, 1] == 2.0
+        ((q, v1, v2),) = prolong(T12, phi, (2.0, 3.0))
+        assert q == 6.0
+        assert v1 == 3.0 and v2 == 2.0
 
     def test_constant_map(self):
-        w = first_prolongation(T12, (Num(4.0),), (0.3, -0.7))
-        assert np.all(w.v == 0.0)
+        w = prolong(T12, (Num(4.0),), (0.3, -0.7))
+        assert np.all(w[:, T12.n:] == 0.0)
 
     def test_travelling_wave_jet(self):
         phi = (parse("sin(t1 - t2)", T12.t_names),)
-        w = first_prolongation(T12, phi, (0.0, 0.0))
-        assert w.q[0] == 0.0
-        assert w.v[0, 0] == pytest.approx(1.0, abs=1e-15)
-        assert w.v[0, 1] == pytest.approx(-1.0, abs=1e-15)
+        ((q, v1, v2),) = prolong(T12, phi, (0.0, 0.0))
+        assert q == 0.0
+        assert v1 == pytest.approx(1.0, abs=1e-15)
+        assert v2 == pytest.approx(-1.0, abs=1e-15)
         # cross-check the jet against centered differences of the map itself
         h = 1e-6
         def phi_at(t1, t2):
             return evaluate(phi[0], {"t1": t1, "t2": t2})
         fd1 = (phi_at(h, 0.0) - phi_at(-h, 0.0)) / (2 * h)
         fd2 = (phi_at(0.0, h) - phi_at(0.0, -h)) / (2 * h)
-        assert w.v[0, 0] == pytest.approx(fd1, abs=1e-9)
-        assert w.v[0, 1] == pytest.approx(fd2, abs=1e-9)
+        assert v1 == pytest.approx(fd1, abs=1e-9)
+        assert v2 == pytest.approx(fd2, abs=1e-9)
 
     def test_rejects_q_dependence(self):
         with pytest.raises(BundleError):
-            first_prolongation(T12, (Var("q1"),), (0.0, 0.0))
-
-
-class TestVerticalLift:
-    def test_unit_field_hits_one_slot(self):
-        Z = VectorFieldQ(T22, (Num(1.0), Num(0.0)))
-        w = jet(T22, [0.2, -0.4], [[0.5, 1.0], [2.0, -1.0]])
-        lifted = vertical_lift(Z, 1, w)
-        expected = np.zeros(T22.dim_total)
-        expected[T22.fiber_slot(0, 1)] = 1.0
-        assert np.array_equal(lifted.components, expected)
-
-    def test_zero_field(self):
-        Z = VectorFieldQ(T22, (Num(0.0), Num(0.0)))
-        w = jet(T22, [1.0, 1.0], np.ones((2, 2)))
-        assert np.all(vertical_lift(Z, 0, w).components == 0.0)
-
-    def test_coefficient_substitution(self):
-        Z = VectorFieldQ(T22, (Var("q2"), Num(0.0)))
-        w = jet(T22, [1.0, 5.0], np.zeros((2, 2)))
-        lifted = vertical_lift(Z, 0, w)
-        assert lifted.components[T22.fiber_slot(0, 0)] == 5.0
-
-    def test_index_out_of_range(self):
-        Z = VectorFieldQ(T22, (Num(1.0), Num(0.0)))
-        w = jet(T22, [0.0, 0.0], np.zeros((2, 2)))
-        with pytest.raises(BundleError):
-            vertical_lift(Z, 2, w)
-
-
-class TestVerticalEndomorphism:
-    def test_base_direction_moves_to_fiber(self):
-        w = jet(T22, [0.0, 0.0], np.zeros((2, 2)))
-        X = TangentVector(w, np.eye(T22.dim_total)[0])  # d/dq1
-        out = vertical_endomorphism(1, X)
-        expected = np.zeros(T22.dim_total)
-        expected[T22.fiber_slot(0, 1)] = 1.0
-        assert np.array_equal(out.components, expected)
-
-    def test_vertical_input_annihilated(self):
-        w = jet(T22, [0.0, 0.0], np.zeros((2, 2)))
-        comps = np.zeros(T22.dim_total)
-        comps[T22.n:] = np.arange(1.0, 5.0)
-        out = vertical_endomorphism(0, TangentVector(w, comps))
-        assert np.all(out.components == 0.0)
-
-    def test_nilpotent(self):
-        rng = np.random.default_rng(0)
-        w = jet(T22, [0.1, 0.2], rng.uniform(-1, 1, (2, 2)))
-        for _ in range(10):
-            X = TangentVector(w, rng.uniform(-1, 1, T22.dim_total))
-            for A in range(2):
-                for B in range(2):
-                    out = vertical_endomorphism(A, vertical_endomorphism(B, X))
-                    assert np.all(out.components == 0.0)
-
-    def test_matches_vertical_lift_of_insertion(self):
-        rng = np.random.default_rng(1)
-        Z = VectorFieldQ(T22, (parse("q1*q2", T22.q_names), parse("q2^2", T22.q_names)))
-        for _ in range(5):
-            w = jet(T22, rng.uniform(-1, 1, 2), rng.uniform(-1, 1, (2, 2)))
-            values = Z.at(w.q)
-            horizontal = np.zeros(T22.dim_total)
-            horizontal[: T22.n] = values
-            for A in range(2):
-                via_s = vertical_endomorphism(A, TangentVector(w, horizontal))
-                via_lift = vertical_lift(Z, A, w)
-                assert np.array_equal(via_s.components, via_lift.components)
-
-
-class TestLiouville:
-    def test_components_copy_fiber_column(self):
-        w = jet(VarTable(2, 2), [0.0, 0.0], [[2.0, 7.0], [-1.0, 3.0]])
-        out = liouville_field(0, w)
-        expected = np.zeros(w.table.dim_total)
-        expected[w.table.fiber_slot(0, 0)] = 2.0
-        expected[w.table.fiber_slot(1, 0)] = -1.0
-        assert np.array_equal(out.components, expected)
-
-    def test_zero_velocities(self):
-        w = jet(T22, [1.0, 2.0], np.zeros((2, 2)))
-        assert np.all(liouville_field(1, w).components == 0.0)
-
-    def test_sum_generates_total_scaling(self):
-        w = jet(T22, [0.5, -0.5], [[1.0, 2.0], [3.0, 4.0]])
-        total = sum(liouville_field(A, w).components for A in range(2))
-        assert np.array_equal(total[T22.n:], w.flat()[T22.n:])
+            Section.prolongation(T12, (Var("q1"),))
 
 
 class TestCompleteLift:
@@ -174,21 +99,21 @@ class TestCompleteLift:
 
     def test_rotation_field_fiber_parts(self):
         Z = rotation_field(T22)
-        lifted = complete_lift(Z)
-        rng = np.random.default_rng(4)
-        for _ in range(5):
-            w = jet(T22, rng.uniform(-1, 1, 2), rng.uniform(-1, 1, (2, 2)))
-            values = lifted.at(w)
-            # fiber part: v2_A d/dv1_A - v1_A d/dv2_A
-            for A in range(2):
-                assert values[T22.fiber_slot(0, A)] == pytest.approx(w.v[1, A], abs=0)
-                assert values[T22.fiber_slot(1, A)] == pytest.approx(-w.v[0, A], abs=0)
+        rows = np.random.default_rng(4).uniform(-1, 1, (5, T22.dim_total))
+        lifted = values(complete_lift(Z), rows)
+        # fiber part: v2_A d/dv1_A - v1_A d/dv2_A
+        for A in range(2):
+            assert np.array_equal(lifted[:, T22.fiber_slot(0, A)], rows[:, T22.fiber_slot(1, A)])
+            assert np.array_equal(lifted[:, T22.fiber_slot(1, A)], -rows[:, T22.fiber_slot(0, A)])
 
     def test_flow_oracle(self):
         # RK4-integrate the lifted field and compare with the prolonged
         # closed-form rotation flow after s = 0.1.
-        Z = rotation_field(T22)
-        velocity = complete_lift(Z).at  # at chart-ordered states
+        lifted = complete_lift(rotation_field(T22))
+
+        def velocity(state):
+            return values(lifted, state[None])[0]
+
         rng = np.random.default_rng(9)
         y = np.concatenate([rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 4)])
 
@@ -214,11 +139,9 @@ class TestCompleteLift:
             T22,
             tuple(2.0 * a + (-3.0) * b for a, b in zip(Z1.components, Z2.components)),
         )
-        lhs = complete_lift(combo)
-        for _ in range(5):
-            w = jet(T22, rng.uniform(-1, 1, 2), rng.uniform(-1, 1, (2, 2)))
-            rhs = 2.0 * complete_lift(Z1).at(w) - 3.0 * complete_lift(Z2).at(w)
-            assert np.max(np.abs(lhs.at(w) - rhs)) < 1e-12
+        rows = rng.uniform(-1, 1, (5, T22.dim_total))
+        rhs = 2.0 * values(complete_lift(Z1), rows) - 3.0 * values(complete_lift(Z2), rows)
+        assert np.max(np.abs(values(complete_lift(combo), rows) - rhs)) < 1e-12
 
 
 class TestCotangentLift:
@@ -231,14 +154,11 @@ class TestCotangentLift:
     def test_scaling_field(self):
         table = VarTable(1, 2)
         Z = VectorFieldQ(table, (Var("q1"),))
-        lifted = cotangent_lift(Z)
-        rng = np.random.default_rng(3)
-        for _ in range(5):
-            w = CoJetPoint(table, rng.uniform(-1, 1, 1), rng.uniform(-1, 1, (2, 1)))
-            values = lifted.at(w)
-            assert values[0] == pytest.approx(w.q[0], abs=0)
-            for A in range(2):
-                assert values[table.fiber_slot(0, A)] == pytest.approx(-w.p[A, 0], abs=0)
+        rows = np.random.default_rng(3).uniform(-1, 1, (5, table.dim_total))
+        lifted = values(cotangent_lift(Z), rows)
+        assert np.array_equal(lifted[:, 0], rows[:, 0])
+        for A in range(2):
+            assert np.array_equal(lifted[:, table.fiber_slot(0, A)], -rows[:, table.fiber_slot(0, A)])
 
     def test_canonical_one_form_invariance(self):
         # Lie derivative of each tautological one-form along any lifted field
@@ -251,8 +171,7 @@ class TestCotangentLift:
             )
             Z = VectorFieldQ(T22, comps)
             Y = cotangent_lift(Z)
-            samples = sample_cojet_points(T22, 100, seed=trial)
-            rows = np.array([w.flat() for w in samples])
+            rows = sample_points(T22, "hamiltonian", 100, seed=trial)
             for A in range(2):
                 theta = canonical_one_form(T22, A)
                 residual = max_abs(lie_derivative_one(Y, theta).coeffs, theta.chart, rows)
@@ -291,47 +210,14 @@ class TestTulczyjew:
     def test_quadratic_components(self):
         g = (parse("q1^2/2", T22.q_names), parse("q1*q2", T22.q_names))
         out = tulczyjew_derivative(T22, g)
-        rng = np.random.default_rng(8)
-        for _ in range(10):
-            w = jet(T22, rng.uniform(-1, 1, 2), rng.uniform(-1, 1, (2, 2)))
-            expected = (
-                w.v[0, 0] * w.q[0] + w.v[0, 1] * w.q[1] + w.v[1, 1] * w.q[0]
-            )
-            assert evaluate(out, w) == pytest.approx(expected, rel=1e-15)
+        for w in np.random.default_rng(8).uniform(-1, 1, (10, T22.dim_total)):
+            (q1, q2), v = w[:2], dict(zip(T22.v_names, w[2:]))
+            expected = v["v1_1"] * q1 + v["v1_2"] * q2 + v["v2_2"] * q1
+            assert evaluate(out, T22.velocity_chart, w) == pytest.approx(expected, rel=1e-15)
 
     def test_rejects_velocity_dependence(self):
         with pytest.raises(BundleError):
             tulczyjew_derivative(T22, (Var("v1_1"), Num(0.0)))
-
-
-class TestSopdeCheck:
-    def test_second_order_legs_pass(self):
-        rng = np.random.default_rng(17)
-        samples = sample_jet_points(T22, 20, seed=1)
-
-        def legs(w):
-            out = []
-            for A in range(2):
-                comps = np.zeros(T22.dim_total)
-                comps[: T22.n] = w.v[:, A]
-                comps[T22.n:] = rng.uniform(-1, 1, 4)  # arbitrary vertical part
-                out.append(TangentVector(w, comps))
-            return out
-
-        ok, residual = sopde_check(legs, samples)
-        assert ok and residual <= 1e-10
-
-    def test_zero_base_components_fail(self):
-        w = jet(T12, [0.0], [[0.7, -0.3]])
-
-        def legs(point):
-            return [
-                TangentVector(point, np.zeros(T12.dim_total)) for _ in range(2)
-            ]
-
-        ok, residual = sopde_check(legs, [w])
-        assert not ok
-        assert residual == pytest.approx(0.7, abs=0)
 
 
 class TestProlongedDiffeos:
@@ -347,18 +233,25 @@ class TestProlongedDiffeos:
         )
         phi = DiffeoQ(T22, fwd, inv)
         phi.verify_inverse([rng.uniform(-1, 1, 2) for _ in range(5)])
+        with pytest.raises(BundleError, match="matrix of chart rows"):
+            phi.verify_inverse(np.zeros(4))  # a bare row, not two points of Q
         prolonged = tangent_prolongation(phi)
-        for _ in range(5):
-            w = jet(T22, rng.uniform(-1, 1, 2), rng.uniform(-1, 1, (2, 2)))
-            X = TangentVector(w, rng.uniform(-1, 1, T22.dim_total))
-            for A in range(2):
-                lhs = prolonged.pushforward(vertical_endomorphism(A, X))
-                rhs = vertical_endomorphism(A, prolonged.pushforward(X))
-                assert np.max(np.abs(lhs.components - rhs.components)) <= 1e-12
-                image = prolonged.map_point(w)
-                pushed = prolonged.pushforward(liouville_field(A, w))
-                direct = liouville_field(A, image)
-                assert np.max(np.abs(pushed.components - direct.components)) <= 1e-12
+        rows = rng.uniform(-1, 1, (5, T22.dim_total))
+        X = rng.uniform(-1, 1, (5, T22.dim_total))  # a tangent vector at each row
+        J, images = prolonged.jacobians(rows), prolonged.images(rows)
+        for A in range(2):
+            # S^A moves the dq^i component to the v^i_A slot; the A-th
+            # Liouville field is the A-th fiber block of the point itself
+            S = np.zeros((T22.dim_total, T22.dim_total))
+            block = np.zeros(T22.dim_total)
+            for i in range(T22.n):
+                S[T22.fiber_slot(i, A), i] = 1.0
+                block[T22.fiber_slot(i, A)] = 1.0
+            lhs = np.einsum("nij,jk,nk->ni", J, S, X)
+            rhs = np.einsum("ij,njk,nk->ni", S, J, X)
+            assert np.max(np.abs(lhs - rhs)) <= 1e-12
+            pushed = np.einsum("nij,nj->ni", J, rows * block)
+            assert np.max(np.abs(pushed - images * block)) <= 1e-12
 
     def test_cotangent_prolongation_preserves_tautological_form(self):
         table = VarTable(2, 2)
@@ -370,7 +263,7 @@ class TestProlongedDiffeos:
         prolonged = cotangent_prolongation(phi)
         chart = table.momentum_chart
         rng = np.random.default_rng(31)
-        points = sample_cojet_points(table, 25, seed=2)
+        points = sample_points(table, "hamiltonian", 25, seed=2)
         prolonged.verify_inverse(points[:5])
         for A in range(2):
             theta = canonical_one_form(table, A)
@@ -379,7 +272,7 @@ class TestProlongedDiffeos:
                 chart,
                 tuple(a - b for a, b in zip(pulled.coeffs, theta.coeffs)),
             )
-            assert max_abs(gap.coeffs, chart, np.array([w.flat() for w in points])) <= 1e-12
+            assert max_abs(gap.coeffs, chart, points) <= 1e-12
 
 
 class TestPullbackByProlongation:
@@ -389,3 +282,70 @@ class TestPullbackByProlongation:
         restricted = Section.prolongation(T12, phi).restrict(e)
         # q -> t1 t2, v1 -> t2, v2 -> t1
         assert evaluate(restricted, {"t1": 2.0, "t2": 5.0}) == 10.0 + 5.0 * 2.0
+
+
+# (n, k, L, H) whose velocity Hessian varies from row to row
+VARYING = [
+    (1, 2, "(1 + q1^2)*v1_1^2/2 - v1_2^2/2", "(1 + q1^2)*p1_1^2/2 - p2_1^2/2 + q1*p2_1"),
+    (
+        2, 2, "(1 + q2^2)*(v1_1^2 + v2_1^2)/2 - (v1_2^2 + v2_2^2)/2 + q1*v2_1*v1_2",
+        "(p1_1^2 + p1_2^2)/2 - (1 + q1^2)*(p2_1^2 + p2_2^2)/2 + q2*p1_1*p2_2",
+    ),
+    (
+        3, 1, "(1 + q1^2)*v1_1^2/2 + (v2_1^2 + v3_1^2 + sin(q2)*v2_1*v3_1)/2 - q3^2/2",
+        "(p1_1^2 + p1_2^2 + p1_3^2)/2 + cos(q1)*p1_3 + q2^2*q3",
+    ),
+]
+
+
+def _row_models():
+    for path in sorted((Path(__file__).resolve().parents[1] / "models").glob("*.yaml")):
+        spec = load_model(path)
+        yield pytest.param(spec.lagrangian, spec.hamiltonian, id=path.stem)
+    for n, k, L, H in VARYING:
+        yield pytest.param(
+            lagrangian_model(n, k, L), hamiltonian_model(n, k, H), id=f"varying-n{n}-k{k}"
+        )
+
+
+class TestChartRows:
+    ROWS = 200
+
+    @pytest.mark.parametrize("L, H", list(_row_models()))
+    def test_each_row_is_computed_on_its_own(self, L, H):
+        # row r of every batched result has the bytes of the call on that row alone
+        table = L.table
+        n, k = table.n, table.k
+        jets = sample_points(table, "lagrangian", self.ROWS, seed=1)
+        cojets = sample_points(table, "hamiltonian", self.ROWS, seed=2)
+        ts = sample_parameters(table, self.ROWS, seed=3)
+        phi = tuple(parse(f"sin({i + 1}*t1 - t{k}) + t{k}^2/{i + 2}", table.t_names) for i in range(n))
+        psi = Section(table, "hamiltonian", tuple(
+            parse(f"cos({a + 1}*t1)*t{k} + t1^{a % 3}", table.t_names) for a in range(table.dim_total)
+        ))
+        cases = [
+            (partial(velocity_hessian, L), jets),
+            (partial(legendre, L), jets),
+            (partial(legendre_jacobian, L), jets),
+            (partial(el_residual, L, phi), ts),
+            (partial(sopde_solve, L), jets),
+            (partial(hdw_residual, H, psi), ts),
+            (partial(ham_kvector, H), cojets),
+            (partial(kvector_equation_residual, H), cojets, ham_kvector(H, cojets)),
+        ]
+        for fn, *stacks in cases:
+            whole = fn(*stacks)
+            whole = whole if isinstance(whole, tuple) else (whole,)  # the Hessian and its flags
+            for r in range(self.ROWS):
+                alone = fn(*(stack[r:r + 1] for stack in stacks))
+                alone = alone if isinstance(alone, tuple) else (alone,)
+                for got, want in zip(whole, alone):
+                    assert got[r:r + 1].shape == want.shape, fn.func.__name__
+                    assert got[r:r + 1].tobytes() == want.tobytes(), (fn.func.__name__, r)
+
+        # one point is a (1, dim) matrix, never a bare row
+        for bad, dim in ((jets[0], table.dim_total), (jets[:, 1:], table.dim_total), (ts, k + 1)):
+            with pytest.raises(BundleError, match="matrix of chart rows"):
+                point_rows(bad, dim)
+        with pytest.raises(BundleError):
+            velocity_hessian(L, jets[0])

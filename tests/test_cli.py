@@ -122,13 +122,16 @@ class TestModelFile:
             load_model(path)
         assert "q3" in str(err.value)
 
-    def test_unknown_tolerance_key(self, tmp_path):
+    def test_unknown_tolerance_key(self, tmp_path, capsys):
         path = tmp_path / "bad3.yaml"
-        path.write_text(
-            'n: 1\nk: 2\nlagrangian: "v1_1^2/2"\ntolerances: {bogus: 1.0}\n'
-        )
-        with pytest.raises(ModelFileError):
-            load_model(path)
+        for key in ("bogus", "sopde"):  # sopde: the second-order condition holds by construction
+            path.write_text(
+                f'n: 1\nk: 2\nlagrangian: "v1_1^2/2"\ntolerances: {{{key}: 1.0}}\n'
+            )
+            with pytest.raises(ModelFileError, match=f"unknown key '{key}'"):
+                load_model(path)
+        assert main(["analyze", str(MODELS / "wave.yaml"), "--tol", "sopde=1e-9"]) == 2
+        assert capsys.readouterr().err == "error: unknown tolerance key 'sopde'\n"
 
     @pytest.mark.parametrize("text, old, new", [
         (WAVE_YAML, "samples: 60", "samples: 60\nbox: [q1]"),  # a section, not a mapping

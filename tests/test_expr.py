@@ -387,7 +387,7 @@ class TestEvaluateBatch:
         with pytest.raises(DomainError, match="q1=0.0"):
             next(values)
 
-    def test_compile_failure_raises_for_the_first_failing_expression(self):
+    def test_unbound_name_loses_to_an_earlier_domain_error(self):
         columns = [np.array([-1.0, 1.0])]
         # an unbound name in a later expression: the earlier DomainError wins
         with pytest.raises(DomainError, match=r"sqrt\(q1\)"):

@@ -9,11 +9,12 @@ from ksfield.forms import max_abs, pullback_one_form
 from ksfield.gauge import GaugeError, gauge_compare, verify_same_solutions
 from ksfield.lagrangian import (
     LagrangianModel,
+    el_residual,
     energy,
-    lagrangian_two_form_at,
+    lagrangian_two_form,
     poincare_cartan_form,
 )
-from ksfield.sampling import sample_jet_points, sample_parameters
+from ksfield.sampling import sample_parameters, sample_points
 from ksfield.symmetry import all_pass, check_cartan_diffeomorphism
 
 from conftest import lagrangian_model
@@ -21,7 +22,7 @@ from reference import evaluate
 
 
 def samples_for(model, count=60, seed=0):
-    return sample_jet_points(model.table, count, seed=seed)
+    return sample_points(model.table, "lagrangian", count, seed=seed)
 
 
 def reconstruction_residual(L1, L2, verdict, samples):
@@ -31,7 +32,8 @@ def reconstruction_residual(L1, L2, verdict, samples):
         add(verdict.decomposition.f, Num(verdict.decomposition.c)),
     )
     return max(
-        abs(evaluate(rebuilt, w) - evaluate(L1.L, w)) for w in samples
+        abs(evaluate(rebuilt, table.velocity_chart, w) - evaluate(L1.L, table.velocity_chart, w))
+        for w in samples
     )
 
 
@@ -79,7 +81,7 @@ class TestGaugeCompare:
         # domain at the samples with v1_2 <= 0, but is never reached
         L2 = lagrangian_model(1, 2, "(v1_1^2 - v1_2^2)/2 + v1_1^3 + sqrt(v1_2)")
         samples = samples_for(wave_model)
-        assert min(w.flat()[-1] for w in samples) < 0.0
+        assert min(samples[:, -1]) < 0.0
         verdict = gauge_compare(wave_model, L2, samples)
         assert verdict.kind == "inequivalent"
         assert verdict.witness["reason"] == "two_forms_differ"
@@ -102,16 +104,15 @@ class TestGaugeInvariants:
         samples = samples_for(wave_model, count=40, seed=3)
         verdict = gauge_compare(wave_model, gauge_shifted_model, samples)
         assert verdict.kind == "gauge"
-        for w in samples:
-            for A in range(2):
-                m1 = lagrangian_two_form_at(wave_model, A, w)
-                m2 = lagrangian_two_form_at(gauge_shifted_model, A, w)
-                assert np.max(np.abs(m1 - m2)) <= 1e-10
+        for A in range(2):
+            m1 = lagrangian_two_form(wave_model, A).matrices(samples)
+            m2 = lagrangian_two_form(gauge_shifted_model, A).matrices(samples)
+            assert np.max(np.abs(m1 - m2)) <= 1e-10
         # energy difference has vanishing gradient
         gap = energy(wave_model) - energy(gauge_shifted_model)
         chart = wave_model.table.velocity_chart
         for name in chart:
-            worst = max(abs(evaluate(diff(gap, name), w)) for w in samples)
+            worst = max(abs(evaluate(diff(gap, name), chart, w)) for w in samples)
             assert worst <= 1e-10
 
     def test_round_trip_random_closed_forms(self):
@@ -148,8 +149,10 @@ class TestGaugeInvariants:
                 for i in range(2):
                     expected = diff(g, table.q(i))
                     for w in samples[:10]:
-                        got = evaluate(verdict.decomposition.alpha[A][i], w)
-                        assert got == pytest.approx(-evaluate(expected, w), abs=1e-9)
+                        got = evaluate(verdict.decomposition.alpha[A][i], table.velocity_chart, w)
+                        assert got == pytest.approx(
+                            -evaluate(expected, table.velocity_chart, w), abs=1e-9
+                        )
 
     def test_random_non_closed_forms_rejected(self):
         rng = np.random.default_rng(13)
@@ -176,10 +179,7 @@ class TestSameSolutions:
         t_samples = sample_parameters(table, 30, seed=19)
         report = verify_same_solutions(wave_model, gauge_shifted_model, phi, t_samples)
         assert report.passed
-        from ksfield.lagrangian import el_residual
-
-        for t in t_samples[:5]:
-            assert np.max(np.abs(el_residual(gauge_shifted_model, phi, t))) <= 1e-12
+        assert np.max(np.abs(el_residual(gauge_shifted_model, phi, t_samples[:5]))) <= 1e-12
 
     def test_non_solution_residuals_equal_but_nonzero(self, wave_model, gauge_shifted_model):
         table = wave_model.table
@@ -187,9 +187,7 @@ class TestSameSolutions:
         t_samples = sample_parameters(table, 20, seed=23)
         report = verify_same_solutions(wave_model, gauge_shifted_model, phi, t_samples)
         assert report.passed  # equal residuals, both nonzero
-        from ksfield.lagrangian import el_residual
-
-        assert abs(el_residual(wave_model, phi, t_samples[0])[0] - 2.0) <= 1e-12
+        assert abs(el_residual(wave_model, phi, t_samples[:1])[0, 0] - 2.0) <= 1e-12
 
     def test_inequivalent_pair_disagrees(self, wave_model, kg_model):
         table = wave_model.table
@@ -221,8 +219,7 @@ class TestGaugeSymmetryLink:
         chart = table.velocity_chart
         pulled_L = substitute(rotational_model.L, dict(zip(chart, Phi.components)))
         pulled_model = LagrangianModel(table, pulled_L)
-        samples = samples_for(rotational_model, count=30, seed=31)
-        rows = np.array([w.flat() for w in samples])
+        rows = samples_for(rotational_model, count=30, seed=31)
         for A in range(table.k):
             lhs = pullback_one_form(
                 chart, Phi.components, poincare_cartan_form(rotational_model, A)

@@ -25,6 +25,7 @@ from pathlib import Path
 import pytest
 
 from ksfield.cli import main
+from ksfield.modelfile import DEFAULT_TOLERANCES, ModelSpec
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 WAVE, OSCILLATOR = str(MODELS / "wave.yaml"), str(MODELS / "oscillator.yaml")
@@ -102,6 +103,23 @@ def _digests(argv, out: Path) -> dict:
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_outputs_match_recorded_digests(case, tmp_path):
     assert _digests(CASES[case], tmp_path) == GOLDEN[case]
+
+
+def test_every_default_tolerance_is_read(tmp_path, monkeypatch):
+    # a documented tolerance that no command reads would configure nothing
+    read = set()
+    real = ModelSpec.tol
+
+    def recording(spec, key):
+        read.add(key)
+        return real(spec, key)
+
+    monkeypatch.setattr(ModelSpec, "tol", recording)
+    for number, case in enumerate(sorted(c for c in CASES if "5000" not in c)):
+        out = tmp_path / str(number)
+        out.mkdir()
+        _digests(CASES[case], out)
+    assert read == set(DEFAULT_TOLERANCES)
 
 
 if __name__ == "__main__":

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from ksfield import hamiltonian
-from ksfield.bundles import CoJetPoint, Section
+from ksfield.bundles import Section
 from ksfield.coords import VarTable
-from ksfield.expr import diff, parse
+from ksfield.expr import diff, evaluate_batch, parse
 from ksfield.forms import d_one
 from ksfield.hamiltonian import (
     canonical_one_form,
@@ -17,14 +17,10 @@ from ksfield.hamiltonian import (
     kvector_equation_residual,
 )
 from ksfield.lagrangian import legendre_exprs
-from ksfield.sampling import sample_cojet_points, sample_points
+from ksfield.sampling import sample_points
 
-from conftest import hamiltonian_model
+from conftest import cojet, hamiltonian_model
 from reference import evaluate
-
-
-def cojet(table, q, p):
-    return CoJetPoint(table, np.asarray(q, float), np.asarray(p, float))
 
 
 def section(table, psi_base, psi_momenta):
@@ -34,9 +30,9 @@ def section(table, psi_base, psi_momenta):
 class TestCanonicalForms:
     def test_tautological_coefficients(self):
         table = VarTable(1, 2)
-        w = cojet(table, [0.4], [[3.0], [-1.0]])
-        theta = canonical_one_form(table, 0).at(w)
-        omega = canonical_two_form(table, 0).matrix_at(w)
+        w = cojet([0.4], [[3.0], [-1.0]])
+        (theta,) = evaluate_batch(canonical_one_form(table, 0).coeffs, table.momentum_chart, w)
+        (omega,) = canonical_two_form(table, 0).matrices(w)
         assert theta[0] == 3.0
         assert np.all(theta[1:] == 0.0)
         assert omega[0, table.fiber_slot(0, 0)] == 1.0
@@ -44,21 +40,18 @@ class TestCanonicalForms:
     def test_two_form_is_constant(self):
         table = VarTable(2, 2)
         rng = np.random.default_rng(0)
-        w1 = cojet(table, rng.uniform(-1, 1, 2), rng.uniform(-1, 1, (2, 2)))
-        w2 = cojet(table, rng.uniform(-1, 1, 2), rng.uniform(-1, 1, (2, 2)))
-        m1 = canonical_two_form(table, 1).matrix_at(w1)
-        m2 = canonical_two_form(table, 1).matrix_at(w2)
+        m1, m2 = canonical_two_form(table, 1).matrices(rng.uniform(-1, 1, (2, table.dim_total)))
         assert np.array_equal(m1, m2)
 
     def test_exterior_derivative_relation(self):
         # d(theta^A) = -omega^A, computed symbolically
         table = VarTable(2, 2)
         rng = np.random.default_rng(1)
-        w = cojet(table, rng.uniform(-1, 1, 2), rng.uniform(-1, 1, (2, 2)))
+        w = rng.uniform(-1, 1, (1, table.dim_total))
         for A in range(2):
             d_theta = d_one(canonical_one_form(table, A))
             omega = canonical_two_form(table, A)
-            assert np.max(np.abs(d_theta.matrix_at(w) + omega.matrix_at(w))) == 0.0
+            assert np.max(np.abs(d_theta.matrices(w) + omega.matrices(w))) == 0.0
 
 
 class TestHdwResidual:
@@ -69,18 +62,16 @@ class TestHdwResidual:
         ts = model.table.t_names
         psi_base = (parse("t1*t2", ts),)
         psi_momenta = ((parse("t2", ts),), (parse("t1", ts),))
-        rng = np.random.default_rng(2)
-        for _ in range(10):
-            psi = section(model.table, psi_base, psi_momenta)
-            r = hdw_residual(model, psi, rng.uniform(-2, 2, 2))
-            assert np.max(np.abs(r)) <= 1e-13
+        psi = section(model.table, psi_base, psi_momenta)
+        r = hdw_residual(model, psi, np.random.default_rng(2).uniform(-2, 2, (10, 2)))
+        assert np.max(np.abs(r)) <= 1e-13
 
     def test_stationary_point(self):
         model = hamiltonian_model(1, 2, "(p1_1^2 + p2_1^2)/2")
         ts = model.table.t_names
         psi_base = (parse("0", ts),)
         psi_momenta = ((parse("0", ts),), (parse("0", ts),))
-        r = hdw_residual(model, section(model.table, psi_base, psi_momenta), (0.1, 0.2))
+        r = hdw_residual(model, section(model.table, psi_base, psi_momenta), [(0.1, 0.2)])
         assert np.max(np.abs(r)) == 0.0
 
     def test_parabola_first_block(self):
@@ -88,7 +79,7 @@ class TestHdwResidual:
         ts = model.table.t_names
         psi_base = (parse("t1^2", ts),)
         psi_momenta = ((parse("2*t1", ts),), (parse("0", ts),))
-        r = hdw_residual(model, section(model.table, psi_base, psi_momenta), (0.7, -0.3))
+        (r,) = hdw_residual(model, section(model.table, psi_base, psi_momenta), [(0.7, -0.3)])
         assert r[0] == pytest.approx(2.0, abs=1e-14)
         assert r[1] == pytest.approx(0.0, abs=1e-14)
 
@@ -98,42 +89,36 @@ class TestHamKVector:
         model = hamiltonian_model(2, 1, "(p1_1^2 + p1_2^2)/2 + q1^2/2 + q1*q2")
         table = model.table
         rng = np.random.default_rng(3)
-        w = cojet(table, rng.uniform(-1, 1, 2), rng.uniform(-1, 1, (1, 2)))
-        (leg,) = ham_kvector(model, w)
-        assert leg.components[0] == pytest.approx(w.p[0, 0], abs=0)
-        assert leg.components[1] == pytest.approx(w.p[0, 1], abs=0)
-        assert leg.components[2] == pytest.approx(-(w.q[0] + w.q[1]), abs=0)
-        assert leg.components[3] == pytest.approx(-w.q[0], abs=0)
+        q, p = rng.uniform(-1, 1, 2), rng.uniform(-1, 1, (1, 2))
+        ((leg,),) = ham_kvector(model, cojet(q, p))
+        assert leg[0] == pytest.approx(p[0, 0], abs=0)
+        assert leg[1] == pytest.approx(p[0, 1], abs=0)
+        assert leg[2] == pytest.approx(-(q[0] + q[1]), abs=0)
+        assert leg[3] == pytest.approx(-q[0], abs=0)
 
     def test_free_field_legs(self):
         model = hamiltonian_model(1, 2, "(p1_1^2 + p2_1^2)/2")
-        w = cojet(model.table, [0.0], [[1.0], [0.0]])
-        legs = ham_kvector(model, w)
-        assert legs[0].components[0] == 1.0
-        assert legs[1].components[0] == 0.0
-        assert np.all(legs[0].components[1:] == 0.0)
-        assert np.all(legs[1].components[1:] == 0.0)
+        (legs,) = ham_kvector(model, cojet([0.0], [[1.0], [0.0]]))
+        assert legs[0, 0] == 1.0
+        assert legs[1, 0] == 0.0
+        assert np.all(legs[:, 1:] == 0.0)
 
     def test_contraction_oracle(self):
         # Assemble sum_A i(X_A) omega^A as a covector and compare with dH.
         model = hamiltonian_model(2, 2, "(p1_1^2 - p2_2^2)/2 + q1^2*q2 + p1_2*p2_1")
-        samples = sample_cojet_points(model.table, 100, seed=5)
-        for w in samples:
-            legs = ham_kvector(model, w)
-            assert kvector_equation_residual(model, w, legs) <= 1e-12
+        rows = sample_points(model.table, "hamiltonian", 100, seed=5)
+        assert np.max(kvector_equation_residual(model, rows, ham_kvector(model, rows))) <= 1e-12
 
     def test_k1_matches_direct_symplectic_solve(self):
         model = hamiltonian_model(2, 1, "(p1_1^2 + p1_2^2)/2 + q1^4/4 + q2^2/2")
         table = model.table
         omega = canonical_two_form_matrix(table, 0)
-        samples = sample_cojet_points(table, 50, seed=6)
-        for w in samples:
-            grad = np.array(
-                [evaluate(diff(model.H, name), w) for name in table.momentum_chart]
-            )
+        rows = sample_points(table, "hamiltonian", 50, seed=6)
+        chart = table.momentum_chart
+        for w, (leg,) in zip(rows, ham_kvector(model, rows)):
+            grad = np.array([evaluate(diff(model.H, name), chart, w) for name in chart])
             direct = np.linalg.solve(omega.T, grad)
-            (leg,) = ham_kvector(model, w)
-            assert np.max(np.abs(leg.components - direct)) <= 1e-12
+            assert np.max(np.abs(leg - direct)) <= 1e-12
 
     def test_residual_reuses_the_derivatives_of_the_field(self, monkeypatch):
         # kvector_equation_residual derives dH again; the node memo hands back
@@ -174,8 +159,6 @@ class TestLegendreLink:
             )
             for A in range(table.k)
         )
-        rng = np.random.default_rng(7)
-        for _ in range(10):
-            psi = section(model.table, psi_base, psi_momenta)
-            r = hdw_residual(model, psi, rng.uniform(-2, 2, 2))
-            assert np.max(np.abs(r)) <= 1e-10
+        psi = section(model.table, psi_base, psi_momenta)
+        r = hdw_residual(model, psi, np.random.default_rng(7).uniform(-2, 2, (10, 2)))
+        assert np.max(np.abs(r)) <= 1e-10

@@ -20,12 +20,7 @@ from ksfield.forms import VectorField, largest_abs, lie_bracket
 from ksfield.hamiltonian import ham_kvector, kvector_equation_residual
 from ksfield.lagrangian import legendre
 from ksfield.modelfile import load_model
-from ksfield.sampling import (
-    sample_cojet_points,
-    sample_jet_points,
-    sample_parameters,
-    sample_points,
-)
+from ksfield.sampling import sample_parameters, sample_points
 from ksfield import symmetry
 from ksfield.solver import Axis, GridSpec, integrate_k2_hyperbolic
 from ksfield.symmetry import (
@@ -59,14 +54,14 @@ class TestCartanHamiltonian:
         table = free_hamiltonian.table
         Z = VectorFieldQ(table, (parse("q1^2 + 2*q1", table.q_names),))
         Y = cotangent_lift(Z)
-        samples = sample_cojet_points(table, 50, seed=0)
+        samples = sample_points(table, "hamiltonian", 50, seed=0)
         reports = check_cartan(Y, free_hamiltonian, samples)
         assert reports[0].passed and reports[0].max_residual <= 1e-12
 
     def test_translation_of_free_hamiltonian(self, free_hamiltonian):
         table = free_hamiltonian.table
         Y = cotangent_lift(q_translation(table))
-        samples = sample_cojet_points(table, 100, seed=1)
+        samples = sample_points(table, "hamiltonian", 100, seed=1)
         reports = check_cartan(Y, free_hamiltonian, samples)
         assert all_pass(reports)
 
@@ -75,7 +70,7 @@ class TestCartanHamiltonian:
         comps = [Num(0.0)] * table.dim_total
         comps[0] = Var("q1")  # q1 d/dq1 on the total space, no momentum part
         Y = VectorField(table.momentum_chart, tuple(comps))
-        samples = sample_cojet_points(table, 50, seed=2)
+        samples = sample_points(table, "hamiltonian", 50, seed=2)
         reports = check_cartan(Y, free_hamiltonian, samples)
         assert not reports[0].passed
         assert reports[0].max_residual > 0.5
@@ -84,12 +79,12 @@ class TestCartanHamiltonian:
 class TestCartanLagrangian:
     def test_rotation_of_isotropic_lagrangian(self, rotational_model):
         Y = complete_lift(rotation_field(rotational_model.table))
-        samples = sample_jet_points(rotational_model.table, 100, seed=3)
+        samples = sample_points(rotational_model.table, "lagrangian", 100, seed=3)
         assert all_pass(check_cartan(Y, rotational_model, samples))
 
     def test_translation_of_q_free_lagrangian(self, wave_model):
         Y = complete_lift(q_translation(wave_model.table))
-        samples = sample_jet_points(wave_model.table, 50, seed=4)
+        samples = sample_points(wave_model.table, "lagrangian", 50, seed=4)
         assert all_pass(check_cartan(Y, wave_model, samples))
 
     def test_scaling_fails_both_conditions(self, free_model):
@@ -97,13 +92,13 @@ class TestCartanLagrangian:
         # scales the energy (Y(E) = sum_A v_A^2), so both reports fail.
         table = free_model.table
         Y = complete_lift(VectorFieldQ(table, (Var("q1"),)))
-        samples = sample_jet_points(table, 50, seed=5)
+        samples = sample_points(table, "lagrangian", 50, seed=5)
         reports = check_cartan(Y, free_model, samples)
         by_name = {r.condition: r for r in reports}
         assert not by_name["lie_derivative_two_forms"].passed
         assert by_name["lie_derivative_two_forms"].max_residual == pytest.approx(2.0, abs=1e-12)
         assert not by_name["energy_invariance"].passed
-        expected = max(float(np.sum(w.v**2)) for w in samples)
+        expected = float(np.max(np.sum(samples[:, table.n:] ** 2, axis=1)))
         assert by_name["energy_invariance"].max_residual == pytest.approx(expected, rel=1e-12)
 
     def test_commutator_of_cartan_symmetries_is_cartan(self, rotational_model):
@@ -111,7 +106,7 @@ class TestCartanLagrangian:
         Y1 = complete_lift(rotation_field(table))
         Y2 = complete_lift(q_translation(table, 0))
         bracket = lie_bracket(Y1, Y2)
-        samples = sample_jet_points(table, 50, seed=6)
+        samples = sample_points(table, "lagrangian", 50, seed=6)
         for Y in (Y1, Y2, bracket):
             reports = check_cartan(Y, rotational_model, samples, tol=1e-8)
             assert all_pass(reports)
@@ -120,34 +115,34 @@ class TestCartanLagrangian:
 class TestNoetherLagrangian:
     def test_translation_momentum_current(self, rotational_model):
         table = rotational_model.table
-        samples = sample_jet_points(table, 60, seed=7)
+        samples = sample_points(table, "lagrangian", 60, seed=7)
         current = noether_current(
             q_translation(table), rotational_model, samples=samples
         )
         rng = np.random.default_rng(0)
-        for w in sample_jet_points(table, 10, seed=8):
+        for w in sample_points(table, "lagrangian", 10, seed=8):
             for A in range(table.k):
-                assert evaluate(current.components[A], w) == pytest.approx(
-                    w.v[0, A], abs=1e-14
+                assert evaluate(current.components[A], table.velocity_chart, w) == pytest.approx(
+                    w[table.fiber_slot(0, A)], abs=1e-14
                 )
 
     def test_rotation_angular_momentum_current(self, rotational_model):
         table = rotational_model.table
-        samples = sample_jet_points(table, 60, seed=9)
+        samples = sample_points(table, "lagrangian", 60, seed=9)
         current = noether_current(
             rotation_field(table), rotational_model, samples=samples
         )
-        for w in sample_jet_points(table, 10, seed=10):
+        for w in sample_points(table, "lagrangian", 10, seed=10):
             for A in range(table.k):
-                expected = w.q[1] * w.v[0, A] - w.q[0] * w.v[1, A]
-                assert evaluate(current.components[A], w) == pytest.approx(
+                expected = w[1] * w[table.fiber_slot(0, A)] - w[0] * w[table.fiber_slot(1, A)]
+                assert evaluate(current.components[A], table.velocity_chart, w) == pytest.approx(
                     expected, abs=1e-13
                 )
 
     def test_wrong_gauge_junction_rejected(self):
         model = lagrangian_model(1, 1, "v1_1^2/2 + q1")
         table = model.table
-        samples = sample_jet_points(table, 40, seed=11)
+        samples = sample_points(table, "lagrangian", 40, seed=11)
         with pytest.raises(CurrentRejection):
             noether_current(
                 q_translation(table), model, zeta=(Var("q1"),), samples=samples
@@ -160,45 +155,47 @@ class TestNoetherLagrangian:
         # Galilean boost Z = d/dq with L = v^2/2 shifted by q-linear gauge.
         model = lagrangian_model(1, 1, "v1_1^2/2 + v1_1*q1")
         table = model.table
-        samples = sample_jet_points(table, 40, seed=12)
+        samples = sample_points(table, "lagrangian", 40, seed=12)
         # Z^C(L) = v = d_T(q)
         current = noether_current(
             q_translation(table), model, zeta=(Var("q1"),), samples=samples
         )
-        for w in sample_jet_points(table, 5, seed=13):
-            expected = w.v[0, 0] + w.q[0] - w.q[0]
-            assert evaluate(current.components[0], w) == pytest.approx(expected, abs=1e-14)
+        for q, v in sample_points(table, "lagrangian", 5, seed=13):
+            expected = v + q - q
+            assert evaluate(current.components[0], table.velocity_chart, (q, v)) == pytest.approx(
+                expected, abs=1e-14
+            )
 
 
 class TestNoetherHamiltonian:
     def test_translation_momentum(self, free_hamiltonian):
         table = free_hamiltonian.table
         Y = cotangent_lift(q_translation(table))
-        samples = sample_cojet_points(table, 60, seed=14)
+        samples = sample_points(table, "hamiltonian", 60, seed=14)
         current = noether_current(Y, free_hamiltonian, samples=samples)
-        for w in sample_cojet_points(table, 10, seed=15):
+        for w in sample_points(table, "hamiltonian", 10, seed=15):
             for A in range(table.k):
-                assert evaluate(current.components[A], w) == pytest.approx(
-                    w.p[A, 0], abs=1e-14
+                assert evaluate(current.components[A], table.momentum_chart, w) == pytest.approx(
+                    w[table.fiber_slot(0, A)], abs=1e-14
                 )
 
     def test_rotation_weighted_momenta(self):
         model = hamiltonian_model(2, 2, "(p1_1^2 + p1_2^2 + p2_1^2 + p2_2^2)/2")
         table = model.table
         Y = cotangent_lift(rotation_field(table))
-        samples = sample_cojet_points(table, 60, seed=16)
+        samples = sample_points(table, "hamiltonian", 60, seed=16)
         current = noether_current(Y, model, samples=samples)
-        for w in sample_cojet_points(table, 10, seed=17):
+        for w in sample_points(table, "hamiltonian", 10, seed=17):
             for A in range(table.k):
-                expected = w.p[A, 0] * w.q[1] - w.p[A, 1] * w.q[0]
-                assert evaluate(current.components[A], w) == pytest.approx(
+                expected = w[table.fiber_slot(0, A)] * w[1] - w[table.fiber_slot(1, A)] * w[0]
+                assert evaluate(current.components[A], table.momentum_chart, w) == pytest.approx(
                     expected, abs=1e-13
                 )
 
     def test_constant_zeta_shifts_current_only(self, free_hamiltonian):
         table = free_hamiltonian.table
         Y = cotangent_lift(q_translation(table))
-        samples = sample_cojet_points(table, 60, seed=18)
+        samples = sample_points(table, "hamiltonian", 60, seed=18)
         zeta = (Num(5.0), Num(-2.0))
         shifted = noether_current(Y, free_hamiltonian, zeta=zeta, samples=samples)
         ts = model_section_solution()
@@ -213,7 +210,7 @@ class TestNoetherHamiltonian:
         comps = [Num(0.0)] * table.dim_total
         comps[0] = Var("q1")
         Y = VectorField(table.momentum_chart, tuple(comps))
-        samples = sample_cojet_points(table, 40, seed=20)
+        samples = sample_points(table, "hamiltonian", 40, seed=20)
         with pytest.raises(CurrentRejection):
             noether_current(Y, free_hamiltonian, samples=samples)
 
@@ -227,7 +224,7 @@ def model_section_solution():
 class TestVerifyConservation:
     def test_wave_momentum_current_analytic(self, wave_model):
         table = wave_model.table
-        samples = sample_jet_points(table, 60, seed=21)
+        samples = sample_points(table, "lagrangian", 60, seed=21)
         current = noether_current(q_translation(table), wave_model, samples=samples)
         phi = (parse("sin(t1 - t2)", table.t_names),)
         t_samples = sample_parameters(table, 50, seed=22)
@@ -239,7 +236,7 @@ class TestVerifyConservation:
 
     def test_non_solution_is_flagged(self, wave_model):
         table = wave_model.table
-        samples = sample_jet_points(table, 60, seed=23)
+        samples = sample_points(table, "lagrangian", 60, seed=23)
         current = noether_current(q_translation(table), wave_model, samples=samples)
         phi = (parse("t1^2 + t2", table.t_names),)  # not a wave solution
         t_samples = sample_parameters(table, 50, seed=24)
@@ -251,7 +248,7 @@ class TestVerifyConservation:
 
     def test_grid_mode_reports_ratio(self, wave_model):
         table = wave_model.table
-        samples = sample_jet_points(table, 60, seed=25)
+        samples = sample_points(table, "lagrangian", 60, seed=25)
         current = noether_current(q_translation(table), wave_model, samples=samples)
         h2 = 2 * np.pi / 314
         grid = GridSpec((Axis(0.0, 100 * h2 / 2, h2 / 2), Axis(0.0, 2 * np.pi, h2)))
@@ -270,7 +267,7 @@ class TestBracketTheorem:
     def test_momentum_current_with_free_hamiltonian(self, free_hamiltonian):
         table = free_hamiltonian.table
         Y = cotangent_lift(q_translation(table))
-        samples = sample_cojet_points(table, 60, seed=26)
+        samples = sample_points(table, "hamiltonian", 60, seed=26)
         current = noether_current(Y, free_hamiltonian, samples=samples)
         report = verify_bracket_theorem(current, free_hamiltonian, samples)
         assert report.passed
@@ -279,7 +276,7 @@ class TestBracketTheorem:
         model = hamiltonian_model(2, 2, "(p1_1^2 + p1_2^2 + p2_1^2 + p2_2^2)/2 + (q1^2 + q2^2)/2")
         table = model.table
         Y = cotangent_lift(rotation_field(table))
-        samples = sample_cojet_points(table, 60, seed=27)
+        samples = sample_points(table, "hamiltonian", 60, seed=27)
         current = noether_current(Y, model, samples=samples)
         report = verify_bracket_theorem(current, model, samples)
         assert report.passed
@@ -292,7 +289,7 @@ class TestBracketTheorem:
             "hamiltonian",
             "user-supplied",
         )
-        samples = sample_cojet_points(table, 40, seed=28)
+        samples = sample_points(table, "hamiltonian", 40, seed=28)
         report = verify_bracket_theorem(current, broken, samples)
         assert not report.passed
         # sum_A X_A(p^A_1) = -dH/dq1 = -1 at every point
@@ -300,7 +297,7 @@ class TestBracketTheorem:
 
     def test_lagrangian_side_wave_currents(self, wave_model):
         table = wave_model.table
-        samples = sample_jet_points(table, 60, seed=29)
+        samples = sample_points(table, "lagrangian", 60, seed=29)
         current = noether_current(q_translation(table), wave_model, samples=samples)
         report = verify_bracket_theorem(current, wave_model, samples)
         assert report.passed
@@ -362,14 +359,14 @@ class TestDiffeoCartan:
         table = free_hamiltonian.table
         phi = DiffeoQ(table, (parse("q1 + 2", table.q_names),), (parse("q1 - 2", table.q_names),))
         Phi = cotangent_prolongation(phi)
-        samples = sample_cojet_points(table, 40, seed=34)
+        samples = sample_points(table, "hamiltonian", 40, seed=34)
         assert all_pass(check_cartan_diffeomorphism(Phi, free_hamiltonian, samples))
 
     def test_pushforward_keeps_field_equation(self, free_hamiltonian):
         table = free_hamiltonian.table
         phi = DiffeoQ(table, (parse("q1 + 2", table.q_names),), (parse("q1 - 2", table.q_names),))
         Phi = cotangent_prolongation(phi)
-        samples = sample_cojet_points(table, 40, seed=35)
+        samples = sample_points(table, "hamiltonian", 40, seed=35)
         pushed = Phi.pushforward_legs(lambda pre: ham_kvector(free_hamiltonian, pre), samples)
         assert largest_abs(kvector_equation_residual(free_hamiltonian, samples, pushed)) <= 1e-9
 
@@ -385,7 +382,7 @@ class TestDiffeoCartan:
         from ksfield.bundles import TotalMap
 
         Phi = TotalMap(table, "hamiltonian", comps, inverse)
-        samples = sample_cojet_points(table, 40, seed=36)
+        samples = sample_points(table, "hamiltonian", 40, seed=36)
         reports = check_cartan_diffeomorphism(Phi, free_hamiltonian, samples)
         assert not all_pass(reports)
 
@@ -430,7 +427,7 @@ class TestCurrentTransport:
     def test_pullback_of_current_through_symmetry_conserved(self, free_hamiltonian):
         table = free_hamiltonian.table
         Y = cotangent_lift(q_translation(table))
-        samples = sample_cojet_points(table, 60, seed=37)
+        samples = sample_points(table, "hamiltonian", 60, seed=37)
         current = noether_current(Y, free_hamiltonian, samples=samples)
         phi = DiffeoQ(table, (parse("q1 + 1", table.q_names),), (parse("q1 - 1", table.q_names),))
         Phi = cotangent_prolongation(phi)
@@ -448,7 +445,7 @@ class TestCurrentTransport:
 
     def test_current_unique_up_to_constants(self, wave_model):
         table = wave_model.table
-        samples = sample_jet_points(table, 60, seed=39)
+        samples = sample_points(table, "lagrangian", 60, seed=39)
         current = noether_current(q_translation(table), wave_model, samples=samples)
         shifted = NoetherCurrent(
             tuple(f + Num(3.0) for f in current.components),
