@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bundles import Section, point_rows
+from .bundles import BundleError, Section, point_rows
 from .coords import VarTable
 from .expr import Expr, Num, Var, diff, evaluate_batch, free_vars
 from .forms import OneForm, TwoForm
@@ -107,6 +107,9 @@ def kvector_equation_residual(model: HamiltonianModel, w, legs):
     (N, dim) rows of w for their (N, k, dim) leg components."""
     table = model.table
     rows = point_rows(w, table.dim_total)
+    shape = (rows.shape[0], table.k, table.dim_total)
+    if np.shape(legs) != shape:
+        raise BundleError(f"legs must have shape {shape}, got {np.shape(legs)}")
     covector = np.zeros(rows.shape)
     for A in range(table.k):
         covector += legs[:, A] @ canonical_two_form_matrix(table, A)

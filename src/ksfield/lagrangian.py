@@ -19,6 +19,10 @@ from .forms import OneForm, TwoForm, d_one
 from .records import CheckFailure, Record
 
 
+# velocity Hessians H of size m with |det H| <= REGULARITY_RTOL max(1, max|H|)^m are singular
+REGULARITY_RTOL = 1e-10
+
+
 class RegularityError(CheckFailure):
     """Raised when an operation needs a regular Lagrangian and the velocity
     Hessian is singular at the working point."""
@@ -75,7 +79,7 @@ def hessian_entries(model: LagrangianModel) -> list:
     return [diff(firsts[a], names[b]) for a in range(len(names)) for b in range(a, len(names))]
 
 
-def velocity_hessian(model: LagrangianModel, w, det_rtol: float = 1e-10):
+def velocity_hessian(model: LagrangianModel, w, det_rtol: float = REGULARITY_RTOL):
     """Hessians in the velocities at the rows of w, flattened per the chart fiber order.
 
     Returns the (N, nk, nk) matrices and the (N,) flags regular; a row is regular iff

@@ -20,7 +20,7 @@ from .coords import VarTable
 from .expr import Expr, ParseError, parse
 from .forms import VectorField
 from .hamiltonian import HamiltonianModel
-from .lagrangian import LagrangianModel
+from .lagrangian import REGULARITY_RTOL, LagrangianModel
 from .records import InputError, Record, SolverError, SymmetryError
 
 # libyaml's parser where PyYAML was built with it; both give the same dicts
@@ -35,7 +35,7 @@ DEFAULT_TOLERANCES = {
     "gauge": 1e-9,           # decomposition reconstruction
     "transport": 1e-10,      # residual of transported solutions
     "inverse": 1e-9,         # declared-inverse round trip
-    "hessian": 1e-10,        # relative regularity threshold
+    "hessian": REGULARITY_RTOL,  # analyze's regularity flag
 }
 
 

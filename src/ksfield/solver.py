@@ -20,10 +20,13 @@ import numpy as np
 
 from .coords import VarTable
 from .expr import (
-    DomainError, Expr, Var, compile_source, compile_tuple, diff, evaluate_batch, evaluate_columns,
-    free_vars, is_zero_expr, mul, sub,
+    DomainError, Expr, Var, compile_source, compile_tuple, diff, evaluate_columns, free_vars,
+    is_zero_expr, mul, sub,
 )
-from .lagrangian import LagrangianModel, RegularityError, energy, legendre_exprs
+from .lagrangian import (
+    REGULARITY_RTOL, LagrangianModel, RegularityError, energy, hessian_entries, legendre_exprs,
+    velocity_hessian,
+)
 from .modelfile import Axis, GridSpec  # grid specs live with the model file; importable here too
 from .records import Record, SolverError
 
@@ -194,8 +197,9 @@ def _forces(model: LagrangianModel, A: int) -> list:
     return forces
 
 
-# One RK4 step on Python floats; _rk4_step fills in the model's stage.
-_RK4_STEP = """def _fn(_state, _energy_only=False):
+# One RK4 step on Python floats; _rk4_step fills in the model's prologue and stage.
+_RK4_STEP = """{prologue}
+def _fn(_state, _energy_only=False):
     {Y} = {X} = _state
     for _stage in range(4):
         {stage}
@@ -222,7 +226,7 @@ def _eliminate(H):
     for n.  Column ``col`` pivots on row ``_best{col}`` (the first of the
     largest magnitude); row ``r`` below it then takes ``_m{r}_{col}`` times
     the pivot row.  The determinant is the product of the pivots; H is
-    singular where it is 0 or at most 1e-10 max(1, max|H|^n)."""
+    singular where it is 0 or at most REGULARITY_RTOL max(1, max|H|^n)."""
     n, join = len(H), ", ".join
     entries = sum(H, [])
     largest = join(f"abs({x})" for x in entries)
@@ -244,58 +248,21 @@ def _eliminate(H):
         for r in below:
             yield f"_m{r}_{col} = {H[r][col]} / {H[col][col]}"
             yield from (f"{H[r][c]} -= _m{r}_{col} * {H[col][c]}" for c in below)
-    yield "if abs(_det) <= 1e-10 * _scale: raise _RegularityError(_SINGULAR)"
+    yield f"if abs(_det) <= {REGULARITY_RTOL!r} * _scale: raise _RegularityError(_SINGULAR)"
 
 
-def _substitute(H, R, best):
-    """Lines that apply the row swaps and multipliers of :func:`_eliminate` to
-    the right-hand side named by ``R`` and back-substitute, leaving the
-    solution in ``R``.  ``best`` lists each column's pivot row where it is
-    known while building the step, else it is None and read at run time."""
+def _substitute(H, R):
+    """Lines that apply the row swaps and multipliers of :func:`_eliminate` to the
+    right-hand side named by ``R`` and back-substitute, leaving the solution in ``R``."""
     n = len(R)
     for col in range(n):
         for r in range(col + 1, n):
             swap = f"{R[col]}, {R[r]} = {R[r]}, {R[col]}"
-            if best is None:
-                yield f"{'if' if r == col + 1 else 'elif'} _best{col} == {r}: {swap}"
-            elif best[col] == r:
-                yield swap
+            yield f"{'if' if r == col + 1 else 'elif'} _best{col} == {r}: {swap}"
         yield from (f"{R[r]} -= _m{r}_{col} * {R[col]}" for r in range(col + 1, n))
     for i in reversed(range(n)):
         rest = "".join(f" - {H[i][j]} * {R[j]}" for j in range(i + 1, n))
         yield f"{R[i]} = ({R[i]}{rest}) / {H[i][i]}"
-
-
-def _eliminated_constants(hessian, H, namespace):
-    """Run :func:`_eliminate` once on a velocity Hessian without free variables.
-
-    The entries are computed by the code a stage would run, and the
-    elimination runs as a stage would run it, so every float is the one a
-    stage would compute.  Returns each column's pivot row and binds in
-    ``namespace`` the eliminated entries and multipliers that
-    :func:`_substitute` reads.  Returns None where an entry has a free
-    variable or where the entries or their elimination raise: the stages
-    then do the work themselves and raise at the point they always did.
-    """
-    if any(free_vars(e) for e in hessian):
-        return None
-    n, entries = len(H), sum(H, [])
-    multipliers = [f"_m{r}_{col}" for col in range(n) for r in range(col + 1, n)]
-    pivots = [f"_best{col}" for col in range(n - 1)]
-
-    def write(blocks):
-        ((lines, values),) = blocks
-        assign = [f"{x} = {value}" for x, value in zip(entries, values)]
-        done = [f"return {', '.join(entries + multipliers + pivots)},"]
-        return "\n    ".join(["def _fn():"] + lines + assign + list(_eliminate(H)) + done)
-
-    try:
-        with np.errstate(all="ignore"):
-            values = compile_source([hessian], (), write, namespace, float_literals=True)()
-    except (ArithmeticError, SolverError, RegularityError):
-        return None
-    namespace.update(zip(entries + multipliers, values))
-    return values[len(entries) + len(multipliers):]
 
 
 def _rk4_step(model: LagrangianModel, h: float):
@@ -305,14 +272,15 @@ def _rk4_step(model: LagrangianModel, h: float):
     and returns the next state (None where not finite) and the energy at
     ``state``; ``step(state, True)`` returns only that energy.  Each stage
     evaluates the forces (at the state also the energy) and solves H a = rhs
-    for the velocity Hessian H.  A constant H is eliminated once, here;
-    any other is evaluated and eliminated in each stage.
+    for the velocity Hessian H of :func:`hessian_entries`.  A constant H is
+    eliminated once, by the source's prologue; any other in each stage.
     """
     table = model.table
     if table.k != 1:
         raise SolverError("k = 1 integrator needs a k = 1 model")
     n, chart, join = table.n, list(table.velocity_chart), ", ".join
     H = [[f"_h{i}_{j}" for j in range(n)] for i in range(n)]
+    upper = [H[i][j] for i in range(n) for j in range(i, n)]
     R = [f"_r{i}" for i in range(n)]
     Y, K, A = ([f"{x}{i}" for i in range(2 * n)] for x in ("_y", "_k", "_a"))
     namespace = {
@@ -321,24 +289,32 @@ def _rk4_step(model: LagrangianModel, h: float):
         "_SINGULAR": "velocity Hessian became singular along the trajectory",
         "_DT": (0.5 * h, 0.5 * h, h, h / 6.0),  # each stage's step to the next point
     }
-    hessian = [diff(model.dLdv(i, 0), table.v(j, 0)) for i in range(n) for j in range(n)]
-    best = _eliminated_constants(hessian, H, namespace)
-    varying = best is None
+    hessian = hessian_entries(model)
+    constant = not any(free_vars(e) for e in hessian)
+
+    def hessian_lines(lines, values):
+        """The lines that compute H, given those of its upper entries."""
+        yield from lines
+        yield from (f"{x} = {value}" for x, value in zip(upper, values))
+        yield from (f"{H[i][j]} = {H[j][i]}" for i in range(n) for j in range(i))
 
     def stage(blocks):
-        (lines, values), (energy_lines, (energy,)) = blocks
+        hessian_block, (lines, values), (energy_lines, (energy,)) = blocks
+        if not constant:
+            yield from hessian_lines(*hessian_block)
         yield from lines
-        names = (sum(H, []) if varying else []) + R
-        yield from (f"{x} = {value}" for x, value in zip(names, values))
+        yield from (f"{x} = {value}" for x, value in zip(R, values))
         at_state = energy_lines + [f"_e = {energy}", "if _energy_only: return _e"]
         yield "\n    ".join(["if _stage == 0:"] + at_state)
         yield _finite_test(R)
-        if varying:
+        if not constant:
             yield from _eliminate(H)
-        yield from _substitute(H, R, best)
+        yield from _substitute(H, R)
 
     def write(blocks):
+        prologue = chain(hessian_lines(*blocks[0]), _eliminate(H)) if constant else ()
         return _RK4_STEP.format(
+            prologue="\n".join(prologue),
             Y=join(Y), X=join(chart), K=join(K), A=join(A), slope=join(chart[n:] + R),
             stage="\n".join(stage(blocks)).replace("\n", "\n        "),
             A2K=join(f"{a} + 2 * {k}" for a, k in zip(A, K)),
@@ -346,7 +322,7 @@ def _rk4_step(model: LagrangianModel, h: float):
             update=join(f"{y} + _dt * {k}" for y, k in zip(Y, K)),
             finite=" and ".join(f"_isfinite({x})" for x in chart))
 
-    return compile_source([(hessian if varying else []) + _forces(model, 0), [energy(model)]],
+    return compile_source([hessian, _forces(model, 0), [energy(model)]],
                           chart, write, namespace, float_literals=True)
 
 
@@ -367,7 +343,6 @@ def integrate_k1(
     if grid.k != 1:
         raise SolverError("integrate_k1 needs a one-axis grid")
     h, n, levels = grid.axes[0].step, model.table.n, grid.axes[0].count + 1
-    step = _rk4_step(model, h)
     state = tuple(float(x) for x in q0) + tuple(float(x) for x in v0)
     if len(state) != 2 * n:
         raise SolverError(f"q0 and v0 need {n} entries each")
@@ -376,6 +351,7 @@ def integrate_k1(
     energies = []
     try:
         with np.errstate(all="ignore"):
+            step = _rk4_step(model, h)  # a constant Hessian is eliminated here
             for start in range(1, levels, _LEVELS_PER_COPY):
                 states = []
                 for m in range(start, min(start + _LEVELS_PER_COPY, levels)):
@@ -402,12 +378,6 @@ def integrate_k1(
 # ---------------------------------------------------------------------------
 # k = 2: leapfrog evolution with a periodic second axis
 
-def _constant_value(e: Expr, what: str) -> float:
-    if free_vars(e):
-        raise NotHyperbolicError(f"{what} is not constant: {e}")
-    return float(evaluate_batch([e], (), np.empty((1, 0)))[0, 0])
-
-
 def _hyperbolic_blocks(model: LagrangianModel):
     """Certify the explicit form M11 phi_tt = dL/dq - C2 phi_x - M22 phi_xx.
 
@@ -418,27 +388,19 @@ def _hyperbolic_blocks(model: LagrangianModel):
     table = model.table
     if table.k != 2:
         raise SolverError("hyperbolic integrator needs k = 2")
-    n = table.n
-    M11 = np.empty((n, n))
-    M12 = np.empty((n, n))
-    M22 = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            M11[i, j] = _constant_value(
-                diff(model.dLdv(i, 0), table.v(j, 0)), "d2L/dv1 dv1"
-            )
-            M12[i, j] = _constant_value(
-                diff(model.dLdv(i, 0), table.v(j, 1)), "d2L/dv1 dv2"
-            )
-            M22[i, j] = _constant_value(
-                diff(model.dLdv(i, 1), table.v(j, 1)), "d2L/dv2 dv2"
-            )
-            if not is_zero_expr(diff(model.dLdv(i, 0), table.q(j))):
-                raise NotHyperbolicError(
-                    "q-coupled t1 momentum: system not explicitly solvable for phi_t1t1"
-                )
-    if np.max(np.abs(M12)) != 0.0:
+    n, names = table.n, table.v_names
+    pairs = [(a, b) for i, a in enumerate(names) for b in names[i:]]
+    for (a, b), e in zip(pairs, hessian_entries(model)):
+        if free_vars(e):
+            raise NotHyperbolicError(f"velocity Hessian entry d2L/d{a} d{b} is not constant: {e}")
+    if not all(is_zero_expr(diff(model.dLdv(i, 0), q)) for i in range(n) for q in table.q_names):
+        raise NotHyperbolicError(
+            "q-coupled t1 momentum: system not explicitly solvable for phi_t1t1"
+        )
+    (M,), _ = velocity_hessian(model, np.zeros((1, table.dim_total)))  # t1 block, then t2
+    if np.max(np.abs(M[:n, n:])) != 0.0:
         raise NotHyperbolicError("v1-v2 cross terms block the explicit update")
+    M11, M22 = M[:n, :n], M[n:, n:]
     try:
         np.linalg.cholesky(M11)
     except np.linalg.LinAlgError:

@@ -373,9 +373,16 @@ class TestSolve:
     @pytest.mark.parametrize("lagrangian, q0, message", [
         pytest.param("(v1_1 + v2_1)^2/2 - q1^2/2", "[1.0, 0.0]",
                      "velocity Hessian became singular along the trajectory", id="singular"),
-        # singular too, but the force is -inf at q0: the finiteness test comes first
+        # singular too, but the velocity derivatives of 1/q1 leave unfolded 0/q1^2
+        # terms, so the Hessian is eliminated in each stage, after the finiteness
+        # test of the force, which is -inf at q0
         pytest.param("(v1_1 + v2_1)^2/2 + 1/q1", "[0.0, 0.0]",
                      "non-finite stage values; step rejected", id="singular-and-non-finite"),
+        # the same constant Hessian is checked before the first step, so it is
+        # named although the force 1/q1 is not finite at q0
+        pytest.param("(v1_1 + v2_1)^2/2 + log(q1)", "[0.0, 0.0]",
+                     "velocity Hessian became singular along the trajectory",
+                     id="singular-before-non-finite"),
     ])
     def test_singular_constant_hessian_exits_one(self, tmp_path, capsys, lagrangian, q0, message):
         path = tmp_path / "singular.yaml"
@@ -794,8 +801,8 @@ def test_fuzzed_model_files_get_an_exit_code(tmp_path, run):
 
 
 class TestNoCodegen:
-    """Checks evaluate their expressions by walking the DAG; only the
-    solvers' per-step functions are generated and compiled."""
+    """Checks evaluate their expressions by walking the DAG; each solver run
+    compiles one function, its step (RK4) or its forces (leapfrog)."""
 
     @staticmethod
     def compiled(monkeypatch) -> list:
@@ -821,5 +828,12 @@ class TestNoCodegen:
         assert main(argv + ["--out", str(tmp_path)]) == 0
         steps = [names for _, names, *_ in calls if names]
         assert len(runs) == 3 and steps == [["q1", "v1_1"]] * 3
-        # and the oscillator's constant velocity Hessian is eliminated once per run
-        assert len(calls) == 2 * len(runs)
+        # the oscillator's constant velocity Hessian is eliminated by that step's prologue
+        assert len(calls) == len(runs)
+
+    def test_each_leapfrog_run_compiles_its_forces_once(self, monkeypatch, tmp_path):
+        calls = self.compiled(monkeypatch)
+        runs = recording(monkeypatch, cli_solve, "integrate_k2_hyperbolic")
+        argv = ["solve", str(MODELS / "wave.yaml"), "--solution", "run"]
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        assert len(runs) == 3 and len(calls) == 3

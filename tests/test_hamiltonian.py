@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ksfield import hamiltonian
-from ksfield.bundles import Section
+from ksfield.bundles import BundleError, Section
 from ksfield.coords import VarTable
 from ksfield.expr import diff, evaluate_batch, parse
 from ksfield.forms import d_one
@@ -119,6 +119,14 @@ class TestHamKVector:
             grad = np.array([evaluate(diff(model.H, name), chart, w) for name in chart])
             direct = np.linalg.solve(omega.T, grad)
             assert np.max(np.abs(leg - direct)) <= 1e-12
+
+    def test_residual_rejects_legs_of_other_rows(self):
+        model = hamiltonian_model(1, 2, "(p1_1^2 - p2_1^2)/2 + q1^2")
+        rows = sample_points(model.table, "hamiltonian", 5, seed=1)
+        legs = ham_kvector(model, rows)
+        assert np.max(kvector_equation_residual(model, rows, legs)) <= 1e-12
+        with pytest.raises(BundleError, match=r"legs must have shape \(5, 2, 3\), got \(1, 2, 3\)"):
+            kvector_equation_residual(model, rows, legs[:1])
 
     def test_residual_reuses_the_derivatives_of_the_field(self, monkeypatch):
         # kvector_equation_residual derives dH again; the node memo hands back

@@ -126,3 +126,33 @@ def test_command_loads_only_the_layers_it_calls(tmp_path, argv, present, absent)
 def test_module_imports_on_its_own(name):
     result = fresh("-c", f"import ksfield.{name}")
     assert result.returncode == 0, result.stderr
+
+
+# imports kept though unread: solver re-exports the grid specs beside GridSpec
+KEPT_IMPORTS = {("solver", "Axis")}
+
+
+def unused_imports(path: Path) -> list:
+    """Names ``path`` imports (module-level or in a function) and never reads;
+    a name listed in the module's ``__all__`` counts as read."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported, read = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (
+            isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        ):
+            for alias in node.names:
+                imported.setdefault(alias.asname or alias.name.split(".")[0], node.lineno)
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read.update(ast.literal_eval(node.value))
+    return sorted(name for name in imported if name not in read)
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "ksfield").glob("*.py")), ids=lambda p: p.stem)
+def test_module_reads_every_name_it_imports(path):
+    unused = [name for name in unused_imports(path) if (path.stem, name) not in KEPT_IMPORTS]
+    assert unused == []

@@ -126,7 +126,9 @@ class TestIntegrateK1:
         (1, "log(-1)*v1_1^2 - q1^2/2"),  # NaN
         (1, "(1/0)*v1_1^2 - q1^2/2"),  # its value raises ZeroDivisionError
         (2, "1e200*(v1_1^2 + v2_1^2) - q1^2/2"),  # the scale max|H|^2 overflows
-        # singular, with a force that is -inf at q = 0: the finiteness test comes first
+        # singular, but the velocity derivatives of 1/q1 leave unfolded 0/q1^2
+        # terms, so the Hessian is eliminated in each stage, after the
+        # finiteness test of the force, which is -inf at q = 0
         (2, "(v1_1 + v2_1)^2/2 + 1/q1"),
     ])
     def test_broken_constant_hessian_rejected_as_non_finite(self, n, source):
@@ -140,6 +142,14 @@ class TestIntegrateK1:
         grid = GridSpec((Axis(0.0, 1.0, 0.1),))
         with pytest.raises(RegularityError, match="^velocity Hessian became singular along the trajectory$"):
             integrate_k1(model, [1.0, 0.0], [0.0, 0.0], grid)
+
+    def test_singular_constant_hessian_is_named_before_the_first_step(self):
+        # the force 1/q1 is not finite at q = 0, but a constant Hessian is
+        # checked once, before any stage runs
+        model = lagrangian_model(2, 1, "(v1_1 + v2_1)^2/2 + log(q1)")
+        grid = GridSpec((Axis(0.0, 1.0, 0.1),))
+        with pytest.raises(RegularityError, match="^velocity Hessian became singular along the trajectory$"):
+            integrate_k1(model, [0.0, 0.0], [0.0, 0.0], grid)
 
     # sha256 of phi, state_v and the energy drift, recorded before the step
     # folded constant Hessians: the constant ones (the first five; the
@@ -318,6 +328,12 @@ class TestIntegrateK2:
     def test_rejects_non_quadratic(self):
         model = lagrangian_model(1, 2, "sin(v1_1) - v1_2^2/2")
         with pytest.raises(NotHyperbolicError):
+            run_wave(model, wave_grid(nodes=32, steps=8))
+
+    def test_names_the_entry_that_is_not_constant(self):
+        model = lagrangian_model(1, 2, "v1_1^2/2 + q1*v1_1*v1_2 - v1_2^2/2")
+        with pytest.raises(NotHyperbolicError,
+                           match="^velocity Hessian entry d2L/dv1_1 dv1_2 is not constant: q1$"):
             run_wave(model, wave_grid(nodes=32, steps=8))
 
     def test_rejects_q_coupled_momentum(self):
