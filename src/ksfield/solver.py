@@ -149,7 +149,10 @@ def _write_csv(path, header, columns):
     """One CSV row per grid node, in the bytes of ``csv.writer`` of each
     float's repr (no quoting; rows end in CRLF), formatted by orjson in blocks
     of whole levels (at most CSV_BLOCK_ROWS rows and CSV_BLOCK_CELLS cells
-    unless one level holds more); _spliced respells the cells orjson spells otherwise."""
+    unless one level holds more); _spliced respells the cells orjson spells otherwise.
+    A block of several rows whose first column is bitwise one value (t1 on a
+    level of a k = 2 grid) is formatted without that column; the value is
+    spelled once and starts each row."""
     import orjson  # only commands that write a CSV load it
 
     rows = min(CSV_BLOCK_ROWS, CSV_BLOCK_CELLS // len(columns))
@@ -157,18 +160,29 @@ def _write_csv(path, header, columns):
     with open(path, "wb") as handle:
         handle.write((",".join(header) + "\r\n").encode())
         for start in range(0, len(columns[0]), levels_per_block):
+            stop = start + levels_per_block
+            first = columns[0][start:stop].reshape(-1)
+            # orjson 3.8.3 spends about 77 ns on a cell like 0.25 and 102 ns
+            # on 1.0, but 42-44 ns on 17 digits, so a first column of one
+            # value (t1 on a level) is left out of the block and spelled once
+            bits = first.tobytes()  # compared bitwise: 0.0 and -0.0 differ
+            one_value = (len(first) > 1 and len(columns) > 1
+                         and bits == bits[:first.itemsize] * len(first))
+            row_start = b"\r\n" + (repr(float(first[0])).encode() + b"," if one_value else b"")
             block = np.column_stack(
-                [c[start: start + levels_per_block].reshape(-1) for c in columns]
+                [c[start:stop].reshape(-1) for c in (columns[1:] if one_value else columns)]
             )
             magnitude = np.abs(block)
             # the cells orjson spells otherwise (not < 1e16 holds for NaN too)
             mask = ~(magnitude < 1e16) | ((magnitude >= 1e-9) & (magnitude < 1e-4))
             special = block[mask]
             block[mask] = np.nan
-            text = _ROW_BREAK.sub(b"\r\n", orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY))
+            text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)
+            handle.write(row_start[2:])  # the first row's start
+            text = _ROW_BREAK.sub(row_start, memoryview(text)[2:])  # after the "[["
             if special.size:
                 text = _spliced(text, special, magnitude[mask])
-            handle.write(memoryview(text)[2:-2])  # without the outer brackets
+            handle.write(memoryview(text)[:-2])  # without the closing "]]"
             handle.write(b"\r\n")
 
 
@@ -221,16 +235,17 @@ def _finite_test(names) -> str:
 
 
 def _eliminate(H):
-    """Lines that check the n x n matrix named by ``H`` and eliminate below its
+    """Lines that check the symmetric n x n matrix named by ``H`` (its entries
+    on and above the diagonal must be finite) and eliminate below its
     diagonal in place: Gaussian elimination with partial pivoting, unrolled
     for n.  Column ``col`` pivots on row ``_best{col}`` (the first of the
     largest magnitude); row ``r`` below it then takes ``_m{r}_{col}`` times
     the pivot row.  The determinant is the product of the pivots; H is
     singular where it is 0 or at most REGULARITY_RTOL max(1, max|H|^n)."""
     n, join = len(H), ", ".join
-    entries = sum(H, [])
-    largest = join(f"abs({x})" for x in entries)
-    yield _finite_test(entries)
+    upper = [H[i][j] for i in range(n) for j in range(i, n)]
+    largest = join(f"abs({x})" for x in upper)
+    yield _finite_test(upper)
     yield f"_scale = max(1.0, {f'max({largest})' if n > 1 else largest} ** {n})"
     yield "_det = 1.0"
     for col in range(n):
@@ -329,6 +344,9 @@ def _rk4_step(model: LagrangianModel, h: float):
 # states a run keeps as tuples before it copies them into the trajectory at
 # once, which costs far less than a numpy row assignment per step
 _LEVELS_PER_COPY = 512
+# leapfrog levels tested for finiteness at once: a test per level costs about
+# a tenth of a step; levels made after a blow-up are only discarded
+_LEVELS_PER_TEST = 32
 
 
 def integrate_k1(
@@ -445,8 +463,11 @@ def integrate_k2_hyperbolic(
     forces = _forces(model, 1)
     force_fn = compile_tuple(forces, table.velocity_chart)
     m11_inv = np.linalg.inv(M11)
-    # one level's work arrays, reused by every step
-    level, right, left, v2, phixx, rhs = (np.empty((x.size, n)) for _ in range(6))
+    # one level's work arrays, reused by every step; the level sits between
+    # its periodic wrap rows, so its neighbours along t2 are views
+    padded = np.empty((x.size + 2, n))
+    level, right, left = padded[1:-1], padded[2:], padded[:-2]
+    v2, phixx, rhs = (np.empty((x.size, n)) for _ in range(3))
     zeros = np.zeros(x.size)  # v1 slots: certified unused; v2 slots where no force reads them
     reads_v2 = any(free_vars(f) & {table.v(i, 1) for i in range(n)} for f in forces)
     args = [level[:, i] for i in range(n)] + [zeros] * n
@@ -455,8 +476,7 @@ def integrate_k2_hyperbolic(
     def acceleration(source: np.ndarray) -> np.ndarray:
         """phi_tt at the level ``source``, which also fills ``args`` from it."""
         np.copyto(level, source)
-        right[:-1], right[-1] = level[1:], level[0]  # periodic neighbours along t2
-        left[1:], left[0] = level[:-1], level[-1]
+        padded[0], padded[-1] = level[-1], level[0]
         if reads_v2:
             np.divide(np.subtract(right, left, out=v2), 2 * h2, out=v2)
         np.subtract(right, np.multiply(level, 2, out=phixx), out=phixx)
@@ -469,6 +489,7 @@ def integrate_k2_hyperbolic(
     levels = grid.axes[0].count + 1
     phi = np.empty((levels, x.size, n))
     phi[0] = phi_now
+    tested = 2  # the first level not yet tested for finiteness
     with np.errstate(all="ignore"):  # a breach is named by the strict pass
         phi[1] = phi_now + h1 * rate0 + 0.5 * h1**2 * acceleration(phi_now)
         for m in range(1, levels - 1):
@@ -477,9 +498,16 @@ def integrate_k2_hyperbolic(
             new -= phi[m - 1]
             acc *= h1**2
             new += acc
-            if np.all(np.isfinite(new)):
+            if (m + 1) % _LEVELS_PER_TEST and m + 2 < levels:
                 continue
-            # the first non-finite level is this one or, unchecked, level 1;
+            finite = np.isfinite(phi[tested: m + 2]).all(axis=(1, 2))
+            if finite.all():
+                tested = m + 2
+                continue
+            # a node that is not finite stays so (each level adds twice the
+            # one before), so the first such level is m + 1 for this m
+            m = tested - 1 + int(np.argmin(finite))
+            # the first non-finite level is m + 1 or, unchecked, level 1;
             # the forces of the last finite level, run strictly, name one that
             # left its domain there (an overflow is the blow-up itself)
             source = m if np.all(np.isfinite(phi[m])) else 0

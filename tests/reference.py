@@ -86,7 +86,8 @@ def evaluate(e, at, row=None) -> float:
 
 def leapfrog(model, phi0, phidot0, grid):
     """phi on ``grid`` of the leapfrog from the initial field ``phi0`` and
-    rate ``phidot0`` (expressions in t2), or None once a level is not finite."""
+    rate ``phidot0`` (expressions in t2), or, once a level past level 1 is not
+    finite, that level's index: each level is tested as it is made."""
     M11, M22 = _hyperbolic_blocks(model)
     n = model.table.n
     h1, h2 = grid.axes[0].step, grid.axes[1].step
@@ -117,5 +118,5 @@ def leapfrog(model, phi0, phidot0, grid):
         for m in range(1, levels - 1):
             phi[m + 1] = 2 * phi[m] - phi[m - 1] + h1**2 * acceleration(phi[m])
             if not np.all(np.isfinite(phi[m + 1])):
-                return None
+                return m + 1
     return phi

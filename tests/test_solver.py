@@ -3,14 +3,16 @@
 import csv
 import hashlib
 import math
+import re
 import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ksfield import solver
 from ksfield.expr import DomainError, parse
 from ksfield.lagrangian import RegularityError
 from ksfield.modelfile import load_model
@@ -42,10 +44,11 @@ def wave_grid(nodes=314, steps=100, ratio=0.5):
     return GridSpec((Axis(0.0, steps * h1, h1), Axis(0.0, TWO_PI, h2)))
 
 
+WAVE_DATA = (parse("sin(t2)", ("t2",)),), (parse("-cos(t2)", ("t2",)),)
+
+
 def run_wave(model, grid):
-    phi0 = (parse("sin(t2)", ("t2",)),)
-    phidot0 = (parse("-cos(t2)", ("t2",)),)
-    return integrate_k2_hyperbolic(model, phi0, phidot0, grid)
+    return integrate_k2_hyperbolic(model, *WAVE_DATA, grid)
 
 
 def wave_error(sol):
@@ -188,6 +191,27 @@ class TestIntegrateK1:
         drift = struct.pack("<d", sol.summary["energy_drift"])
         assert hashlib.sha256(sol.phi.tobytes() + sol.state_v.tobytes() + drift).hexdigest() == digest
 
+    def test_varying_hessian_tests_only_its_upper_entries(self, monkeypatch):
+        # H = [[1 + q2^2/10, 1/2], [1/2, 1]] is eliminated in each stage; its
+        # mirror _h1_0 = _h0_1 is neither tested for finiteness nor scaled again
+        sources, compile_source = [], solver.compile_source
+
+        def keeping_source(groups, names, write, *args, **kwargs):
+            def written(blocks):
+                sources.append(write(blocks))
+                return sources[-1]
+            return compile_source(groups, names, written, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "compile_source", keeping_source)
+        solver._rk4_step(lagrangian_model(
+            2, 1, "(1 + q2^2/10)*v1_1^2/2 + v1_1*v2_1/2 + v2_1^2/2 - (q1^2 + q2^2)/2"
+        ), 0.01)
+        (source,) = sources
+        (scale,) = [line for line in source.splitlines() if "_scale =" in line]
+        upper = ["_h0_0", "_h0_1", "_h1_1"]
+        assert re.findall(r"_isfinite\((_h\d+_\d+)\)", source) == upper
+        assert re.findall(r"abs\((_h\d+_\d+)\)", scale) == upper
+
     def test_zero_diagonal_hessian_needs_pivoting(self):
         # Hessian [[0, 1], [1, 0]]: elimination without a row swap divides by
         # zero; the equations are q1'' = -q1, q2'' = -q2
@@ -278,19 +302,35 @@ class TestIntegrateK2:
         with pytest.warns(CFLWarning):
             run_wave(wave_model, wave_grid(nodes=64, steps=8, ratio=2.0))
 
-    def test_cfl_blow_up_rejected_without_a_runtime_warning(self, wave_model):
+    # the leapfrog tests levels for finiteness 32 at a time and at the last
+    # level; the step named is the first non-finite level wherever it falls
+    @pytest.mark.parametrize("steps, ratio, step", [
+        pytest.param(400, 2.0, 284, id="in-a-chunk"),
+        pytest.param(400, 2.75, 224, id="chunk-end"),
+        pytest.param(284, 2.0, 284, id="grid-end"),
+    ])
+    def test_cfl_blow_up_rejected_without_a_runtime_warning(self, wave_model, steps, ratio, step):
         # pytest turns a numpy RuntimeWarning from the overflowing step into an error
+        grid = wave_grid(nodes=64, steps=steps, ratio=ratio)
         with pytest.warns(CFLWarning):
-            with pytest.raises(SolverError, match="non-finite field at step"):
-                run_wave(wave_model, wave_grid(nodes=64, steps=400, ratio=2.0))
+            with pytest.raises(SolverError, match=f"^non-finite field at step {step}; step rejected$"):
+                run_wave(wave_model, grid)
+        assert reference_leapfrog(wave_model, *WAVE_DATA, grid) == step
 
-    def test_blow_up_of_cubic_forces_is_not_a_domain_error(self):
+    @pytest.mark.parametrize("steps, ratio, step", [
+        pytest.param(3000, 2.0, 21, id="in-a-chunk"),
+        pytest.param(3000, 1.35, 32, id="chunk-end"),
+        pytest.param(21, 2.0, 21, id="grid-end"),
+    ])
+    def test_blow_up_of_cubic_forces_is_not_a_domain_error(self, steps, ratio, step):
         # the force -q1^3 overflows at the last finite level: the blow-up
         # itself, not a model that left its domain
         model = lagrangian_model(1, 2, "(v1_1^2 - v1_2^2)/2 - q1^4/4")
+        grid = wave_grid(nodes=64, steps=steps, ratio=ratio)
         with pytest.warns(CFLWarning):
-            with pytest.raises(SolverError, match="non-finite field at step"):
-                run_wave(model, wave_grid(nodes=64, steps=3000, ratio=2.0))
+            with pytest.raises(SolverError, match=f"^non-finite field at step {step}; step rejected$"):
+                run_wave(model, grid)
+        assert reference_leapfrog(model, *WAVE_DATA, grid) == step
 
     @pytest.mark.parametrize("source, grid, initial, rate", [
         ("(v1_1^2 - v1_2^2)/2", wave_grid(), ("sin(t2)",), ("-cos(t2)",)),
@@ -545,15 +585,38 @@ _shapes = st.sampled_from([
     (1,), (CSV_BLOCK_ROWS - 1,), (CSV_BLOCK_ROWS,), (CSV_BLOCK_ROWS + 1,),
     (2 * CSV_BLOCK_ROWS + 7,), (5, 200), (3, CSV_BLOCK_ROWS + 1),
 ])
+# A block whose first column is bitwise one value, as t1 on a level of a k = 2
+# grid, spells it once: k = 2 shapes whose first column holds one of these per
+# level (None: tiled like the other columns).  A block of two levels, at most
+# 5 columns of (5, 200), holds two values unless both levels drew the same.
+LEVEL_VALUES = (math.nan, math.inf, -math.inf, 5e-5, 3e-7, 1e16, 0.25, 1.0, -0.0)
+_shapes_and_levels = st.one_of(
+    st.tuples(_shapes, st.none()),
+    st.tuples(st.sampled_from([(5, 200), (3, CSV_BLOCK_ROWS + 1)]),
+              st.lists(st.sampled_from(LEVEL_VALUES), min_size=1, max_size=5)),
+)
+# 0.0 and -0.0 compare equal but are spelled apart: their blocks are not of one value
+_SIGNED_ZERO_LEVELS = {"shape_and_levels": ((5, 200), [0.0, -0.0]), "width": 3}
 
 
-@given(_shapes, st.integers(1, 15), st.lists(_cells, min_size=1, max_size=64))
+def _columns(shape_and_levels, width, cells):
+    """The cells tiled over ``width`` columns of ``shape``, the first column
+    holding the drawn level values if any."""
+    shape, levels = shape_and_levels
+    values = np.resize(np.array(cells), (width,) + shape)
+    if levels is not None:
+        values[0] = np.resize(np.array(levels), shape[0])[:, None]
+    return values
+
+
+@given(_shapes_and_levels, st.integers(1, 15), st.lists(_cells, min_size=1, max_size=64))
+@example(**_SIGNED_ZERO_LEVELS, cells=[1.0, 5e-5])
 @settings(max_examples=150, deadline=None, derandomize=True)
-def test_csv_cells_spelled_as_repr(tmp_path_factory, shape, width, cells):
+def test_csv_cells_spelled_as_repr(tmp_path_factory, shape_and_levels, width, cells):
     # the cells tile the columns, so each drawn cell lands in many rows and
     # columns and, in the longer shapes, in more than one block
     path = tmp_path_factory.getbasetemp() / "spelling.csv"
-    values = np.resize(np.array(cells), (width,) + shape)
+    values = _columns(shape_and_levels, width, cells)
     _write_csv(path, [f"c{j}" for j in range(width)], list(values))
     line = ",".join(["%r"] * width) + "\r\n"
     rows = values.reshape(width, -1).T.tolist()
@@ -592,11 +655,12 @@ _dense_cells = st.one_of(
 )
 
 
-@given(_shapes, st.integers(1, 15), st.lists(_dense_cells, min_size=1, max_size=64))
+@given(_shapes_and_levels, st.integers(1, 15), st.lists(_dense_cells, min_size=1, max_size=64))
+@example(**_SIGNED_ZERO_LEVELS, cells=[2e-05, math.nan, 1e16])
 @settings(max_examples=150, deadline=None, derandomize=True)
-def test_csv_dense_special_cells_spelled_as_repr(tmp_path_factory, shape, width, cells):
+def test_csv_dense_special_cells_spelled_as_repr(tmp_path_factory, shape_and_levels, width, cells):
     path = tmp_path_factory.getbasetemp() / "dense.csv"
-    values = np.resize(np.array(cells), (width,) + shape)
+    values = _columns(shape_and_levels, width, cells)
     _write_csv(path, [f"c{j}" for j in range(width)], list(values))
     line = ",".join(["%r"] * width) + "\r\n"
     reference = ",".join(f"c{j}" for j in range(width)) + "\r\n"
