@@ -29,7 +29,7 @@ from .hamiltonian import ham_kvector, kvector_equation_residual
 from .lagrangian import energy, hessian_entries, legendre, poincare_cartan_form, velocity_hessian
 from .modelfile import AnalyticSolution, ModelSpec, load_model
 from .records import CheckFailure, InputError
-from .sampling import sample_parameters, sample_points
+from .sampling import _chart_box, scale
 
 _MODULES = {"solve": "cli_solve", "noether": "cli_symmetry", "check-symmetry": "cli_symmetry",
             "gauge": "cli_gauge"}
@@ -135,12 +135,17 @@ def _emit(payload: dict, out: Path | None, filename: str):
         (out / filename).write_text(text)
 
 
-def _samples(spec: ModelSpec, side: str):
-    """Sample points of the side's chart, one row each."""
+def _design(spec: ModelSpec):
+    """The command's one unit design; every sample of the command scales it."""
     try:
-        return sample_points(spec.table, side, spec.samples, spec.seed, spec.box)
+        return spec.design()
     except MemoryError as exc:  # numpy refuses an array past the address space at once
         raise UsageError(f"sample count {spec.samples} is too large: {exc}") from None
+
+
+def _samples(spec: ModelSpec, side: str):
+    """Sample points of the side's chart, one row each."""
+    return scale(_design(spec), _chart_box(spec.table, side, spec.box))
 
 
 def _model(spec: ModelSpec, side: str):
@@ -152,8 +157,9 @@ def _model(spec: ModelSpec, side: str):
 
 
 def _t_samples(spec: ModelSpec, solution: AnalyticSolution):
-    t_box = solution.t_box or [(0.0, 1.0)] * spec.table.k
-    return sample_parameters(spec.table, spec.samples, spec.seed, t_box)
+    """Parameter points over the solution's box, the leading k columns of the
+    design the chart samples scale."""
+    return scale(_design(spec), solution.t_box or [(0.0, 1.0)] * spec.table.k)
 
 
 def _named(declared: dict, what: str, name: str):

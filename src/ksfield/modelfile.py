@@ -22,6 +22,7 @@ from .forms import VectorField
 from .hamiltonian import HamiltonianModel
 from .lagrangian import REGULARITY_RTOL, LagrangianModel
 from .records import InputError, Record, SolverError, SymmetryError
+from .sampling import halton
 
 # libyaml's parser where PyYAML was built with it; both give the same dicts
 _YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
@@ -69,6 +70,17 @@ class ModelSpec(Record):
 
     def tol(self, key: str) -> float:
         return self.tolerances[key]
+
+    def design(self) -> np.ndarray:
+        """The rotated Halton unit matrix of (samples, seed), one column per
+        chart coordinate: built on first use and kept while the spec lives, so
+        every chart and parameter sample of a command scales its leading
+        columns.  A spec whose samples or seed change gets a new one."""
+        key = (self.samples, self.seed)
+        if vars(self).get("_design_key") != key:
+            self._design = halton(self.table.dim_total, self.samples, self.seed)
+            self._design_key = key
+        return self._design
 
 
 class Axis(Record, frozen=True):

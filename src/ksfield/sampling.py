@@ -51,15 +51,19 @@ def halton(dim: int, count: int, seed: int = 0) -> np.ndarray:
     return points
 
 
-def sample_box(intervals: Sequence, count: int, seed: int = 0) -> np.ndarray:
+def scale(unit: np.ndarray, intervals: Sequence) -> np.ndarray:
+    """The leading len(intervals) columns of the unit design ``unit``, column j
+    mapped onto intervals[j].  ``halton(d, c, s)`` is bitwise the first d
+    columns of ``halton(D, c, s)`` for d <= D, so one design serves every box."""
     intervals = np.asarray(intervals, dtype=float)
-    unit = halton(len(intervals), count, seed)
-    return intervals[:, 0] + unit * (intervals[:, 1] - intervals[:, 0])
+    return intervals[:, 0] + unit[:, : len(intervals)] * (intervals[:, 1] - intervals[:, 0])
 
 
-def _intervals_for(names, box: Optional[Mapping]) -> list:
+def _chart_box(table: VarTable, side: str, box: Optional[Mapping]) -> list:
+    """One interval per coordinate of the side's chart, in chart order;
+    coordinates the box does not name get [-1, 1]."""
     box = box or {}
-    return [tuple(box.get(name, DEFAULT_INTERVAL)) for name in names]
+    return [tuple(box.get(name, DEFAULT_INTERVAL)) for name in table.chart(side)]
 
 
 def sample_points(
@@ -67,8 +71,7 @@ def sample_points(
 ) -> np.ndarray:
     """count x dim matrix of points of the side's chart, columns in chart order,
     spread over the per-coordinate box (default [-1, 1] each)."""
-    names = table.chart(side)
-    return sample_box(_intervals_for(names, box), count, seed)
+    return scale(halton(table.dim_total, count, seed), _chart_box(table, side, box))
 
 
 def sample_parameters(
@@ -77,4 +80,4 @@ def sample_parameters(
     """count x k parameter points; default box [0, 1] per axis."""
     if t_box is None:
         t_box = [(0.0, 1.0)] * table.k
-    return sample_box(t_box, count, seed)
+    return scale(halton(table.k, count, seed), t_box)

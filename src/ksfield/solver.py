@@ -77,13 +77,17 @@ class SolutionGrid(Record):
         return self.spec.k
 
     def jets_from_stencil(self) -> np.ndarray:
+        """Centred differences written straight into the jets array; at the
+        evolution-axis ends, second-order one-sided ones keep the O(h^2)
+        consistency bound."""
         h1 = self.spec.axes[0].step
         phi = self.phi
         jets = np.empty(phi.shape + (self.k,))
-        jets[..., 0] = _time_derivative(phi, h1)
+        _centred(phi[2:], phi[:-2], h1, jets[1:-1, ..., 0])
+        jets[0, ..., 0] = (-3 * phi[0] + 4 * phi[1] - phi[2]) / (2 * h1)
+        jets[-1, ..., 0] = (3 * phi[-1] - 4 * phi[-2] + phi[-3]) / (2 * h1)
         if self.k == 2:
-            h2 = self.spec.axes[1].step
-            jets[..., 1] = (np.roll(phi, -1, axis=1) - np.roll(phi, 1, axis=1)) / (2 * h2)
+            _centred_periodic(phi, self.spec.axes[1].step, jets[..., 1])
         return jets
 
     def node_coordinates(self):
@@ -109,9 +113,14 @@ class SolutionGrid(Record):
 
 
 CSV_BLOCK_ROWS = 512
-# Wide rows get fewer: a block's text then stays under 64 KiB, so orjson's
-# output buffer never reaches glibc's 128 KiB mmap threshold, whose dynamic
-# rise otherwise fragments the heap and raises peak RSS by a few MB.
+# Wide rows get fewer, but a level is never split.  A block of several levels
+# holds at most 2048 cells, so its orjson text stays under 64 KiB (at most 25
+# bytes a cell, 3 a row break) and below glibc's 128 KiB mmap threshold, whose
+# dynamic rise fragments the heap and raises peak RSS by a few MB.  A level of
+# more cells is a block of its own, whatever its size: each 628-row level of
+# the wave's `noether --symmetry shift --solution run` trace is about 80 KB of
+# orjson text (at level 50: 77670 bytes for the 7 columns after t1, 80810
+# with it; 88063 at most), and each level of its 5-column grid about 50 KB.
 CSV_BLOCK_CELLS = 2048
 # orjson writes the shortest round-trip digits, as repr does, but spells
 # exponents without sign or padding (e16, e-7 for repr's e+16, e-07), 1e-5 <=
@@ -186,13 +195,21 @@ def _write_csv(path, header, columns):
             handle.write(b"\r\n")
 
 
-def _time_derivative(phi: np.ndarray, h: float) -> np.ndarray:
-    out = np.empty_like(phi)
-    out[1:-1] = (phi[2:] - phi[:-2]) / (2 * h)
-    # second-order one-sided ends keep the O(h^2) consistency bound
-    out[0] = (-3 * phi[0] + 4 * phi[1] - phi[2]) / (2 * h)
-    out[-1] = (3 * phi[-1] - 4 * phi[-2] + phi[-3]) / (2 * h)
-    return out
+def _centred(ahead: np.ndarray, behind: np.ndarray, h: float, out: np.ndarray):
+    """out = (ahead - behind) / (2 h), in place."""
+    np.subtract(ahead, behind, out=out)
+    np.divide(out, 2 * h, out=out)
+
+
+def _centred_periodic(f: np.ndarray, h: float, out: np.ndarray):
+    """The centred difference of ``f`` along its periodic axis 1, in place.  The
+    wrap columns read across the seam, their neighbours' indices taken modulo
+    the node count, so an axis of one or two nodes is covered too."""
+    nodes = f.shape[1]
+    np.subtract(f[:, 2:], f[:, :-2], out=out[:, 1:-1])
+    np.subtract(f[:, 1 % nodes], f[:, -1], out=out[:, 0])
+    np.subtract(f[:, 0], f[:, -2 % nodes], out=out[:, -1])
+    np.divide(out, 2 * h, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -599,20 +616,17 @@ def evaluate_current(
     for A, component in enumerate(evaluate_columns(F, chart + table.t_names, args + nodes)):
         values[..., A] = component
 
-    h1 = sol.spec.axes[0].step
-    div = np.full(shape, np.nan)
     levels = shape[0]
     if levels < 5:
         raise SolverError("need at least five evolution levels for a divergence band")
-    band = slice(1, levels - 1)
-    d_dt = (values[2:, ..., 0] - values[:-2, ..., 0]) / (2 * h1)
-    div[band] = d_dt
+    div = np.empty(shape)
+    div[0] = div[-1] = np.nan
+    band = div[1:-1]
+    _centred(values[2:, ..., 0], values[:-2, ..., 0], sol.spec.axes[0].step, band)
     if k == 2:
-        h2 = sol.spec.axes[1].step
-        d_dx = (
-            np.roll(values[..., 1], -1, axis=1) - np.roll(values[..., 1], 1, axis=1)
-        ) / (2 * h2)
-        div[band] += d_dx[band]
+        d_dx = np.empty(band.shape)
+        _centred_periodic(values[1:-1, :, 1], sol.spec.axes[1].step, d_dx)
+        band += d_dx
 
     clean = div[2: levels - 2]
     max_div = float(np.max(np.abs(clean)))

@@ -10,6 +10,10 @@ raises DomainError, the contract the batched evaluator keeps as a whole.
 The reference leapfrog takes each k = 2 step in fresh arrays: fancy-indexed
 neighbours, stacked forces and a new array for every intermediate.  The
 library's step, which reuses its work arrays, must reproduce its bits.
+
+The reference stencils build a grid's jets and a current's divergence from
+whole-array expressions, ``np.roll`` copies for the periodic axis; the
+library writes the same IEEE operations in place and must match their bits.
 """
 
 import math
@@ -120,3 +124,36 @@ def leapfrog(model, phi0, phidot0, grid):
             if not np.all(np.isfinite(phi[m + 1])):
                 return m + 1
     return phi
+
+
+def _time_derivative(phi, h):
+    out = np.empty_like(phi)
+    out[1:-1] = (phi[2:] - phi[:-2]) / (2 * h)
+    out[0] = (-3 * phi[0] + 4 * phi[1] - phi[2]) / (2 * h)
+    out[-1] = (3 * phi[-1] - 4 * phi[-2] + phi[-3]) / (2 * h)
+    return out
+
+
+def stencil_jets(sol):
+    """The grid's first jets: centred differences, one-sided at the t1 ends."""
+    phi = sol.phi
+    jets = np.empty(phi.shape + (sol.k,))
+    jets[..., 0] = _time_derivative(phi, sol.spec.axes[0].step)
+    if sol.k == 2:
+        h2 = sol.spec.axes[1].step
+        jets[..., 1] = (np.roll(phi, -1, axis=1) - np.roll(phi, 1, axis=1)) / (2 * h2)
+    return jets
+
+
+def divergence(sol, values):
+    """The centred divergence of the current ``values`` (..., k) on the
+    interior levels of ``sol``, nan on the first and last."""
+    shape = values.shape[:-1]
+    div = np.full(shape, np.nan)
+    band = slice(1, shape[0] - 1)
+    div[band] = (values[2:, ..., 0] - values[:-2, ..., 0]) / (2 * sol.spec.axes[0].step)
+    if sol.k == 2:
+        h2 = sol.spec.axes[1].step
+        d_dx = (np.roll(values[..., 1], -1, axis=1) - np.roll(values[..., 1], 1, axis=1)) / (2 * h2)
+        div[band] += d_dx[band]
+    return div

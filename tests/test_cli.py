@@ -11,7 +11,7 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ksfield import cli, cli_solve, expr, solver
+from ksfield import cli, cli_solve, expr, modelfile, sampling, solver
 from ksfield.cli import main
 from ksfield.expr import evaluate_batch, parse
 from ksfield.modelfile import (
@@ -436,6 +436,35 @@ def test_jets_built_only_for_grids_that_are_read(wave_file, tmp_path, monkeypatc
     argv = [argv[0], str(wave_file), *argv[1:], "--solution", "run", "--out", str(out)]
     assert main(argv) == 0
     assert len(calls) == built
+
+
+def halton_calls(monkeypatch) -> list:
+    """Every Halton design built from now on, wherever it is called from."""
+    calls = []
+    for module in (sampling, modelfile):
+        recording(monkeypatch, module, "halton", calls)
+    return calls
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "{model}"],  # both sides
+    ["check-symmetry", "{model}", "--symmetry", "translate"],  # chart and t-samples
+    ["noether", "{model}", "--symmetry", "shift", "--solution", "dalembert"],
+    ["gauge", "{model}", "{model}"],
+])
+def test_one_halton_design_per_command(wave_file, monkeypatch, argv):
+    calls = halton_calls(monkeypatch)
+    assert main([arg.format(model=wave_file) for arg in argv]) == 0
+    assert calls == [(3, 60, 7)]  # the chart's n + n k columns; t-samples read the first k
+
+
+def test_halton_design_not_reused_across_commands(wave_file, monkeypatch, capsys):
+    calls = halton_calls(monkeypatch)
+    argv = ["noether", str(wave_file), "--symmetry", "shift", "--solution", "dalembert"]
+    assert main(argv) == 0 and main(argv) == 0
+    assert calls == [(3, 60, 7)] * 2
+    assert main(["analyze", str(wave_file), "--samples", "10000000000000"]) == 2
+    assert capsys.readouterr().err.startswith("error: sample count 10000000000000 is too large")
 
 
 class TestNoether:

@@ -27,22 +27,30 @@ def scalar_halton(dim, count, seed=0):
     return points
 
 
-@pytest.mark.parametrize(
-    "dim, count, seed",
-    [
-        (1, 1, 0), (2, 0, 3), (3, 5000, 1), (5, 777, 7), (9, 100, 42), (17, 2048, 11),
-        # counts at powers of the bases 2, 3 and 5 and one past them, and a
-        # base (37) larger than the count
-        (3, 8, 2), (3, 9, 5), (3, 26, 6), (3, 27, 8), (3, 125, 9), (12, 100, 13), (12, 1370, 4),
-        # at and around 7**3, 11**3 and 13**3, where the last digit pass is partial or full
-        (4, 342, 1), (4, 343, 2), (4, 344, 3), (5, 1331, 4), (5, 1332, 5), (6, 2197, 6),
-        (6, 2198, 7),
-    ],
-)
+HALTON_CASES = [
+    (1, 1, 0), (2, 0, 3), (3, 5000, 1), (5, 777, 7), (9, 100, 42), (17, 2048, 11),
+    # counts at powers of the bases 2, 3 and 5 and one past them, and a
+    # base (37) larger than the count
+    (3, 8, 2), (3, 9, 5), (3, 26, 6), (3, 27, 8), (3, 125, 9), (12, 100, 13), (12, 1370, 4),
+    # at and around 7**3, 11**3 and 13**3, where the last digit pass is partial or full
+    (4, 342, 1), (4, 343, 2), (4, 344, 3), (5, 1331, 4), (5, 1332, 5), (6, 2197, 6),
+    (6, 2198, 7),
+]
+
+
+@pytest.mark.parametrize("dim, count, seed", HALTON_CASES)
 def test_halton_bit_identical_to_scalar_loop(dim, count, seed):
     fast, reference = halton(dim, count, seed), scalar_halton(dim, count, seed)
     assert fast.shape == reference.shape
     assert fast.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("dim, count, seed", HALTON_CASES)
+def test_halton_columns_are_a_prefix_of_wider_designs(dim, count, seed):
+    # a command scales all its samples from one design of its widest box
+    wide = halton(dim + 3, count, seed)
+    for d in range(1, dim + 1):
+        assert halton(d, count, seed).tobytes() == np.ascontiguousarray(wide[:, :d]).tobytes()
 
 
 def test_sample_points_span_the_box_in_chart_order():

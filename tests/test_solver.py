@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ksfield import solver
+from ksfield.coords import VarTable
 from ksfield.expr import DomainError, parse
 from ksfield.lagrangian import RegularityError
 from ksfield.modelfile import load_model
@@ -32,7 +33,9 @@ from ksfield.solver import (
 )
 
 from conftest import lagrangian_model
+from reference import divergence as reference_divergence
 from reference import leapfrog as reference_leapfrog
+from reference import stencil_jets as reference_jets
 
 TWO_PI = 2 * np.pi
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -685,6 +688,38 @@ class TestJetConsistency:
         dx_exact = np.cos(xs[None, :] - ts[:, None])
         assert np.max(np.abs(sol.jets[..., 0, 0] - dt_exact)) <= 2 * h1**2
         assert np.max(np.abs(sol.jets[..., 0, 1] - dx_exact)) <= 2 * h2**2
+
+
+@pytest.mark.parametrize("k, n, nodes", [
+    (1, 1, None), (1, 3, None), (2, 1, 1), (2, 1, 2), (2, 1, 3), (2, 3, 1), (2, 3, 2), (2, 3, 3),
+    (2, 3, 40),
+])
+def test_stencils_written_in_place_match_the_reference_bits(monkeypatch, k, n, nodes):
+    levels = 7
+    axes = (Axis(0.0, (levels - 1) * 0.1, 0.1),)
+    if k == 2:
+        axes += (Axis(0.0, TWO_PI, TWO_PI / nodes),)
+    spec = GridSpec(axes)
+    rng = np.random.default_rng(100 * k + 10 * n + (nodes or 0))
+    phi = rng.standard_normal((levels,) + ((nodes,) if k == 2 else ()) + (n,))
+    flat = phi.reshape(-1)  # special cells among finite ones, at the t1 ends and on the seam
+    cells = rng.choice(flat.size, size=min(flat.size, max(12, flat.size // 6)), replace=False)
+    flat[cells] = np.resize([-0.0, np.nan, np.inf, -np.inf, 0.0, 5e-324], cells.size)
+    sol = SolutionGrid(VarTable(n, k), spec, phi)
+    chart = sol.table.velocity_chart
+    # the current reads the field and a jet, so the divergence sees both; its
+    # variables are read without the strict check, which rejects nan and inf
+    F = (parse("q1", chart), parse(f"v{n}_{k}", chart))[:k]
+    monkeypatch.setattr(solver, "evaluate_columns", lambda exprs, names, columns: (
+        dict(zip(names, columns))[e.name] for e in exprs
+    ))
+    with np.errstate(invalid="ignore"):  # inf - inf
+        jets = sol.jets_from_stencil()
+        assert jets.tobytes() == reference_jets(sol).tobytes()
+        trace = evaluate_current(F, sol)
+        assert trace.divergence.tobytes() == reference_divergence(sol, trace.values).tobytes()
+    for stencil in (jets, trace.divergence[1:-1]):
+        assert np.isnan(stencil).any() and np.isinf(stencil).any()
 
 
 class TestSelfConvergence:
