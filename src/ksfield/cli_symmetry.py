@@ -9,7 +9,7 @@ from .cli import (
 )
 from .cli_solve import _run_grid
 from .expr import to_source
-from .modelfile import AnalyticSolution, gauge_entry, load_model
+from .modelfile import AnalyticSolution, load_model
 from .records import all_pass
 from .symmetry import (
     CurrentRejection, check_cartan, check_cartan_diffeomorphism, check_symmetry_by_transport,
@@ -42,8 +42,7 @@ def cmd_noether(args) -> int:
     payload = {"command": "noether", "symmetry": args.symmetry, "side": side}
     try:
         current = noether_current(
-            candidate.vector_field(table), model,
-            getattr(candidate, gauge_entry(candidate.kind, side)), samples, spec.tol("noether"),
+            candidate.datum, model, candidate.term, samples, spec.tol("noether")
         )
     except CurrentRejection as exc:
         payload["constructed"] = False
@@ -85,7 +84,6 @@ def cmd_noether(args) -> int:
 
 def cmd_check_symmetry(args) -> int:
     spec = _apply_overrides(load_model(args.model), args)
-    table = spec.table
     candidate = _named(spec.symmetries, "symmetry", args.symmetry)
     tol = spec.tol("cartan")
     reports = []
@@ -94,7 +92,7 @@ def cmd_check_symmetry(args) -> int:
     if candidate.kind == "diffeomorphism":
         side = candidate.side
         model = _model(spec, side)
-        Phi = candidate.total_map(table, side)
+        Phi = candidate.datum
         samples = _samples(spec, side)
         Phi.verify_inverse(samples[: min(10, len(samples))], spec.tol("inverse"))
         reports.extend(check_cartan_diffeomorphism(Phi, model, samples, tol))
@@ -108,13 +106,12 @@ def cmd_check_symmetry(args) -> int:
                 reports.append(r)
     else:
         sides = [candidate.side] if candidate.side else ["lagrangian", "hamiltonian"]
-        Y = candidate.vector_field(table)
         checked = False
         for side in sides:
             model = spec.lagrangian if side == "lagrangian" else spec.hamiltonian
             if model is None:
                 continue
-            for r in check_cartan(Y, model, _samples(spec, side), tol):
+            for r in check_cartan(candidate.datum, model, _samples(spec, side), tol):
                 r.details["side"] = side
                 reports.append(r)
             checked = True

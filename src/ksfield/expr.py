@@ -15,8 +15,10 @@ contract, :func:`evaluate_batch` over a sample matrix's rows.  Only the
 solvers' per-step functions are compiled to numpy code (:func:`compile_source`).
 The scalar reference evaluator the tests compare against lives in tests/.
 
+Expressions are built one way: by :func:`parse` or the smart constructors
+below (add, sub, mul, div, neg, pow_int, call); Expr has no arithmetic operators.
 Simplification is best-effort only (constant folding and 0/1 identities,
-applied by the smart constructors below).  Nothing downstream relies on a
+applied by those constructors).  Nothing downstream relies on a
 canonical form: all correctness checks are evaluation-based.
 """
 
@@ -28,7 +30,7 @@ import weakref
 from functools import partial
 from itertools import accumulate, islice
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Union
+from typing import Callable, Iterable, Mapping
 
 from .records import InputError
 
@@ -111,37 +113,6 @@ class Expr:
     constructor's arguments are the node's public attributes."""
 
     _diffs: Mapping = MappingProxyType({})  # derivatives by variable name, once derived
-
-    # Arithmetic sugar so library code can assemble expressions directly.
-    def __add__(self, other):
-        return add(self, as_expr(other))
-
-    def __radd__(self, other):
-        return add(as_expr(other), self)
-
-    def __sub__(self, other):
-        return sub(self, as_expr(other))
-
-    def __rsub__(self, other):
-        return sub(as_expr(other), self)
-
-    def __mul__(self, other):
-        return mul(self, as_expr(other))
-
-    def __rmul__(self, other):
-        return mul(as_expr(other), self)
-
-    def __truediv__(self, other):
-        return div(self, as_expr(other))
-
-    def __rtruediv__(self, other):
-        return div(as_expr(other), self)
-
-    def __pow__(self, exponent):
-        return pow_int(self, exponent)
-
-    def __neg__(self):
-        return neg(self)
 
     def __str__(self):
         return to_source(self)
@@ -248,12 +219,6 @@ class Call(Expr):
 
 _ZERO = Num(0.0)
 _ONE = Num(1.0)
-
-
-def as_expr(value: Union[Expr, int, float]) -> Expr:
-    if isinstance(value, Expr):
-        return value
-    return Num(float(value))
 
 
 def add(a: Expr, b: Expr) -> Expr:

@@ -1,8 +1,8 @@
 """Symbolic vector fields and differential forms over a flat chart.
 
 A chart is an ordered tuple of coordinate names.  Forms keep sparse
-antisymmetric coefficient tables keyed by strictly increasing index tuples;
-degree three is enough for Cartan-formula Lie derivatives of two-forms.
+antisymmetric coefficient tables keyed by strictly increasing index tuples,
+up to degree two.
 All coefficient arithmetic goes through the expr smart constructors, so
 identically-zero coefficients collapse and stay out of the tables.
 """
@@ -58,8 +58,7 @@ class OneForm(Record, frozen=True):
 
 
 class Form(Record, frozen=True):
-    """A form of degree two, {(a, b) with a < b: Expr}, or three, {(a, b, c) with
-    a < b < c: Expr}: one record for both, the keys give the degree."""
+    """A two-form: {(a, b) with a < b: Expr}."""
 
     chart: tuple
     entries: Mapping
@@ -76,7 +75,7 @@ class Form(Record, frozen=True):
         return M
 
 
-TwoForm = ThreeForm = Form
+TwoForm = Form
 
 
 def d_function(f: Expr, chart: tuple) -> OneForm:
@@ -103,26 +102,6 @@ def d_one(beta: OneForm) -> TwoForm:
     return TwoForm(chart, table)
 
 
-def d_two(omega: TwoForm) -> ThreeForm:
-    chart = omega.chart
-    table: dict = {}
-    for (a, b), coeff in omega.entries.items():
-        for c, name in enumerate(chart):
-            if c == a or c == b:
-                continue
-            partial = diff(coeff, name)
-            if is_zero_expr(partial):
-                continue
-            # partial dx^c ^ dx^a ^ dx^b, sorted with sign
-            if c < a:
-                _put(table, (c, a, b), partial)
-            elif c < b:
-                _put(table, (a, c, b), neg(partial))
-            else:
-                _put(table, (a, b, c), partial)
-    return ThreeForm(chart, table)
-
-
 def contract_one(Y: VectorField, beta: OneForm) -> Expr:
     out: Expr = Num(0.0)
     for comp, coeff in zip(Y.components, beta.coeffs):
@@ -139,29 +118,11 @@ def contract_two(Y: VectorField, omega: TwoForm) -> OneForm:
     return OneForm(omega.chart, tuple(coeffs))
 
 
-def contract_three(Y: VectorField, eta: ThreeForm) -> TwoForm:
-    table: dict = {}
-    for (a, b, c), e in eta.entries.items():
-        _put(table, (b, c), mul(Y.components[a], e))
-        _put(table, (a, c), neg(mul(Y.components[b], e)))
-        _put(table, (a, b), mul(Y.components[c], e))
-    return TwoForm(eta.chart, table)
-
-
 def lie_derivative_one(Y: VectorField, beta: OneForm) -> OneForm:
     # Cartan: L_Y beta = i_Y d(beta) + d(i_Y beta)
     first = contract_two(Y, d_one(beta))
     second = d_function(contract_one(Y, beta), beta.chart)
     return OneForm(beta.chart, tuple(add(a, b) for a, b in zip(first.coeffs, second.coeffs)))
-
-
-def lie_derivative_two(Y: VectorField, omega: TwoForm) -> TwoForm:
-    first = contract_three(Y, d_two(omega))
-    second = d_one(contract_two(Y, omega))
-    table = dict(first.entries)
-    for key, e in second.entries.items():
-        _put(table, key, e)
-    return TwoForm(omega.chart, table)
 
 
 def pullback_one_form(chart: tuple, map_components: tuple, beta: OneForm) -> OneForm:

@@ -21,7 +21,7 @@ from .expr import Expr, ParseError, parse
 from .forms import VectorField
 from .hamiltonian import HamiltonianModel
 from .lagrangian import REGULARITY_RTOL, LagrangianModel
-from .records import InputError, Record, SolverError, SymmetryError
+from .records import InputError, Record, SolverError
 from .sampling import halton
 
 # libyaml's parser where PyYAML was built with it; both give the same dicts
@@ -130,45 +130,21 @@ class GridSpec(Record, frozen=True):
 
 
 class SymmetryCandidate(Record, frozen=True):
-    """User-declared symmetry datum.
+    """User-declared symmetry datum, built once by the loader.
 
-    kind "vector-field-on-q": n components over q (lifted to each side by
-    the check that reads it);
-    kind "vector-field": components over the full chart of ``side``;
-    kind "diffeomorphism": total-space map with declared inverse.
-    Optional gauge data g (k expressions over q) and zeta (k expressions);
-    :func:`gauge_entry` says which of them a current reads.
+    kind "vector-field-on-q": ``datum`` is a VectorFieldQ over q (lifted to
+    each side by the check that reads it);
+    kind "vector-field": a VectorField over the full chart of ``side``;
+    kind "diffeomorphism": a TotalMap of ``side`` with its declared inverse.
+    ``term`` is the k expressions its current subtracts: the gauge term g
+    when a base field's current is read on the lagrangian side, zeta
+    otherwise; None when the file declares none.
     """
 
     kind: str
-    components: tuple
+    datum: object
     side: Optional[str] = None
-    inverse: Optional[tuple] = None
-    gauge: Optional[tuple] = None
-    zeta: Optional[tuple] = None
-
-    def vector_field(self, table: VarTable):
-        """A VectorFieldQ for a field on the base, else a VectorField on its side's chart."""
-        if self.kind == "vector-field-on-q":
-            return VectorFieldQ(table, self.components)
-        if self.kind == "vector-field":
-            return VectorField(table.chart(self.side), self.components)
-        raise SymmetryError(f"candidate of kind {self.kind!r} is not a vector field")
-
-    def total_map(self, table: VarTable, side: str) -> TotalMap:
-        if self.kind != "diffeomorphism":
-            raise SymmetryError("candidate is not a diffeomorphism")
-        use_side = self.side or side
-        return TotalMap(table, use_side, self.components, self.inverse)
-
-
-def gauge_entry(kind: str, side: str) -> Optional[str]:
-    """The entry a current of this kind on this side subtracts: "gauge" (the
-    term g of a natural lagrangian symmetry) or "zeta"; None for a
-    diffeomorphism, which has no current."""
-    if kind == "diffeomorphism":
-        return None
-    return "gauge" if kind == "vector-field-on-q" and side == "lagrangian" else "zeta"
+    term: Optional[tuple] = None
 
 
 def _require(mapping, key, context):
@@ -232,27 +208,32 @@ def _load_symmetry(name, raw, table: VarTable, default_side: str) -> SymmetryCan
     if side is None and kind != "vector-field-on-q":
         plural = "general vector fields" if kind == "vector-field" else "diffeomorphisms"
         raise ModelFileError(f"{context}: {plural} need a side")
-    read = gauge_entry(kind, side or default_side)
+    # the entry a current reads: "gauge" (the term g of a natural lagrangian
+    # symmetry) or "zeta"; none for a diffeomorphism, which has no current
+    read_side = side or default_side
+    natural = kind == "vector-field-on-q" and read_side == "lagrangian"
+    read = None if kind == "diffeomorphism" else "gauge" if natural else "zeta"
     for entry in ("gauge", "zeta"):
         if raw.get(entry) is not None and entry != read:
-            on_side = f" on the {side or default_side} side" if read else ""
+            on_side = f" on the {read_side} side" if read else ""
             raise ModelFileError(f"{context}.{entry}: a {kind}{on_side} never reads it")
 
     chart = table.q_names if kind == "vector-field-on-q" else table.chart(side)
     comps = _parse_exprs(
         _require(raw, "components", context), chart, f"{context}.components", len(chart)
     )
-    inverse = gauge = zeta = None
     if kind == "diffeomorphism":
         inverse = _parse_exprs(
             _require(raw, "inverse", context), chart, f"{context}.inverse", len(chart)
         )
-    if raw.get("gauge") is not None:
-        gauge = _parse_exprs(raw["gauge"], table.q_names, f"{context}.gauge", table.k)
-    if raw.get("zeta") is not None:  # a base field's zeta is read on the momentum chart
-        zeta_chart = table.momentum_chart if kind == "vector-field-on-q" else chart
-        zeta = _parse_exprs(raw["zeta"], zeta_chart, f"{context}.zeta", table.k)
-    return SymmetryCandidate(kind, comps, side, inverse, gauge, zeta)
+        return SymmetryCandidate(kind, TotalMap(table, side, comps, inverse), side)
+    term = None
+    if raw.get(read) is not None:  # g is over q, zeta over the chart its current is read on
+        term_chart = table.q_names if read == "gauge" else table.chart(read_side)
+        term = _parse_exprs(raw[read], term_chart, f"{context}.{read}", table.k)
+    if kind == "vector-field-on-q":
+        return SymmetryCandidate(kind, VectorFieldQ(table, comps), side, term)
+    return SymmetryCandidate(kind, VectorField(chart, comps), side, term)
 
 
 def _load_solution(name, raw, table: VarTable):

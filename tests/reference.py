@@ -14,6 +14,12 @@ library's step, which reuses its work arrays, must reproduce its bits.
 The reference stencils build a grid's jets and a current's divergence from
 whole-array expressions, ``np.roll`` copies for the periodic axis; the
 library writes the same IEEE operations in place and must match their bits.
+
+The degree-three form calculus (d of a two-form, the contraction of a
+three-form, and the Cartan formula L(Y) omega = i(Y) d omega + d(i(Y) omega)
+for any two-form) is an oracle: the library's checks read only exact
+two-forms, whose Lie derivative is d(i(Y) omega).  A three-form is a
+:class:`ksfield.forms.Form` keyed by (a, b, c) with a < b < c.
 """
 
 import math
@@ -22,8 +28,9 @@ import numpy as np
 
 from ksfield.expr import (
     Add, Call, Div, DomainError, Mul, Neg, Num, Pow, Sub, UnboundVariableError, Var,
-    compile_tuple, evaluate_columns,
+    compile_tuple, diff, evaluate_columns, is_zero_expr, mul, neg,
 )
+from ksfield.forms import Form, TwoForm, VectorField, _put, contract_two, d_one
 from ksfield.solver import _forces, _hyperbolic_blocks
 
 _FUNCTIONS = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "log": math.log, "sqrt": math.sqrt}
@@ -157,3 +164,44 @@ def divergence(sol, values):
         d_dx = (np.roll(values[..., 1], -1, axis=1) - np.roll(values[..., 1], 1, axis=1)) / (2 * h2)
         div[band] += d_dx[band]
     return div
+
+
+ThreeForm = Form
+
+
+def d_two(omega: TwoForm) -> ThreeForm:
+    chart = omega.chart
+    table: dict = {}
+    for (a, b), coeff in omega.entries.items():
+        for c, name in enumerate(chart):
+            if c == a or c == b:
+                continue
+            partial = diff(coeff, name)
+            if is_zero_expr(partial):
+                continue
+            # partial dx^c ^ dx^a ^ dx^b, sorted with sign
+            if c < a:
+                _put(table, (c, a, b), partial)
+            elif c < b:
+                _put(table, (a, c, b), neg(partial))
+            else:
+                _put(table, (a, b, c), partial)
+    return ThreeForm(chart, table)
+
+
+def contract_three(Y: VectorField, eta: ThreeForm) -> TwoForm:
+    table: dict = {}
+    for (a, b, c), e in eta.entries.items():
+        _put(table, (b, c), mul(Y.components[a], e))
+        _put(table, (a, c), neg(mul(Y.components[b], e)))
+        _put(table, (a, b), mul(Y.components[c], e))
+    return TwoForm(eta.chart, table)
+
+
+def lie_derivative_two(Y: VectorField, omega: TwoForm) -> TwoForm:
+    first = contract_three(Y, d_two(omega))
+    second = d_one(contract_two(Y, omega))
+    table = dict(first.entries)
+    for key, e in second.entries.items():
+        _put(table, key, e)
+    return TwoForm(omega.chart, table)

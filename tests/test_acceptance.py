@@ -10,7 +10,7 @@ import numpy as np
 
 from ksfield.bundles import Section, VectorFieldQ, cotangent_lift
 from ksfield.coords import VarTable
-from ksfield.expr import Num, diff, parse
+from ksfield.expr import Num, add, diff, mul, parse
 from ksfield.forms import largest_abs, lie_derivative_one, max_abs
 from ksfield.gauge import gauge_compare, verify_same_solutions
 from ksfield.hamiltonian import (
@@ -325,21 +325,20 @@ def test_criterion_7_gauge_round_trip():
             g = parse(f"{c[0]!r}*q1^2 + {c[1]!r}*q1*q2 + {c[2]!r}*q2^2", table.q_names)
             for i in range(2):
                 shift_terms.append(
-                    diff(g, table.q(i)) * parse(table.v(i, A), table.v_names)
+                    mul(diff(g, table.q(i)), parse(table.v(i, A), table.v_names))
                 )
         shifted = base.L
         for term in shift_terms:
-            shifted = shifted + term
-        shifted = shifted + Num(float(rng.uniform(-3, 3)))
+            shifted = add(shifted, term)
+        shifted = add(shifted, Num(float(rng.uniform(-3, 3))))
         other = LagrangianModel(table, shifted)
         result = gauge_compare(base, other, samples)
         gauge_ok = gauge_ok and result.kind == "gauge"
         if result.decomposition is not None:
-            rebuilt = (
-                other.L
-                + result.decomposition.alpha_hat(table)
-                + result.decomposition.f
-                + Num(result.decomposition.c)
+            decomposition = result.decomposition
+            rebuilt = add(
+                add(add(other.L, decomposition.alpha_hat(table)), decomposition.f),
+                Num(decomposition.c),
             )
             for w in samples:
                 worst_reconstruction = max(
@@ -352,7 +351,7 @@ def test_criterion_7_gauge_round_trip():
         a = float(rng.uniform(0.5, 2.0))
         b = -float(rng.uniform(0.5, 2.0))
         shift = parse(f"{a!r}*q2*v1_1 + {b!r}*q1*v2_1", table.velocity_chart)
-        other = LagrangianModel(table, base.L + shift)
+        other = LagrangianModel(table, add(base.L, shift))
         result = gauge_compare(base, other, samples)
         inequivalent_ok = inequivalent_ok and result.kind == "inequivalent"
 

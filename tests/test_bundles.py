@@ -19,11 +19,10 @@ from ksfield.bundles import (
     tulczyjew_derivative,
 )
 from ksfield.coords import VarTable
-from ksfield.expr import Num, Var, evaluate_batch, parse
+from ksfield.expr import Num, Var, add, evaluate_batch, mul, parse, sub
 from ksfield.forms import (
     OneForm,
     lie_derivative_one,
-    lie_derivative_two,
     max_abs,
     pullback_one_form,
 )
@@ -45,7 +44,7 @@ from ksfield.modelfile import load_model
 from ksfield.sampling import sample_parameters, sample_points
 
 from conftest import hamiltonian_model, lagrangian_model, prolong, rotation_field
-from reference import evaluate
+from reference import evaluate, lie_derivative_two
 
 
 T12 = VarTable(1, 2)
@@ -137,7 +136,10 @@ class TestCompleteLift:
         Z2 = VectorFieldQ(T22, (parse("q2", T22.q_names), parse("q1", T22.q_names)))
         combo = VectorFieldQ(
             T22,
-            tuple(2.0 * a + (-3.0) * b for a, b in zip(Z1.components, Z2.components)),
+            tuple(
+                add(mul(Num(2.0), a), mul(Num(-3.0), b))
+                for a, b in zip(Z1.components, Z2.components)
+            ),
         )
         rows = rng.uniform(-1, 1, (5, T22.dim_total))
         rhs = 2.0 * values(complete_lift(Z1), rows) - 3.0 * values(complete_lift(Z2), rows)
@@ -226,10 +228,12 @@ class TestProlongedDiffeos:
         M = rng.uniform(-1, 1, (2, 2)) + 2 * np.eye(2)
         Minv = np.linalg.inv(M)
         fwd = tuple(
-            Var("q1") * M[i, 0] + Var("q2") * M[i, 1] for i in range(2)
+            add(mul(Var("q1"), Num(float(M[i, 0]))), mul(Var("q2"), Num(float(M[i, 1]))))
+            for i in range(2)
         )
         inv = tuple(
-            Var("q1") * Minv[i, 0] + Var("q2") * Minv[i, 1] for i in range(2)
+            add(mul(Var("q1"), Num(float(Minv[i, 0]))), mul(Var("q2"), Num(float(Minv[i, 1]))))
+            for i in range(2)
         )
         phi = DiffeoQ(T22, fwd, inv)
         phi.verify_inverse([rng.uniform(-1, 1, 2) for _ in range(5)])
@@ -270,7 +274,7 @@ class TestProlongedDiffeos:
             pulled = pullback_one_form(chart, prolonged.components, theta)
             gap = OneForm(
                 chart,
-                tuple(a - b for a, b in zip(pulled.coeffs, theta.coeffs)),
+                tuple(map(sub, pulled.coeffs, theta.coeffs)),
             )
             assert max_abs(gap.coeffs, chart, points) <= 1e-12
 

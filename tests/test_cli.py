@@ -16,6 +16,7 @@ from ksfield.cli import main
 from ksfield.expr import evaluate_batch, parse
 from ksfield.modelfile import (
     AnalyticSolution,
+    Axis,
     GridSolution,
     ModelFileError,
     load_model,
@@ -121,6 +122,20 @@ class TestModelFile:
         with pytest.raises(ModelFileError) as err:
             load_model(path)
         assert "q3" in str(err.value)
+
+    def test_numbers_without_a_decimal_point_load(self, tmp_path):
+        # YAML 1.1 reads 1e-9 as a string, not a float; the loader converts it
+        assert yaml.safe_load("x: 1e-9") == {"x": "1e-9"}
+        path = tmp_path / "exponents.yaml"
+        path.write_text(
+            'n: 1\nk: 1\nlagrangian: "v1_1^2/2"\ntolerances: {cartan: 1e-9, noether: 2E-8}\n'
+            "box: {q1: [-1e1, 1e1]}\nsolutions:\n  orbit:\n    kind: grid\n"
+            "    axes: [[0, 1e0, 1e-2]]\n    q0: [0]\n    v0: [1]\n"
+        )
+        spec = load_model(path)
+        assert (spec.tol("cartan"), spec.tol("noether")) == (1e-9, 2e-8)
+        assert spec.box == {"q1": (-10.0, 10.0)}
+        assert spec.solutions["orbit"].grid.axes == (Axis(0.0, 1.0, 0.01),)
 
     def test_unknown_tolerance_key(self, tmp_path, capsys):
         path = tmp_path / "bad3.yaml"
@@ -391,6 +406,17 @@ class TestSolve:
         ).replace("q0: [1.0]", f"q0: {q0}").replace("v0: [0.0]", "v0: [0.0, 0.0]"))
         assert main(["solve", str(path), "--solution", "orbit"]) == 1
         assert capsys.readouterr().err == f"check failed: {message}\n"
+
+    def test_state_overflow_rejects_the_step(self, tmp_path, capsys):
+        # the free particle moves 1e150 per unit time over a step of 1e200
+        path = tmp_path / "overflow.yaml"
+        path.write_text(
+            'n: 1\nk: 1\nlagrangian: "v1_1^2/2"\nsolutions:\n  orbit:\n    kind: grid\n'
+            "    axes: [[0.0, 3.0e200, 1.0e200]]\n    q0: [0.0]\n    v0: [1.0e150]\n"
+        )
+        assert main(["solve", str(path), "--solution", "orbit"]) == 1
+        error = capsys.readouterr().err
+        assert error == "check failed: non-finite state at step 1; step rejected\n"
 
     def test_analytic_solution_rejected(self, wave_file):
         assert main(["solve", str(wave_file), "--solution", "dalembert"]) == 2

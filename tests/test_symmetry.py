@@ -15,7 +15,7 @@ from ksfield.bundles import (
     tangent_prolongation,
 )
 from ksfield.coords import VarTable
-from ksfield.expr import Num, Var, evaluate_batch, parse, substitute
+from ksfield.expr import Num, Var, add, evaluate_batch, parse, substitute
 from ksfield.forms import VectorField, largest_abs, lie_bracket
 from ksfield.hamiltonian import ham_kvector, kvector_equation_residual
 from ksfield.lagrangian import legendre
@@ -406,7 +406,7 @@ class TestDiffeoCartanFold:
         table = spec.table
         Phi = self.q_map(table, "{q} + 1", "{q} - 1")
         if "translate" in spec.symmetries:  # the shipped wave's own map
-            Phi = spec.symmetries["translate"].total_map(table, "lagrangian")
+            Phi = spec.symmetries["translate"].datum
         rows = sample_points(table, "lagrangian", count, spec.seed, spec.box)
         folds = checked_folds(monkeypatch, symmetry)
         reports = check_cartan_diffeomorphism(Phi, spec.lagrangian, rows)
@@ -448,7 +448,7 @@ class TestCurrentTransport:
         samples = sample_points(table, "lagrangian", 60, seed=39)
         current = noether_current(q_translation(table), wave_model, samples=samples)
         shifted = NoetherCurrent(
-            tuple(f + Num(3.0) for f in current.components),
+            tuple(add(f, Num(3.0)) for f in current.components),
             current.side,
             current.provenance,
         )
@@ -473,10 +473,11 @@ class TestLegendreCorrespondence:
         table = spec.table
         jets = sample_points(table, "lagrangian", spec.samples, spec.seed, spec.box)
         cojets = sample_points(table, "hamiltonian", spec.samples, spec.seed, spec.box)
-        # neither file declares a gauge term, so zeta is the candidate's own
+        # each candidate's term is the one its current reads: none for the
+        # wave's base field, zeta for the rotations
         sym_l, sym_h = spec.symmetries[y_l], spec.symmetries[y_h]
-        current_l = noether_current(sym_l.vector_field(table), spec.lagrangian, sym_l.zeta, jets)
-        current_h = noether_current(sym_h.vector_field(table), spec.hamiltonian, sym_h.zeta, cojets)
+        current_l = noether_current(sym_l.datum, spec.lagrangian, sym_l.term, jets)
+        current_h = noether_current(sym_h.datum, spec.hamiltonian, sym_h.term, cojets)
         images = legendre(spec.lagrangian, jets)
         f_l = evaluate_batch(current_l.components, table.velocity_chart, jets)
         f_h = evaluate_batch(current_h.components, table.momentum_chart, images)
