@@ -16,12 +16,12 @@ from .expr import (
     Expr,
     Num,
     Var,
-    add,
     diff,
     evaluate_batch,
     free_vars,
     mul,
     substitute,
+    total,
 )
 from .forms import VectorField, largest_abs
 from .records import InputError, Record
@@ -123,33 +123,20 @@ def complete_lift(Z: VectorFieldQ) -> VectorField:
 
 def _tangent_lift(table: VarTable, base) -> tuple:
     """(base^i, v^j_A dbase^i/dq^j) in chart order, for a field or a map on Q."""
-    comps = list(base)
-    for A in range(table.k):
-        for i in range(table.n):
-            out: Expr = Num(0.0)
-            for j in range(table.n):
-                out = add(out, mul(Var(table.v(j, A)), diff(base[i], table.q(j))))
-            comps.append(out)
-    return tuple(comps)
+    return tuple(base) + tuple(
+        total(mul(Var(table.v(j, A)), diff(base[i], table.q(j))) for j in range(table.n))
+        for A in range(table.k) for i in range(table.n)
+    )
 
 
 def cotangent_lift(Z: VectorFieldQ) -> VectorField:
     """Lift to the covelocity bundle: Z^i d/dq^i - p^A_j dZ^j/dq^i d/dp^A_i."""
-    table = Z.table
-    chart = table.momentum_chart
-    comps = [Num(0.0)] * table.dim_total
-    for i in range(table.n):
-        comps[i] = Z.components[i]
-    for i in range(table.n):
-        for A in range(table.k):
-            out: Expr = Num(0.0)
-            for j in range(table.n):
-                out = add(
-                    out,
-                    mul(Var(table.p(A, j)), diff(Z.components[j], table.q(i))),
-                )
-            comps[table.fiber_slot(i, A)] = mul(Num(-1.0), out)
-    return VectorField(chart, tuple(comps))
+    table, comps = Z.table, Z.components
+    fibers = tuple(
+        mul(Num(-1.0), total(mul(Var(table.p(A, j)), diff(comps[j], q)) for j in range(table.n)))
+        for A in range(table.k) for q in table.q_names
+    )
+    return VectorField(table.momentum_chart, tuple(comps) + fibers)
 
 
 def tulczyjew_derivative(table: VarTable, g: Sequence[Expr]) -> Expr:
@@ -162,11 +149,8 @@ def tulczyjew_derivative(table: VarTable, g: Sequence[Expr]) -> Expr:
         extra = free_vars(comp) - allowed
         if extra:
             raise BundleError(f"component depends on {sorted(extra)[0]}")
-    out: Expr = Num(0.0)
-    for A in range(table.k):
-        for i in range(table.n):
-            out = add(out, mul(Var(table.v(i, A)), diff(g[A], table.q(i))))
-    return out
+    return total(mul(Var(table.v(i, A)), diff(g[A], table.q(i)))
+                 for A in range(table.k) for i in range(table.n))
 
 
 # ---------------------------------------------------------------------------
@@ -262,15 +246,11 @@ def cotangent_prolongation(phi: DiffeoQ) -> TotalMap:
 
     def prolong(base, other) -> tuple:  # p'_i = p_j d(other^j)/dq^i at base(q)
         at_base = dict(zip(table.q_names, base))
-        comps = list(base)
-        for A in range(table.k):
-            for i in range(table.n):
-                out: Expr = Num(0.0)
-                for j in range(table.n):
-                    d_other = substitute(diff(other[j], table.q(i)), at_base)
-                    out = add(out, mul(Var(table.p(A, j)), d_other))
-                comps.append(out)
-        return tuple(comps)
+        return tuple(base) + tuple(
+            total(mul(Var(table.p(A, j)), substitute(diff(other[j], q), at_base))
+                  for j in range(table.n))
+            for A in range(table.k) for q in table.q_names
+        )
 
     return TotalMap(
         table, "hamiltonian", prolong(phi.forward, phi.inverse), prolong(phi.inverse, phi.forward)

@@ -139,7 +139,7 @@ def _design(spec: ModelSpec):
     """The command's one unit design; every sample of the command scales it."""
     try:
         return spec.design()
-    except MemoryError as exc:  # numpy refuses an array past the address space at once
+    except (MemoryError, ValueError) as exc:  # an array past the address space or index range
         raise UsageError(f"sample count {spec.samples} is too large: {exc}") from None
 
 

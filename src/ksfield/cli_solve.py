@@ -30,8 +30,9 @@ def cmd_solve(args) -> int:
     if not isinstance(solution, GridSolution):
         raise UsageError(f"solution {args.solution!r} is not a grid solution")
 
-    runs = [solution.grid, solution.grid.refined(), solution.grid.refined().refined()]
-    sols = [_run_grid(spec, solution, grid, args.solution) for grid in runs]
+    sols = [_run_grid(spec, solution, solution.grid, args.solution)]
+    for _ in range(2):  # each refinement is made once the grid before it has run
+        sols.append(_run_grid(spec, solution, sols[-1].spec.refined(), args.solution))
 
     ratio = self_convergence_ratio(sols)
     nominal = 2.0 ** NOMINAL_ORDER[spec.table.k]

@@ -16,7 +16,9 @@ solvers' per-step functions are compiled to numpy code (:func:`compile_source`).
 The scalar reference evaluator the tests compare against lives in tests/.
 
 Expressions are built one way: by :func:`parse` or the smart constructors
-below (add, sub, mul, div, neg, pow_int, call); Expr has no arithmetic operators.
+below (add, sub, mul, div, neg, pow_int, call), and sums of many terms by
+:func:`total`, their left fold from zero through add; Expr has no arithmetic
+operators.
 Simplification is best-effort only (constant folding and 0/1 identities,
 applied by those constructors).  Nothing downstream relies on a
 canonical form: all correctness checks are evaluation-based.
@@ -26,8 +28,9 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 import weakref
-from functools import partial
+from functools import partial, reduce
 from itertools import accumulate, islice
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
@@ -322,6 +325,11 @@ def call(fn: str, arg: Expr) -> Expr:
     return Call(fn, arg)
 
 
+def total(terms: Iterable[Expr]) -> Expr:
+    """add(...add(add(0, t1), t2)..., tn): the sum of ``terms``, grouped from the left."""
+    return reduce(add, terms, _ZERO)
+
+
 def _post_order(roots: Iterable[Expr], done: Callable[[Expr], bool] | None = None) -> list:
     """The distinct nodes reachable from ``roots``, each once and after its
     children, left before right; a node for which ``done`` holds is neither
@@ -437,58 +445,6 @@ def to_source(e: Expr) -> str:
 # ---------------------------------------------------------------------------
 # parsing
 
-class _Scanner:
-    def __init__(self, source: str):
-        self.source = source
-        self.pos = 0
-
-    def skip_ws(self):
-        while self.pos < len(self.source) and self.source[self.pos] in " \t\r\n":
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        if self.pos >= len(self.source):
-            return ""
-        return self.source[self.pos]
-
-    def expect(self, char: str):
-        if self.peek() != char:
-            raise ParseError(f"expected '{char}'", self.pos)
-        self.pos += 1
-
-    def scan_number(self) -> float:
-        start = self.pos
-        src = self.source
-        while self.pos < len(src) and src[self.pos].isdigit():
-            self.pos += 1
-        if self.pos < len(src) and src[self.pos] == ".":
-            self.pos += 1
-            while self.pos < len(src) and src[self.pos].isdigit():
-                self.pos += 1
-        if self.pos < len(src) and src[self.pos] in "eE":
-            mark = self.pos
-            self.pos += 1
-            if self.pos < len(src) and src[self.pos] in "+-":
-                self.pos += 1
-            if self.pos < len(src) and src[self.pos].isdigit():
-                while self.pos < len(src) and src[self.pos].isdigit():
-                    self.pos += 1
-            else:
-                self.pos = mark  # not an exponent: back off
-        try:
-            return float(src[start:self.pos])
-        except ValueError:  # no digits ("." or ".e5"), or a digit like "²" float() rejects
-            raise ParseError(f"malformed number {src[start:self.pos]!r}", start) from None
-
-    def scan_name(self) -> str:
-        start = self.pos
-        src = self.source
-        while self.pos < len(src) and (src[self.pos].isalnum() or src[self.pos] == "_"):
-            self.pos += 1
-        return src[start:self.pos]
-
-
 # Parentheses, calls and prefix signs; each level costs the recursive-descent
 # parser up to five Python frames, so this keeps it well inside the limit.
 MAX_NESTING = 100
@@ -503,20 +459,63 @@ MAX_NESTING = 100
 MAX_DEPTH = 600
 _WEIGHTS = {"+": 1, "-": 1, "^": 3, "*": 3, "call": 5, "/": 6}
 
+# the binary operators by level, loosest first; see _Parser.binary
+_LEVELS = ({"+": add, "-": sub}, {"*": mul, "/": div})
+_NAME = re.compile(r"\w*")  # the characters for which str.isalnum holds, and "_"
+
 
 class _Parser:
     """Recursive descent; each method returns the parsed tree and its
     weighted depth (an upper bound: folding only makes trees shallower)."""
 
     def __init__(self, source: str, names):
-        self.sc = _Scanner(source)
+        self.source, self.pos = source, 0
         self.names = frozenset(names)
         self.nesting = 0
 
-    def enter(self, offset: int):
+    def peek(self) -> str:
+        """The next character past whitespace, which it skips; "" at the end."""
+        src = self.source
+        while self.pos < len(src) and src[self.pos] in " \t\r\n":
+            self.pos += 1
+        return src[self.pos] if self.pos < len(src) else ""
+
+    def digits(self) -> int:
+        """Move past the characters str.isdigit accepts; the count moved."""
+        start, src = self.pos, self.source
+        while self.pos < len(src) and src[self.pos].isdigit():
+            self.pos += 1
+        return self.pos - start
+
+    def number(self) -> float:
+        start, src = self.pos, self.source
+        self.digits()
+        if src.startswith(".", self.pos):
+            self.pos += 1
+            self.digits()
+        if src[self.pos:self.pos + 1] in ("e", "E"):
+            mark = self.pos
+            self.pos += 2 if src[self.pos + 1:self.pos + 2] in ("+", "-") else 1
+            if not self.digits():
+                self.pos = mark  # not an exponent: back off
+        try:
+            return float(src[start:self.pos])
+        except ValueError:  # no digits ("." or ".e5"), or a digit like "²" float() rejects
+            raise ParseError(f"malformed number {src[start:self.pos]!r}", start) from None
+
+    def enter(self):
+        """Step past the character at pos, one level deeper into the nesting."""
         self.nesting += 1
         if self.nesting > MAX_NESTING:
-            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", offset)
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", self.pos)
+        self.pos += 1
+
+    def close(self):
+        """Step past the ')' that ends the innermost level of nesting."""
+        if self.peek() != ")":
+            raise ParseError("expected ')'", self.pos)
+        self.pos += 1
+        self.nesting -= 1
 
     @staticmethod
     def deepen(depth: int, op: str, offset: int) -> int:
@@ -526,112 +525,91 @@ class _Parser:
         return depth
 
     def parse(self) -> Expr:
-        e, _ = self.expr()
-        if self.sc.peek() != "":
-            raise ParseError(f"unexpected character {self.sc.peek()!r}", self.sc.pos)
+        e, _ = self.binary()
+        if self.peek() != "":
+            raise ParseError(f"unexpected character {self.peek()!r}", self.pos)
         return e
 
-    def expr(self):
-        e, depth = self.term()
-        while True:
-            ch = self.sc.peek()
-            if ch not in ("+", "-"):
-                return e, depth
-            offset = self.sc.pos
-            self.sc.pos += 1
-            right, right_depth = self.term()
-            e = add(e, right) if ch == "+" else sub(e, right)
+    def binary(self, level: int = 0):
+        """A left-associative chain of the operators of ``_LEVELS[level]``, whose
+        operands are read at the next level, or by unary after the last."""
+        operators = _LEVELS[level]
+        operand = partial(self.binary, level + 1) if level + 1 < len(_LEVELS) else self.unary
+        e, depth = operand()
+        while (ch := self.peek()) in operators:
+            offset = self.pos
+            self.pos += 1
+            right, right_depth = operand()
+            e = operators[ch](e, right)
             depth = self.deepen(max(depth, right_depth), ch, offset)
-
-    def term(self):
-        e, depth = self.unary()
-        while True:
-            ch = self.sc.peek()
-            if ch not in ("*", "/"):
-                return e, depth
-            offset = self.sc.pos
-            self.sc.pos += 1
-            right, right_depth = self.unary()
-            e = mul(e, right) if ch == "*" else div(e, right)
-            depth = self.deepen(max(depth, right_depth), ch, offset)
+        return e, depth
 
     def unary(self):
-        ch = self.sc.peek()
+        ch = self.peek()
         if ch not in ("+", "-"):
             return self.power()
-        offset = self.sc.pos
-        self.enter(offset)
-        self.sc.pos += 1
+        offset = self.pos
+        self.enter()
         e, depth = self.unary()
         self.nesting -= 1
         return (neg(e) if ch == "-" else e), self.deepen(depth, ch, offset)
 
     def power(self):
         e, depth = self.atom()
-        while self.sc.peek() == "^":
-            offset = self.sc.pos
-            self.sc.pos += 1
+        while self.peek() == "^":
+            offset = self.pos
+            self.pos += 1
             e = pow_int(e, self.exponent())
             depth = self.deepen(depth, "^", offset)
         return e, depth
 
     def exponent(self) -> int:
-        ch = self.sc.peek()
-        offset = self.sc.pos
+        ch = self.peek()
+        offset = self.pos
         if ch == "(":
-            self.enter(offset)
-            self.sc.pos += 1
+            self.enter()
             value = self.exponent()
-            self.sc.expect(")")
-            self.nesting -= 1
+            self.close()
             return value
-        sign = 1
-        if ch == "-":
-            self.sc.pos += 1
-            sign = -1
-            ch = self.sc.peek()
+        sign = -1 if ch == "-" else 1
+        if sign < 0:
+            self.pos += 1
+            ch = self.peek()
         if not ch.isdigit():
             raise ParseError("exponent must be an integer constant", offset)
-        start = self.sc.pos
-        value = self.sc.scan_number()
+        start = self.pos
+        value = self.number()
         if not value.is_integer():  # a fraction, or an overflow to inf
             raise ParseError("exponent must be an integer constant", start)
         return sign * int(value)
 
     def atom(self):
-        ch = self.sc.peek()
-        offset = self.sc.pos
+        ch = self.peek()
+        offset = self.pos
         if ch == "":
             raise ParseError("unexpected end of input", offset)
-        if ch == "(":
-            self.enter(offset)
-            self.sc.pos += 1
-            parsed = self.expr()
-            self.sc.expect(")")
-            self.nesting -= 1
-            return parsed
         if ch.isdigit() or ch == ".":
-            value = self.sc.scan_number()
+            value = self.number()
             if not math.isfinite(value):
                 raise ParseError("number too large for a float", offset)
             return Num(value), 0
-        if ch.isalpha() or ch == "_":
-            name = self.sc.scan_name()
-            if self.sc.peek() == "(":
-                if name not in _FUNCTIONS:
-                    raise ParseError(f"unknown function '{name}'", offset)
-                self.enter(self.sc.pos)
-                self.sc.pos += 1
-                arg, depth = self.expr()
-                self.sc.expect(")")
-                self.nesting -= 1
-                return call(name, arg), self.deepen(depth, "call", offset)
-            if name in _FUNCTIONS:
-                raise ParseError(f"function '{name}' requires an argument", offset)
-            if name not in self.names:
-                raise UndeclaredNameError(name, offset)
-            return Var(name), 0
-        raise ParseError(f"unexpected character {ch!r}", offset)
+        name = _NAME.match(self.source, offset).group() if ch.isalpha() or ch == "_" else ""
+        if name:
+            self.pos += len(name)
+            if self.peek() != "(":
+                if name in _FUNCTIONS:
+                    raise ParseError(f"function '{name}' requires an argument", offset)
+                if name not in self.names:
+                    raise UndeclaredNameError(name, offset)
+                return Var(name), 0
+            if name not in _FUNCTIONS:
+                raise ParseError(f"unknown function '{name}'", offset)
+        elif ch != "(":
+            raise ParseError(f"unexpected character {ch!r}", offset)
+        self.enter()
+        e, depth = self.binary()
+        self.close()
+        return (call(name, e), self.deepen(depth, "call", offset)) if name else (e, depth)
 
 
 def parse(source: str, names: Iterable[str]) -> Expr:

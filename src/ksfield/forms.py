@@ -13,7 +13,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .expr import Expr, Num, add, diff, evaluate_batch, is_zero_expr, mul, neg, sub, substitute
+from .expr import Expr, Num, add, diff, evaluate_batch, is_zero_expr, mul, neg, sub, substitute, total
 from .records import Record
 
 
@@ -27,10 +27,7 @@ class VectorField(Record, frozen=True):
 
     def apply(self, f: Expr) -> Expr:
         """Directional derivative Y(f) = sum_a Y^a df/dx^a."""
-        out: Expr = Num(0.0)
-        for name, comp in zip(self.chart, self.components):
-            out = add(out, mul(comp, diff(f, name)))
-        return out
+        return total(mul(comp, diff(f, name)) for name, comp in zip(self.chart, self.components))
 
 
 def lie_bracket(Y1: VectorField, Y2: VectorField) -> VectorField:
@@ -103,10 +100,7 @@ def d_one(beta: OneForm) -> TwoForm:
 
 
 def contract_one(Y: VectorField, beta: OneForm) -> Expr:
-    out: Expr = Num(0.0)
-    for comp, coeff in zip(Y.components, beta.coeffs):
-        out = add(out, mul(comp, coeff))
-    return out
+    return total(map(mul, Y.components, beta.coeffs))
 
 
 def contract_two(Y: VectorField, omega: TwoForm) -> OneForm:
@@ -127,15 +121,12 @@ def lie_derivative_one(Y: VectorField, beta: OneForm) -> OneForm:
 
 def pullback_one_form(chart: tuple, map_components: tuple, beta: OneForm) -> OneForm:
     """(Phi^* beta)_a = sum_b (beta_b o Phi) dPhi^b/dx^a."""
-    coeffs = []
     mapping = dict(zip(chart, map_components))
     pulled = [substitute(c, mapping) for c in beta.coeffs]
-    for a, name in enumerate(chart):
-        out: Expr = Num(0.0)
-        for b, comp in enumerate(map_components):
-            out = add(out, mul(pulled[b], diff(comp, name)))
-        coeffs.append(out)
-    return OneForm(chart, tuple(coeffs))
+    return OneForm(chart, tuple(
+        total(mul(beta_b, diff(comp, name)) for beta_b, comp in zip(pulled, map_components))
+        for name in chart
+    ))
 
 
 def largest_abs(values) -> float:

@@ -16,8 +16,7 @@ import numpy as np
 
 from .bundles import point_rows
 from .coords import VarTable
-from .expr import Expr, Num, add, diff, evaluate_batch, mul, sub, substitute, to_source
-from .expr import Var
+from .expr import Expr, Num, Var, add, diff, evaluate_batch, mul, sub, substitute, to_source, total
 from .forms import largest_abs, max_abs
 from .lagrangian import LagrangianModel, el_residual
 from .records import CheckFailure, Record, Report
@@ -35,11 +34,8 @@ class GaugeDecomposition(Record, frozen=True):
     c: float
 
     def alpha_hat(self, table: VarTable) -> Expr:
-        out: Expr = Num(0.0)
-        for A in range(table.k):
-            for i in range(table.n):
-                out = add(out, mul(self.alpha[A][i], Var(table.v(i, A))))
-        return out
+        coeffs = (a for row in self.alpha for a in row)  # in the order of v_names
+        return total(map(mul, coeffs, map(Var, table.v_names)))
 
     def as_dict(self) -> dict:
         return {

@@ -32,28 +32,18 @@ class HamiltonianModel(Record, frozen=True):
 
 def canonical_one_form(table: VarTable, A: int) -> OneForm:
     """Tautological one-form of the A-th copy: p^A_i dq^i."""
-    coeffs = [Num(0.0)] * table.dim_total
-    for i in range(table.n):
-        coeffs[i] = Var(table.p(A, i))
-    return OneForm(table.momentum_chart, tuple(coeffs))
+    base = tuple(Var(table.p(A, i)) for i in range(table.n))
+    return OneForm(table.momentum_chart, base + (Num(0.0),) * (table.dim_total - table.n))
 
 
 def canonical_two_form(table: VarTable, A: int) -> TwoForm:
     """Canonical two-form dq^i ^ dp^A_i (equal to -d of the one-form)."""
-    entries = {}
-    for i in range(table.n):
-        entries[(i, table.fiber_slot(i, A))] = Num(1.0)
+    entries = {(i, table.fiber_slot(i, A)): Num(1.0) for i in range(table.n)}
     return TwoForm(table.momentum_chart, entries)
 
 
 def canonical_two_form_matrix(table: VarTable, A: int) -> np.ndarray:
-    dim = table.dim_total
-    M = np.zeros((dim, dim))
-    for i in range(table.n):
-        slot = table.fiber_slot(i, A)
-        M[i, slot] = 1.0
-        M[slot, i] = -1.0
-    return M
+    return canonical_two_form(table, A).matrices(np.zeros((1, table.dim_total)))[0]
 
 
 def hdw_residual(model: HamiltonianModel, section: Section, t) -> np.ndarray:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .bundles import Section, fold_constant, point_rows
 from .coords import VarTable
-from .expr import Expr, Num, Var, add, diff, evaluate_batch, free_vars, mul, sub
+from .expr import Expr, Num, Var, diff, evaluate_batch, free_vars, mul, sub, total
 from .forms import OneForm, TwoForm, d_one
 from .records import CheckFailure, Record
 
@@ -50,10 +50,8 @@ class LagrangianModel(Record, frozen=True):
 def poincare_cartan_form(model: LagrangianModel, A: int) -> OneForm:
     """One-form dL o S^A: coefficients dL/dv^i_A on dq^i, zero on the fibers."""
     table = model.table
-    coeffs = [Num(0.0)] * table.dim_total
-    for i in range(table.n):
-        coeffs[i] = model.dLdv(i, A)
-    return OneForm(table.velocity_chart, tuple(coeffs))
+    base = tuple(model.dLdv(i, A) for i in range(table.n))
+    return OneForm(table.velocity_chart, base + (Num(0.0),) * (table.dim_total - table.n))
 
 
 def lagrangian_two_form(model: LagrangianModel, A: int) -> TwoForm:
@@ -65,12 +63,8 @@ def lagrangian_two_form(model: LagrangianModel, A: int) -> TwoForm:
 
 def energy(model: LagrangianModel) -> Expr:
     """Energy function: v^i_A dL/dv^i_A - L."""
-    table = model.table
-    out: Expr = Num(0.0)
-    for A in range(table.k):
-        for i in range(table.n):
-            out = add(out, mul(Var(table.v(i, A)), model.dLdv(i, A)))
-    return sub(out, model.L)
+    velocities = map(Var, model.table.v_names)  # in the order of legendre_exprs
+    return sub(total(map(mul, velocities, legendre_exprs(model))), model.L)
 
 
 def hessian_entries(model: LagrangianModel) -> list:
@@ -145,13 +139,12 @@ def el_residual(model: LagrangianModel, phi: Sequence[Expr], t) -> np.ndarray:
     table = model.table
     rows = point_rows(t, table.k)
     section = Section.prolongation(table, phi)
-    totals = []
-    for i in range(table.n):
-        total: Expr = Num(0.0)
-        for A in range(table.k):
-            total = add(total, diff(section.restrict(model.dLdv(i, A)), table.t(A)))
-        totals.append(sub(total, section.restrict(model.dLdq(i))))
-    return evaluate_batch(totals, table.t_names, rows)
+    residuals = [
+        sub(total(diff(section.restrict(model.dLdv(i, A)), table.t(A)) for A in range(table.k)),
+            section.restrict(model.dLdq(i)))
+        for i in range(table.n)
+    ]
+    return evaluate_batch(residuals, table.t_names, rows)
 
 
 def sopde_solve(model: LagrangianModel, w, residual_tol: float = 1e-9):

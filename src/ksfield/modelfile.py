@@ -94,6 +94,8 @@ class Axis(Record, frozen=True):
         if self.stop <= self.start:
             raise SolverError("axis extent must be increasing")
         count = (self.stop - self.start) / self.step
+        if not math.isfinite(count):
+            raise SolverError(f"axis step {self.step} is too small for its extent")
         if abs(count - round(count)) > 1e-9:
             raise SolverError(
                 f"axis extent {self.stop - self.start} is not an integral number of steps {self.step}"

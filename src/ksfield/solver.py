@@ -366,6 +366,14 @@ _LEVELS_PER_COPY = 512
 _LEVELS_PER_TEST = 32
 
 
+def _empty(shape) -> np.ndarray:
+    """np.empty(shape); a shape numpy cannot index raises MemoryError, like one it cannot hold."""
+    try:
+        return np.empty(shape)
+    except ValueError as exc:  # "Maximum allowed dimension exceeded", "array is too big"
+        raise MemoryError(exc) from None
+
+
 def integrate_k1(
     model: LagrangianModel, q0: Sequence[float], v0: Sequence[float], grid: GridSpec
 ) -> SolutionGrid:
@@ -381,7 +389,7 @@ def integrate_k1(
     state = tuple(float(x) for x in q0) + tuple(float(x) for x in v0)
     if len(state) != 2 * n:
         raise SolverError(f"q0 and v0 need {n} entries each")
-    trajectory = np.empty((levels, 2 * n))  # a grid too large to hold fails here, at once
+    trajectory = _empty((levels, 2 * n))  # a grid too large to hold fails here, at once
     trajectory[0] = state
     energies = []
     try:
@@ -461,6 +469,8 @@ def integrate_k2_hyperbolic(
     n = table.n
     h1 = grid.axes[0].step
     h2 = grid.axes[1].step
+    levels = grid.axes[0].count + 1
+    phi = _empty((levels, grid.axes[1].count, n))  # a grid too large to hold fails here, at once
 
     # wave speeds from the principal symbol; warn when the step ratio
     # exceeds the unit-CFL bound of the wave fixture.
@@ -503,8 +513,6 @@ def integrate_k2_hyperbolic(
         np.subtract(rhs, phixx @ M22.T, out=rhs)
         return rhs @ m11_inv.T
 
-    levels = grid.axes[0].count + 1
-    phi = np.empty((levels, x.size, n))
     phi[0] = phi_now
     tested = 2  # the first level not yet tested for finiteness
     with np.errstate(all="ignore"):  # a breach is named by the strict pass

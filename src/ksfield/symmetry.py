@@ -25,7 +25,7 @@ from .bundles import (
     tulczyjew_derivative,
 )
 from .coords import VarTable
-from .expr import Expr, Num, add, diff, evaluate_batch, sub, substitute
+from .expr import Expr, Num, diff, evaluate_batch, sub, substitute, total
 from .forms import (
     OneForm,
     contract_one,
@@ -276,9 +276,8 @@ def verify_conservation(
         raise SymmetryError("no solution supplied")
     if section.side != current.side:
         raise SymmetryError("solution and current live on different sides")
-    divergence: Expr = Num(0.0)  # total divergence of the current along the solution, in t
-    for A, f_A in enumerate(current.components):
-        divergence = add(divergence, diff(section.restrict(f_A), table.t(A)))
+    divergence = total(diff(section.restrict(f_A), table.t(A))  # along the solution, in t
+                       for A, f_A in enumerate(current.components))
 
     if t_samples is None:
         raise SymmetryError("analytic mode needs t samples")

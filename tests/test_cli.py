@@ -148,25 +148,48 @@ class TestModelFile:
         assert main(["analyze", str(MODELS / "wave.yaml"), "--tol", "sopde=1e-9"]) == 2
         assert capsys.readouterr().err == "error: unknown tolerance key 'sopde'\n"
 
-    @pytest.mark.parametrize("text, old, new", [
-        (WAVE_YAML, "samples: 60", "samples: 60\nbox: [q1]"),  # a section, not a mapping
-        (WAVE_YAML, "samples: 60", "samples: 60\nbox:\n  q1: [-1.0]"),
-        (WAVE_YAML, "t_box: [[0.0, 1.0], [0.0, 6.0]]", "t_box: 2"),
-        (WAVE_YAML, "t_box: [[0.0, 1.0], [0.0, 6.0]]", "t_box: [[0.0, 1.0], []]"),
-        (WAVE_YAML, "axes: [[0.0, 1.0, 0.01]", "axes: [[0.0, .inf, 0.01]"),
-        (WAVE_YAML, "samples: 60", "samples: true"),
-        (OSCILLATOR_YAML, "k: 1", "k: true"),
-        (WAVE_YAML, "seed: 7", "seed: -1"),
-        (OSCILLATOR_YAML, "q0: [1.0]", "q0: 1.0"),
+    @pytest.mark.parametrize("text, old, new, message", [
+        (WAVE_YAML, "samples: 60", "samples: 60\nbox: [q1]", "box: expected a mapping"),
+        (WAVE_YAML, "samples: 60", "samples: 60\nbox:\n  q1: [-1.0]",
+         "box.q1: expected a list of 2 finite numbers"),
+        (WAVE_YAML, "t_box: [[0.0, 1.0], [0.0, 6.0]]", "t_box: 2",
+         "solutions.dalembert.t_box: expected 2 intervals"),
+        (WAVE_YAML, "t_box: [[0.0, 1.0], [0.0, 6.0]]", "t_box: [[0.0, 1.0], []]",
+         "solutions.dalembert.t_box: expected a list of 2 finite numbers"),
+        (WAVE_YAML, "axes: [[0.0, 1.0, 0.01]", "axes: [[0.0, .inf, 0.01]",
+         "solutions.run.axes: expected a list of 3 finite numbers"),
+        (WAVE_YAML, "samples: 60", "samples: true", "samples a positive integer"),
+        (OSCILLATOR_YAML, "k: 1", "k: true", "n and k must be positive integers"),
+        (WAVE_YAML, "seed: 7", "seed: -1", "seed must be a non-negative integer"),
+        (OSCILLATOR_YAML, "q0: [1.0]", "q0: 1.0", "solutions.orbit.q0: expected a list of 1"),
+        (OSCILLATOR_YAML, "n: 1", "n: 0", "need n >= 1 and k >= 1"),
+        (WAVE_YAML, "samples: 60", "samples: 60\nbox: {zz: [0, 1]}",
+         "box: unknown coordinate 'zz'"),
+        (WAVE_YAML, '"(v1_1^2 - v1_2^2)/2"', '"sin + q1"', "function 'sin' requires an argument"),
+        (WAVE_YAML, "kind: analytic", "kind: analytic\n    side: other",
+         "solutions.dalembert: unknown side 'other'"),
+        (OSCILLATOR_YAML, "solutions:", 'solutions:\n  orbit_h:\n    kind: analytic\n'
+         '    side: hamiltonian\n    components: ["cos(t1)"]\n    momenta: [["0"], ["0"]]',
+         "solutions.orbit_h.momenta: expected 1 rows"),
+        (OSCILLATOR_YAML, f"[[0.0, {TWO_PI!r}, {TWO_PI / 1000!r}]]", "[[0.0, 1.0, 0.0]]",
+         "solutions.orbit.axes: axis step must be positive"),
+        (OSCILLATOR_YAML, f"[[0.0, {TWO_PI!r}, {TWO_PI / 1000!r}]]", "[[1.0, 0.0, 0.1]]",
+         "solutions.orbit.axes: axis extent must be increasing"),
+        # extent over step overflows to an infinite count of steps
+        (OSCILLATOR_YAML, f"[[0.0, {TWO_PI!r}, {TWO_PI / 1000!r}]]", "[[0.0, 1.0e300, 1.0e-300]]",
+         "solutions.orbit.axes: axis step 1e-300 is too small for its extent"),
     ], ids=[
         "box", "box-interval", "t_box", "t_box-interval", "axis", "samples", "k", "seed", "q0",
+        "n", "box-coordinate", "bare-function", "analytic-side", "momenta-rows", "axis-step",
+        "axis-extent", "axis-count",
     ])
-    def test_malformed_structure_exits_two(self, tmp_path, capsys, text, old, new):
+    def test_malformed_structure_exits_two(self, tmp_path, capsys, text, old, new, message):
         path = tmp_path / "bad.yaml"
         path.write_text(text.replace(old, new))
         assert path.read_text() != text
         assert main(["analyze", str(path)]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("old, new, context", [
         ("samples: 60", "samples: 60\nbox:\n  q1: [-1.0e+308, 1.0e+308]", "box.q1"),
@@ -187,31 +210,35 @@ class TestModelFile:
         ["analyze", "{model}", "--samples", "10000000000000"],
         ["gauge", "{model}", "{model}", "--samples", "10000000000000"],
         ["noether", "{model}", "--symmetry", "shift", "--solution", "dalembert"],  # file's count
+        ["analyze", "{model}", "--samples", "10000000000000000000"],
     ])
     def test_sample_count_too_large_to_allocate_exits_two(self, wave_file, capsys, argv):
         # 1e13 rows of 3 coordinates, 218 TiB: past the 47-bit user address
-        # space, so numpy refuses the array at once and nothing is allocated
+        # space, so numpy refuses the array at once and nothing is allocated;
+        # 1e19 rows are past numpy's index range
+        count = argv[-1] if "--samples" in argv else "10000000000000"
         if "--samples" not in argv:
-            wave_file.write_text(WAVE_YAML.replace("samples: 60", "samples: 10000000000000"))
+            wave_file.write_text(WAVE_YAML.replace("samples: 60", f"samples: {count}"))
         assert main([arg.format(model=wave_file) for arg in argv]) == 2
         error = capsys.readouterr().err
-        assert error.startswith("error: sample count 10000000000000 is too large")
+        assert error.startswith(f"error: sample count {count} is too large")
         assert error.count("\n") == 1
 
     def test_negative_seed_override_exits_two(self, wave_file, capsys):
         assert main(["analyze", str(wave_file), "--seed", "-1"]) == 2
         assert capsys.readouterr().err == "error: --seed must be non-negative\n"
 
-    @pytest.mark.parametrize("kind", ["directory", "undecodable"])
+    @pytest.mark.parametrize("kind", ["directory", "undecodable", "missing"])
     def test_unreadable_model_path_exits_two(self, tmp_path, capsys, kind):
         path = tmp_path / "model.yaml"
         if kind == "directory":
             path.mkdir()
-        else:  # byte 0xff inside the lagrangian string
+        elif kind == "undecodable":  # byte 0xff inside the lagrangian string
             path.write_bytes(WAVE_YAML.encode().replace(b"v1_1^2 -", b"v1_1^2 \xff-", 1))
         assert main(["analyze", str(path)]) == 2
         error = capsys.readouterr().err
-        assert error.startswith(f"error: {path}: ") and error.count("\n") == 1
+        expected = f"error: model file not found: {path}\n" if kind == "missing" else f"error: {path}: "
+        assert error.startswith(expected) and error.count("\n") == 1
 
     def test_out_onto_an_existing_file_exits_two(self, wave_file, tmp_path, capsys):
         taken = tmp_path / "taken"
@@ -421,23 +448,34 @@ class TestSolve:
     def test_analytic_solution_rejected(self, wave_file):
         assert main(["solve", str(wave_file), "--solution", "dalembert"]) == 2
 
-    @pytest.mark.parametrize("argv", [
-        ["solve", "wave.yaml", "--solution", "run"],
-        ["noether", "wave.yaml", "--symmetry", "shift", "--solution", "run"],
-        ["solve", "oscillator.yaml", "--solution", "orbit"],
-    ])
-    def test_grid_too_large_to_allocate_exits_two(self, tmp_path, capsys, argv):
-        # wave: 1e11 levels of 628 nodes, 457 TiB; oscillator (k = 1): 2e13
-        # levels of 2 values, 291 TiB.  Both are past the 47-bit user address
-        # space, so numpy refuses the array at once and nothing is allocated
+    WAVE_AXES = "[[0.0, 0.5, 0.005], [0.0, 6.283185307179586, 0.010005072145190424]]"
+    OSCILLATOR_AXES = "[[0.0, 6.283185307179586, 0.006283185307179586]]"
+
+    @pytest.mark.parametrize("argv, axes", [
+        # 1e11 levels of 628 nodes, 457 TiB
+        (["solve", "wave.yaml", "--solution", "run"],
+         "[[0.0, 100000000.0, 0.001], [0.0, 6.283185307179586, 0.010005072145190424]]"),
+        (["noether", "wave.yaml", "--symmetry", "shift", "--solution", "run"],
+         "[[0.0, 100000000.0, 0.001], [0.0, 6.283185307179586, 0.010005072145190424]]"),
+        # 2e13 levels of 2 values, 291 TiB
+        (["solve", "oscillator.yaml", "--solution", "orbit"], "[[0.0, 1.0e13, 0.5]]"),
+        # 1e300 levels, or 1e300 nodes on the periodic axis: past numpy's index range
+        (["solve", "oscillator.yaml", "--solution", "orbit"], "[[0.0, 1.0, 1.0e-300]]"),
+        (["solve", "wave.yaml", "--solution", "run"], "[[0.0, 0.5, 0.005], [0.0, 1.0, 1.0e-300]]"),
+        # 9e307 levels, whose second refinement has more steps than a float holds
+        (["solve", "oscillator.yaml", "--solution", "orbit"], "[[0.0, 1.0e300, 1.1e-8]]"),
+        # 1e10 levels of 1e10 nodes: the byte count is past numpy's index range
+        (["solve", "wave.yaml", "--solution", "run"], "[[0.0, 1.0e10, 1.0], [0.0, 1.0e10, 1.0]]"),
+    ], ids=["argv0", "argv1", "argv2", "oscillator-levels", "wave-nodes", "oscillator-refinement",
+            "wave-bytes"])
+    def test_grid_too_large_to_allocate_exits_two(self, tmp_path, capsys, argv, axes):
+        # numpy refuses each array at once, so nothing is allocated: the
+        # byte counts are past the 47-bit user address space
         command, model, *rest = argv
         shipped = (MODELS / model).read_text()
         path = tmp_path / "huge.yaml"
-        path.write_text(shipped.replace(*{
-            "wave.yaml": ("[[0.0, 0.5, 0.005]", "[[0.0, 100000000.0, 0.001]"),
-            "oscillator.yaml": ("[[0.0, 6.283185307179586, 0.006283185307179586]]",
-                                "[[0.0, 1.0e13, 0.5]]"),
-        }[model]))
+        shipped_axes = self.WAVE_AXES if model == "wave.yaml" else self.OSCILLATOR_AXES
+        path.write_text(shipped.replace(shipped_axes, axes))
         assert path.read_text() != shipped
         assert main([command, str(path), *rest]) == 2
         error = capsys.readouterr().err
@@ -591,6 +629,21 @@ class TestNoether:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and argv[-1] in err and entry in err
 
+    def test_zeta_that_misses_the_lie_derivative_is_rejected(self, tmp_path, capsys):
+        # rot_h is a Cartan symmetry, but L(Y) theta = d(p^2/2 - q^2/2), not d(p^2/2 + q^2/2)
+        shipped = (Path(__file__).resolve().parent / "models" / "rotation.yaml").read_text()
+        path = tmp_path / "rotation.yaml"
+        path.write_text(shipped.replace('zeta: ["p1_1^2/2 - q1^2/2"]', 'zeta: ["p1_1^2/2 + q1^2/2"]'))
+        assert path.read_text() != shipped
+        out = tmp_path / "out"
+        assert main(["noether", str(path), "--symmetry", "rot_h", "--out", str(out)]) == 1
+        report = json.loads((out / "noether_rot_h.json").read_text())
+        assert report["constructed"] is False
+        message = report["rejection"]["message"]
+        assert message.startswith("zeta does not satisfy L(Y) theta^A = d zeta^A")
+        assert report["rejection"]["max_residual"] == pytest.approx(1.97, abs=0.01)
+        assert capsys.readouterr().out == f"current rejected: {message}\n"
+
     def test_solution_on_the_other_side_exits_two(self, capsys):
         path = Path(__file__).resolve().parent / "models" / "rotation.yaml"
         argv = ["noether", str(path), "--symmetry", "rot_l", "--solution", "closed_form_h"]
@@ -696,6 +749,67 @@ class TestGauge:
     def test_identity_pair_is_strict(self, wave_file, tmp_path):
         code = main(["gauge", str(wave_file), str(wave_file)])
         assert code == 0
+
+
+HAMILTONIAN_ONLY_YAML = """
+n: 1
+k: 1
+hamiltonian: "p1_1^2/2 + q1^2/2"
+symmetries:
+  rot:
+    kind: vector-field
+    side: lagrangian
+    components: ["v1_1", "-q1"]
+  turn:
+    kind: diffeomorphism
+    side: lagrangian
+    components: ["q1 + 1", "v1_1"]
+    inverse: ["q1 - 1", "v1_1"]
+solutions:
+  orbit:
+    kind: grid
+    axes: [[0.0, 1.0, 0.01]]
+    q0: [1.0]
+    v0: [0.0]
+"""
+
+
+class TestHamiltonianOnly:
+    """A file whose only model is a Hamiltonian, read by commands that need more."""
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        path = tmp_path / "hamiltonian.yaml"
+        path.write_text(HAMILTONIAN_ONLY_YAML)
+        return path
+
+    @pytest.mark.parametrize("argv, message", [
+        (["check-symmetry", "{model}", "--symmetry", "rot"],
+         "no model present for the candidate's side"),
+        (["check-symmetry", "{model}", "--symmetry", "turn"], "no lagrangian model in the file"),
+        (["noether", "{model}", "--symmetry", "rot"], "no lagrangian model in the file"),
+        (["gauge", "{model}", "{model}"], "gauge comparison needs lagrangian models in both files"),
+        (["solve", "{model}", "--solution", "orbit"], "grid solutions need a lagrangian model"),
+        (["analyze", "{model}", "--samples", "0"], "--samples must be positive"),
+    ], ids=["check-field", "check-map", "noether", "gauge", "solve", "samples"])
+    def test_usage_error_exits_two(self, path, capsys, argv, message):
+        assert main([arg.format(model=path) for arg in argv]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_malformed_tolerance_override_exits_two(self, path, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["analyze", str(path), "--tol", "cartan=abc"])
+        assert exit_.value.code == 2
+        assert "--tol: invalid tolerance value 'abc'" in capsys.readouterr().err
+
+    def test_base_field_without_side_is_checked_on_the_hamiltonian_side(self, tmp_path):
+        path = tmp_path / "free.yaml"
+        path.write_text('n: 1\nk: 1\nhamiltonian: "p1_1^2/2"\nsymmetries:\n  shift:\n'
+                        '    kind: vector-field-on-q\n    components: ["1"]\n')
+        out = tmp_path / "out"
+        assert main(["check-symmetry", str(path), "--symmetry", "shift", "--out", str(out)]) == 0
+        reports = json.loads((out / "check_shift.json").read_text())["reports"]
+        assert [(r["details"]["side"], r["pass"]) for r in reports] == [("hamiltonian", True)] * 2
 
 
 class TestParserReuse:

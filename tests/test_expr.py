@@ -2,6 +2,7 @@
 
 import gc
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -159,6 +160,20 @@ class TestParse:
     def test_nesting_up_to_cap_accepted(self):
         e = parse("(" * MAX_NESTING + "q1" + ")" * MAX_NESTING, NAMES)
         assert evaluate(e, {"q1": 2.0}) == 2.0
+
+    @pytest.mark.parametrize("opening, closing", [("(", ")"), ("sin(", ")"), ("-", "")],
+                             ids=["parentheses", "calls", "signs"])
+    def test_nesting_cap_costs_at_most_five_frames_a_level(self, opening, closing):
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 5 * MAX_NESTING + 20)
+        try:
+            e = parse(opening * MAX_NESTING + "q1" + closing * MAX_NESTING, NAMES)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert free_vars(e) == {"q1"}
 
     def test_flat_sum_capped_at_operator_offset(self):
         # a flat chain needs no parser recursion but builds a left-deep tree
