@@ -24,11 +24,21 @@ def _run_grid(spec: ModelSpec, solution: GridSolution, grid, name: str):
         raise UsageError(f"grid of solution {name!r} is too large: {exc}") from None
 
 
+def _require_levels(solution: GridSolution, name: str, needed: int, purpose: str):
+    """A usage error, before any run, when the solution's grid has fewer
+    evolution levels than ``purpose`` needs; refined grids only add levels."""
+    levels = solution.grid.axes[0].count + 1
+    if levels < needed:
+        raise UsageError(f"grid of solution {name!r} has {levels} evolution levels; "
+                         f"{purpose} needs at least {needed}")
+
+
 def cmd_solve(args) -> int:
     spec = _apply_overrides(load_model(args.model), args)
     solution = _named(spec.solutions, "solution", args.solution)
     if not isinstance(solution, GridSolution):
         raise UsageError(f"solution {args.solution!r} is not a grid solution")
+    _require_levels(solution, args.solution, 3, "solve")  # the jet stencils
 
     sols = [_run_grid(spec, solution, solution.grid, args.solution)]
     for _ in range(2):  # each refinement is made once the grid before it has run

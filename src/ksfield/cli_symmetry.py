@@ -7,7 +7,7 @@ from __future__ import annotations
 from .cli import (
     UsageError, _apply_overrides, _emit, _model, _named, _samples, _t_samples,
 )
-from .cli_solve import _run_grid
+from .cli_solve import _require_levels, _run_grid
 from .expr import to_source
 from .modelfile import AnalyticSolution, load_model
 from .records import all_pass
@@ -70,6 +70,7 @@ def cmd_noether(args) -> int:
             )
             reports.append(report)
         else:
+            _require_levels(solution, args.solution, 5, "a noether trace")  # a divergence band
             sol = _run_grid(spec, solution, solution.grid, args.solution)
             refined = _run_grid(spec, solution, solution.grid.refined(), args.solution)
             report = verify_conservation(

@@ -451,6 +451,20 @@ def _hyperbolic_blocks(model: LagrangianModel):
     return M11, M22
 
 
+def _times_transpose(m: np.ndarray, rows: int):
+    """A function writing ``a @ m.T`` for an array ``a`` of ``rows`` rows into
+    ``out``, bit for bit, through np.dot: for these narrow shapes @ takes a
+    per-element loop where np.dot calls BLAS.  Adding 0.0 turns the -0.0 that
+    np.dot's lone 1 x 1 product can give into the +0.0 of @; a lone row goes
+    through gemv, whose summation order follows the layout of ``m.T``, and
+    keeps that of @ only on the transposed view."""
+    m_t = m.T if rows == 1 else np.ascontiguousarray(m.T)
+
+    def product(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+        return np.add(np.dot(a, m_t, out=out), 0.0, out=out)
+    return product
+
+
 def integrate_k2_hyperbolic(
     model: LagrangianModel,
     phi0: Sequence[Expr],
@@ -489,12 +503,12 @@ def integrate_k2_hyperbolic(
 
     forces = _forces(model, 1)
     force_fn = compile_tuple(forces, table.velocity_chart)
-    m11_inv = np.linalg.inv(M11)
+    by_m22, by_m11_inv = (_times_transpose(m, x.size) for m in (M22, np.linalg.inv(M11)))
     # one level's work arrays, reused by every step; the level sits between
     # its periodic wrap rows, so its neighbours along t2 are views
     padded = np.empty((x.size + 2, n))
     level, right, left = padded[1:-1], padded[2:], padded[:-2]
-    v2, phixx, rhs = (np.empty((x.size, n)) for _ in range(3))
+    v2, phixx, rhs, product, acc = (np.empty((x.size, n)) for _ in range(5))
     zeros = np.zeros(x.size)  # v1 slots: certified unused; v2 slots where no force reads them
     reads_v2 = any(free_vars(f) & {table.v(i, 1) for i in range(n)} for f in forces)
     args = [level[:, i] for i in range(n)] + [zeros] * n
@@ -507,21 +521,22 @@ def integrate_k2_hyperbolic(
         if reads_v2:
             np.divide(np.subtract(right, left, out=v2), 2 * h2, out=v2)
         np.subtract(right, np.multiply(level, 2, out=phixx), out=phixx)
-        np.divide(np.add(phixx, left, out=phixx), h2**2, out=phixx)
+        np.divide(np.add(phixx, left, out=phixx), h2_sq, out=phixx)
         for i, force in enumerate(force_fn(*args)):
             rhs[:, i] = force
-        np.subtract(rhs, phixx @ M22.T, out=rhs)
-        return rhs @ m11_inv.T
+        np.subtract(rhs, by_m22(phixx, product), out=rhs)  # the bits of rhs - phixx @ M22.T
+        return by_m11_inv(rhs, acc)
 
     phi[0] = phi_now
-    tested = 2  # the first level not yet tested for finiteness
+    tested = 1  # the first level not yet tested for finiteness
     with np.errstate(all="ignore"):  # a breach is named by the strict pass
-        phi[1] = phi_now + h1 * rate0 + 0.5 * h1**2 * acceleration(phi_now)
+        h1_sq, h2_sq = np.float64(h1) ** 2, np.float64(h2) ** 2  # inf where a float's ** raises
+        phi[1] = phi_now + h1 * rate0 + 0.5 * h1_sq * acceleration(phi_now)
         for m in range(1, levels - 1):
             acc = acceleration(phi[m])
             new = np.multiply(phi[m], 2, out=phi[m + 1])
             new -= phi[m - 1]
-            acc *= h1**2
+            acc *= h1_sq
             new += acc
             if (m + 1) % _LEVELS_PER_TEST and m + 2 < levels:
                 continue
@@ -532,12 +547,10 @@ def integrate_k2_hyperbolic(
             # a node that is not finite stays so (each level adds twice the
             # one before), so the first such level is m + 1 for this m
             m = tested - 1 + int(np.argmin(finite))
-            # the first non-finite level is m + 1 or, unchecked, level 1;
-            # the forces of the last finite level, run strictly, name one that
+            # the forces of the last finite level m, run strictly, name one that
             # left its domain there (an overflow is the blow-up itself)
-            source = m if np.all(np.isfinite(phi[m])) else 0
-            acceleration(phi[source])
-            t1 = np.full(x.size, grid.evolution_times()[source])
+            acceleration(phi[m])
+            t1 = np.full(x.size, grid.evolution_times()[m])
             try:
                 list(evaluate_columns(forces, table.velocity_chart + table.t_names, args + [t1, x]))
             except DomainError as exc:

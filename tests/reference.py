@@ -97,7 +97,7 @@ def evaluate(e, at, row=None) -> float:
 
 def leapfrog(model, phi0, phidot0, grid):
     """phi on ``grid`` of the leapfrog from the initial field ``phi0`` and
-    rate ``phidot0`` (expressions in t2), or, once a level past level 1 is not
+    rate ``phidot0`` (expressions in t2), or, once a level past level 0 is not
     finite, that level's index: each level is tested as it is made."""
     M11, M22 = _hyperbolic_blocks(model)
     n = model.table.n
@@ -126,6 +126,8 @@ def leapfrog(model, phi0, phidot0, grid):
     with np.errstate(all="ignore"):
         phi[0] = phi_now
         phi[1] = phi_now + h1 * rate0 + 0.5 * h1**2 * acceleration(phi_now)
+        if not np.all(np.isfinite(phi[1])):
+            return 1
         for m in range(1, levels - 1):
             phi[m + 1] = 2 * phi[m] - phi[m - 1] + h1**2 * acceleration(phi[m])
             if not np.all(np.isfinite(phi[m + 1])):

@@ -445,6 +445,49 @@ class TestSolve:
         error = capsys.readouterr().err
         assert error == "check failed: non-finite state at step 1; step rejected\n"
 
+    @pytest.mark.parametrize("text, solution, message", [
+        pytest.param(WAVE_YAML.replace("[[0.0, 1.0, 0.01]", "[[0.0, 1.0e300, 1.0e299]"), "run",
+                     "non-finite field at step 1; step rejected", id="leapfrog"),
+        pytest.param(OSCILLATOR_YAML.replace(f"[[0.0, {TWO_PI!r}, {TWO_PI / 1000!r}]]",
+                                             "[[0.0, 1.0e300, 1.0e299]]"), "orbit",
+                     "non-finite stage values; step rejected", id="rk4"),
+    ])
+    def test_step_whose_square_overflows_rejects_the_step(self, tmp_path, capsys, text, solution,
+                                                           message):
+        # h1^2 = 1e598 is past the float range, so level 1 is not finite
+        path = tmp_path / "huge_step.yaml"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", solver.CFLWarning)
+            assert main(["solve", str(path), "--solution", solution]) == 1
+        assert capsys.readouterr().err == f"check failed: {message}\n"
+
+    @pytest.mark.parametrize("argv, text, message", [
+        pytest.param(["solve", "--solution", "run"],
+                     WAVE_YAML.replace("[[0.0, 1.0, 0.01]", "[[0.0, 0.01, 0.01]"),
+                     "grid of solution 'run' has 2 evolution levels; solve needs at least 3",
+                     id="leapfrog"),
+        pytest.param(["solve", "--solution", "orbit"],
+                     OSCILLATOR_YAML.replace(f"[[0.0, {TWO_PI!r}, {TWO_PI / 1000!r}]]",
+                                             "[[0.0, 0.01, 0.01]]"),
+                     "grid of solution 'orbit' has 2 evolution levels; solve needs at least 3",
+                     id="rk4"),
+        pytest.param(["noether", "--symmetry", "shift", "--solution", "run"],
+                     WAVE_YAML.replace("[[0.0, 1.0, 0.01]", "[[0.0, 0.03, 0.01]"),
+                     "grid of solution 'run' has 4 evolution levels; "
+                     "a noether trace needs at least 5", id="noether-trace"),
+    ])
+    def test_grid_too_short_for_its_command_exits_two_before_running(
+        self, tmp_path, capsys, monkeypatch, argv, text, message
+    ):
+        runs = recording(monkeypatch, cli_solve, "integrate_k1")
+        recording(monkeypatch, cli_solve, "integrate_k2_hyperbolic", runs)
+        path = tmp_path / "short.yaml"
+        path.write_text(text)
+        assert main([argv[0], str(path), *argv[1:]]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert runs == []
+
     def test_analytic_solution_rejected(self, wave_file):
         assert main(["solve", str(wave_file), "--solution", "dalembert"]) == 2
 

@@ -354,6 +354,24 @@ class TestIntegrateK2:
             wave_grid(nodes=120, steps=200, ratio=0.4),
             ("sin(t2)", "0.5*cos(2*t2)"), ("-cos(t2)", "0"),
         ),
+        (  # one node, t2 = 0, where phi = -sin(t2) and its force are -0.0: the
+           # lone 1 x 1 product by M11^-1 keeps the sign under np.dot, not under @
+            "(v1_1^2 + v1_2^2)/2 + q1^2/2",
+            GridSpec((Axis(0.0, 0.05, 0.01), Axis(0.0, TWO_PI, TWO_PI))),
+            ("-sin(t2)",), ("-sin(t2)",),
+        ),
+        (  # one node, n = 3, a full M11: the lone row's product by M11^-1 sums
+           # in the order of @ only on the transposed view of the matrix
+            "(v1_1^2 + v1_1*v2_1 + 2*v2_1^2 + v2_1*v3_1 + 3*v3_1^2 + v1_1*v3_1)/2"
+            " - (v1_2^2 + v2_2^2 + v3_2^2)/2 + cos(q1 - q2) + cos(q2 - q3) - q1^2/2",
+            GridSpec((Axis(0.0, 10.0, 0.25), Axis(0.0, TWO_PI, TWO_PI))),
+            ("0.3", "-0.2", "0.1"), ("0.2", "-0.1", "0.4"),
+        ),
+        (  # the benchmark's finest wave level, where @ and np.dot take other paths
+            "(v1_1^2 - v1_2^2)/2",
+            GridSpec((Axis(0.0, 0.01, 0.001), Axis(0.0, TWO_PI, TWO_PI / 2512))),
+            ("sin(t2)",), ("-cos(t2)",),
+        ),
     ])
     def test_leapfrog_bits_match_the_reference(self, source, grid, initial, rate):
         n = len(initial)
@@ -388,6 +406,31 @@ class TestIntegrateK2:
         model = lagrangian_model(1, 2, "-v1_1^2/2 + v1_2^2/2")
         with pytest.raises(NotHyperbolicError):
             run_wave(model, wave_grid(nodes=32, steps=8))
+
+
+# Finite entries with signed zeros and the ends of the exponent range, whose
+# products overflow to inf (and their sums to nan) or underflow to zero.
+_entries = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@given(st.sampled_from([1, 2, 3, 200, 2512]), st.integers(1, 4),
+       st.lists(_entries, min_size=1, max_size=8),
+       st.lists(st.one_of(st.just(0.0), _entries), min_size=16, max_size=16))
+# a lone row, whose gemv sums in another order on a contiguous m.T
+@example(1, 3, [1.3, -0.3, 1.1], [0.3, 0.3, 0.1, 0.1, 0.1, 0.2, 1.3, -0.3, 0.9] + [0.0] * 7)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_blas_products_keep_the_bits_of_matmul(nodes, n, cells, matrix):
+    # the leapfrog's constant-matrix products rest on this identity; the
+    # cells tile the rows, and the matrix has zeroed entries too
+    a = np.resize(np.array(cells), (nodes, n))
+    M = np.array(matrix[: n * n]).reshape(n, n)
+    out = np.empty((nodes, n))
+    with np.errstate(all="ignore"):
+        solver._times_transpose(M, nodes)(a, out)
+        assert out.tobytes() == (a @ M.T).tobytes()
 
 
 class TestCurrentTrace:
