@@ -204,11 +204,12 @@ class TotalMap(Record, frozen=True):
         return evaluate_batch(self.components, self.chart, point_rows(points, len(self.chart)))
 
     def jacobians(self, points) -> np.ndarray:
-        """Jacobian matrices at the rows of ``points``, shape (N, dim, dim)."""
+        """Jacobian matrices at the rows of ``points``, a row-major (N, dim, dim) stack."""
         dim = len(self.chart)
         rows = point_rows(points, dim)
         derivatives = [diff(comp, name) for comp in self.components for name in self.chart]
-        return evaluate_batch(derivatives, self.chart, rows).reshape(-1, dim, dim)
+        values = evaluate_batch(derivatives, self.chart, rows)
+        return np.ascontiguousarray(values).reshape(-1, dim, dim)
 
     def pushforward_legs(self, legs_fn: Callable, points) -> np.ndarray:
         """Legs of the pushforward of a k-vector field at the rows of ``points``.

@@ -35,6 +35,14 @@ def cmd_noether(args) -> int:
         raise UsageError("currents come from infinitesimal symmetries; use check-symmetry")
     side = candidate.side or ("lagrangian" if spec.lagrangian is not None else "hamiltonian")
     model = _model(spec, side)
+    solution = None
+    if args.solution is not None:  # a bad solution is a usage error before any work
+        solution = _named(spec.solutions, "solution", args.solution)
+        if isinstance(solution, AnalyticSolution):
+            if solution.section.side != side:
+                raise UsageError("solution and current live on different sides")
+        else:
+            _require_levels(solution, args.solution, 5, "a noether trace")  # a divergence band
     samples = _samples(spec, side)
     stem = f"noether_{args.symmetry}"  # one report per symmetry, whatever the solution
 
@@ -59,26 +67,21 @@ def cmd_noether(args) -> int:
     bracket = verify_bracket_theorem(current, model, samples, tol=spec.tol("cartan"))
     reports.append(bracket)
 
-    if args.solution is not None:
-        solution = _named(spec.solutions, "solution", args.solution)
-        if isinstance(solution, AnalyticSolution):
-            if solution.section.side != side:
-                raise UsageError("solution and current live on different sides")
-            report = verify_conservation(
-                current, table, section=solution.section,
-                t_samples=_t_samples(spec, solution), tol=spec.tol("conservation"),
-            )
-            reports.append(report)
-        else:
-            _require_levels(solution, args.solution, 5, "a noether trace")  # a divergence band
-            sol = _run_grid(spec, solution, solution.grid, args.solution)
-            refined = _run_grid(spec, solution, solution.grid.refined(), args.solution)
-            report = verify_conservation(
-                current, table, grid=sol, refined_grid=refined, model=spec.lagrangian
-            )
-            reports.append(report)
-            if args.out is not None:
-                report.trace.to_csv(args.out / f"{stem}_trace.csv")
+    if isinstance(solution, AnalyticSolution):
+        report = verify_conservation(
+            current, table, section=solution.section,
+            t_samples=_t_samples(spec, solution), tol=spec.tol("conservation"),
+        )
+        reports.append(report)
+    elif solution is not None:
+        sol = _run_grid(spec, solution, solution.grid, args.solution)
+        refined = _run_grid(spec, solution, solution.grid.refined(), args.solution)
+        report = verify_conservation(
+            current, table, grid=sol, refined_grid=refined, model=spec.lagrangian
+        )
+        reports.append(report)
+        if args.out is not None:
+            report.trace.to_csv(args.out / f"{stem}_trace.csv")
 
     return _verdict(payload, reports, args.out, f"{stem}.json")
 

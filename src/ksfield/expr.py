@@ -826,7 +826,9 @@ def evaluate_batch(exprs: Iterable[Expr], names, points):
 
     Column j of the (N, len(names)) array ``points`` binds ``names[j]``;
     each expression is evaluated over all rows in one numpy call under the
-    strict contract of :func:`evaluate_columns`.
+    strict contract of :func:`evaluate_columns`.  The walk reads and writes
+    whole columns, so the output is column-major and a column-major
+    ``points`` is read without a copy; a row-major one is transposed once.
     """
     import numpy as np
 
@@ -834,7 +836,7 @@ def evaluate_batch(exprs: Iterable[Expr], names, points):
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != len(names):
         raise ValueError(f"points must have shape (N, {len(names)}), got {points.shape}")
-    out = np.empty((points.shape[0], len(exprs)))
+    out = np.empty((points.shape[0], len(exprs)), order="F")
     if points.shape[0]:
         columns = list(np.ascontiguousarray(points.T))
         for j, values in enumerate(evaluate_columns(exprs, names, columns)):

@@ -61,7 +61,8 @@ def hdw_residual(model: HamiltonianModel, section: Section, t) -> np.ndarray:
     exprs += [diff(psi[table.fiber_slot(i, A)], table.t(A)) for i, A in pairs]
     exprs += [section.restrict(model.dHdp(A, i)) for i, A in pairs]
     exprs += [diff(psi[i], table.t(A)) for i, A in pairs]
-    values = evaluate_batch(exprs, table.t_names, rows)
+    # row-major: div_p.sum then runs over contiguous A, whatever the layout of t
+    values = np.ascontiguousarray(evaluate_batch(exprs, table.t_names, rows))
     div_p, dH_dp, dpsi = np.moveaxis(values[:, n:].reshape(-1, 3, n, k), 1, 0)  # each [N, i, A]
     out = np.empty((rows.shape[0], 2 * n))
     out[:, :n] = values[:, :n] + div_p.sum(axis=2)
@@ -100,7 +101,7 @@ def kvector_equation_residual(model: HamiltonianModel, w, legs):
     shape = (rows.shape[0], table.k, table.dim_total)
     if np.shape(legs) != shape:
         raise BundleError(f"legs must have shape {shape}, got {np.shape(legs)}")
-    covector = np.zeros(rows.shape)
+    covector = np.zeros(rows.shape, order="F")  # the layout of grad: one streaming pass
     for A in range(table.k):
         covector += legs[:, A] @ canonical_two_form_matrix(table, A)
     grad = evaluate_batch(

@@ -172,9 +172,10 @@ def sopde_solve(model: LagrangianModel, w, residual_tol: float = 1e-9):
     exprs += [
         diff(model.dLdv(i, A), table.q(j)) for i in range(n) for A in range(k) for j in range(n)
     ]
-    values = evaluate_batch(exprs, table.velocity_chart, rows)
+    # row-major views: the einsum and the pinv product below sum in a layout-dependent order
+    values = np.ascontiguousarray(evaluate_batch(exprs, table.velocity_chart, rows))
     mixed = values[:, n:].reshape(count, n, k, n)  # [N, i, A, j]
-    velocities = rows[:, n:].reshape(count, k, n)  # [N, A, j]
+    velocities = np.ascontiguousarray(rows)[:, n:].reshape(count, k, n)  # [N, A, j]
     rhs = values[:, :n] - np.einsum("niaj,naj->ni", mixed, velocities)
 
     # Unknown s[(a<=b), j] multiplies H[(i,a),(j,b)] (+ H[(i,b),(j,a)] when

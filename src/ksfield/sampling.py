@@ -41,12 +41,15 @@ def _radical_inverse(count: int, base: int) -> np.ndarray:
 
 def halton(dim: int, count: int, seed: int = 0) -> np.ndarray:
     """count x dim points in [0, 1), Halton sequence rotated by the seed;
-    column j is built in the j-th prime base without integer division."""
+    column j is built in the j-th prime base without integer division.
+
+    The design is column-major (Fortran order): each coordinate's count
+    values are contiguous, as it is built and as the evaluator reads it."""
     bases = _primes(dim)
     shift = np.random.default_rng(seed).uniform(size=dim)
-    points = np.empty((count, dim))
+    points = np.empty((count, dim), order="F")
     for j, base in enumerate(bases):
-        points[:, j] = _radical_inverse(count, base) + shift[j]  # in [0, 2)
+        np.add(_radical_inverse(count, base), shift[j], out=points[:, j])  # in [0, 2)
     points -= points >= 1.0  # the exact x - 1.0 that x % 1.0 gives there
     return points
 
@@ -54,7 +57,9 @@ def halton(dim: int, count: int, seed: int = 0) -> np.ndarray:
 def scale(unit: np.ndarray, intervals: Sequence) -> np.ndarray:
     """The leading len(intervals) columns of the unit design ``unit``, column j
     mapped onto intervals[j].  ``halton(d, c, s)`` is bitwise the first d
-    columns of ``halton(D, c, s)`` for d <= D, so one design serves every box."""
+    columns of ``halton(D, c, s)`` for d <= D, so one design serves every box.
+    The map is elementwise, so a column-major design gives a column-major box,
+    one streaming pass per column."""
     intervals = np.asarray(intervals, dtype=float)
     return intervals[:, 0] + unit[:, : len(intervals)] * (intervals[:, 1] - intervals[:, 0])
 

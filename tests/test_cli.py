@@ -11,7 +11,7 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ksfield import cli, cli_solve, expr, modelfile, sampling, solver
+from ksfield import cli, cli_solve, cli_symmetry, expr, modelfile, sampling, solver
 from ksfield.cli import main
 from ksfield.expr import evaluate_batch, parse
 from ksfield.modelfile import (
@@ -485,7 +485,7 @@ class TestSolve:
         path = tmp_path / "short.yaml"
         path.write_text(text)
         assert main([argv[0], str(path), *argv[1:]]) == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr() == ("", f"error: {message}\n")  # no current printed first
         assert runs == []
 
     def test_analytic_solution_rejected(self, wave_file):
@@ -687,11 +687,21 @@ class TestNoether:
         assert report["rejection"]["max_residual"] == pytest.approx(1.97, abs=0.01)
         assert capsys.readouterr().out == f"current rejected: {message}\n"
 
-    def test_solution_on_the_other_side_exits_two(self, capsys):
+    # noether checks --solution before it builds the current, as solve does
+    def test_solution_on_the_other_side_exits_two(self, capsys, monkeypatch):
+        built = recording(monkeypatch, cli_symmetry, "noether_current")
         path = Path(__file__).resolve().parent / "models" / "rotation.yaml"
         argv = ["noether", str(path), "--symmetry", "rot_l", "--solution", "closed_form_h"]
         assert main(argv) == 2
-        assert capsys.readouterr().err == "error: solution and current live on different sides\n"
+        assert capsys.readouterr() == ("", "error: solution and current live on different sides\n")
+        assert built == []
+
+    def test_unknown_solution_exits_two_before_the_current_is_built(self, capsys, monkeypatch):
+        built = recording(monkeypatch, cli_symmetry, "noether_current")
+        argv = ["noether", str(MODELS / "wave.yaml"), "--symmetry", "shift", "--solution", "nosuch"]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: model declares no solution named 'nosuch'\n")
+        assert built == []
 
     @pytest.mark.parametrize("solution, condition", [
         ("closed_form", "analytic_divergence"), ("orbit", "grid_divergence"),

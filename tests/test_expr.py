@@ -1,6 +1,7 @@
 """Expression kernel: parsing, differentiation, evaluation."""
 
 import gc
+import itertools
 import math
 import sys
 
@@ -312,20 +313,16 @@ class TestDiff:
                 assert abs(x - y) <= 1e-10 * max(1.0, abs(x), abs(y))
 
 
-@given(
-    st.integers(min_value=-3, max_value=3),
-    st.integers(min_value=-3, max_value=3),
-    st.integers(min_value=-3, max_value=3),
-)
-@settings(max_examples=60, deadline=None)
-def test_polynomial_diff_is_exact(a, b, c):
-    # d/dx (a x^3 + b x^2 + c x) = 3a x^2 + 2b x + c, checked pointwise
+def test_polynomial_diff_is_exact():
+    # d/dx (a x^3 + b x^2 + c x) = 3a x^2 + 2b x + c, checked pointwise for
+    # every integer coefficient triple in [-3, 3]
     x = Var("q1")
-    e = add(add(mul(Num(float(a)), pow_int(x, 3)), mul(Num(float(b)), pow_int(x, 2))), mul(Num(float(c)), x))
-    d = diff(e, "q1")
-    for point in (-1.5, -0.25, 0.0, 0.75, 2.0):
-        expected = 3 * a * point**2 + 2 * b * point + c
-        assert evaluate(d, {"q1": point}) == pytest.approx(expected, abs=1e-12)
+    for a, b, c in itertools.product(range(-3, 4), repeat=3):
+        cubic = add(mul(Num(float(a)), pow_int(x, 3)), mul(Num(float(b)), pow_int(x, 2)))
+        d = diff(add(cubic, mul(Num(float(c)), x)), "q1")
+        for point in (-1.5, -0.25, 0.0, 0.75, 2.0):
+            expected = 3 * a * point**2 + 2 * b * point + c
+            assert evaluate(d, {"q1": point}) == pytest.approx(expected, abs=1e-12)
 
 
 class TestSubstitute:
@@ -533,6 +530,28 @@ def test_walk_matches_compiled_code_bit_for_bit(dag, rows):
             assert type(got) is type(want)
         got, want = np.asarray(got), np.asarray(want)
         assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+@given(_dags(), _rows)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_evaluate_batch_is_column_major_for_either_input_layout(dag, rows):
+    # row-major and column-major copies of the same points give the same
+    # bytes in a column-major matrix, or the same DomainError
+    names, roots = dag
+    points = np.array([row[: len(names)] for row in rows])
+    outcomes = []
+    for order in "CF":
+        try:
+            outcomes.append(evaluate_batch(roots, names, np.asarray(points, order=order)))
+        except DomainError as exc:
+            outcomes.append(str(exc))
+    row_major, column_major = outcomes
+    if isinstance(row_major, str):
+        assert row_major == column_major
+        return
+    for out in outcomes:
+        assert out.shape == (len(rows), len(roots)) and out.flags.f_contiguous
+    assert row_major.tobytes() == column_major.tobytes()
 
 
 class TestInternedDag:

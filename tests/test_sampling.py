@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ksfield.coords import VarTable
-from ksfield.sampling import _primes, halton, sample_points
+from ksfield.sampling import _primes, halton, sample_points, scale
 
 
 def scalar_halton(dim, count, seed=0):
@@ -59,3 +59,14 @@ def test_sample_points_span_the_box_in_chart_order():
     assert rows.shape == (25, table.dim_total)
     assert np.all((rows[:, 0] >= 0.0) & (rows[:, 0] < 3.0))
     assert np.all((rows[:, 1:] >= -1.0) & (rows[:, 1:] < 1.0))  # the default box
+
+
+def test_design_and_its_boxes_are_column_major():
+    # each coordinate's values are contiguous, from the design to the box
+    unit = halton(9, 1000, 3)
+    assert unit.flags.f_contiguous and not unit.flags.c_contiguous
+    box = scale(unit, [(0.0, 3.0), (-1.0, 1.0), (2.0, 5.0)])
+    assert box.flags.f_contiguous and not box.flags.c_contiguous
+    rows = scale(np.ascontiguousarray(unit), [(0.0, 3.0), (-1.0, 1.0), (2.0, 5.0)])
+    assert box.tobytes() == rows.tobytes()  # the same values, whatever the layout
+    assert sample_points(VarTable(2, 2), "lagrangian", 25, seed=5).flags.f_contiguous

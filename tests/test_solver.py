@@ -305,6 +305,21 @@ class TestIntegrateK2:
         with pytest.warns(CFLWarning):
             run_wave(wave_model, wave_grid(nodes=64, steps=8, ratio=2.0))
 
+    def test_cfl_warning_of_a_huge_step_is_short(self, wave_model):
+        # c*h1/h2 is about 1.6e299: its repr, not 300 digits
+        grid = GridSpec((Axis(0.0, 1.0e300, 1.0e299), Axis(0.0, TWO_PI, TWO_PI / 10)))
+        with pytest.warns(CFLWarning, match=r"^CFL bound exceeded: c\*h1/h2 = 1\.59\d*e\+299 > 1$"):
+            with pytest.raises(SolverError, match="^non-finite field at step 1; step rejected$"):
+                run_wave(wave_model, grid)
+
+    def test_cfl_warning_just_past_the_bound_reads_past_one(self, wave_model):
+        grid = wave_grid(nodes=64, steps=8, ratio=1.0 + 1e-9)
+        with pytest.warns(CFLWarning) as caught:
+            run_wave(wave_model, grid)
+        message = str(caught[0].message)
+        margin = message.removeprefix("CFL bound exceeded: c*h1/h2 = ").removesuffix(" > 1")
+        assert len(margin) < 25 and float(margin) > 1.0
+
     # the leapfrog tests levels for finiteness 32 at a time and at the last
     # level; the step named is the first non-finite level wherever it falls
     @pytest.mark.parametrize("steps, ratio, step", [

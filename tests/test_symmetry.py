@@ -482,3 +482,33 @@ class TestLegendreCorrespondence:
         f_l = evaluate_batch(current_l.components, table.velocity_chart, jets)
         f_h = evaluate_batch(current_h.components, table.momentum_chart, images)
         assert largest_abs(f_l - f_h) <= 1e-12
+
+
+class TestSampleLayout:
+    """Sample matrices are column-major; a row-major copy of the same points
+    gives the same reports, bit for bit, since every sum whose order can
+    follow the layout reads row-major operands either way."""
+
+    def test_cartan_reports(self, rotational_model):
+        table = rotational_model.table
+        Y = complete_lift(VectorFieldQ(table, (parse("q1*q2", table.q_names),
+                                               parse("sin(q1)", table.q_names))))
+        samples = sample_points(table, "lagrangian", 500, seed=8)
+        assert samples.flags.f_contiguous and not samples.flags.c_contiguous
+        reports = check_cartan(Y, rotational_model, samples)
+        assert not all_pass(reports)  # non-zero residuals, so the bytes say something
+        assert reports == check_cartan(Y, rotational_model, np.ascontiguousarray(samples))
+
+    def test_cartan_diffeomorphism_reports(self, rotational_model):
+        # a shear along q2: its Jacobians vary over the samples
+        table = rotational_model.table
+        shear = DiffeoQ(table, (parse("q1 + q2^2", table.q_names), Var("q2")),
+                        (parse("q1 - q2^2", table.q_names), Var("q2")))
+        Phi = tangent_prolongation(shear)
+        samples = sample_points(table, "lagrangian", 500, seed=9)
+        assert Phi.jacobians(samples).flags.c_contiguous  # the stacks the products read
+        reports = check_cartan_diffeomorphism(Phi, rotational_model, samples)
+        assert not all_pass(reports)
+        assert reports == check_cartan_diffeomorphism(
+            Phi, rotational_model, np.ascontiguousarray(samples)
+        )
