@@ -23,7 +23,7 @@ from .expr import (
     substitute,
     total,
 )
-from .forms import VectorField, largest_abs
+from .forms import VectorField, judge
 from .records import InputError, Record
 
 
@@ -177,10 +177,10 @@ class DiffeoQ(Record, frozen=True):
 def _round_trip(forward, inverse, names, rows, tol: float) -> float:
     """Max |forward(inverse(x)) - x| over the rows; BundleError above tol."""
     back = evaluate_batch(forward, names, evaluate_batch(inverse, names, rows))
-    worst = largest_abs(back - rows)
-    if worst > tol:
-        raise BundleError(f"declared inverse fails round-trip: residual {worst:.3e}")
-    return worst
+    report = judge("inverse_round_trip", tol, back - rows)
+    if not report.passed:
+        raise BundleError(f"declared inverse fails round-trip: residual {report.max_residual:.3e}")
+    return report.max_residual
 
 
 class TotalMap(Record, frozen=True):

@@ -25,6 +25,7 @@ import numpy as np
 
 from .bundles import fold_constant
 from .expr import to_source
+from .forms import judge
 from .hamiltonian import ham_kvector, kvector_equation_residual
 from .lagrangian import energy, hessian_entries, legendre, poincare_cartan_form, velocity_hessian
 from .modelfile import AnalyticSolution, ModelSpec, load_model
@@ -219,13 +220,13 @@ def cmd_analyze(args) -> int:
         model = spec.hamiltonian
         samples = _samples(spec, "hamiltonian")
         residuals = kvector_equation_residual(model, samples, ham_kvector(model, samples))
-        worst = float(np.max(residuals, initial=0.0))
+        kvector = judge("kvector", spec.tol("kvector"), residuals)
         report["hamiltonian"] = {
             "hamiltonian": to_source(model.H),
-            "kvector_residual": worst,
-            "kvector_pass": worst <= spec.tol("kvector"),
+            "kvector_residual": kvector.max_residual,
+            "kvector_pass": kvector.passed,
         }
-        print(f"hamiltonian field-equation residual: {worst:.3e}")
+        print(f"hamiltonian field-equation residual: {kvector.max_residual:.3e}")
 
     _emit(report, args.out, "analyze.json")
     return 0

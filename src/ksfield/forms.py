@@ -14,7 +14,7 @@ from typing import Mapping
 import numpy as np
 
 from .expr import Expr, Num, add, diff, evaluate_batch, is_zero_expr, mul, neg, sub, substitute, total
-from .records import Record
+from .records import Record, Report
 
 
 class VectorField(Record, frozen=True):
@@ -129,11 +129,16 @@ def pullback_one_form(chart: tuple, map_components: tuple, beta: OneForm) -> One
     ))
 
 
-def largest_abs(values) -> float:
-    """max |value| over an array of any shape, 0.0 when it is empty."""
-    return float(np.max(np.abs(values), initial=0.0))
+def judge(condition: str, tol: float, residuals, details=None) -> Report:
+    """The sampled verdict on ``residuals``, an array whose first axis is the sample row.
 
-
-def max_abs(exprs, names, points) -> float:
-    """Largest |value| of the expressions over the rows of ``points``."""
-    return largest_abs(evaluate_batch(exprs, names, points))
+    The report carries the largest |residual| (0.0 when there are none), the
+    lowest row attaining it, and ``passed`` iff it is <= tol, so a NaN fails.
+    """
+    # row-major magnitudes: the first maximum in memory order lies in the lowest row
+    magnitudes = np.abs(residuals, order="C")
+    worst, row = 0.0, None
+    if magnitudes.size:
+        index = int(np.argmax(magnitudes))  # a NaN counts as the maximum
+        worst, row = float(magnitudes.flat[index]), index // (magnitudes.size // len(magnitudes))
+    return Report(condition, worst, len(magnitudes), worst <= tol, details or {}, worst_row=row)

@@ -17,7 +17,7 @@ import numpy as np
 from .bundles import point_rows
 from .coords import VarTable
 from .expr import Expr, Num, Var, add, diff, evaluate_batch, mul, sub, substitute, to_source, total
-from .forms import largest_abs, max_abs
+from .forms import judge
 from .lagrangian import LagrangianModel, el_residual
 from .records import CheckFailure, Record, Report
 
@@ -92,17 +92,9 @@ def gauge_compare(
     for a, name_a in enumerate(table.v_names):
         first = diff(D, name_a)
         for name_b in table.v_names[a:]:
-            worst, at = _argmax_abs(diff(first, name_b), chart, rows)
-            if worst > tol:
-                return GaugeVerdict(
-                    "inequivalent",
-                    witness={
-                        "reason": "two_forms_differ",
-                        "entry": f"d2(L1-L2)/d{name_a} d{name_b}",
-                        "value": worst,
-                        "point": at,
-                    },
-                )
+            report = judge("two_forms_differ", tol, evaluate_batch([diff(first, name_b)], chart, rows))
+            if not report.passed:
+                return _witness(report, rows, entry=f"d2(L1-L2)/d{name_a} d{name_b}")
 
     # (2) base one-form coefficients from the v = 0 slice
     zero_v = _zero_velocity_map(table)
@@ -118,49 +110,39 @@ def gauge_compare(
         for i in range(table.n):
             for j in range(i + 1, table.n):
                 curl = sub(diff(alpha[A][i], table.q(j)), diff(alpha[A][j], table.q(i)))
-                worst, at = _argmax_abs(curl, chart, rows)
-                if worst > closedness_tol:
-                    return GaugeVerdict(
-                        "inequivalent",
-                        witness={
-                            "reason": "alpha_not_closed",
-                            "entry": f"d(alpha^{A + 1})[{i + 1},{j + 1}]",
-                            "value": worst,
-                            "point": at,
-                        },
-                    )
+                report = judge("alpha_not_closed", closedness_tol, evaluate_batch([curl], chart, rows))
+                if not report.passed:
+                    return _witness(report, rows, entry=f"d(alpha^{A + 1})[{i + 1},{j + 1}]")
 
     # (4) the remainder must be constant, or the energies separate
     remainder = substitute(D, zero_v)
-    worst_grad = max_abs([diff(remainder, table.q(i)) for i in range(table.n)], chart, rows)
+    gradient = [diff(remainder, table.q(i)) for i in range(table.n)]
+    energies = judge("energies_differ", tol, evaluate_batch(gradient, chart, rows))
     c = float(evaluate_batch([remainder], chart, rows[:1])[0, 0])
-    if worst_grad > tol:
+    if not energies.passed:
         diagnostic = GaugeDecomposition(alpha, sub(remainder, Num(c)), c)
         return GaugeVerdict(
             "inequivalent",
             decomposition=diagnostic,
-            witness={"reason": "energies_differ", "value": worst_grad},
+            witness={"reason": "energies_differ", "value": energies.max_residual},
         )
 
     decomposition = GaugeDecomposition(alpha, Num(0.0), c)
     reconstruction = sub(D, add(decomposition.alpha_hat(table), Num(c)))
-    worst, at = _argmax_abs(reconstruction, chart, rows)
-    if worst > tol:
-        return GaugeVerdict(
-            "inequivalent",
-            witness={"reason": "reconstruction_failed", "value": worst, "point": at},
-        )
+    report = judge("reconstruction_failed", tol, evaluate_batch([reconstruction], chart, rows))
+    if not report.passed:
+        return _witness(report, rows)
 
-    alpha_size = max_abs([coeff for row in alpha for coeff in row], chart, rows)
-    kind = "strict" if alpha_size <= tol else "gauge"
-    return GaugeVerdict(kind, decomposition=decomposition)
+    coeffs = [coeff for row in alpha for coeff in row]
+    strict = judge("strict", tol, evaluate_batch(coeffs, chart, rows)).passed
+    return GaugeVerdict("strict" if strict else "gauge", decomposition=decomposition)
 
 
-def _argmax_abs(e: Expr, chart: tuple, rows: np.ndarray):
-    """Largest |e| over the rows and the coordinates of the first row attaining it."""
-    values = evaluate_batch([e], chart, rows)[:, 0]
-    index = int(np.argmax(np.abs(values)))
-    return float(abs(values[index])), [float(x) for x in rows[index]]
+def _witness(report: Report, rows, **fields) -> GaugeVerdict:
+    """Inequivalence witnessed by a failed check at its worst sample row."""
+    point = rows[report.worst_row].tolist()
+    return GaugeVerdict("inequivalent", witness=dict(
+        fields, reason=report.condition, value=report.max_residual, point=point))
 
 
 def verify_same_solutions(
@@ -175,5 +157,4 @@ def verify_same_solutions(
         raise GaugeError("models use different coordinate tables")
     t_rows = point_rows(t_samples, L1.table.k)
     gap = el_residual(L1, phi, t_rows) - el_residual(L2, phi, t_rows)
-    worst = largest_abs(gap)
-    return Report("equal_field_equation_residuals", worst, len(t_rows), worst <= tol)
+    return judge("equal_field_equation_residuals", tol, gap)

@@ -15,7 +15,7 @@ import numpy as np
 from .bundles import Section, fold_constant, point_rows
 from .coords import VarTable
 from .expr import Expr, Num, Var, diff, evaluate_batch, free_vars, mul, sub, total
-from .forms import OneForm, TwoForm, d_one
+from .forms import OneForm, TwoForm, d_one, judge
 from .records import CheckFailure, Record
 
 
@@ -198,10 +198,10 @@ def sopde_solve(model: LagrangianModel, w, residual_tol: float = 1e-9):
     pinv = fold_constant(lambda m: np.linalg.pinv(m, rcond=rcond), hessian_entries(model), scaled)
     s = (pinv @ rhs[:, :, None])[:, :, 0] / weights
 
-    residual = float(np.max(np.abs(np.einsum("nic,nc->ni", M, s) - rhs))) if rhs.size else 0.0
-    if residual > residual_tol:
+    report = judge("sopde_residual", residual_tol, np.einsum("nic,nc->ni", M, s) - rhs)
+    if not report.passed:
         raise RegularityError(
-            f"no symmetric vertical coefficients within tolerance: residual {residual:.3e}"
+            f"no symmetric vertical coefficients within tolerance: residual {report.max_residual:.3e}"
         )
 
     legs = np.zeros((count, k, table.dim_total))  # legs[N, A, slot]

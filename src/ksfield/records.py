@@ -83,6 +83,7 @@ class Report(Record):
     passed: bool
     details: dict = {}
     trace: Optional[object] = None  # grid conservation only (a solver.CurrentTrace); not reported
+    worst_row: Optional[int] = None  # the lowest sample row attaining max_residual; not reported
 
     def as_dict(self) -> dict:
         out = {

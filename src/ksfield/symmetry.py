@@ -32,9 +32,8 @@ from .forms import (
     contract_two,
     d_function,
     d_one,
+    judge,
     lie_derivative_one,
-    largest_abs,
-    max_abs,
 )
 from .hamiltonian import (
     HamiltonianModel,
@@ -126,11 +125,9 @@ def check_cartan(Y, model, samples, tol: float = 1e-9):
         for A in range(model.table.k)
         for e in d_one(contract_two(Y, side.omega(A))).entries.values()
     ]
-    worst_omega = max_abs(lie, Y.chart, rows)
-    worst_scalar = max_abs([Y.apply(side.scalar())], Y.chart, rows)
     return [
-        Report("lie_derivative_two_forms", worst_omega, len(rows), worst_omega <= tol),
-        Report(side.invariance, worst_scalar, len(rows), worst_scalar <= tol),
+        judge("lie_derivative_two_forms", tol, evaluate_batch(lie, Y.chart, rows)),
+        judge(side.invariance, tol, evaluate_batch([Y.apply(side.scalar())], Y.chart, rows)),
     ]
 
 
@@ -150,18 +147,22 @@ def check_cartan_diffeomorphism(Phi: TotalMap, model, samples, tol: float = 1e-9
     J = Phi.jacobians(rows)
     images = Phi.images(rows)
     derivatives = [diff(comp, name) for comp in Phi.components for name in chart]
-    worst_omega = 0.0
-    for A in range(Phi.table.k):
+
+    def pullback_gap(A):  # |Phi^* omega^A - omega^A|, written over omega^A's own stack
         omega = side.omega(A)
         pulled = fold_constant(lambda jac, image: np.swapaxes(jac, 1, 2) @ image @ jac,
                                derivatives + list(omega.entries.values()), J, omega.matrices(images))
-        worst_omega = max(worst_omega, largest_abs(pulled - omega.matrices(rows)))
+        gap = omega.matrices(rows)
+        return np.abs(np.subtract(pulled, gap, out=gap), out=gap)
+    gaps = pullback_gap(0)
+    for A in range(1, Phi.table.k):  # one gap at a time into the first, never stacked
+        np.maximum(gaps, pullback_gap(A), out=gaps)  # which keeps a NaN
     scalar = side.scalar()
     gap = sub(substitute(scalar, dict(zip(chart, Phi.components))), scalar)
-    worst_grad = max_abs([diff(gap, name) for name in chart], chart, rows)
     return [
-        Report("pullback_two_forms", worst_omega, len(rows), worst_omega <= tol),
-        Report("scalar_invariance_up_to_constant", worst_grad, len(rows), worst_grad <= tol),
+        judge("pullback_two_forms", tol, gaps),
+        judge("scalar_invariance_up_to_constant", tol,
+              evaluate_batch([diff(gap, name) for name in chart], chart, rows)),
     ]
 
 
@@ -199,11 +200,14 @@ def noether_current(
     rows = point_rows(samples, len(chart))
     thetas = [side.theta(A) for A in range(table.k)]
 
+    def require(residuals, message):
+        report = judge(message, tol, evaluate_batch(residuals, chart, rows))
+        if not report.passed:
+            raise CurrentRejection(message, report.max_residual)
+
     if natural and side.name == "lagrangian":
         quasi_invariance = sub(Y.apply(model.L), tulczyjew_derivative(table, zeta))
-        residual = max_abs([quasi_invariance], chart, rows)
-        if residual > tol:
-            raise CurrentRejection("Z does not leave L quasi-invariant: Z^C(L) != d_T g", residual)
+        require([quasi_invariance], "Z does not leave L quasi-invariant: Z^C(L) != d_T g")
     else:
         reports = check_cartan(Y, model, rows, tol)
         if not all_pass(reports):
@@ -212,17 +216,13 @@ def noether_current(
         defects = []
         for A, theta in enumerate(thetas):
             defects += _one_form_gap(lie_derivative_one(Y, theta), d_function(zeta[A], chart))
-        worst_zeta = max_abs(defects, chart, rows)
-        if worst_zeta > tol:
-            raise CurrentRejection("zeta does not satisfy L(Y) theta^A = d zeta^A", worst_zeta)
+        require(defects, "zeta does not satisfy L(Y) theta^A = d zeta^A")
 
     components = [sub(contract_one(Y, theta), zeta[A]) for A, theta in enumerate(thetas)]
     defects = []
     for A in range(table.k):
         defects += _one_form_gap(contract_two(Y, side.omega(A)), d_function(components[A], chart))
-    worst = max_abs(defects, chart, rows)
-    if worst > tol:
-        raise CurrentRejection("constructed current fails i(Y) omega = df", worst)
+    require(defects, "constructed current fails i(Y) omega = df")
     provenance = "natural-lift" if natural else "user-supplied"
     return NoetherCurrent(tuple(components), side.name, provenance)
 
@@ -282,8 +282,7 @@ def verify_conservation(
     if t_samples is None:
         raise SymmetryError("analytic mode needs t samples")
     t_rows = point_rows(t_samples, table.k)
-    worst = max_abs([divergence], table.t_names, t_rows)
-    return Report("analytic_divergence", worst, len(t_rows), worst <= tol)
+    return judge("analytic_divergence", tol, evaluate_batch([divergence], table.t_names, t_rows))
 
 
 def verify_bracket_theorem(
@@ -298,8 +297,7 @@ def verify_bracket_theorem(
     legs = side.legs(rows)  # (N, k, dim)
     gradients = [diff(f_A, name) for f_A in current.components for name in chart]
     values = evaluate_batch(gradients, chart, rows).reshape(legs.shape)
-    worst = largest_abs(np.sum(legs * values, axis=(1, 2)))
-    return Report("kvector_bracket_sum", worst, len(rows), worst <= tol)
+    return judge("kvector_bracket_sum", tol, np.sum(legs * values, axis=(1, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +308,7 @@ def check_symmetry_by_transport(
     model,
     section: Section,
     t_samples: np.ndarray,
-    tol: Optional[float] = None,
+    tol: float = 1e-10,
 ):
     """Map a solution through Phi and measure the field-equation residual of
     the image; the pass tolerance follows the input solution's own residual
@@ -319,30 +317,15 @@ def check_symmetry_by_transport(
     side = _side(model)
     t_rows = point_rows(t_samples, table.k)
     image = Section(table, section.side, tuple(map(section.restrict, Phi.components)))
-    input_res = largest_abs(side.residual(section, t_rows))
-    image_res = largest_abs(side.residual(image, t_rows))
-    threshold = max(tol if tol is not None else 1e-10, 10.0 * input_res)
-    reports = [
-        Report(
-            "transport_field_equations",
-            image_res,
-            len(t_rows),
-            image_res <= threshold,
-            {"input_residual": input_res},
-        )
-    ]
+    input_res = judge("transport_input", tol, side.residual(section, t_rows)).max_residual
+    threshold = max(tol, 10.0 * input_res)
+    reports = [judge("transport_field_equations", threshold, side.residual(image, t_rows),
+                     {"input_residual": input_res})]
     if side.name == "lagrangian":
         # the image must itself be a first prolongation: fiber components of the
         # image agree with the t-derivatives of its base part
         holonomic = Section.prolongation(table, image.base).components
         gaps = [sub(a, b) for a, b in zip(holonomic[table.n:], image.components[table.n:])]
-        worst_prolong = max_abs(gaps, table.t_names, t_rows)
-        reports.append(
-            Report(
-                "transport_prolongation_consistency",
-                worst_prolong,
-                len(t_rows),
-                worst_prolong <= threshold,
-            )
-        )
+        reports.append(judge("transport_prolongation_consistency", threshold,
+                             evaluate_batch(gaps, table.t_names, t_rows)))
     return reports

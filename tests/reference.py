@@ -20,6 +20,9 @@ three-form, and the Cartan formula L(Y) omega = i(Y) d omega + d(i(Y) omega)
 for any two-form) is an oracle: the library's checks read only exact
 two-forms, whose Lie derivative is d(i(Y) omega).  A three-form is a
 :class:`ksfield.forms.Form` keyed by (a, b, c) with a < b < c.
+
+``max_abs`` is the plain reduction that every sampled verdict's value must
+reproduce.
 """
 
 import math
@@ -93,6 +96,11 @@ def evaluate(e, at, row=None) -> float:
     if not math.isfinite(value):
         raise DomainError(f"non-finite result {value!r}")
     return value
+
+
+def max_abs(values) -> float:
+    """max |value| over an array of any shape, 0.0 when it is empty."""
+    return float(np.max(np.abs(values), initial=0.0))
 
 
 def leapfrog(model, phi0, phidot0, grid):

@@ -23,7 +23,6 @@ from ksfield.expr import Num, Var, add, evaluate_batch, mul, parse, sub
 from ksfield.forms import (
     OneForm,
     lie_derivative_one,
-    max_abs,
     pullback_one_form,
 )
 from ksfield.hamiltonian import (
@@ -44,7 +43,7 @@ from ksfield.modelfile import load_model
 from ksfield.sampling import sample_parameters, sample_points
 
 from conftest import hamiltonian_model, lagrangian_model, prolong, rotation_field
-from reference import evaluate, lie_derivative_two
+from reference import evaluate, lie_derivative_two, max_abs
 
 
 T12 = VarTable(1, 2)
@@ -176,11 +175,12 @@ class TestCotangentLift:
             rows = sample_points(T22, "hamiltonian", 100, seed=trial)
             for A in range(2):
                 theta = canonical_one_form(T22, A)
-                residual = max_abs(lie_derivative_one(Y, theta).coeffs, theta.chart, rows)
+                lie_theta = lie_derivative_one(Y, theta).coeffs
+                residual = max_abs(evaluate_batch(lie_theta, theta.chart, rows))
                 assert residual <= 1e-9
                 omega = canonical_two_form(T22, A)
                 lie = lie_derivative_two(Y, omega)
-                residual2 = max_abs(tuple(lie.entries.values()), omega.chart, rows)
+                residual2 = max_abs(evaluate_batch(tuple(lie.entries.values()), omega.chart, rows))
                 assert residual2 <= 1e-9
 
 
@@ -276,7 +276,7 @@ class TestProlongedDiffeos:
                 chart,
                 tuple(map(sub, pulled.coeffs, theta.coeffs)),
             )
-            assert max_abs(gap.coeffs, chart, points) <= 1e-12
+            assert max_abs(evaluate_batch(gap.coeffs, chart, points)) <= 1e-12
 
 
 class TestPullbackByProlongation:

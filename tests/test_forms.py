@@ -1,7 +1,14 @@
-"""Exterior calculus building blocks, pinned against hand computations."""
+"""Exterior calculus building blocks, pinned against hand computations, and
+the sampled-verdict rule, pinned against the plain reduction."""
+
+import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from ksfield.expr import Num, Var, evaluate_batch, parse
 from ksfield.forms import (
@@ -12,10 +19,12 @@ from ksfield.forms import (
     contract_two,
     d_function,
     d_one,
+    judge,
     lie_bracket,
     lie_derivative_one,
 )
-from reference import ThreeForm, contract_three, d_two, evaluate, lie_derivative_two
+from ksfield.records import Report
+from reference import ThreeForm, contract_three, d_two, evaluate, lie_derivative_two, max_abs
 
 CHART = ("x", "y", "z")
 
@@ -169,3 +178,74 @@ class TestBracket:
         for _ in range(5):
             point = row(*rng.uniform(-1, 1, 3))
             assert at(B12.components, point) == pytest.approx(-at(B21.components, point), abs=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# the sampled-verdict rule
+
+# few distinct magnitudes, so maxima tie within and across rows
+_ENTRIES = st.sampled_from([0.0, -0.0, 0.5, -0.5, 2.0, -2.0]) | st.floats(-4.0, 4.0)
+_RESIDUALS = arrays(np.float64, array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=4),
+                    elements=_ENTRIES)
+_LAYOUTS = st.sampled_from(["C", "F", "strided"])
+_TOLS = st.sampled_from([0.0, 0.5, 2.0, 4.0])
+
+
+def laid_out(values, layout):
+    """A copy of ``values`` in one memory layout; "strided" is every other
+    entry of a larger array whose skipped entries would win any maximum."""
+    if layout != "strided":
+        return values.copy(order=layout)
+    every_other = (slice(None, None, 2),) * values.ndim
+    spread = np.full(tuple(2 * side for side in values.shape), 1e300)
+    spread[every_other] = values
+    return spread[every_other]
+
+
+def lowest_worst_row(values):
+    """The lowest row holding the largest |entry| (a NaN counts as the largest), or None."""
+    if not values.size:
+        return None
+    magnitudes = [np.abs(row) for row in values]
+    if np.isnan(values).any():
+        return next(r for r, m in enumerate(magnitudes) if np.isnan(m).any())
+    return next(r for r, m in enumerate(magnitudes) if (m == max_abs(values)).any())
+
+
+class TestJudge:
+    @given(_RESIDUALS, _LAYOUTS, _TOLS)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_matches_the_plain_reduction(self, values, layout, tol):
+        report = judge("c", tol, laid_out(values, layout))
+        worst = max_abs(values)
+        assert struct.pack("<d", report.max_residual) == struct.pack("<d", worst)
+        assert report.sample_count == len(values)
+        assert report.passed is (worst <= tol)
+        assert report.worst_row == lowest_worst_row(values)
+        for other in ("C", "F"):
+            assert judge("c", tol, values.copy(order=other)) == report
+
+    @given(_RESIDUALS.filter(lambda v: v.size), _LAYOUTS, st.data())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_a_nan_fails_wherever_it_sits(self, values, layout, data):
+        def index():
+            return data.draw(st.tuples(*(st.integers(0, side - 1) for side in values.shape)))
+        values = values.copy()
+        values[index()] = 1e300
+        values[index()] = math.nan
+        report = judge("c", math.inf, laid_out(values, layout))
+        assert math.isnan(report.max_residual)
+        assert not report.passed
+        assert report.worst_row == lowest_worst_row(values)
+
+    def test_no_rows_pass_with_no_row(self):
+        for empty in (np.zeros(0), np.zeros((0, 3)), np.zeros((0, 2, 2), order="F")):
+            assert judge("c", 0.0, empty) == Report("c", 0.0, 0, True)
+        assert judge("c", 0.0, np.zeros((4, 0))) == Report("c", 0.0, 4, True)
+
+    def test_signed_zeros_and_the_tolerance_itself_pass(self):
+        assert judge("c", 0.0, np.array([[0.0, -0.0], [-0.0, 0.0]])) == Report(
+            "c", 0.0, 2, True, worst_row=0)
+        at_tol = judge("c", 0.25, np.array([[0.125], [-0.25], [0.25]]))
+        assert at_tol == Report("c", 0.25, 3, True, worst_row=1)
+        assert not judge("c", 0.25, np.array([0.25, np.nextafter(0.25, 1.0)])).passed

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from ksfield.bundles import DiffeoQ, tangent_prolongation
-from ksfield.expr import DomainError, Num, add, diff, mul, parse, sub, substitute
-from ksfield.forms import max_abs, pullback_one_form
+from ksfield.expr import DomainError, Num, add, diff, evaluate_batch, mul, parse, sub, substitute
+from ksfield.forms import pullback_one_form
 from ksfield.gauge import GaugeError, gauge_compare, verify_same_solutions
 from ksfield.lagrangian import (
     LagrangianModel,
@@ -18,7 +18,7 @@ from ksfield.sampling import sample_parameters, sample_points
 from ksfield.symmetry import all_pass, check_cartan_diffeomorphism
 
 from conftest import lagrangian_model
-from reference import evaluate
+from reference import evaluate, max_abs
 
 
 def samples_for(model, count=60, seed=0):
@@ -35,6 +35,15 @@ def reconstruction_residual(L1, L2, verdict, samples):
         abs(evaluate(rebuilt, table.velocity_chart, w) - evaluate(L1.L, table.velocity_chart, w))
         for w in samples
     )
+
+
+def assert_witnessed_at_worst_row(verdict, entry, samples, chart):
+    """The witness point is a sample row, |entry| there is the witness value,
+    and no sample row exceeds it."""
+    point, value = verdict.witness["point"], verdict.witness["value"]
+    assert point in samples.tolist()
+    assert abs(evaluate(entry, chart, point)) == pytest.approx(value, rel=1e-12, abs=0)
+    assert max(abs(evaluate(entry, chart, w)) for w in samples) <= value * (1 + 1e-12)
 
 
 class TestGaugeCompare:
@@ -74,7 +83,28 @@ class TestGaugeCompare:
         verdict = gauge_compare(wave_model, L2, samples)
         assert verdict.kind == "inequivalent"
         assert verdict.witness["reason"] == "two_forms_differ"
-        assert verdict.witness["point"] is not None
+        second = diff(diff(sub(wave_model.L, L2.L), "v1_1"), "v1_1")
+        assert_witnessed_at_worst_row(verdict, second, samples, wave_model.table.velocity_chart)
+
+    @pytest.mark.parametrize("reason, n, extra, scale, tol, entry", [
+        ("two_forms_differ", 1, "q1*v1_1^2", 1.0, 1e-9, lambda D: diff(diff(D, "v1_1"), "v1_1")),
+        # alpha^1 = (-q1 q2, 0), so d(alpha^1)[1,2] = d(-q1 q2)/dq2
+        ("alpha_not_closed", 2, "q1*q2*v1_1", 1.0, 1e-9, lambda D: diff(diff(D, "v1_1"), "q2")),
+        # velocities up to 10: d2(v^3)/dv^2 = 6 v stays under the tolerance where
+        # v^3 does not; alpha = 0 and c = 0 at v = 0, so the reconstruction gap is D
+        ("reconstruction_failed", 1, "v1_1^3", 10.0, 100.0, lambda D: D),
+    ])
+    def test_witness_is_the_worst_sample_row(self, reason, n, extra, scale, tol, entry):
+        # each failing entry varies over the samples, so its worst row is a real choice
+        free = " + ".join(f"v{i}_1^2 - v{i}_2^2" for i in range(1, n + 1))
+        L1 = lagrangian_model(n, 2, f"({free})/2")
+        L2 = lagrangian_model(n, 2, f"({free})/2 + {extra}")
+        samples = scale * samples_for(L1)
+        verdict = gauge_compare(L1, L2, samples, tol=tol)
+        assert verdict.kind == "inequivalent"
+        assert verdict.witness["reason"] == reason
+        chart = L1.table.velocity_chart
+        assert_witnessed_at_worst_row(verdict, entry(sub(L1.L, L2.L)), samples, chart)
 
     def test_first_differing_entry_decides_before_a_later_domain_error(self, wave_model):
         # d2/dv1_1^2 differs everywhere; d2/dv1_2^2 of sqrt(v1_2) leaves its
@@ -226,7 +256,7 @@ class TestGaugeSymmetryLink:
             )
             rhs = poincare_cartan_form(pulled_model, A)
             gap_coeffs = tuple(map(sub, lhs.coeffs, rhs.coeffs))
-            assert max_abs(gap_coeffs, chart, rows) <= 1e-9
+            assert max_abs(evaluate_batch(gap_coeffs, chart, rows)) <= 1e-9
 
     def test_natural_cartan_iff_natural_gauge(self, rotational_model):
         # rotation: strict gauge symmetry and Cartan symmetry of the

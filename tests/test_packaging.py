@@ -5,6 +5,7 @@ installed command resolves and runs; the model-file stack and each command
 load only the layers they use, and every module imports on its own.  The
 README's library tour runs, and every module-level definition is reached
 from a command or the public names, or is reserved for an open ROADMAP item.
+Residuals meet their tolerances in one function only.
 """
 
 import ast
@@ -216,3 +217,35 @@ def unreached_definitions() -> set:
 
 def test_every_definition_is_reached_or_reserved():
     assert unreached_definitions() == RESERVE
+
+
+# the comparisons with a tolerance in src/ksfield: the sampled-verdict rule,
+# and the scale-relative regularity threshold, which judges a ratio
+TOLERANCE_COMPARISONS = {("forms.judge", "tol"), ("lagrangian.velocity_hessian.stack", "det_rtol")}
+
+
+def tolerance_comparisons() -> set:
+    """(module.function, name) of every comparison in src/ksfield with an operand
+    whose name ends in ``tol``: a bare name, an attribute, or a call of either."""
+    found = set()
+
+    def name_of(node) -> str:
+        node = node.func if isinstance(node, ast.Call) else node
+        return getattr(node, "id", None) or getattr(node, "attr", "")
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{where}.{node.name}"
+        if isinstance(node, ast.Compare):
+            found.update((where, name) for operand in (node.left, *node.comparators)
+                         if (name := name_of(operand)).endswith("tol"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path in sorted((ROOT / "src" / "ksfield").glob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), path.stem)
+    return found
+
+
+def test_residuals_meet_tolerances_only_in_judge():
+    assert tolerance_comparisons() == TOLERANCE_COMPARISONS

@@ -16,7 +16,7 @@ from ksfield.bundles import (
 )
 from ksfield.coords import VarTable
 from ksfield.expr import Num, Var, add, evaluate_batch, parse, substitute
-from ksfield.forms import VectorField, largest_abs, lie_bracket
+from ksfield.forms import VectorField, lie_bracket
 from ksfield.hamiltonian import ham_kvector, kvector_equation_residual
 from ksfield.lagrangian import legendre
 from ksfield.modelfile import load_model
@@ -36,7 +36,7 @@ from ksfield.symmetry import (
 )
 
 from conftest import checked_folds, hamiltonian_model, lagrangian_model, rotation_field
-from reference import evaluate
+from reference import evaluate, max_abs
 
 TESTS = Path(__file__).resolve().parent
 T12 = VarTable(1, 2)
@@ -368,7 +368,7 @@ class TestDiffeoCartan:
         Phi = cotangent_prolongation(phi)
         samples = sample_points(table, "hamiltonian", 40, seed=35)
         pushed = Phi.pushforward_legs(lambda pre: ham_kvector(free_hamiltonian, pre), samples)
-        assert largest_abs(kvector_equation_residual(free_hamiltonian, samples, pushed)) <= 1e-9
+        assert max_abs(kvector_equation_residual(free_hamiltonian, samples, pushed)) <= 1e-9
 
     def test_scaling_is_not_cartan(self, free_hamiltonian):
         table = free_hamiltonian.table
@@ -481,7 +481,7 @@ class TestLegendreCorrespondence:
         images = legendre(spec.lagrangian, jets)
         f_l = evaluate_batch(current_l.components, table.velocity_chart, jets)
         f_h = evaluate_batch(current_h.components, table.momentum_chart, images)
-        assert largest_abs(f_l - f_h) <= 1e-12
+        assert max_abs(f_l - f_h) <= 1e-12
 
 
 class TestSampleLayout:
