@@ -134,11 +134,23 @@ def judge(condition: str, tol: float, residuals, details=None) -> Report:
 
     The report carries the largest |residual| (0.0 when there are none), the
     lowest row attaining it, and ``passed`` iff it is <= tol, so a NaN fails.
+    Rows that are all one row (a zero first stride, as fold_constant returns
+    them) are reduced at row 0 alone.
     """
-    # row-major magnitudes: the first maximum in memory order lies in the lowest row
-    magnitudes = np.abs(residuals, order="C")
+    residuals = np.asarray(residuals)
+    count = len(residuals)
+    if count > 1 and residuals.strides[0] == 0:
+        residuals = residuals[:1]
+    magnitudes = np.abs(residuals)
     worst, row = 0.0, None
-    if magnitudes.size:
-        index = int(np.argmax(magnitudes))  # a NaN counts as the maximum
+    if magnitudes.size and magnitudes.flags.c_contiguous:
+        # the first maximum in memory order lies in the lowest row; a NaN counts as the maximum
+        index = int(np.argmax(magnitudes))
         worst, row = float(magnitudes.flat[index]), index // (magnitudes.size // len(magnitudes))
-    return Report(condition, worst, len(magnitudes), worst <= tol, details or {}, worst_row=row)
+    elif magnitudes.size:  # each column's lowest worst row, then the lowest of the worst columns
+        columns = magnitudes.reshape(len(magnitudes), -1)
+        rows = np.argmax(columns, axis=0)
+        peaks = columns[rows, np.arange(len(rows))].tolist()
+        worst = max(peaks, key=lambda p: (p != p, p))  # a NaN counts as the maximum
+        row = min(r for r, p in zip(rows.tolist(), peaks) if p == worst or p != p)
+    return Report(condition, worst, count, worst <= tol, details or {}, None, row)

@@ -183,22 +183,25 @@ def sopde_solve(model: LagrangianModel, w, residual_tol: float = 1e-9):
     # minimal norm is that of the full coefficient tensor, which makes the
     # selection invariant under relabelings of the copy index.
     unknowns = [(a, b, j) for a in range(k) for b in range(a, k) for j in range(n)]
-    M = np.zeros((count, n, len(unknowns)))
-    weights = np.zeros(len(unknowns))
-    for col, (a, b, j) in enumerate(unknowns):
-        weights[col] = np.sqrt(2.0) if a != b else 1.0
-        M[:, :, col] = H[:, a * n: (a + 1) * n, b * n + j]
-        if a != b:
-            M[:, :, col] += H[:, b * n: (b + 1) * n, a * n + j]
-
+    weights = np.array([np.sqrt(2.0) if a != b else 1.0 for a, b, _ in unknowns])
     # minimal-norm least squares for every row at once; the cutoff is the
     # one lstsq uses by default (machine epsilon times the larger dimension)
-    scaled = M / weights
-    rcond = np.finfo(float).eps * max(scaled.shape[1:])
-    pinv = fold_constant(lambda m: np.linalg.pinv(m, rcond=rcond), hessian_entries(model), scaled)
+    rcond = np.finfo(float).eps * max(n, len(unknowns))
+
+    def system(H):  # the coefficient matrices and the pseudo-inverses of their scaled columns
+        M = np.zeros((len(H), n, len(unknowns)))
+        for col, (a, b, j) in enumerate(unknowns):
+            M[:, :, col] = H[:, a * n: (a + 1) * n, b * n + j]
+            if a != b:
+                M[:, :, col] += H[:, b * n: (b + 1) * n, a * n + j]
+        return M, np.linalg.pinv(M / weights, rcond=rcond)
+
+    M, pinv = fold_constant(system, hessian_entries(model), H)
     s = (pinv @ rhs[:, :, None])[:, :, 0] / weights
 
-    report = judge("sopde_residual", residual_tol, np.einsum("nic,nc->ni", M, s) - rhs)
+    # over a row-major M: einsum sums in a layout-dependent order
+    report = judge("sopde_residual", residual_tol,
+                   np.einsum("nic,nc->ni", np.ascontiguousarray(M), s) - rhs)
     if not report.passed:
         raise RegularityError(
             f"no symmetric vertical coefficients within tolerance: residual {report.max_residual:.3e}"

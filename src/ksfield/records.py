@@ -3,10 +3,11 @@
 A :class:`Record` subclass declares its fields as annotations, after its
 bases' fields, with a class attribute as the default (a dict default is
 copied per record).  No code is generated per class: one ``__init__`` sets
-the fields by position or keyword, then calls ``__post_init__``; equality
-and repr go over the fields.  ``frozen=True`` forbids assignment and hashes
-the fields; other records are unhashable.  Attributes that are not
-annotated stay out of equality, hash and repr.
+the fields by position or keyword (all in one step when each comes by
+position and no data descriptor backs one), then calls ``__post_init__``;
+equality and repr go over the fields.  ``frozen=True`` forbids assignment
+and hashes the fields; other records are unhashable.  Attributes that are
+not annotated stay out of equality, hash and repr.
 """
 
 from __future__ import annotations
@@ -32,16 +33,23 @@ class SymmetryError(CheckFailure):
 
 class Record:
     _fields: tuple = ()
+    _direct: bool = True  # no field is set through a data descriptor (as SolutionGrid.jets is)
 
     def __init_subclass__(cls, frozen: bool = False):
         own = cls.__dict__.get("__annotations__", {})
         cls._fields = cls._fields + tuple(name for name in own if name not in cls._fields)
+        cls._direct = not any(hasattr(type(vars(owner).get(name)), "__set__")
+                              for owner in cls.__mro__ for name in cls._fields)
         cls.__hash__ = Record._hash if frozen else None
         if frozen:
             cls.__setattr__ = cls.__delattr__ = Record._refuse
 
     def __init__(self, *args, **kwargs):
         cls, fields = type(self), self._fields
+        if not kwargs and len(args) == len(fields) and cls._direct:  # every field, in order
+            self.__dict__.update(zip(fields, args))
+            self.__post_init__()
+            return
         values = dict(zip(fields, args), **kwargs)
         extra = [name for name in kwargs if name not in fields[len(args):]] + list(args[len(fields):])
         missing = [name for name in fields if name not in values and not hasattr(cls, name)]

@@ -144,19 +144,22 @@ def check_cartan_diffeomorphism(Phi: TotalMap, model, samples, tol: float = 1e-9
 
     chart = Phi.chart
     rows = point_rows(samples, len(chart))
-    J = Phi.jacobians(rows)
-    images = Phi.images(rows)
     derivatives = [diff(comp, name) for comp in Phi.components for name in chart]
+    omegas = [side.omega(A) for A in range(Phi.table.k)]
 
-    def pullback_gap(A):  # |Phi^* omega^A - omega^A|, written over omega^A's own stack
-        omega = side.omega(A)
-        pulled = fold_constant(lambda jac, image: np.swapaxes(jac, 1, 2) @ image @ jac,
-                               derivatives + list(omega.entries.values()), J, omega.matrices(images))
-        gap = omega.matrices(rows)
-        return np.abs(np.subtract(pulled, gap, out=gap), out=gap)
-    gaps = pullback_gap(0)
-    for A in range(1, Phi.table.k):  # one gap at a time into the first, never stacked
-        np.maximum(gaps, pullback_gap(A), out=gaps)  # which keeps a NaN
+    def pullback_gaps(rows):  # max over A of |Phi^* omega^A - omega^A|
+        J, images = Phi.jacobians(rows), Phi.images(rows)
+        gaps = None
+        for omega in omegas:  # one gap at a time, written over omega^A's own stack
+            pulled = fold_constant(lambda jac, image: np.swapaxes(jac, 1, 2) @ image @ jac,
+                                   derivatives + list(omega.entries.values()), J, omega.matrices(images))
+            gap = omega.matrices(rows)
+            np.abs(np.subtract(pulled, gap, out=gap), out=gap)
+            gaps = gap if gaps is None else np.maximum(gaps, gap, out=gaps)  # which keeps a NaN
+        return gaps
+
+    entries = derivatives + [e for omega in omegas for e in omega.entries.values()]
+    gaps = fold_constant(pullback_gaps, entries, rows)
     scalar = side.scalar()
     gap = sub(substitute(scalar, dict(zip(chart, Phi.components))), scalar)
     return [

@@ -6,6 +6,7 @@ import pytest
 from ksfield.bundles import Section, fold_constant
 from ksfield.coords import VarTable
 from ksfield.expr import evaluate_batch, parse
+from ksfield.forms import judge
 from ksfield.hamiltonian import HamiltonianModel
 from ksfield.lagrangian import LagrangianModel
 
@@ -37,18 +38,25 @@ def prolong(table, phi, t):
 
 
 def checked_folds(monkeypatch, module) -> list:
-    """Run every fold_constant call made in ``module`` twice, as it runs and
-    with its kernel over the full stacks; assert both give the same shapes
-    and bytes.  Returns one flag per call: whether its kernel ran once."""
+    """Run every fold_constant call made in ``module`` twice: as it runs, and
+    with its kernel over the full stacks and every fold inside it undone.
+    Assert both give the same shapes and bytes, and that judge gives the same
+    report on each.  Returns one flag per call over two rows or more, in the
+    order the calls return: whether its kernel ran once."""
     folded = []
 
     def checked(kernel, entries, *stacks):
-        out, full = fold_constant(kernel, entries, *stacks), kernel(*stacks)
+        out = fold_constant(kernel, entries, *stacks)
+        monkeypatch.setattr(module, "fold_constant", lambda kernel, _, *stacks: kernel(*stacks))
+        full = kernel(*stacks)
+        monkeypatch.setattr(module, "fold_constant", checked)
         pairs = zip(out, full) if isinstance(out, tuple) else [(out, full)]
         for got, want in pairs:
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert repr(judge("fold", 0.0, got)) == repr(judge("fold", 0.0, want))  # a NaN too
         first = out[0] if isinstance(out, tuple) else out
-        folded.append(first.strides[0] == 0 and not first.flags.writeable)
+        if len(stacks[0]) > 1:
+            folded.append(first.strides[0] == 0 and not first.flags.writeable)
         return out
 
     monkeypatch.setattr(module, "fold_constant", checked)

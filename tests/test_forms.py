@@ -238,6 +238,21 @@ class TestJudge:
         assert not report.passed
         assert report.worst_row == lowest_worst_row(values)
 
+    @given(st.sampled_from([1, 2, 5000]), array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=3),
+           st.sampled_from(["broadcast", "C", "F", "strided"]), _TOLS, st.data())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_any_layout_judges_as_its_materialized_copy(self, count, tail, layout, tol, data):
+        pool = data.draw(arrays(np.float64, (data.draw(st.integers(1, 4)),) + tail,
+                                elements=_ENTRIES | st.sampled_from([math.inf, -math.inf, math.nan])))
+        if layout == "broadcast":  # one row repeated with stride 0, as fold_constant returns it
+            residuals = np.broadcast_to(pool[:1], (count,) + tail)
+        else:
+            seed = data.draw(st.integers(0, 2**32 - 1))
+            residuals = laid_out(pool[np.random.default_rng(seed).integers(0, len(pool), count)], layout)
+        report = judge("c", tol, residuals)
+        assert repr(report) == repr(judge("c", tol, np.array(residuals)))  # a NaN too
+        assert report.sample_count == count
+
     def test_no_rows_pass_with_no_row(self):
         for empty in (np.zeros(0), np.zeros((0, 3)), np.zeros((0, 2, 2), order="F")):
             assert judge("c", 0.0, empty) == Report("c", 0.0, 0, True)

@@ -168,8 +168,9 @@ class TestHessian:
 
 
 class TestConstantFold:
-    """A Hessian with constant entries is built, tested and pseudo-inverted at
-    one row; every bit matches the kernels run over the full stacks."""
+    """A Hessian with constant entries is built and tested at one row, and so
+    are the SOPDE coefficient matrices and their pseudo-inverse; every bit
+    matches the kernels run over the full stacks."""
 
     @pytest.mark.parametrize("path, count", [  # the shipped wave at the benchmark's scale
         (TESTS.parent / "models" / "wave.yaml", 5000), (TESTS / "models" / "chain.yaml", 100),
@@ -183,7 +184,7 @@ class TestConstantFold:
         assert M.shape == (len(rows),) + (model.table.n * model.table.k,) * 2
         assert np.all(regular) and folds == [True]
         legs = sopde_solve(model, rows)
-        assert folds == [True, True, True]  # the Hessian again, then the pseudo-inverse
+        assert folds == [True, True, True]  # the Hessian again, then the SOPDE matrices
         monkeypatch.setattr(lagrangian, "fold_constant", lambda kernel, _, *stacks: kernel(*stacks))
         assert sopde_solve(model, rows).tobytes() == legs.tobytes()
 

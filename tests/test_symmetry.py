@@ -389,8 +389,10 @@ class TestDiffeoCartan:
 
 
 class TestDiffeoCartanFold:
-    """Jacobians and two-forms with constant entries are multiplied at one
-    row; every bit matches the products over the full stacks."""
+    """A map and two-forms with constant entries give one constant gap
+    |Phi^* omega^A - omega^A|, built and judged at one row; with a varying
+    entry each product Jᵀ ω^A J whose entries are constant still folds.
+    Every bit matches the kernels run over the full stacks."""
 
     @staticmethod
     def q_map(table, source, inverse):
@@ -410,7 +412,8 @@ class TestDiffeoCartanFold:
         rows = sample_points(table, "lagrangian", count, spec.seed, spec.box)
         folds = checked_folds(monkeypatch, symmetry)
         reports = check_cartan_diffeomorphism(Phi, spec.lagrangian, rows)
-        assert all_pass(reports) and folds == [True] * table.k
+        assert all_pass(reports) and folds == [True]  # the whole gap, products included
+        assert reports[0].sample_count == count and reports[0].worst_row == 0
         monkeypatch.setattr(symmetry, "fold_constant", lambda kernel, _, *stacks: kernel(*stacks))
         assert check_cartan_diffeomorphism(Phi, spec.lagrangian, rows) == reports
 
@@ -420,7 +423,17 @@ class TestDiffeoCartanFold:
         rows = sample_points(model.table, "lagrangian", 200, seed=9)
         folds = checked_folds(monkeypatch, symmetry)
         assert not all_pass(check_cartan_diffeomorphism(Phi, model, rows))
-        assert folds == [False, False]
+        assert folds == [False, False, False]  # each product, then the gap
+
+    def test_constant_form_folds_beside_a_varying_one(self, monkeypatch):
+        model = lagrangian_model(1, 2, "v1_1^4/12 - v1_2^2/2")  # omega^1 varies, omega^2 does not
+        Phi = self.q_map(model.table, "{q} + 1", "{q} - 1")
+        rows = sample_points(model.table, "lagrangian", 200, seed=9)
+        folds = checked_folds(monkeypatch, symmetry)
+        reports = check_cartan_diffeomorphism(Phi, model, rows)
+        assert all_pass(reports) and folds == [False, True, False]
+        monkeypatch.setattr(symmetry, "fold_constant", lambda kernel, _, *stacks: kernel(*stacks))
+        assert check_cartan_diffeomorphism(Phi, model, rows) == reports
 
 
 class TestCurrentTransport:
