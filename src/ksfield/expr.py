@@ -11,8 +11,8 @@ node once, children first, through the one iterative :func:`_post_order`.
 
 Expressions become numbers one way: :func:`evaluate_columns` walks their DAG,
 one numpy operation per node, over whole arrays under a strict domain
-contract, :func:`evaluate_batch` over a sample matrix's rows.  Only the
-solvers' per-step functions are compiled to numpy code (:func:`compile_source`).
+contract, :func:`evaluate_batch` over a sample matrix's rows.  Only the RK4
+step's function is compiled, to Python code over floats (:func:`compile_source`).
 The scalar reference evaluator the tests compare against lives in tests/.
 
 Expressions are built one way: by :func:`parse` or the smart constructors
@@ -633,10 +633,9 @@ def parse(source: str, names: Iterable[str]) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# compilation to straight-line numpy code, and batched strict evaluation
+# compilation to straight-line Python code, and batched strict evaluation
 
-def compile_source(groups: Iterable[Iterable[Expr]], names, write, namespace=None,
-                   float_literals=False):
+def compile_source(groups: Iterable[Iterable[Expr]], names, write, namespace=None):
     """The function ``_fn`` that the Python source ``write(blocks)`` defines.
 
     Per group of expressions, ``blocks`` holds the lines that compute the
@@ -644,13 +643,13 @@ def compile_source(groups: Iterable[Iterable[Expr]], names, write, namespace=Non
     in post-order, and the names of the group's values.  Each node does its
     IEEE operation on the same operands as in the expression; a variable not
     in ``names`` raises UnboundVariableError when reached.  Functions are
-    numpy's ufuncs; literals are numpy floats, or Python floats with
-    ``float_literals``, which also makes Python floats of the values whose
-    DAG holds a function call.  ``namespace`` adds other globals.
+    numpy's ufuncs and literals Python floats; the values whose DAG holds a
+    function call are made Python floats again.  ``namespace`` adds other
+    globals.
     """
     import numpy as np
 
-    literal, names = (float if float_literals else np.float64), frozenset(names)
+    names = frozenset(names)
     scope = {"_unbound": _unbound, **{f"_f_{fn}": getattr(np, fn) for fn in _FUNCTIONS}}
     atom: dict = {}  # node -> the name holding its value
     calls: set = set()  # nodes whose DAG holds a Call
@@ -664,16 +663,15 @@ def compile_source(groups: Iterable[Iterable[Expr]], names, write, namespace=Non
             if isinstance(node, Var) and node.name in names:
                 atom[node] = node.name
             elif isinstance(node, Num):
-                # a name bound to a numpy or Python float, so constant-only
-                # subtrees follow the callers' error rules
+                # a name bound to a Python float, so constant-only subtrees
+                # raise as Python floats do
                 atom[node] = f"_c{len(atom)}"
-                scope[atom[node]] = literal(node.value)
+                scope[atom[node]] = float(node.value)
             else:
                 atom[node] = f"_t{len(atom)}"
                 lines.append(f"{atom[node]} = {_PYTHON[type(node)].format(*args, e=node)}")
-        values = [atom[e] for e in group]
-        if float_literals:  # numpy functions give numpy floats: make Python floats again
-            values = [f"float({v})" if e in calls else v for e, v in zip(group, values)]
+        # numpy functions give numpy floats: make Python floats again
+        values = [f"float({atom[e]})" if e in calls else atom[e] for e in group]
         blocks.append((lines, values))
     scope.update(namespace or {})
     exec(write(blocks), scope)  # source generated above; no user text reaches exec
@@ -693,10 +691,17 @@ _OPERATIONS = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: ope
                Neg: operator.neg}
 
 
-def _walk(exprs: tuple, names: tuple) -> Callable:
-    """A generator of the expressions' values in order over arrays, one per name: one step
-    per DAG node in post-order, each the IEEE operation :func:`compile_source` emits for
-    the node, on the same operands, so every bit is the same."""
+def walk(exprs: tuple, names: tuple) -> Callable:
+    """A function of one array per name that yields the expressions' values in order.
+
+    One step per DAG node in post-order, as :func:`compile_source` emits its
+    lines, each with the same IEEE operation on the same operands: +, -, *, /
+    and unary - by Python's operators, an integer power by ``**``, a call by
+    numpy's ufunc, and UnboundVariableError for a variable without a column.
+    Literals are numpy floats, so every value is an array or a numpy scalar,
+    and a constant one is not broadcast.  Domain violations follow numpy's
+    error state: callers check the values, as :func:`evaluate_columns` does.
+    """
     import numpy as np
 
     bound, literals, steps, ends = frozenset(names), {}, [], {}
@@ -712,33 +717,19 @@ def _walk(exprs: tuple, names: tuple) -> Callable:
             steps.append((node, partial(_unbound, node.name), ()))
         ends[node] = len(steps)  # the steps up to and including its own
     stops, variables = tuple(accumulate((ends[e] for e in exprs), max)), list(map(Var, names))
+    # each expression with the steps that no earlier one took
+    plan = [(e, steps[start:stop]) for e, start, stop in zip(exprs, (0, *stops), stops)]
 
     def run(*columns):
         value = dict(literals)  # every node's value, held until the walk ends
         value.update(zip(variables, columns))
-        start = 0
-        for e, stop in zip(exprs, stops):
-            for node, fn, kids in steps[start:stop]:
-                value[node] = fn(*[value[kid] for kid in kids])
-            start = stop
+        get = value.__getitem__
+        for e, chunk in plan:
+            for node, fn, kids in chunk:
+                value[node] = fn(*map(get, kids))
             yield value[e]
 
     return run
-
-
-def compile_tuple(exprs: Iterable[Expr], names) -> Callable:
-    """One callable over numpy arrays (one positional arg per name) returning
-    the tuple of the expressions' values, constants not broadcast.  Domain
-    violations follow numpy semantics: callers check the results, as the
-    leapfrog forces do."""
-    names = tuple(names)
-
-    def write(blocks):
-        ((lines, values),) = blocks
-        head = f"def _fn({', '.join(names) or '*_ignored'}):"
-        return "\n    ".join([head] + lines + [f"return ({', '.join(values)},)"])
-
-    return compile_source([exprs], names, write)
 
 
 _STRICT = {"divide": "raise", "invalid": "raise", "over": "raise"}
@@ -806,7 +797,7 @@ def evaluate_columns(exprs: Iterable[Expr], names, columns):
     exprs, names = tuple(exprs), tuple(names)
     constant = [isinstance(e, Num) and math.isfinite(e.value) for e in exprs]
     if not all(constant):
-        fn = _walk(tuple(e for e, c in zip(exprs, constant) if not c), names)
+        fn = walk(tuple(e for e, c in zip(exprs, constant) if not c), names)
         values, index = fn(*columns), 0
     for e, is_constant in zip(exprs, constant):
         if is_constant:  # nothing to walk

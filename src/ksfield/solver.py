@@ -20,8 +20,8 @@ import numpy as np
 
 from .coords import VarTable
 from .expr import (
-    DomainError, Expr, Var, compile_source, compile_tuple, diff, evaluate_columns, free_vars,
-    is_zero_expr, mul, sub,
+    DomainError, Expr, Var, compile_source, diff, evaluate_columns, free_vars, is_zero_expr, mul,
+    sub, walk,
 )
 from .lagrangian import (
     REGULARITY_RTOL, LagrangianModel, RegularityError, energy, hessian_entries, legendre_exprs,
@@ -354,8 +354,7 @@ def _rk4_step(model: LagrangianModel, h: float):
             update=join(f"{y} + _dt * {k}" for y, k in zip(Y, K)),
             finite=" and ".join(f"_isfinite({x})" for x in chart))
 
-    return compile_source([hessian, _forces(model, 0), [energy(model)]],
-                          chart, write, namespace, float_literals=True)
+    return compile_source([hessian, _forces(model, 0), [energy(model)]], chart, write, namespace)
 
 
 # states a run keeps as tuples before it copies them into the trajectory at
@@ -436,11 +435,13 @@ def _hyperbolic_blocks(model: LagrangianModel):
     for (a, b), e in zip(pairs, hessian_entries(model)):
         if free_vars(e):
             raise NotHyperbolicError(f"velocity Hessian entry d2L/d{a} d{b} is not constant: {e}")
+    # first: a Lagrangian undefined everywhere raises its DomainError here, where
+    # the q-coupling test would find d(v1_1 + 0/0)/dq1 = 0/0, not zero
+    (M,), _ = velocity_hessian(model, np.zeros((1, table.dim_total)))  # t1 block, then t2
     if not all(is_zero_expr(diff(model.dLdv(i, 0), q)) for i in range(n) for q in table.q_names):
         raise NotHyperbolicError(
             "q-coupled t1 momentum: system not explicitly solvable for phi_t1t1"
         )
-    (M,), _ = velocity_hessian(model, np.zeros((1, table.dim_total)))  # t1 block, then t2
     if np.max(np.abs(M[:n, n:])) != 0.0:
         raise NotHyperbolicError("v1-v2 cross terms block the explicit update")
     M11, M22 = M[:n, :n], M[n:, n:]
@@ -501,8 +502,8 @@ def integrate_k2_hyperbolic(
         for c in (phi0, phidot0)
     )
 
-    forces = _forces(model, 1)
-    force_fn = compile_tuple(forces, table.velocity_chart)
+    forces = tuple(_forces(model, 1))
+    forces_at = walk(forces, table.velocity_chart)
     by_m22, by_m11_inv = (_times_transpose(m, x.size) for m in (M22, np.linalg.inv(M11)))
     # one level's work arrays, reused by every step; the level sits between
     # its periodic wrap rows, so its neighbours along t2 are views
@@ -522,7 +523,7 @@ def integrate_k2_hyperbolic(
             np.divide(np.subtract(right, left, out=v2), 2 * h2, out=v2)
         np.subtract(right, np.multiply(level, 2, out=phixx), out=phixx)
         np.divide(np.add(phixx, left, out=phixx), h2_sq, out=phixx)
-        for i, force in enumerate(force_fn(*args)):
+        for i, force in enumerate(forces_at(*args)):
             rhs[:, i] = force
         np.subtract(rhs, by_m22(phixx, product), out=rhs)  # the bits of rhs - phixx @ M22.T
         return by_m11_inv(rhs, acc)

@@ -9,7 +9,10 @@ raises DomainError, the contract the batched evaluator keeps as a whole.
 
 The reference leapfrog takes each k = 2 step in fresh arrays: fancy-indexed
 neighbours, stacked forces and a new array for every intermediate.  The
-library's step, which reuses its work arrays, must reproduce its bits.
+library's step, which reuses its work arrays and walks the forces' DAG, must
+reproduce its bits.  Its forces come from :func:`compile_tuple`, generated
+straight-line numpy code, one line per DAG node, that shares no evaluation
+code with the library's walk.
 
 The reference stencils build a grid's jets and a current's divergence from
 whole-array expressions, ``np.roll`` copies for the periodic axis; the
@@ -30,8 +33,8 @@ import math
 import numpy as np
 
 from ksfield.expr import (
-    Add, Call, Div, DomainError, Mul, Neg, Num, Pow, Sub, UnboundVariableError, Var,
-    compile_tuple, diff, evaluate_columns, is_zero_expr, mul, neg,
+    Add, Call, Div, DomainError, Mul, Neg, Num, Pow, Sub, UnboundVariableError, Var, diff,
+    evaluate_columns, is_zero_expr, mul, neg,
 )
 from ksfield.forms import Form, TwoForm, VectorField, _put, contract_two, d_one
 from ksfield.solver import _forces, _hyperbolic_blocks
@@ -96,6 +99,58 @@ def evaluate(e, at, row=None) -> float:
     if not math.isfinite(value):
         raise DomainError(f"non-finite result {value!r}")
     return value
+
+
+# each node's line over the locals of its children, {0} and {1}
+_LINES = {Add: "{0} + {1}", Sub: "{0} - {1}", Mul: "{0} * {1}", Div: "{0} / {1}", Neg: "-{0}",
+          Pow: "{0} ** ({e.exponent})", Call: "_f_{e.fn}({0})"}
+
+
+def _kids(e) -> tuple:
+    if isinstance(e, (Add, Sub, Mul, Div)):
+        return e.left, e.right
+    if isinstance(e, Pow):
+        return (e.base,)
+    return (e.arg,) if isinstance(e, (Neg, Call)) else ()
+
+
+def _unbound(name):
+    raise UnboundVariableError(name)
+
+
+def compile_tuple(exprs, names):
+    """One callable over numpy arrays (one positional argument per name)
+    returning the tuple of the expressions' values, constants not broadcast.
+
+    It runs generated straight-line code: one local per DAG node, children
+    first, each node's IEEE operation by Python's operators, numpy's ufuncs
+    and numpy float literals.  Domain violations follow numpy semantics; a
+    variable not in ``names`` raises UnboundVariableError when reached.
+    """
+    exprs, names = tuple(exprs), tuple(names)
+    scope = {"_unbound": _unbound, **{f"_f_{fn}": getattr(np, fn) for fn in _FUNCTIONS}}
+    local = {Var(name): f"_x{j}" for j, name in enumerate(names)}
+    lines, todo = [], list(reversed(exprs))
+    while todo:
+        e = todo.pop()
+        if e in local:
+            continue
+        missing = [kid for kid in _kids(e) if kid not in local]
+        if missing:  # its children first, then the node again
+            todo.append(e)
+            todo.extend(reversed(missing))
+            continue
+        local[e] = f"_t{len(local)}"
+        if isinstance(e, Num):
+            scope[local[e]] = np.float64(e.value)
+        elif isinstance(e, Var):
+            lines.append(f"{local[e]} = _unbound({e.name!r})")
+        else:
+            lines.append(f"{local[e]} = {_LINES[type(e)].format(*map(local.get, _kids(e)), e=e)}")
+    head = f"def _fn({', '.join(local[Var(name)] for name in names)}):"
+    tail = f"return ({''.join(local[e] + ', ' for e in exprs)})"
+    exec("\n    ".join([head, *lines, tail]), scope)
+    return scope["_fn"]
 
 
 def max_abs(values) -> float:

@@ -412,6 +412,18 @@ class TestSolve:
         error = capsys.readouterr().err
         assert error.startswith("error: ") and "log(q1 + 0.5)" in error
 
+    def test_leapfrog_of_a_lagrangian_undefined_everywhere_exits_two(self, tmp_path, capsys):
+        # d/dq1 of the t1 momentum v1_1 + 0/0 is 0/0, not zero: the leapfrog
+        # evaluates the constant Hessian 1 + 0/0 before its q-coupling test
+        path = tmp_path / "undefined.yaml"
+        path.write_text(WAVE_YAML.replace(
+            'lagrangian: "(v1_1^2 - v1_2^2)/2"', 'lagrangian: "(v1_1^2 - v1_2^2)/2 + q1/0"'
+        ))
+        assert main(["solve", str(path), "--solution", "run"]) == 2
+        error = capsys.readouterr().err
+        assert error.startswith("error: invalid value") and "evaluating 1 + 0/0 " in error
+        assert error.count("\n") == 1
+
     @pytest.mark.parametrize("lagrangian, q0, message", [
         pytest.param("(v1_1 + v2_1)^2/2 - q1^2/2", "[1.0, 0.0]",
                      "velocity Hessian became singular along the trajectory", id="singular"),
@@ -1023,8 +1035,8 @@ def test_fuzzed_model_files_get_an_exit_code(tmp_path, run):
 
 
 class TestNoCodegen:
-    """Checks evaluate their expressions by walking the DAG; each solver run
-    compiles one function, its step (RK4) or its forces (leapfrog)."""
+    """Checks and leapfrog runs evaluate their expressions by walking the DAG;
+    only the RK4 step compiles, one function per run."""
 
     @staticmethod
     def compiled(monkeypatch) -> list:
@@ -1053,9 +1065,9 @@ class TestNoCodegen:
         # the oscillator's constant velocity Hessian is eliminated by that step's prologue
         assert len(calls) == len(runs)
 
-    def test_each_leapfrog_run_compiles_its_forces_once(self, monkeypatch, tmp_path):
+    def test_each_leapfrog_run_compiles_nothing(self, monkeypatch, tmp_path):
         calls = self.compiled(monkeypatch)
         runs = recording(monkeypatch, cli_solve, "integrate_k2_hyperbolic")
         argv = ["solve", str(MODELS / "wave.yaml"), "--solution", "run"]
         assert main(argv + ["--out", str(tmp_path)]) == 0
-        assert len(runs) == 3 and len(calls) == 3
+        assert len(runs) == 3 and calls == []

@@ -29,7 +29,6 @@ from ksfield.expr import (
     Var,
     add,
     call,
-    compile_tuple,
     diff,
     div,
     evaluate_batch,
@@ -44,7 +43,7 @@ from ksfield.expr import (
     to_source,
 )
 from ksfield.coords import VarTable
-from reference import evaluate
+from reference import compile_tuple, evaluate
 
 NAMES = ("q1", "q2", "v1_1", "v1_2", "t1")
 

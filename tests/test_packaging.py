@@ -5,7 +5,8 @@ installed command resolves and runs; the model-file stack and each command
 load only the layers they use, and every module imports on its own.  The
 README's library tour runs, and every module-level definition is reached
 from a command or the public names, or is reserved for an open ROADMAP item.
-Residuals meet their tolerances in one function only.
+Residuals meet their tolerances in one function only, and code is generated
+in one function, for one caller.
 """
 
 import ast
@@ -224,28 +225,53 @@ def test_every_definition_is_reached_or_reserved():
 TOLERANCE_COMPARISONS = {("forms.judge", "tol"), ("lagrangian.velocity_hessian.stack", "det_rtol")}
 
 
+def qualified_nodes():
+    """(module.function, node) for every AST node of src/ksfield, named by
+    the innermost function that holds it (by its module at top level)."""
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{where}.{node.name}"
+        yield where, node
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, where)
+
+    for path in sorted((ROOT / "src" / "ksfield").glob("*.py")):
+        yield from visit(ast.parse(path.read_text(), filename=str(path)), path.stem)
+
+
 def tolerance_comparisons() -> set:
     """(module.function, name) of every comparison in src/ksfield with an operand
     whose name ends in ``tol``: a bare name, an attribute, or a call of either."""
-    found = set()
-
     def name_of(node) -> str:
         node = node.func if isinstance(node, ast.Call) else node
         return getattr(node, "id", None) or getattr(node, "attr", "")
 
-    def visit(node, where):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            where = f"{where}.{node.name}"
-        if isinstance(node, ast.Compare):
-            found.update((where, name) for operand in (node.left, *node.comparators)
-                         if (name := name_of(operand)).endswith("tol"))
-        for child in ast.iter_child_nodes(node):
-            visit(child, where)
-
-    for path in sorted((ROOT / "src" / "ksfield").glob("*.py")):
-        visit(ast.parse(path.read_text(), filename=str(path)), path.stem)
-    return found
+    return {(where, name) for where, node in qualified_nodes() if isinstance(node, ast.Compare)
+            for operand in (node.left, *node.comparators)
+            if (name := name_of(operand)).endswith("tol")}
 
 
 def test_residuals_meet_tolerances_only_in_judge():
     assert tolerance_comparisons() == TOLERANCE_COMPARISONS
+
+
+# the one site that runs generated code, and the one function it compiles:
+# everything else turns expressions into numbers by walking their DAG
+CODEGEN_SITES = {("expr.compile_source", "exec"), ("solver._rk4_step", "compile_source")}
+
+
+def codegen_sites() -> set:
+    """(module.function, name) of every bare reference in src/ksfield to the
+    builtins ``exec``, ``eval`` and ``compile``, and of every reference to
+    ``compile_source``, bare or as an attribute."""
+    found = set()
+    for where, node in qualified_nodes():
+        if isinstance(node, ast.Name) and node.id in {"exec", "eval", "compile", "compile_source"}:
+            found.add((where, node.id))
+        elif isinstance(node, ast.Attribute) and node.attr == "compile_source":
+            found.add((where, node.attr))
+    return found
+
+
+def test_only_the_rk4_step_generates_code():
+    assert codegen_sites() == CODEGEN_SITES

@@ -265,6 +265,34 @@ class TestIntegrateK1:
         assert np.max(np.abs(sol.jets_from_stencil() - sol.jets)) <= 1e-12
 
 
+@st.composite
+def _potential_waves(draw):
+    """(n, source, nodes, steps, ratio): unit-speed waves for n <= 2 less a
+    random potential of sin, cos, exp and positive integer powers of q, and
+    for some a term f(q1) v<n>_2, whose forces read the t2 differences; a
+    grid of ``nodes`` periodic nodes and ``steps`` steps that meets the CFL
+    condition."""
+    n = draw(st.integers(1, 2))
+    arguments = ["q1"] if n == 1 else ["q1", "q2", "q1 - q2", "q1 + q2"]
+    coefficients = st.sampled_from(["0.25", "-0.5", "1", "2"])
+
+    def term(among):
+        argument = draw(st.sampled_from(among))
+        kind = draw(st.sampled_from(["sin", "cos", "exp", "pow"]))
+        if kind == "pow":
+            return f"{draw(coefficients)}*({argument})^{draw(st.integers(1, 4))}"
+        return f"{draw(coefficients)}*{kind}({argument})"
+
+    kinetic = " + ".join(f"(v{i}_1^2 - v{i}_2^2)/2" for i in range(1, n + 1))
+    potential = " + ".join(term(arguments) for _ in range(draw(st.integers(1, 3))))
+    source = f"{kinetic} - ({potential})"
+    if draw(st.booleans()):
+        source += f" + {term(['q1'])}*v{n}_2"
+    grid = (draw(st.sampled_from([1, 2, 3, 8, 17, 40])), draw(st.integers(2, 30)),
+            draw(st.sampled_from([0.3, 0.5, 0.9])))
+    return (n, source) + grid
+
+
 class TestIntegrateK2:
     def test_travelling_wave_second_order(self, wave_model):
         e1 = wave_error(run_wave(wave_model, wave_grid()))
@@ -395,6 +423,26 @@ class TestIntegrateK2:
         sol = integrate_k2_hyperbolic(model, phi0, phidot0, grid)
         assert sol.summary["cfl_margin"] <= 1.0
         assert sol.phi.tobytes() == reference_leapfrog(model, phi0, phidot0, grid).tobytes()
+
+    @given(_potential_waves())
+    @example((2, "(v1_1^2 - v1_2^2)/2 + (v2_1^2 - v2_2^2)/2 - (cos(q1 - q2)) + sin(q1)*v2_2",
+              17, 12, 0.5))  # both forces read the t2 differences
+    @example((1, "(v1_1^2 - v1_2^2)/2 - (0.5*q1^2)", 1, 3, 0.9))  # one node
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_leapfrog_bits_match_the_reference_on_random_potentials(self, case):
+        n, source, nodes, steps, ratio = case
+        model = lagrangian_model(n, 2, source)
+        phi0, phidot0 = ([parse(c, ("t2",)) for c in cs[:n]]
+                         for cs in (("sin(t2)", "0.5*cos(2*t2)"), ("-cos(t2)", "0.3")))
+        grid = wave_grid(nodes=nodes, steps=steps, ratio=ratio)
+        want = reference_leapfrog(model, phi0, phidot0, grid)
+        if isinstance(want, int):  # the index of the first level that is not finite
+            with pytest.raises(SolverError, match=f"^non-finite field at step {want};"):
+                integrate_k2_hyperbolic(model, phi0, phidot0, grid)
+            return
+        sol = integrate_k2_hyperbolic(model, phi0, phidot0, grid)
+        assert sol.summary["cfl_margin"] <= 1.0
+        assert sol.phi.tobytes() == want.tobytes()
 
     def test_rejects_velocity_coupling(self):
         model = lagrangian_model(1, 2, "v1_1*v1_2")
