@@ -5,9 +5,7 @@ from __future__ import annotations
 
 from .cli import UsageError, _apply_overrides, _emit, _named
 from .modelfile import GridSolution, ModelSpec, load_model
-from .solver import integrate_k1, integrate_k2_hyperbolic, self_convergence_ratio
-
-NOMINAL_ORDER = {1: 4.0, 2: 2.0}  # RK4 and leapfrog respectively
+from .solver import INTEGRATOR_ORDER, _grid_gap, integrate_k1, integrate_k2_hyperbolic, refinement
 
 
 def _run_grid(spec: ModelSpec, solution: GridSolution, grid, name: str):
@@ -44,19 +42,20 @@ def cmd_solve(args) -> int:
     for _ in range(2):  # each refinement is made once the grid before it has run
         sols.append(_run_grid(spec, solution, sols[-1].spec.refined(), args.solution))
 
-    ratio = self_convergence_ratio(sols)
-    nominal = 2.0 ** NOMINAL_ORDER[spec.table.k]
-    converged = nominal / 1.6 <= ratio <= nominal * 1.6
+    order = INTEGRATOR_ORDER[spec.table.k]
+    converged, verdict = refinement(_grid_gap(*sols[:2]), _grid_gap(*sols[1:]), order,
+                                    sols[2].gap_floor, "convergence_ratio")
     payload = {
         "command": "solve",
         "solution": args.solution,
-        "convergence_ratio": ratio,
-        "nominal_ratio": nominal,
-        "converged": bool(converged),
+        "nominal_ratio": 2.0 ** order,
+        "converged": converged,
         "summary": {k: float(v) for k, v in sols[0].summary.items()},
+        **verdict,
     }
     if args.out is not None:
         sols[0].to_csv(args.out / f"{args.solution}_grid.csv")
     _emit(payload, args.out, f"{args.solution}_solve.json")
-    print(f"convergence ratio: {ratio:.3f} (nominal {nominal:.0f})")
+    ratio = "undefined" if (r := verdict["convergence_ratio"]) is None else f"{r:.3f}"
+    print(f"convergence ratio: {ratio} (nominal {2.0 ** order:.0f})")
     return 0 if converged else 1

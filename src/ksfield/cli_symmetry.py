@@ -74,11 +74,10 @@ def cmd_noether(args) -> int:
         )
         reports.append(report)
     elif solution is not None:
-        sol = _run_grid(spec, solution, solution.grid, args.solution)
-        refined = _run_grid(spec, solution, solution.grid.refined(), args.solution)
-        report = verify_conservation(
-            current, table, grid=sol, refined_grid=refined, model=spec.lagrangian
-        )
+        sol, refined = (_run_grid(spec, solution, grid, args.solution)
+                        for grid in (solution.grid, solution.grid.refined()))
+        report = verify_conservation(current, table, grid=sol, refined_grid=refined,
+                                     model=spec.lagrangian)
         reports.append(report)
         if args.out is not None:
             report.trace.to_csv(args.out / f"{stem}_trace.csv")

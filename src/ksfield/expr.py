@@ -785,12 +785,12 @@ def evaluate_columns(exprs: Iterable[Expr], names, columns):
     ``columns[j]`` binds ``names[j]``.  One walk over the expressions' DAG
     computes each node once, with numpy's operators and ufuncs, and they
     are evaluated in order as they are read: each yields an array of the
-    columns' broadcast shape, or a scalar where it is constant.  A
-    division by zero, an invalid operation or an overflow at any step raises
-    DomainError naming the expression and the first offending point in
-    row-major order; the earliest failing expression raises, so an error of
-    one not yet read never shows.  So does an unbound variable's
-    UnboundVariableError.
+    columns' broadcast shape, or a scalar where it is constant.  A division
+    by zero, an invalid operation or an overflow at any step raises DomainError
+    naming the expression and the first offending point in row-major order,
+    or ``everywhere`` for an expression without variables; the earliest failing
+    expression raises, so an error of one not yet read never shows.  So does
+    an unbound variable's UnboundVariableError.
     """
     import numpy as np
 
@@ -805,7 +805,7 @@ def evaluate_columns(exprs: Iterable[Expr], names, columns):
             continue
         value, breach = _run_strict(lambda: next(values))
         if breach is not None:
-            flat = [c.reshape(-1) for c in np.broadcast_arrays(*columns)]
+            flat = [c.reshape(-1) for c in np.broadcast_arrays(*columns)] if free_vars(e) else []
             row = _first_failing_row(fn, flat, index)
             raise _domain_error(e, breach, names, [c[row] for c in flat])
         index += 1

@@ -42,10 +42,6 @@ def canonical_two_form(table: VarTable, A: int) -> TwoForm:
     return TwoForm(table.momentum_chart, entries)
 
 
-def canonical_two_form_matrix(table: VarTable, A: int) -> np.ndarray:
-    return canonical_two_form(table, A).matrices(np.zeros((1, table.dim_total)))[0]
-
-
 def hdw_residual(model: HamiltonianModel, section: Section, t) -> np.ndarray:
     """Field-equation residual of the section psi at the (N, k) parameter rows t, shape (N, 2n).
 
@@ -101,9 +97,11 @@ def kvector_equation_residual(model: HamiltonianModel, w, legs):
     shape = (rows.shape[0], table.k, table.dim_total)
     if np.shape(legs) != shape:
         raise BundleError(f"legs must have shape {shape}, got {np.shape(legs)}")
-    covector = np.zeros(rows.shape, order="F")  # the layout of grad: one streaming pass
-    for A in range(table.k):
-        covector += legs[:, A] @ canonical_two_form_matrix(table, A)
+    n, covector = table.n, np.zeros(rows.shape, order="F")  # grad's layout: one streaming pass
+    for A in range(table.k):  # i(X_A)(dq^i ^ dp^A_i) = X_A^i dp^A_i - X_A^{p^A_i} dq^i
+        fiber = slice(table.fiber_slot(0, A), table.fiber_slot(0, A) + n)
+        covector[:, :n] -= legs[:, A, fiber]
+        covector[:, fiber] += legs[:, A, :n]
     grad = evaluate_batch(
         [diff(model.H, name) for name in table.momentum_chart], table.momentum_chart, rows
     )

@@ -14,7 +14,7 @@ import math
 import re
 import warnings
 from itertools import chain
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -75,6 +75,10 @@ class SolutionGrid(Record):
     @property
     def k(self) -> int:
         return self.spec.k
+
+    def gap_floor(self) -> float:
+        """2*eps*levels*max|phi|: each grid of a gap rounds by eps*max|phi| per level."""
+        return 2 * EPS * len(self.phi) * np.max(np.abs(self.phi))
 
     def jets_from_stencil(self) -> np.ndarray:
         """Centred differences written straight into the jets array; at the
@@ -593,6 +597,10 @@ class CurrentTrace(Record):
             "interior_nodes": self.interior_count,
         }
 
+    def divergence_floor(self) -> float:
+        """4*eps*max|F|*sum_A 1/h_A: two values of F, each off by 4*eps*max|F|, over 2*h_A."""
+        return 4 * EPS * np.max(np.abs(self.values)) * sum(1 / a.step for a in self.sol.spec.axes)
+
 
 def evaluate_current(
     F: Sequence[Expr],
@@ -656,17 +664,22 @@ def evaluate_current(
 
 
 # ---------------------------------------------------------------------------
-# convergence measurement
+# step-halving verdicts
 
-def self_convergence_ratio(solutions: Sequence[SolutionGrid]) -> float:
-    """err(h)/err(h/2) from three grids with successively halved steps."""
-    if len(solutions) != 3:
-        raise SolverError("need exactly three refinement levels")
-    e1 = _grid_gap(solutions[0], solutions[1])
-    e2 = _grid_gap(solutions[1], solutions[2])
-    if e2 == 0.0:
-        raise SolverError("refined solutions coincide; ratio undefined")
-    return e1 / e2
+INTEGRATOR_ORDER = {1: 4, 2: 2}  # RK4 for k = 1, the leapfrog for k = 2
+EPS = float(np.finfo(float).eps)
+
+
+def refinement(coarse: float, fine: float, order: int, floor: Callable[[], float], key: str):
+    """(passed, {key: coarse/fine or None}) for a scheme's errors at steps h and h/2:
+    the ratio within a factor 1.6 of 2**order passes; else ``floor()`` is read, and a
+    finite coarse error with a fine one at or below it passes, adding ``rounding_floor``."""
+    nominal, ratio = 2.0 ** order, coarse / fine if fine else None
+    if ratio is not None and nominal / 1.6 <= ratio <= nominal * 1.6:
+        return True, {key: ratio}
+    if math.isfinite(coarse) and fine <= (bound := floor()):
+        return True, {key: ratio, "rounding_floor": bound}
+    return False, {key: ratio}
 
 
 def _grid_gap(coarse: SolutionGrid, fine: SolutionGrid) -> float:

@@ -51,7 +51,7 @@ from .lagrangian import (
     sopde_solve,
 )
 from .records import Record, Report, SymmetryError, all_pass
-from .solver import SolutionGrid, evaluate_current
+from .solver import SolutionGrid, evaluate_current, refinement
 
 
 class CurrentRejection(SymmetryError):
@@ -252,28 +252,19 @@ def verify_conservation(
     """Check that the current's divergence vanishes along a solution.
 
     Analytic mode (``section``, on the current's side): the symbolic total
-    divergence is evaluated at the t samples.  Grid mode (``grid``): the
-    discrete divergence of the trace, plus its refinement ratio when
-    ``refined_grid`` is supplied; the report keeps the trace on ``grid`` as
-    ``trace``.
+    divergence at the t samples, judged against ``tol``.  Grid mode (``grid``
+    and its refinement ``refined_grid``): the trace's discrete divergence on
+    each, judged by :func:`refinement`; the report keeps the trace on ``grid``.
     """
     if grid is not None:
-        trace = evaluate_current(current.components, grid, current.side, model)
-        details = dict(trace.summary())
-        passed = bool(np.isfinite(trace.max_divergence))
-        if refined_grid is not None:
-            refined = evaluate_current(
-                current.components, refined_grid, current.side, model
-            )
-            if refined.max_divergence > 0:
-                ratio = trace.max_divergence / refined.max_divergence
-                details["refinement_ratio"] = ratio
-                # conserved currents shrink at the stencil's second order;
-                # allow one binary order of slack around the nominal 4
-                passed = passed and 2.0 <= ratio <= 8.0
-        return Report(
-            "grid_divergence", trace.max_divergence, trace.interior_count, passed, details, trace
-        )
+        if refined_grid is None:
+            raise SymmetryError("grid mode needs the refined grid")
+        trace, refined = (evaluate_current(current.components, g, current.side, model)
+                          for g in (grid, refined_grid))
+        passed, verdict = refinement(trace.max_divergence, refined.max_divergence,
+                                     2, refined.divergence_floor, "refinement_ratio")
+        return Report("grid_divergence", trace.max_divergence, trace.interior_count, passed,
+                      trace.summary() | verdict, trace)
 
     if section is None:
         raise SymmetryError("no solution supplied")

@@ -26,6 +26,10 @@ two-forms, whose Lie derivative is d(i(Y) omega).  A three-form is a
 
 ``max_abs`` is the plain reduction that every sampled verdict's value must
 reproduce.
+
+The k-vector residual contracts the legs with the matrices of the canonical
+two-forms, built through :meth:`ksfield.forms.Form.matrices`; the library's
+column updates must reproduce its bits.
 """
 
 import math
@@ -34,9 +38,10 @@ import numpy as np
 
 from ksfield.expr import (
     Add, Call, Div, DomainError, Mul, Neg, Num, Pow, Sub, UnboundVariableError, Var, diff,
-    evaluate_columns, is_zero_expr, mul, neg,
+    evaluate_batch, evaluate_columns, is_zero_expr, mul, neg,
 )
 from ksfield.forms import Form, TwoForm, VectorField, _put, contract_two, d_one
+from ksfield.hamiltonian import canonical_two_form
 from ksfield.solver import _forces, _hyperbolic_blocks
 
 _FUNCTIONS = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "log": math.log, "sqrt": math.sqrt}
@@ -156,6 +161,21 @@ def compile_tuple(exprs, names):
 def max_abs(values) -> float:
     """max |value| over an array of any shape, 0.0 when it is empty."""
     return float(np.max(np.abs(values), initial=0.0))
+
+
+def canonical_two_form_matrix(table, A: int) -> np.ndarray:
+    """The antisymmetric matrix of dq^i ^ dp^A_i in momentum-chart order."""
+    return canonical_two_form(table, A).matrices(np.zeros((1, table.dim_total)))[0]
+
+
+def kvector_equation_residual(model, rows, legs) -> np.ndarray:
+    """max |sum_A i(X_A) omega^A - dH| per row, by products with the matrices."""
+    chart = model.table.momentum_chart
+    covector = np.zeros(rows.shape, order="F")
+    for A in range(model.table.k):
+        covector += legs[:, A] @ canonical_two_form_matrix(model.table, A)
+    grad = evaluate_batch([diff(model.H, name) for name in chart], chart, rows)
+    return np.max(np.abs(covector - grad), axis=1)
 
 
 def leapfrog(model, phi0, phidot0, grid):

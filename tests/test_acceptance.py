@@ -15,7 +15,6 @@ from ksfield.forms import lie_derivative_one
 from ksfield.gauge import gauge_compare, verify_same_solutions
 from ksfield.hamiltonian import (
     canonical_one_form,
-    canonical_two_form_matrix,
     ham_kvector,
     hdw_residual,
 )
@@ -36,7 +35,7 @@ from ksfield.symmetry import (
 )
 
 from conftest import hamiltonian_model, lagrangian_model
-from reference import evaluate, max_abs
+from reference import canonical_two_form_matrix, evaluate, max_abs
 from test_expr import NAMES, centered_difference, random_polynomial
 
 TWO_PI = 2 * np.pi

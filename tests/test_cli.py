@@ -394,6 +394,35 @@ class TestSolve:
         report = json.loads((out / "run_solve.json").read_text())
         assert 2.5 <= report["convergence_ratio"] <= 6.4
 
+    FREE_PARTICLE_YAML = (
+        'n: 1\nk: 1\nlagrangian: "v1_1^2/2"\nsolutions:\n  line:\n    kind: grid\n'
+        "    axes: [[0.0, 1.0, 0.01]]\n    q0: [0.3]\n    v0: [1.0]\n"
+    )
+
+    # RK4 is exact on the free particle, and the leapfrog on a field linear in
+    # t1, so every gap is rounding: the ratio misses its window, the floor decides
+    @pytest.mark.parametrize("text, solution, printed", [
+        pytest.param(FREE_PARTICLE_YAML, "line", "0.606 (nominal 16)", id="free-particle"),
+        pytest.param(FREE_PARTICLE_YAML.replace("[0.3]", "[0.0]").replace("[1.0]", "[0.0]"),
+                     "line", "undefined (nominal 16)", id="rest-state"),
+        pytest.param((MODELS / "wave.yaml").read_text().replace('["sin(t2)"]', '["0.25"]')
+                     .replace('["-cos(t2)"]', '["1.0"]'), "run", "1.000 (nominal 4)",
+                     id="wave-linear-in-t1"),
+    ])
+    def test_exact_solution_converges_on_its_rounding_floor(
+        self, tmp_path, capsys, text, solution, printed
+    ):
+        path = tmp_path / "exact.yaml"
+        path.write_text(text)
+        out = tmp_path / "out"
+        assert main(["solve", str(path), "--solution", solution, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"convergence ratio: {printed}\n"
+        report = json.loads((out / f"{solution}_solve.json").read_text())
+        assert report["converged"] is True
+        assert report["rounding_floor"] < 1e-12
+        if printed.startswith("undefined"):  # the rest state: both gaps are exactly 0
+            assert report["convergence_ratio"] is None and report["rounding_floor"] == 0.0
+
     def test_unknown_solution_exits_two(self, wave_file):
         assert main(["solve", str(wave_file), "--solution", "nope"]) == 2
 
@@ -414,15 +443,17 @@ class TestSolve:
 
     def test_leapfrog_of_a_lagrangian_undefined_everywhere_exits_two(self, tmp_path, capsys):
         # d/dq1 of the t1 momentum v1_1 + 0/0 is 0/0, not zero: the leapfrog
-        # evaluates the constant Hessian 1 + 0/0 before its q-coupling test
+        # evaluates the constant Hessian 1 + 0/0 before its q-coupling test, and
+        # analyze at its samples; a constant fails at no point in particular
         path = tmp_path / "undefined.yaml"
         path.write_text(WAVE_YAML.replace(
             'lagrangian: "(v1_1^2 - v1_2^2)/2"', 'lagrangian: "(v1_1^2 - v1_2^2)/2 + q1/0"'
         ))
-        assert main(["solve", str(path), "--solution", "run"]) == 2
-        error = capsys.readouterr().err
-        assert error.startswith("error: invalid value") and "evaluating 1 + 0/0 " in error
-        assert error.count("\n") == 1
+        for argv in (["solve", str(path), "--solution", "run"], ["analyze", str(path)]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == (
+                "error: invalid value encountered in scalar divide evaluating 1 + 0/0 everywhere\n"
+            )
 
     @pytest.mark.parametrize("lagrangian, q0, message", [
         pytest.param("(v1_1 + v2_1)^2/2 - q1^2/2", "[1.0, 0.0]",
@@ -613,6 +644,23 @@ class TestNoether:
         assert 3.0 <= grid_report["details"]["refinement_ratio"] <= 5.0
         trace = (out / "noether_shift_trace.csv").read_text().strip().splitlines()
         assert trace[0] == "t1,t2,phi1,v1_1,v1_2,F1,F2,divergence"
+
+    def test_constant_current_is_conserved_on_its_rounding_floor(self, tmp_path, capsys):
+        # sin(q1)^2 + cos(q1)^2 is 1 in the reals, so its divergences are rounding
+        path = tmp_path / "constant.yaml"
+        path.write_text(OSCILLATOR_YAML.replace("solutions:", (
+            "symmetries:\n  const:\n    kind: vector-field\n    side: lagrangian\n"
+            '    components: ["0", "0"]\n    zeta: ["sin(q1)^2 + cos(q1)^2"]\nsolutions:'
+        )))
+        out = tmp_path / "out"
+        argv = ["noether", str(path), "--symmetry", "const", "--solution", "orbit"]
+        assert main(argv + ["--out", str(out)]) == 0
+        report = json.loads((out / "noether_const.json").read_text())
+        grid_report = {r["condition"]: r for r in report["reports"]}["grid_divergence"]
+        assert grid_report["pass"] is True
+        assert grid_report["details"]["refinement_ratio"] == 0.5
+        assert 0.0 < grid_report["details"]["rounding_floor"] < 1e-12
+        assert "grid_divergence: max residual" in capsys.readouterr().out
 
     def test_broken_symmetry_fails(self, tmp_path):
         path = tmp_path / "kg.yaml"

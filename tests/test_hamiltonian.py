@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ksfield import hamiltonian
 from ksfield.bundles import BundleError, Section
@@ -11,7 +13,6 @@ from ksfield.forms import d_one
 from ksfield.hamiltonian import (
     canonical_one_form,
     canonical_two_form,
-    canonical_two_form_matrix,
     ham_kvector,
     hdw_residual,
     kvector_equation_residual,
@@ -20,7 +21,8 @@ from ksfield.lagrangian import legendre_exprs
 from ksfield.sampling import sample_points
 
 from conftest import cojet, hamiltonian_model
-from reference import evaluate
+from reference import canonical_two_form_matrix, evaluate
+from reference import kvector_equation_residual as reference_kvector_residual
 
 
 def section(table, psi_base, psi_momenta):
@@ -119,6 +121,25 @@ class TestHamKVector:
             grad = np.array([evaluate(diff(model.H, name), chart, w) for name in chart])
             direct = np.linalg.solve(omega.T, grad)
             assert np.max(np.abs(leg - direct)) <= 1e-12
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 3), k=st.integers(1, 3), rows=st.integers(1, 50),
+           seed=st.integers(0, 2**32 - 1))
+    def test_residual_bits_match_the_matrix_contraction(self, n, k, rows, seed):
+        # every product of the matrix contraction is by 0 or +-1, so the
+        # library's column updates give the same sums over A, bit for bit
+        table = VarTable(n, k)
+        model = hamiltonian_model(n, k, " + ".join(
+            [f"{p}^2/2" for p in table.p_names] + [f"{q}^4/4" for q in table.q_names]
+        ))
+        rng = np.random.default_rng(seed)
+
+        def magnitudes(*shape):  # signed, from 1e-5 to 1e5
+            return rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-5, 5, shape)
+
+        w, legs = magnitudes(rows, table.dim_total), magnitudes(rows, k, table.dim_total)
+        assert (kvector_equation_residual(model, w, legs).tobytes()
+                == reference_kvector_residual(model, w, legs).tobytes())
 
     def test_residual_rejects_legs_of_other_rows(self):
         model = hamiltonian_model(1, 2, "(p1_1^2 - p2_1^2)/2 + q1^2")

@@ -7,7 +7,6 @@ import pytest
 
 from ksfield import lagrangian, solver
 from ksfield.expr import diff, evaluate_batch, parse
-from ksfield.hamiltonian import canonical_two_form_matrix
 from ksfield.lagrangian import (
     RegularityError,
     el_residual,
@@ -23,7 +22,7 @@ from ksfield.modelfile import load_model
 from ksfield.sampling import sample_points
 
 from conftest import checked_folds, jet, lagrangian_model, prolong, recording
-from reference import evaluate
+from reference import canonical_two_form_matrix, evaluate
 
 
 TESTS = Path(__file__).resolve().parent

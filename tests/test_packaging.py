@@ -221,7 +221,8 @@ def test_every_definition_is_reached_or_reserved():
 
 
 # the comparisons with a tolerance in src/ksfield: the sampled-verdict rule,
-# and the scale-relative regularity threshold, which judges a ratio
+# and the scale-relative regularity threshold; step-halving ratios meet their
+# window in solver.refinement alone (see test_ratios_meet_a_window_only_in_refinement)
 TOLERANCE_COMPARISONS = {("forms.judge", "tol"), ("lagrangian.velocity_hessian.stack", "det_rtol")}
 
 
@@ -253,6 +254,29 @@ def tolerance_comparisons() -> set:
 
 def test_residuals_meet_tolerances_only_in_judge():
     assert tolerance_comparisons() == TOLERANCE_COMPARISONS
+
+
+def ratio_comparisons() -> set:
+    """module.function of every comparison in src/ksfield, other than a test of
+    identity such as ``is None``, with an operand that reads a name, attribute
+    or string spelled with ``ratio`` in any case."""
+    def spellings(node):
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name):
+                yield n.id
+            elif isinstance(n, ast.Attribute):
+                yield n.attr
+            elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+                yield n.value
+
+    return {where for where, node in qualified_nodes() if isinstance(node, ast.Compare)
+            and not all(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)
+            and any("ratio" in name.lower()
+                    for operand in (node.left, *node.comparators) for name in spellings(operand))}
+
+
+def test_ratios_meet_a_window_only_in_refinement():
+    assert ratio_comparisons() == {"solver.refinement"}
 
 
 # the one site that runs generated code, and the one function it compiles:

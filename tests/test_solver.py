@@ -25,11 +25,12 @@ from ksfield.solver import (
     NotHyperbolicError,
     SolutionGrid,
     SolverError,
+    _grid_gap,
     _write_csv,
     evaluate_current,
     integrate_k1,
     integrate_k2_hyperbolic,
-    self_convergence_ratio,
+    refinement,
 )
 
 from conftest import lagrangian_model
@@ -254,8 +255,10 @@ class TestIntegrateK1:
         grids.append(grids[0].refined())
         grids.append(grids[1].refined())
         sols = [integrate_k1(model, [1.0, -0.5], [0.2, 0.3], g) for g in grids]
-        ratio = self_convergence_ratio(sols)
+        coarse, fine = _grid_gap(*sols[:2]), _grid_gap(*sols[1:])
+        ratio = coarse / fine
         assert 16 / 1.6 <= ratio <= 16 * 1.6
+        assert refinement(coarse, fine, 4, unread, "r") == (True, {"r": ratio})
 
     def test_state_velocities_accompany_stencil_jets(self, oscillator_model):
         grid = GridSpec((Axis(0.0, 1.0, 0.01),))
@@ -834,5 +837,51 @@ class TestSelfConvergence:
         grids.append(grids[0].refined())
         grids.append(grids[1].refined())
         sols = [run_wave(wave_model, g) for g in grids]
-        ratio = self_convergence_ratio(sols)
+        coarse, fine = _grid_gap(*sols[:2]), _grid_gap(*sols[1:])
+        ratio = coarse / fine
         assert 2.5 <= ratio <= 6.0
+        assert refinement(coarse, fine, 2, unread, "r") == (True, {"r": ratio})
+
+
+def unread() -> float:
+    raise AssertionError("the ratio window decides; the rounding floor is not read")
+
+
+ERRORS = st.one_of(st.floats(0.0, 1e300), st.sampled_from([0.0, math.inf, math.nan]))
+
+
+@st.composite
+def error_pairs(draw):
+    """(coarse, fine) errors, the coarse one often a multiple of the fine."""
+    fine = draw(ERRORS)
+    return draw(st.one_of(ERRORS, st.floats(0.0, 32.0).map(lambda r: r * fine))), fine
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(errors=error_pairs(), order=st.sampled_from([2, 4]), bound=st.floats(0.0, 1e300))
+@example(errors=(0.0, 0.0), order=4, bound=0.0)  # a rest state: both gaps 0
+@example(errors=(1e-14, 0.0), order=2, bound=1e-13)
+@example(errors=(math.inf, 1.0), order=2, bound=1e300)
+@example(errors=(1.0, math.inf), order=2, bound=1e300)
+@example(errors=(math.nan, 1.0), order=4, bound=1e300)
+@example(errors=(1.0, math.nan), order=4, bound=1e300)
+def test_refinement_reads_the_floor_only_where_the_window_fails(errors, order, bound):
+    coarse, fine = errors
+    reads = []
+
+    def floor():
+        reads.append(bound)
+        return bound
+
+    passed, details = refinement(coarse, fine, order, floor, "r")
+    ratio = coarse / fine if fine else None  # undefined only for a fine error of exactly 0
+    assert repr(details.pop("r")) == repr(ratio)
+    nominal = 2.0 ** order
+    if ratio is not None and nominal / 1.6 <= ratio <= nominal * 1.6:
+        assert passed and not reads and not details
+        return
+    assert len(reads) == math.isfinite(coarse)  # a non-finite coarse error fails unread
+    assert passed == (math.isfinite(coarse) and fine <= bound)
+    assert details == ({"rounding_floor": bound} if passed else {})
+    if not (math.isfinite(coarse) and math.isfinite(fine)):
+        assert not passed

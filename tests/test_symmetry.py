@@ -262,6 +262,23 @@ class TestVerifyConservation:
         assert report.max_residual <= 1e-3
         assert 3.0 <= report.details["refinement_ratio"] <= 5.0
 
+    def test_non_conserved_current_fails_on_the_grid(self):
+        # the divergence of (q1, 0) is v1_1, which refinement does not shrink:
+        # a ratio near 1, with a fine divergence far above its rounding floor
+        spec = load_model(TESTS.parent / "models" / "wave.yaml")
+        run = spec.solutions["run"]
+        sol, refined = (integrate_k2_hyperbolic(spec.lagrangian, run.initial, run.initial_rate, g)
+                        for g in (run.grid, run.grid.refined()))
+        current = NoetherCurrent((Var("q1"), Num(0.0)), "lagrangian", "user-supplied")
+        report = verify_conservation(
+            current, spec.table, grid=sol, refined_grid=refined, model=spec.lagrangian
+        )
+        assert not report.passed
+        assert 0.9 <= report.details["refinement_ratio"] <= 1.1
+        assert "rounding_floor" not in report.details
+        with pytest.raises(symmetry.SymmetryError, match="refined grid"):
+            verify_conservation(current, spec.table, grid=sol, model=spec.lagrangian)
+
 
 class TestBracketTheorem:
     def test_momentum_current_with_free_hamiltonian(self, free_hamiltonian):
