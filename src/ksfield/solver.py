@@ -126,46 +126,24 @@ CSV_BLOCK_ROWS = 512
 # orjson text (at level 50: 77670 bytes for the 7 columns after t1, 80810
 # with it; 88063 at most), and each level of its 5-column grid about 50 KB.
 CSV_BLOCK_CELLS = 2048
-# orjson writes the shortest round-trip digits, as repr does, but spells
-# exponents without sign or padding (e16, e-7 for repr's e+16, e-07), 1e-5 <=
-# |x| < 1e-4 positionally and non-finite cells as null; _spliced mends these.
-_EXP_PLUS = re.compile(rb"e(?=\d)")
 _ROW_BREAK = re.compile(rb"\],\[")  # a literal pattern: faster than bytes.replace
 
 
-def _spliced(text, values, magnitude):
-    """``text`` with its nulls replaced, in order, by repr's spelling of ``values``."""
+def _cell(x: float) -> bytes:
+    """One cell as the CSV spells it: orjson's shortest round-trip digits
+    (1e16, 1.5e-6, 0.000015), or repr's nan, inf and -inf, which orjson writes as null."""
     import orjson
 
-    pieces = text.split(b"null")
-    spliced = np.empty(2 * len(pieces) - 1, dtype=object)
-    spliced[::2], cells = pieces, spliced[1::2]
-    band = (magnitude >= 1e-5) & (magnitude < 1e-4)
-    for part in (band, ~band):
-        if part.any():
-            text = orjson.dumps(values[part], option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
-            if part is band:  # [-]0.0000Dddd -> [-]D.ddde-05, one "." a cell
-                chars = np.frombuffer(text, np.uint8).copy()
-                dot = np.flatnonzero(chars == ord("."))
-                chars[dot - 1] = chars[dot + 5]  # D over the 0 before the "."
-                text = np.delete(chars, (dot[:, None] + np.arange(1, 6)).ravel()).tobytes()
-                text = (text.replace(b",", b"e-05,") + b"e-05").replace(b".e", b"e")  # 2.e-05
-            else:  # exponents e-6 to e-9, or e16 and up
-                text = _EXP_PLUS.sub(b"e+", text.replace(b"e-", b"e-0"))
-            cells[part] = text.split(b",")
-    nonfinite = ~np.isfinite(values)
-    cells[nonfinite] = [repr(x).encode() for x in values[nonfinite].tolist()]
-    return b"".join(spliced.tolist())
+    return orjson.dumps(x) if math.isfinite(x) else repr(x).encode()
 
 
 def _write_csv(path, header, columns):
-    """One CSV row per grid node, in the bytes of ``csv.writer`` of each
-    float's repr (no quoting; rows end in CRLF), formatted by orjson in blocks
-    of whole levels (at most CSV_BLOCK_ROWS rows and CSV_BLOCK_CELLS cells
-    unless one level holds more); _spliced respells the cells orjson spells otherwise.
-    A block of several rows whose first column is bitwise one value (t1 on a
-    level of a k = 2 grid) is formatted without that column; the value is
-    spelled once and starts each row."""
+    """One CSV row per grid node, each cell spelled by :func:`_cell` (no
+    quoting; rows end in CRLF), formatted by orjson in blocks of whole levels
+    (at most CSV_BLOCK_ROWS rows and CSV_BLOCK_CELLS cells unless one level
+    holds more); orjson's nulls are respelled.  A block of several rows whose
+    first column is bitwise one value (t1 on a level of a k = 2 grid) is
+    formatted without that column; the value is spelled once and starts each row."""
     import orjson  # only commands that write a CSV load it
 
     rows = min(CSV_BLOCK_ROWS, CSV_BLOCK_CELLS // len(columns))
@@ -181,20 +159,17 @@ def _write_csv(path, header, columns):
             bits = first.tobytes()  # compared bitwise: 0.0 and -0.0 differ
             one_value = (len(first) > 1 and len(columns) > 1
                          and bits == bits[:first.itemsize] * len(first))
-            row_start = b"\r\n" + (repr(float(first[0])).encode() + b"," if one_value else b"")
+            row_start = b"\r\n" + (_cell(float(first[0])) + b"," if one_value else b"")
             block = np.column_stack(
                 [c[start:stop].reshape(-1) for c in (columns[1:] if one_value else columns)]
             )
-            magnitude = np.abs(block)
-            # the cells orjson spells otherwise (not < 1e16 holds for NaN too)
-            mask = ~(magnitude < 1e16) | ((magnitude >= 1e-9) & (magnitude < 1e-4))
-            special = block[mask]
-            block[mask] = np.nan
             text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)
             handle.write(row_start[2:])  # the first row's start
             text = _ROW_BREAK.sub(row_start, memoryview(text)[2:])  # after the "[["
-            if special.size:
-                text = _spliced(text, special, magnitude[mask])
+            pieces = text.split(b"null")
+            if len(pieces) > 1:  # the non-finite cells, in order
+                cells = [_cell(x) for x in block[~np.isfinite(block)].tolist()]
+                text = b"".join(chain.from_iterable(zip(pieces, cells + [b""])))
             handle.write(memoryview(text)[:-2])  # without the closing "]]"
             handle.write(b"\r\n")
 
@@ -234,7 +209,7 @@ def _forces(model: LagrangianModel, A: int) -> list:
 
 # One RK4 step on Python floats; _rk4_step fills in the model's prologue and stage.
 _RK4_STEP = """{prologue}
-def _fn(_state, _energy_only=False):
+def _fn(_state, _steps, _energy_only=False):
     {Y} = {X} = _state
     for _stage in range(4):
         {stage}
@@ -245,7 +220,7 @@ def _fn(_state, _energy_only=False):
             {A} = {A2K}
         else:  # the weighted sum of the four slopes
             {K} = {AK}
-        _dt = _DT[_stage]
+        _dt = _steps[_stage]
         {X} = {update}
     return ({X},) if {finite} else None, _e"""
 
@@ -301,16 +276,26 @@ def _substitute(H, R):
         yield f"{R[i]} = ({R[i]}{rest}) / {H[i][i]}"
 
 
-def _rk4_step(model: LagrangianModel, h: float):
-    """One generated function per run for an RK4 step of size ``h``.
+def _rk4_steps(h: float) -> tuple:
+    """Each RK4 stage's step to the next stage point, for a step of size ``h``."""
+    return 0.5 * h, 0.5 * h, h, h / 6.0
 
-    ``step(state)`` takes the state (q..., v...) as a tuple of Python floats
-    and returns the next state (None where not finite) and the energy at
-    ``state``; ``step(state, True)`` returns only that energy.  Each stage
-    evaluates the forces (at the state also the energy) and solves H a = rhs
-    for the velocity Hessian H of :func:`hessian_entries`.  A constant H is
-    eliminated once, by the source's prologue; any other in each stage.
+
+def _rk4_step(model: LagrangianModel):
+    """One generated function per model for an RK4 step, built on first use
+    and kept in the model's ``__dict__`` (not a field), so the runs of one
+    command share it whatever their step size.
+
+    ``step(state, _rk4_steps(h))`` takes the state (q..., v...) as a tuple of
+    Python floats and returns the next state (None where not finite) and the
+    energy at ``state``; ``step(state, steps, True)`` returns only that
+    energy.  Each stage evaluates the forces (at the state also the energy)
+    and solves H a = rhs for the velocity Hessian H of :func:`hessian_entries`.
+    A constant H is eliminated once, by the source's prologue; any other in
+    each stage.
     """
+    if (step := vars(model).get("_rk4_step")) is not None:
+        return step
     table = model.table
     if table.k != 1:
         raise SolverError("k = 1 integrator needs a k = 1 model")
@@ -323,7 +308,6 @@ def _rk4_step(model: LagrangianModel, h: float):
         "_isfinite": math.isfinite, "_SolverError": SolverError,
         "_RegularityError": RegularityError,
         "_SINGULAR": "velocity Hessian became singular along the trajectory",
-        "_DT": (0.5 * h, 0.5 * h, h, h / 6.0),  # each stage's step to the next point
     }
     hessian = hessian_entries(model)
     constant = not any(free_vars(e) for e in hessian)
@@ -358,7 +342,9 @@ def _rk4_step(model: LagrangianModel, h: float):
             update=join(f"{y} + _dt * {k}" for y, k in zip(Y, K)),
             finite=" and ".join(f"_isfinite({x})" for x in chart))
 
-    return compile_source([hessian, _forces(model, 0), [energy(model)]], chart, write, namespace)
+    step = compile_source([hessian, _forces(model, 0), [energy(model)]], chart, write, namespace)
+    vars(model)["_rk4_step"] = step
+    return step
 
 
 # states a run keeps as tuples before it copies them into the trajectory at
@@ -397,18 +383,18 @@ def integrate_k1(
     energies = []
     try:
         with np.errstate(all="ignore"):
-            step = _rk4_step(model, h)  # a constant Hessian is eliminated here
+            step, steps = _rk4_step(model), _rk4_steps(h)  # a first build eliminates a constant H
             for start in range(1, levels, _LEVELS_PER_COPY):
                 states = []
                 for m in range(start, min(start + _LEVELS_PER_COPY, levels)):
-                    state, e = step(state)
+                    state, e = step(state, steps)
                     if state is None:
                         raise SolverError(f"non-finite state at step {m}; step rejected")
                     states.append(state)
                     energies.append(e)
                 values = np.fromiter(chain.from_iterable(states), float, len(states) * 2 * n)
                 trajectory[start: start + len(states)] = values.reshape(-1, 2 * n)
-            energies.append(step(state, True))
+            energies.append(step(state, steps, True))
     except (ZeroDivisionError, OverflowError):
         # Python-float operations raise where numpy's would give inf/nan
         raise SolverError("non-finite stage values; step rejected") from None
@@ -513,11 +499,17 @@ def integrate_k2_hyperbolic(
     # its periodic wrap rows, so its neighbours along t2 are views
     padded = np.empty((x.size + 2, n))
     level, right, left = padded[1:-1], padded[2:], padded[:-2]
-    v2, phixx, rhs, product, acc = (np.empty((x.size, n)) for _ in range(5))
+    v2, phixx, force, rhs, product, acc = (np.empty((x.size, n)) for _ in range(6))
     zeros = np.zeros(x.size)  # v1 slots: certified unused; v2 slots where no force reads them
     reads_v2 = any(free_vars(f) & {table.v(i, 1) for i in range(n)} for f in forces)
     args = [level[:, i] for i in range(n)] + [zeros] * n
     args += [v2[:, i] for i in range(n)] if reads_v2 else [zeros] * n
+
+    varying = any(map(free_vars, forces))  # else filled once (the wave's 0.0)
+
+    def fill_forces():
+        for i, value in enumerate(forces_at(*args)):
+            force[:, i] = value
 
     def acceleration(source: np.ndarray) -> np.ndarray:
         """phi_tt at the level ``source``, which also fills ``args`` from it."""
@@ -527,15 +519,17 @@ def integrate_k2_hyperbolic(
             np.divide(np.subtract(right, left, out=v2), 2 * h2, out=v2)
         np.subtract(right, np.multiply(level, 2, out=phixx), out=phixx)
         np.divide(np.add(phixx, left, out=phixx), h2_sq, out=phixx)
-        for i, force in enumerate(forces_at(*args)):
-            rhs[:, i] = force
-        np.subtract(rhs, by_m22(phixx, product), out=rhs)  # the bits of rhs - phixx @ M22.T
+        if varying:
+            fill_forces()
+        np.subtract(force, by_m22(phixx, product), out=rhs)  # the bits of force - phixx @ M22.T
         return by_m11_inv(rhs, acc)
 
     phi[0] = phi_now
     tested = 1  # the first level not yet tested for finiteness
     with np.errstate(all="ignore"):  # a breach is named by the strict pass
         h1_sq, h2_sq = np.float64(h1) ** 2, np.float64(h2) ** 2  # inf where a float's ** raises
+        if not varying:
+            fill_forces()
         phi[1] = phi_now + h1 * rate0 + 0.5 * h1_sq * acceleration(phi_now)
         for m in range(1, levels - 1):
             acc = acceleration(phi[m])

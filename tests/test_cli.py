@@ -1084,7 +1084,7 @@ def test_fuzzed_model_files_get_an_exit_code(tmp_path, run):
 
 class TestNoCodegen:
     """Checks and leapfrog runs evaluate their expressions by walking the DAG;
-    only the RK4 step compiles, one function per run."""
+    only the RK4 step compiles, one function per model."""
 
     @staticmethod
     def compiled(monkeypatch) -> list:
@@ -1103,15 +1103,19 @@ class TestNoCodegen:
         assert main([arg.format(wave=wave) for arg in argv] + ["--out", str(tmp_path)]) == 0
         assert calls == []
 
-    def test_each_rk4_run_compiles_its_step_once(self, monkeypatch, tmp_path):
+    @pytest.mark.parametrize("argv, count", [
+        (["solve", str(MODELS / "oscillator.yaml"), "--solution", "orbit"], 3),
+        (["noether", str(Path(__file__).resolve().parent / "models" / "rotation.yaml"),
+          "--symmetry", "rot_h", "--solution", "orbit"], 2),
+    ], ids=["solve", "noether"])
+    def test_each_command_compiles_its_rk4_step_once(self, monkeypatch, tmp_path, argv, count):
         calls = self.compiled(monkeypatch)
         runs = recording(monkeypatch, cli_solve, "integrate_k1")
-        argv = ["solve", str(MODELS / "oscillator.yaml"), "--solution", "orbit"]
         assert main(argv + ["--out", str(tmp_path)]) == 0
-        steps = [names for _, names, *_ in calls if names]
-        assert len(runs) == 3 and steps == [["q1", "v1_1"]] * 3
-        # the oscillator's constant velocity Hessian is eliminated by that step's prologue
-        assert len(calls) == len(runs)
+        # the runs at h, h/2 (and h/4) share one step; the model's constant
+        # velocity Hessian is eliminated by its prologue
+        assert len(runs) == count and calls == [calls[0]]
+        assert calls[0][1] == ["q1", "v1_1"]
 
     def test_each_leapfrog_run_compiles_nothing(self, monkeypatch, tmp_path):
         calls = self.compiled(monkeypatch)

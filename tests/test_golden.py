@@ -3,14 +3,19 @@
 Each case runs one command at a fixed seed and pins the sha256 of its
 stdout and of every file it writes under ``--out``.  The digests were
 recorded from the command outputs before the expression kernel became a
-DAG (the two chain cases: before the CSV writer respelled cells from
-orjson's digits; the three rotation cases: before the two sides shared
-one Cartan check and one Noether construction; the two Hamiltonian
-analytic-solution cases: before both sides restricted expressions to a
-solution through one section record; the four cases at 5000 samples: before
-matrix stacks with constant entries were factored once); a change to how
-expressions are built, derived, printed or compiled, or to how CSV cells
-are spelled, must leave every byte of them as it was.
+DAG (the three rotation cases: before the two sides shared one Cartan
+check and one Noether construction; the two Hamiltonian analytic-solution
+cases: before both sides restricted expressions to a solution through one
+section record; the four cases at 5000 samples: before matrix stacks with
+constant entries were factored once); a change to how expressions are
+built, derived, printed or compiled must leave every byte of them as it was.
+
+The six CSV digests were re-recorded, with orjson 3.8.3, when CSV cells
+changed from repr's spelling to orjson's (1e16 for 1e+16, 1.5e-6 for
+1.5e-06, 0.000015 for 1.5e-05): every cell of those files reads back to
+the same float as before, and every other digest stayed as it was.  They
+rest on orjson's spelling, which ``test_csv_spells_cells_as_recorded`` in
+``tests/test_solver.py`` pins value by value.
 
 After an intended output change, ``python tests/test_golden.py`` prints
 the table to paste in place of GOLDEN.
@@ -78,15 +83,15 @@ GOLDEN = {
     'gauge oscillator oscillator': {'exit': 0, 'stdout': '7fea716e235ce19853ea9aa570a1ce2e0b99cec021fa1e4888822b11ea15034d', 'gauge.json': '3008ea8325d17bf029a3b73cb00276a1efa8c4f3a6b586e3182bac2baee8a16c'},
     'gauge wave wave': {'exit': 0, 'stdout': 'c07a0c73311fe510ba77e7a30aa5849c5225dbee456a0244fce62939c825a3bb', 'gauge.json': 'f6d9744c4de8ff602f4d95e176167fb56291a0d9542067979bb08a20555dfd4e'},
     'gauge wave wave 5000': {'exit': 0, 'stdout': 'c07a0c73311fe510ba77e7a30aa5849c5225dbee456a0244fce62939c825a3bb', 'gauge.json': '8c7569d548b15775fe3f8ccbf4a0e7797c9c0b2c16521dcdb65d1f8abc20e702'},
-    'noether chain shift run': {'exit': 0, 'stdout': 'b68c0fba19bed89788bcbf300812a12c3d99f3c2266d0e230e5126b6a970ae35', 'noether_shift.json': '070da1d591e8505b3549c34b409dc87621ee6061a0d5665318f534b75ecc22a9', 'noether_shift_trace.csv': 'df43bd9681382087a190bfad1655f00e62b7916e67bece4945945b16ebe7a4ef'},
+    'noether chain shift run': {'exit': 0, 'stdout': 'b68c0fba19bed89788bcbf300812a12c3d99f3c2266d0e230e5126b6a970ae35', 'noether_shift.json': '070da1d591e8505b3549c34b409dc87621ee6061a0d5665318f534b75ecc22a9', 'noether_shift_trace.csv': '152e4bb5f2ae05d096c89fc23f59e35016c176d43f5d28780950347ef32217c0'},
     'noether rotation rot_h closed_form_h': {'exit': 0, 'stdout': '13c03cbd030910ae70893f03ad8e2551ec4801b1ec926c983d16330ca01bdafb', 'noether_rot_h.json': '4d6e7ca61c6485acbb2dba3d65d8fe804507d61c895c944be8ffbe50ce535cc7'},
-    'noether rotation rot_h orbit': {'exit': 0, 'stdout': 'cd8b4f35f4eff406bdda3216e04859d851b7d4becff8169dd3a395987a755545', 'noether_rot_h.json': '0c808f7f5549501cfb74a7aef5599deafe4f44eb5029c12680afac1fe3d9a265', 'noether_rot_h_trace.csv': 'a1e95bba4bc63c521ed9b1834732116b1be870d472cb53131ca63c9d4e515c4c'},
+    'noether rotation rot_h orbit': {'exit': 0, 'stdout': 'cd8b4f35f4eff406bdda3216e04859d851b7d4becff8169dd3a395987a755545', 'noether_rot_h.json': '0c808f7f5549501cfb74a7aef5599deafe4f44eb5029c12680afac1fe3d9a265', 'noether_rot_h_trace.csv': '7b7906a32b1913409102188e2e62ee3455fa882c13a7b09cf95c3cdaa057ccd0'},
     'noether wave shift dalembert': {'exit': 0, 'stdout': '0e0d984b9374243c52dc38c14b55ed51d53016d21a25349f6f190b6c7a6bffd5', 'noether_shift.json': 'edd0c09e12545a2a9436e3df9429a044197d1fc6c430c74f92ab72d771684665'},
     'noether wave shift dalembert 5000': {'exit': 0, 'stdout': '0e0d984b9374243c52dc38c14b55ed51d53016d21a25349f6f190b6c7a6bffd5', 'noether_shift.json': '85e77ad4ee0996c79efc9c2598f67bb8ee468e4ff3888d0517b39b3835ba3ef1'},
-    'noether wave shift run': {'exit': 0, 'stdout': 'aa08e6533152dff6452e659da0fa10197a5122e4c84f0efe8adf63083cdc2cae', 'noether_shift.json': '94ace9b843378a858be2993572d2f1ba4b8b4be2606c3b3d3ca2971c7575583b', 'noether_shift_trace.csv': '1bb599328ccb4acd25a744bd85b52c36a5e9612ce7e0df18f2d45f2ea3bec7ee'},
-    'solve chain run': {'exit': 0, 'stdout': '7b16542c0eafcc3f9d77f14fb59f524ad476cc29162ae5183f5906f9850bd47c', 'run_grid.csv': '458a0b5dd9ca615a4912ed220777386e9977a6c6ef7824c89edfc1c300bb2a9d', 'run_solve.json': '257217c32f1f7d5c76f9ec0facb0af8fb2fa3b3154434bdc3348d3fa9eaa59e7'},
-    'solve oscillator orbit': {'exit': 0, 'stdout': 'd09dfc41161378a1bf2f0938caf2ed4843979f0925c1ba65f1ef516d9eeaaa37', 'orbit_grid.csv': 'c443be2fc6a8a49907a22dfbddc7de31a04cc55213b6b6377df0e2b04c89cde3', 'orbit_solve.json': 'b7736857eaeb116ad336869813b6df7da28154aab61fc57a2b06d01555819984'},
-    'solve wave run': {'exit': 0, 'stdout': '7b16542c0eafcc3f9d77f14fb59f524ad476cc29162ae5183f5906f9850bd47c', 'run_grid.csv': 'd124721ccc078a5d29c21144349f2688d8db40931cfcb55f1b64fe92ff47ea3f', 'run_solve.json': '7ce50e89a1415b3ca659738252ada65dc08038fd5577197d78180c38042aef58'},
+    'noether wave shift run': {'exit': 0, 'stdout': 'aa08e6533152dff6452e659da0fa10197a5122e4c84f0efe8adf63083cdc2cae', 'noether_shift.json': '94ace9b843378a858be2993572d2f1ba4b8b4be2606c3b3d3ca2971c7575583b', 'noether_shift_trace.csv': 'e859f4eba0f93f6b55939782e8c0661e9579087c8618244d5429bb8bac8ee9cd'},
+    'solve chain run': {'exit': 0, 'stdout': '7b16542c0eafcc3f9d77f14fb59f524ad476cc29162ae5183f5906f9850bd47c', 'run_grid.csv': 'd2c545f4a3347ce43244a258ccdcf88e39267fc61580e5507fd8b5177b31e1ea', 'run_solve.json': '257217c32f1f7d5c76f9ec0facb0af8fb2fa3b3154434bdc3348d3fa9eaa59e7'},
+    'solve oscillator orbit': {'exit': 0, 'stdout': 'd09dfc41161378a1bf2f0938caf2ed4843979f0925c1ba65f1ef516d9eeaaa37', 'orbit_grid.csv': 'fafdebedb0a276fdb32976a4156bc7cc5fb0ae7664b2bbbd0f6b54fc3c9a950c', 'orbit_solve.json': 'b7736857eaeb116ad336869813b6df7da28154aab61fc57a2b06d01555819984'},
+    'solve wave run': {'exit': 0, 'stdout': '7b16542c0eafcc3f9d77f14fb59f524ad476cc29162ae5183f5906f9850bd47c', 'run_grid.csv': '2a75666b014eeae9e3005dd5d8f4537e20cc18e7fb7281c4a35492b6308f7e53', 'run_solve.json': '7ce50e89a1415b3ca659738252ada65dc08038fd5577197d78180c38042aef58'},
 }
 
 

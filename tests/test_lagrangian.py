@@ -159,7 +159,7 @@ class TestHessian:
         evaluated = recording(monkeypatch, lagrangian, "evaluate_batch")
         compiled = recording(monkeypatch, solver, "compile_source")
         velocity_hessian(model, jet([0.1, 0.2], [[0.3], [0.4]]))
-        solver._rk4_step(model, 0.01)
+        solver._rk4_step(model)
         upper = evaluated[-1][0]  # H[a][b] for a <= b, row by row
         step = compiled[-1][0][0]  # the upper entries, then the forces
         assert len(upper) == 3

@@ -8,6 +8,7 @@ import struct
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -209,12 +210,34 @@ class TestIntegrateK1:
         monkeypatch.setattr(solver, "compile_source", keeping_source)
         solver._rk4_step(lagrangian_model(
             2, 1, "(1 + q2^2/10)*v1_1^2/2 + v1_1*v2_1/2 + v2_1^2/2 - (q1^2 + q2^2)/2"
-        ), 0.01)
+        ))
         (source,) = sources
         (scale,) = [line for line in source.splitlines() if "_scale =" in line]
         upper = ["_h0_0", "_h0_1", "_h1_1"]
         assert re.findall(r"_isfinite\((_h\d+_\d+)\)", source) == upper
         assert re.findall(r"abs\((_h\d+_\d+)\)", scale) == upper
+
+    def test_one_build_serves_every_step_size(self, monkeypatch):
+        # the step size is an argument of the generated step, so the three
+        # grids of a refinement share one build; a new model gets its own
+        builds, compile_source = [], solver.compile_source
+
+        def counting(*args, **kwargs):
+            builds.append(args)
+            return compile_source(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "compile_source", counting)
+        source = "v1_1^2/2 - q1^2/2"
+        model = lagrangian_model(1, 1, source)
+        grids = [GridSpec((Axis(0.0, 1.0, 0.1),))]
+        grids += [grids[-1].refined(), grids[-1].refined().refined()]
+        sols = [integrate_k1(model, [1.0], [0.0], g) for g in grids]
+        assert len(builds) == 1
+        fresh = [integrate_k1(lagrangian_model(1, 1, source), [1.0], [0.0], g) for g in grids]
+        assert len(builds) == 4
+        for sol, again in zip(sols, fresh):
+            assert sol.phi.tobytes() == again.phi.tobytes()
+            assert sol.state_v.tobytes() == again.state_v.tobytes()
 
     def test_zero_diagonal_hessian_needs_pivoting(self):
         # Hessian [[0, 1], [1, 0]]: elimination without a row swap divides by
@@ -418,6 +441,11 @@ class TestIntegrateK2:
             GridSpec((Axis(0.0, 0.01, 0.001), Axis(0.0, TWO_PI, TWO_PI / 2512))),
             ("sin(t2)",), ("-cos(t2)",),
         ),
+        (  # a constant force 1/2, evaluated once per run
+            "(v1_1^2 - v1_2^2)/2 + q1/2",
+            wave_grid(nodes=60, steps=40),
+            ("sin(t2)",), ("-cos(t2)",),
+        ),
     ])
     def test_leapfrog_bits_match_the_reference(self, source, grid, initial, rate):
         n = len(initial)
@@ -446,6 +474,26 @@ class TestIntegrateK2:
         sol = integrate_k2_hyperbolic(model, phi0, phidot0, grid)
         assert sol.summary["cfl_margin"] <= 1.0
         assert sol.phi.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("source, walks", [
+        ("(v1_1^2 - v1_2^2)/2", 1),  # the force 0.0
+        ("(v1_1^2 - v1_2^2)/2 + q1/2", 1),
+        ("(v1_1^2 - v1_2^2)/2 - q1^2/2", 8),  # at levels 0 to 7 of the 9
+    ])
+    def test_constant_forces_are_evaluated_once(self, monkeypatch, source, walks):
+        calls, walk = [], solver.walk
+
+        def counting(exprs, names):
+            run = walk(exprs, names)
+
+            def counted(*columns):
+                calls.append(exprs)
+                return run(*columns)
+            return counted
+
+        monkeypatch.setattr(solver, "walk", counting)
+        run_wave(lagrangian_model(1, 2, source), wave_grid(nodes=16, steps=8))
+        assert len(calls) == walks
 
     def test_rejects_velocity_coupling(self):
         model = lagrangian_model(1, 2, "v1_1*v1_2")
@@ -586,9 +634,9 @@ class TestCurrentTrace:
         assert trace_rows[0] == "t1,t2,phi1,v1_1,v1_2,F1,F2,divergence"
 
 
-def reference_csv(path, sol, trace=None):
-    """The csv.writer row loop both to_csv methods ran before the block
-    writer, kept as the byte-for-byte reference."""
+def reference_table(sol, trace=None):
+    """Header and rows of floats of the CSV of ``sol``, or of ``trace`` on it:
+    the row loop both to_csv methods ran before the block writer."""
     table, k = sol.table, sol.k
     header = [f"t{A + 1}" for A in range(k)]
     header += [f"phi{i + 1}" for i in range(table.n)]
@@ -597,24 +645,44 @@ def reference_csv(path, sol, trace=None):
         header += [f"F{A + 1}" for A in range(k)] + ["divergence"]
     coords = sol.node_coordinates()
     if k == 1:
-        nodes = [((m,), (repr(float(t)),)) for m, t in enumerate(coords[0])]
+        nodes = [((m,), [float(t)]) for m, t in enumerate(coords[0])]
     else:
         nodes = [
-            ((m, j), (repr(float(t1)), repr(float(t2))))
+            ((m, j), [float(t1), float(t2)])
             for m, t1 in enumerate(coords[0])
             for j, t2 in enumerate(coords[1])
         ]
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for idx, row_coords in nodes:
-            row = list(row_coords)
-            row += [repr(float(v)) for v in sol.phi[idx]]
-            row += [repr(float(sol.jets[idx][i, A])) for i in range(table.n) for A in range(k)]
-            if trace is not None:
-                row += [repr(float(trace.values[idx][A])) for A in range(k)]
-                row.append(repr(float(trace.divergence[idx])))
-            writer.writerow(row)
+    rows = []
+    for idx, row in nodes:
+        row += [float(v) for v in sol.phi[idx]]
+        row += [float(sol.jets[idx][i, A]) for i in range(table.n) for A in range(k)]
+        if trace is not None:
+            row += [float(trace.values[idx][A]) for A in range(k)]
+            row.append(float(trace.divergence[idx]))
+        rows.append(row)
+    return header, rows
+
+
+def spelled(x: float) -> bytes:
+    """A cell as the CSV contract spells it: orjson's shortest round-trip
+    digits, or repr's nan, inf and -inf."""
+    return orjson.dumps(x) if math.isfinite(x) else repr(x).encode()
+
+
+def assert_csv_holds(path, header, rows):
+    """The CSV at ``path`` is the header and one CRLF row per row of floats.
+    csv.reader and float give every cell back bit for bit (a NaN as a NaN:
+    its sign and payload are not spelled), and each cell is spelled as
+    orjson spells it (repr for the non-finite)."""
+    lines = path.read_bytes().split(b"\r\n")
+    assert lines[0] == ",".join(header).encode() and lines[-1] == b""
+    with open(path, newline="") as handle:
+        read = [[float(cell) for cell in row] for row in list(csv.reader(handle))[1:]]
+    assert [len(row) for row in read] == [len(header)] * len(rows)
+    got, want = np.array(read, ndmin=2), np.array(rows, ndmin=2)
+    same_bits = got.view(np.uint64) == want.view(np.uint64)
+    assert (same_bits | (np.isnan(got) & np.isnan(want))).all()
+    assert lines[1:-1] == [b",".join(map(spelled, row)) for row in rows]
 
 
 def with_special_cells(array):
@@ -626,11 +694,10 @@ def with_special_cells(array):
 
 
 class TestCsvBytes:
-    def assert_same_bytes(self, tmp_path, sol, trace=None):
-        ours, reference = tmp_path / "ours.csv", tmp_path / "reference.csv"
-        (trace or sol).to_csv(ours)
-        reference_csv(reference, sol, trace)
-        assert ours.read_bytes() == reference.read_bytes()
+    def assert_csv_of(self, tmp_path, sol, trace=None):
+        path = tmp_path / "ours.csv"
+        (trace or sol).to_csv(path)
+        assert_csv_holds(path, *reference_table(sol, trace))
 
     def test_k1_grid(self, oscillator_model, tmp_path):
         levels = 2 * CSV_BLOCK_ROWS + 7  # not a whole number of blocks
@@ -640,7 +707,7 @@ class TestCsvBytes:
         special = SolutionGrid(
             sol.table, grid, with_special_cells(sol.phi), jets=with_special_cells(sol.jets)
         )
-        self.assert_same_bytes(tmp_path, special)
+        self.assert_csv_of(tmp_path, special)
 
     def test_k2_grid(self, wave_model, tmp_path):
         sol = run_wave(wave_model, wave_grid(nodes=200, steps=6))  # 7 levels of 200 nodes
@@ -648,7 +715,7 @@ class TestCsvBytes:
         special = SolutionGrid(
             sol.table, sol.spec, with_special_cells(sol.phi), jets=with_special_cells(sol.jets)
         )
-        self.assert_same_bytes(tmp_path, special)
+        self.assert_csv_of(tmp_path, special)
 
     def test_current_trace_with_nan_divergence(self, wave_model, tmp_path):
         sol = run_wave(wave_model, wave_grid(nodes=300, steps=8))
@@ -656,7 +723,7 @@ class TestCsvBytes:
         trace = evaluate_current((parse("v1_1", chart), parse("-v1_2", chart)), sol)
         assert np.isnan(trace.divergence[0]).all()  # outside the computed band
         trace.values = with_special_cells(trace.values)
-        self.assert_same_bytes(tmp_path, sol, trace)
+        self.assert_csv_of(tmp_path, sol, trace)
 
     def test_current_trace_with_infinite_values(self, wave_model, tmp_path):
         sol = run_wave(wave_model, wave_grid(nodes=300, steps=8))
@@ -666,23 +733,56 @@ class TestCsvBytes:
         trace.values[0, :5, 0] = np.inf   # beside the nan divergence levels
         trace.values[-1, -5:, 1] = -np.inf
         trace.values[1, 7] = (-np.inf, np.inf)
-        self.assert_same_bytes(tmp_path, sol, trace)
+        self.assert_csv_of(tmp_path, sol, trace)
 
     def test_k1_grid_in_the_positional_band(self, oscillator_model, tmp_path):
-        # repr writes 1e-5 <= |x| < 1e-4 with an exponent, orjson positionally
+        # orjson writes 1e-5 <= |x| < 1e-4 positionally (0.000015), repr with an exponent
         levels = CSV_BLOCK_ROWS + 11
         grid = GridSpec((Axis(0.0, (levels - 1) * 0.01, 0.01),))
         sol = integrate_k1(oscillator_model, [6e-5], [0.0], grid)
         band = (np.abs(sol.jets) >= 1e-5) & (np.abs(sol.jets) < 1e-4)
         assert band.sum() > CSV_BLOCK_ROWS // 2
-        self.assert_same_bytes(tmp_path, sol)
+        self.assert_csv_of(tmp_path, sol)
 
 
-# Cells whose repr orjson spells differently, or that sit at the edge of a
-# spelling rule: sign, non-finite, subnormal, exponent width and the
-# positional ranges of both writers.
+# orjson's spelling of cells at the edges of its rules, recorded with orjson
+# 3.8.3: the golden CSV digests rest on these, so an orjson that respells
+# floats fails here first, with the values named
+RECORDED_SPELLINGS = (
+    (1.5e-6, b"1.5e-6"), (1e-7, b"1e-7"), (1.5e-5, b"0.000015"),
+    (9.999999999999999e-05, b"0.00009999999999999999"), (1e-4, b"0.0001"),
+    (0.25, b"0.25"), (1.0, b"1.0"), (9999999999999998.0, b"9999999999999998.0"),
+    (1e16, b"1e16"), (1e300, b"1e300"), (-0.0, b"-0.0"), (5e-324, b"5e-324"),
+    (math.nan, b"nan"), (math.inf, b"inf"), (-math.inf, b"-inf"),
+)
+
+
+def test_csv_spells_cells_as_recorded(tmp_path):
+    path = tmp_path / "spelling.csv"
+    values = [value for value, _ in RECORDED_SPELLINGS]
+    _write_csv(path, ["c"], [np.array(values)])
+    written = path.read_bytes().split(b"\r\n")[1:-1]
+    assert dict(zip(map(repr, values), written)) == {
+        repr(value): spelling for value, spelling in RECORDED_SPELLINGS
+    }
+
+
+def _decimal(exponents):
+    """Floats of either sign with 1-17 significant decimal digits, the
+    leading one in the decimal place drawn from ``exponents``."""
+    mantissas = st.integers(1, 17).flatmap(
+        lambda digits: st.tuples(st.just(digits), st.integers(10 ** (digits - 1), 10 ** digits - 1))
+    )
+    return st.tuples(st.sampled_from("+-"), mantissas, exponents).map(
+        lambda t: float(f"{t[0]}{t[1][1]}e{t[2] - t[1][0] + 1}")
+    )
+
+
+# Cells at the edge of a spelling rule: sign, non-finite, subnormal, the
+# positional band 1e-5 <= |x| < 1e-4 and the exponents on either side of it,
+# and the largest positional cell below 1e16.
 SPELLING_EDGES = (
-    0.0, math.inf, math.nan, 5e-324, 1e-07, 1e-05, 9.999999999999999e-05, 1e-4,
+    0.0, math.inf, math.nan, 5e-324, 1e-07, 1e-05, 5e-05, 9.999999999999999e-05, 1e-4,
     9999999999999998.0, 1e16, 1e300,
 )
 _cells = st.one_of(
@@ -690,6 +790,7 @@ _cells = st.one_of(
     st.tuples(st.sampled_from(SPELLING_EDGES), st.booleans()).map(
         lambda edge: -edge[0] if edge[1] else edge[0]
     ),
+    _decimal(st.integers(-10, 17)),  # short digits, on both sides of each edge
 )
 # Rows of a k = 1 column, and (levels, nodes) of a k = 2 one, around the block
 # size (rows wider than CSV_BLOCK_CELLS / CSV_BLOCK_ROWS cells make shorter blocks).
@@ -723,61 +824,28 @@ def _columns(shape_and_levels, width, cells):
 
 @given(_shapes_and_levels, st.integers(1, 15), st.lists(_cells, min_size=1, max_size=64))
 @example(**_SIGNED_ZERO_LEVELS, cells=[1.0, 5e-5])
-@settings(max_examples=150, deadline=None, derandomize=True)
-def test_csv_cells_spelled_as_repr(tmp_path_factory, shape_and_levels, width, cells):
+@example(**_SIGNED_ZERO_LEVELS, cells=[2e-05, math.nan, 1e16])
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_csv_cells_read_back_bit_for_bit(tmp_path_factory, shape_and_levels, width, cells):
     # the cells tile the columns, so each drawn cell lands in many rows and
     # columns and, in the longer shapes, in more than one block
     path = tmp_path_factory.getbasetemp() / "spelling.csv"
     values = _columns(shape_and_levels, width, cells)
-    _write_csv(path, [f"c{j}" for j in range(width)], list(values))
-    line = ",".join(["%r"] * width) + "\r\n"
-    rows = values.reshape(width, -1).T.tolist()
-    reference = ",".join(f"c{j}" for j in range(width)) + "\r\n"
-    reference += "".join(line % tuple(row) for row in rows)
-    assert path.read_bytes() == reference.encode()
+    header = [f"c{j}" for j in range(width)]
+    _write_csv(path, header, list(values))
+    assert_csv_holds(path, header, values.reshape(width, -1).T.tolist())
 
 
-def _decimal(exponents):
-    """Floats of either sign with 1-17 significant decimal digits, the
-    leading one in the decimal place drawn from ``exponents``."""
-    mantissas = st.integers(1, 17).flatmap(
-        lambda digits: st.tuples(st.just(digits), st.integers(10 ** (digits - 1), 10 ** digits - 1))
-    )
-    return st.tuples(st.sampled_from("+-"), mantissas, exponents).map(
-        lambda t: float(f"{t[0]}{t[1][1]}e{t[2] - t[1][0] + 1}")
-    )
-
-
-# Mostly cells that orjson spells otherwise and the writer respells: the
-# positional band 1e-5 <= |x| < 1e-4, unpadded exponents down to 1e-09
-# (9.999999999999999e-10 is the first cell spelled alike), unsigned ones
-# from 1e+16, and the non-finite.
-DENSE_EDGES = (
-    1e-05, 2e-05, 9.999999999999999e-05, 1e-09, 9.999999999999999e-10, 1e16,
-    math.nan, math.inf,
-)
-_dense_cells = st.one_of(
-    _decimal(st.just(-5)),
-    _decimal(st.integers(-9, -6)),
-    _decimal(st.integers(16, 307)),
-    st.tuples(st.sampled_from(DENSE_EDGES), st.booleans()).map(
-        lambda edge: -edge[0] if edge[1] else edge[0]
-    ),
-    _cells,
-)
-
-
-@given(_shapes_and_levels, st.integers(1, 15), st.lists(_dense_cells, min_size=1, max_size=64))
-@example(**_SIGNED_ZERO_LEVELS, cells=[2e-05, math.nan, 1e16])
-@settings(max_examples=150, deadline=None, derandomize=True)
-def test_csv_dense_special_cells_spelled_as_repr(tmp_path_factory, shape_and_levels, width, cells):
-    path = tmp_path_factory.getbasetemp() / "dense.csv"
-    values = _columns(shape_and_levels, width, cells)
-    _write_csv(path, [f"c{j}" for j in range(width)], list(values))
-    line = ",".join(["%r"] * width) + "\r\n"
-    reference = ",".join(f"c{j}" for j in range(width)) + "\r\n"
-    reference += "".join(line % tuple(row) for row in values.reshape(width, -1).T.tolist())
-    assert path.read_bytes() == reference.encode()
+def test_csv_random_bit_patterns_read_back(tmp_path):
+    # 80000 cells of random bits, NaNs with any payload among them, in
+    # 20 levels of 500 nodes: eight columns after a t1 of one value a level
+    rng = np.random.default_rng(31)
+    values = rng.integers(0, 2**64, size=(8, 20, 500), dtype=np.uint64).view(float)
+    t1 = np.repeat(rng.integers(0, 2**64, size=(20, 1), dtype=np.uint64).view(float), 500, 1)
+    header = ["t1"] + [f"c{j}" for j in range(8)]
+    path = tmp_path / "bits.csv"
+    _write_csv(path, header, [t1, *values])
+    assert_csv_holds(path, header, np.vstack([t1[None], values]).reshape(9, -1).T.tolist())
 
 
 class TestJetConsistency:
@@ -845,6 +913,15 @@ class TestSelfConvergence:
 
 def unread() -> float:
     raise AssertionError("the ratio window decides; the rounding floor is not read")
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("edge", ["lower", "upper"])
+def test_refinement_window_is_inclusive(order, edge):
+    # a ratio exactly on either bound of the window passes without the floor
+    nominal = 2.0 ** order
+    ratio = nominal / 1.6 if edge == "lower" else nominal * 1.6
+    assert refinement(ratio, 1.0, order, unread, "r") == (True, {"r": ratio})
 
 
 ERRORS = st.one_of(st.floats(0.0, 1e300), st.sampled_from([0.0, math.inf, math.nan]))
