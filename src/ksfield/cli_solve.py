@@ -10,8 +10,6 @@ from .solver import INTEGRATOR_ORDER, _grid_gap, integrate_k1, integrate_k2_hype
 
 def _run_grid(spec: ModelSpec, solution: GridSolution, grid, name: str):
     """The solution's initial data run on ``grid``."""
-    if spec.lagrangian is None:
-        raise UsageError("grid solutions need a lagrangian model")
     try:
         if spec.table.k == 1:
             return integrate_k1(spec.lagrangian, solution.q0, solution.v0, grid)
@@ -22,9 +20,13 @@ def _run_grid(spec: ModelSpec, solution: GridSolution, grid, name: str):
         raise UsageError(f"grid of solution {name!r} is too large: {exc}") from None
 
 
-def _require_levels(solution: GridSolution, name: str, needed: int, purpose: str):
-    """A usage error, before any run, when the solution's grid has fewer
-    evolution levels than ``purpose`` needs; refined grids only add levels."""
+def _require_levels(spec: ModelSpec, solution: GridSolution, name: str, needed: int,
+                    purpose: str):
+    """A usage error, before any run, when the file has no Lagrangian to run
+    the grid solution, or its grid has fewer evolution levels than
+    ``purpose`` needs; refined grids only add levels."""
+    if spec.lagrangian is None:
+        raise UsageError("grid solutions need a lagrangian model")
     levels = solution.grid.axes[0].count + 1
     if levels < needed:
         raise UsageError(f"grid of solution {name!r} has {levels} evolution levels; "
@@ -36,7 +38,7 @@ def cmd_solve(args) -> int:
     solution = _named(spec.solutions, "solution", args.solution)
     if not isinstance(solution, GridSolution):
         raise UsageError(f"solution {args.solution!r} is not a grid solution")
-    _require_levels(solution, args.solution, 3, "solve")  # the jet stencils
+    _require_levels(spec, solution, args.solution, 3, "solve")  # the jet stencils
 
     sols = [_run_grid(spec, solution, solution.grid, args.solution)]
     for _ in range(2):  # each refinement is made once the grid before it has run

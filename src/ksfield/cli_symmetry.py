@@ -13,7 +13,7 @@ from .modelfile import AnalyticSolution, load_model
 from .records import all_pass
 from .symmetry import (
     CurrentRejection, check_cartan, check_cartan_diffeomorphism, check_symmetry_by_transport,
-    noether_current, verify_bracket_theorem, verify_conservation,
+    noether_current, verify_bracket_theorem, verify_conservation, verify_grid_conservation,
 )
 
 
@@ -42,7 +42,7 @@ def cmd_noether(args) -> int:
             if solution.section.side != side:
                 raise UsageError("solution and current live on different sides")
         else:
-            _require_levels(solution, args.solution, 5, "a noether trace")  # a divergence band
+            _require_levels(spec, solution, args.solution, 5, "a noether trace")  # a divergence band
     samples = _samples(spec, side)
     stem = f"noether_{args.symmetry}"  # one report per symmetry, whatever the solution
 
@@ -76,11 +76,13 @@ def cmd_noether(args) -> int:
     elif solution is not None:
         sol, refined = (_run_grid(spec, solution, grid, args.solution)
                         for grid in (solution.grid, solution.grid.refined()))
-        report = verify_conservation(current, table, grid=sol, refined_grid=refined,
-                                     model=spec.lagrangian)
+        report, trace = verify_grid_conservation(current, sol, refined, spec.lagrangian)
         reports.append(report)
         if args.out is not None:
-            report.trace.to_csv(args.out / f"{stem}_trace.csv")
+            trace.to_csv(args.out / f"{stem}_trace.csv")
+        # freed before the grids it was read from: the allocator's layout after
+        # this command, and so a later command's peak RSS, follows that order
+        del trace
 
     return _verdict(payload, reports, args.out, f"{stem}.json")
 

@@ -153,4 +153,4 @@ def judge(condition: str, tol: float, residuals, details=None) -> Report:
         peaks = columns[rows, np.arange(len(rows))].tolist()
         worst = max(peaks, key=lambda p: (p != p, p))  # a NaN counts as the maximum
         row = min(r for r, p in zip(rows.tolist(), peaks) if p == worst or p != p)
-    return Report(condition, worst, count, worst <= tol, details or {}, None, row)
+    return Report(condition, worst, count, worst <= tol, details or {}, row)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import re
 import warnings
+from functools import cached_property
 from itertools import chain
 from typing import Callable, Optional, Sequence
 
@@ -24,8 +25,7 @@ from .expr import (
     sub, walk,
 )
 from .lagrangian import (
-    REGULARITY_RTOL, LagrangianModel, RegularityError, energy, hessian_entries, legendre_exprs,
-    velocity_hessian,
+    REGULARITY_RTOL, LagrangianModel, RegularityError, energy, hessian_entries, velocity_hessian,
 )
 from .modelfile import Axis, GridSpec  # grid specs live with the model file; importable here too
 from .records import Record, SolverError
@@ -39,24 +39,12 @@ class CFLWarning(UserWarning):
     pass
 
 
-class _StencilJets:
-    """SolutionGrid.jets: kept as given, else computed from the stencil on first read."""
-
-    def __get__(self, sol, owner=None):
-        if sol is not None and sol._jets is None:
-            sol._jets = sol.jets_from_stencil()
-        return None if sol is None else sol._jets  # None: the field's default
-
-    def __set__(self, sol, jets):
-        sol._jets = jets
-
-
 class SolutionGrid(Record):
     """Discretized field with stencil-derived first-jet values.
 
     ``phi`` has shape (levels, n) for k = 1 and (levels, nodes, n) for k = 2;
-    ``jets`` appends (n, k) per node.  Jets not given are computed from the
-    stencil on first read.  ``state_v`` (k = 1 only) keeps the integrator's
+    ``jets`` appends (n, k) per node and is computed from the stencil on
+    first read (or set).  ``state_v`` (k = 1 only) keeps the integrator's
     exact velocities, which back the energy diagnostics; the stored jets
     always come from the declared stencil.
     """
@@ -64,7 +52,6 @@ class SolutionGrid(Record):
     table: VarTable
     spec: GridSpec
     phi: np.ndarray
-    jets: np.ndarray = _StencilJets()
     state_v: Optional[np.ndarray] = None
     summary: dict = {}
 
@@ -75,6 +62,10 @@ class SolutionGrid(Record):
     @property
     def k(self) -> int:
         return self.spec.k
+
+    @cached_property
+    def jets(self) -> np.ndarray:
+        return self.jets_from_stencil()
 
     def gap_floor(self) -> float:
         """2*eps*levels*max|phi|: each grid of a gap rounds by eps*max|phi| per level."""
@@ -585,28 +576,15 @@ class CurrentTrace(Record):
         columns += [self.values[..., A] for A in range(self.sol.k)] + [self.divergence]
         _write_csv(path, header, columns)
 
-    def summary(self) -> dict:
-        return {
-            "max_divergence": self.max_divergence,
-            "interior_nodes": self.interior_count,
-        }
-
     def divergence_floor(self) -> float:
         """4*eps*max|F|*sum_A 1/h_A: two values of F, each off by 4*eps*max|F|, over 2*h_A."""
         return 4 * EPS * np.max(np.abs(self.values)) * sum(1 / a.step for a in self.sol.spec.axes)
 
 
-def evaluate_current(
-    F: Sequence[Expr],
-    sol: SolutionGrid,
-    side: str = "lagrangian",
-    model: Optional[LagrangianModel] = None,
-) -> CurrentTrace:
-    """Evaluate a candidate current nodewise and form its discrete divergence.
+def evaluate_current(F: Sequence[Expr], sol: SolutionGrid) -> CurrentTrace:
+    """Evaluate a candidate current, k functions of (q, v, t), on the grid's
+    jets node by node, and form its discrete divergence.
 
-    Lagrangian-side currents are functions of (q, v) evaluated on the jets;
-    Hamiltonian-side currents are functions of (q, p) evaluated on the
-    fiber-derivative image, which needs the underlying Lagrangian model.
     Evaluation is strict: a value that leaves the real domain raises
     DomainError naming the expression and the node (its coordinates t1..tk
     are bound alongside the chart for that).
@@ -617,23 +595,10 @@ def evaluate_current(
     if len(F) != k:
         raise SolverError(f"expected {k} current components")
 
-    n = table.n
+    n, chart = table.n, table.velocity_chart
     nodes = list(np.broadcast_arrays(*np.ix_(*sol.node_coordinates())))
-    q_arrays = [sol.phi[..., i] for i in range(n)]
-    v_arrays = [sol.jets[..., i, A] for A in range(k) for i in range(n)]
-    if side == "lagrangian":
-        chart = table.velocity_chart
-        args = q_arrays + v_arrays
-    elif side == "hamiltonian":
-        if model is None:
-            raise SolverError("hamiltonian-side traces need the Lagrangian model")
-        chart = table.momentum_chart
-        momenta = evaluate_columns(
-            legendre_exprs(model), table.velocity_chart + table.t_names, q_arrays + v_arrays + nodes
-        )
-        args = q_arrays + list(momenta)
-    else:
-        raise SolverError(f"unknown side {side!r}")
+    args = [sol.phi[..., i] for i in range(n)]
+    args += [sol.jets[..., i, A] for A in range(k) for i in range(n)]
 
     shape = sol.phi.shape[:-1]
     values = np.empty(shape + (k,))

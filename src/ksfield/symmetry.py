@@ -47,6 +47,7 @@ from .lagrangian import (
     el_residual,
     energy,
     lagrangian_two_form,
+    legendre_exprs,
     poincare_cartan_form,
     sopde_solve,
 )
@@ -241,42 +242,43 @@ def _one_form_gap(a: OneForm, b: OneForm) -> list:
 def verify_conservation(
     current: NoetherCurrent,
     table: VarTable,
-    *,
-    section: Optional[Section] = None,
-    grid: Optional[SolutionGrid] = None,
-    refined_grid: Optional[SolutionGrid] = None,
-    model: Optional[LagrangianModel] = None,
-    t_samples: Optional[np.ndarray] = None,
+    section: Section,
+    t_samples: np.ndarray,
     tol: float = 1e-9,
 ) -> Report:
-    """Check that the current's divergence vanishes along a solution.
-
-    Analytic mode (``section``, on the current's side): the symbolic total
-    divergence at the t samples, judged against ``tol``.  Grid mode (``grid``
-    and its refinement ``refined_grid``): the trace's discrete divergence on
-    each, judged by :func:`refinement`; the report keeps the trace on ``grid``.
-    """
-    if grid is not None:
-        if refined_grid is None:
-            raise SymmetryError("grid mode needs the refined grid")
-        trace, refined = (evaluate_current(current.components, g, current.side, model)
-                          for g in (grid, refined_grid))
-        passed, verdict = refinement(trace.max_divergence, refined.max_divergence,
-                                     2, refined.divergence_floor, "refinement_ratio")
-        return Report("grid_divergence", trace.max_divergence, trace.interior_count, passed,
-                      trace.summary() | verdict, trace)
-
-    if section is None:
-        raise SymmetryError("no solution supplied")
+    """Check that the current's symbolic total divergence vanishes along an
+    analytic solution on the current's side, at the t samples."""
     if section.side != current.side:
         raise SymmetryError("solution and current live on different sides")
     divergence = total(diff(section.restrict(f_A), table.t(A))  # along the solution, in t
                        for A, f_A in enumerate(current.components))
-
-    if t_samples is None:
-        raise SymmetryError("analytic mode needs t samples")
     t_rows = point_rows(t_samples, table.k)
     return judge("analytic_divergence", tol, evaluate_batch([divergence], table.t_names, t_rows))
+
+
+def verify_grid_conservation(
+    current: NoetherCurrent,
+    grid: SolutionGrid,
+    refined_grid: SolutionGrid,
+    lagrangian: LagrangianModel,
+) -> tuple:
+    """(report, trace on ``grid``): the current's discrete divergence on a grid
+    solution of ``lagrangian`` and on its refinement, judged by :func:`refinement`.
+
+    Grids carry Lagrangian jets, so a Hamiltonian current f is evaluated as its
+    pullback FL^* f by the fiber derivative (p = dL/dv), a function of (q, v).
+    """
+    components = current.components
+    if current.side == "hamiltonian":
+        momenta = dict(zip(lagrangian.table.p_names, legendre_exprs(lagrangian)))
+        components = [substitute(f, momenta) for f in components]
+    trace = evaluate_current(components, grid)
+    refined = evaluate_current(components, refined_grid)
+    passed, verdict = refinement(trace.max_divergence, refined.max_divergence,
+                                 2, refined.divergence_floor, "refinement_ratio")
+    details = {"max_divergence": trace.max_divergence, "interior_nodes": trace.interior_count}
+    return Report("grid_divergence", trace.max_divergence, trace.interior_count, passed,
+                  details | verdict), trace
 
 
 def verify_bracket_theorem(

@@ -18,6 +18,11 @@ The reference stencils build a grid's jets and a current's divergence from
 whole-array expressions, ``np.roll`` copies for the periodic axis; the
 library writes the same IEEE operations in place and must match their bits.
 
+A Hamiltonian current's values on a grid come from the numeric fiber
+derivative: the momenta evaluated on the jets, then the current over
+(q, p).  The library evaluates the pulled-back current FL^* f over (q, v)
+instead and must match these values.
+
 The degree-three form calculus (d of a two-form, the contraction of a
 three-form, and the Cartan formula L(Y) omega = i(Y) d omega + d(i(Y) omega)
 for any two-form) is an oracle: the library's checks read only exact
@@ -42,6 +47,7 @@ from ksfield.expr import (
 )
 from ksfield.forms import Form, TwoForm, VectorField, _put, contract_two, d_one
 from ksfield.hamiltonian import canonical_two_form
+from ksfield.lagrangian import legendre_exprs
 from ksfield.solver import _forces, _hyperbolic_blocks
 
 _FUNCTIONS = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "log": math.log, "sqrt": math.sqrt}
@@ -249,6 +255,23 @@ def divergence(sol, values):
         d_dx = (np.roll(values[..., 1], -1, axis=1) - np.roll(values[..., 1], 1, axis=1)) / (2 * h2)
         div[band] += d_dx[band]
     return div
+
+
+def hamiltonian_current_values(F, sol, lagrangian):
+    """Values (..., k) at the nodes of ``sol`` of a current F of (q, p, t), by
+    the numeric fiber derivative: the momenta p = dL/dv evaluated on the
+    grid's jets, then F evaluated over (q, p) at each node."""
+    table = sol.table
+    nodes = list(np.broadcast_arrays(*np.ix_(*sol.node_coordinates())))
+    qs = [sol.phi[..., i] for i in range(table.n)]
+    vs = [sol.jets[..., i, A] for A in range(sol.k) for i in range(table.n)]
+    momenta = evaluate_columns(legendre_exprs(lagrangian), table.velocity_chart + table.t_names,
+                               qs + vs + nodes)
+    values = np.empty(sol.phi.shape[:-1] + (sol.k,))
+    columns = evaluate_columns(F, table.momentum_chart + table.t_names, qs + list(momenta) + nodes)
+    for A, column in enumerate(columns):
+        values[..., A] = column
+    return values
 
 
 ThreeForm = Form

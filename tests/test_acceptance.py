@@ -32,6 +32,7 @@ from ksfield.symmetry import (
     noether_current,
     verify_bracket_theorem,
     verify_conservation,
+    verify_grid_conservation,
 )
 
 from conftest import hamiltonian_model, lagrangian_model
@@ -176,9 +177,7 @@ def test_criterion_4_noether_conservation():
     grid_ok = True
     grid_detail = []
     for current in (momentum, boost):
-        report = verify_conservation(
-            current, table, grid=sol, refined_grid=refined, model=model
-        )
+        report, _ = verify_grid_conservation(current, sol, refined, model)
         ratio = report.details["refinement_ratio"]
         grid_ok = grid_ok and report.max_residual <= 1e-3 and 3.0 <= ratio <= 5.0
         grid_detail.append(f"{report.max_residual:.1e}@ratio {ratio:.2f}")

@@ -1,6 +1,7 @@
 """Model-file loading and end-to-end command behaviour."""
 
 import functools
+import inspect
 import json
 import math
 import warnings
@@ -11,7 +12,10 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ksfield import cli, cli_solve, cli_symmetry, expr, modelfile, sampling, solver
+from ksfield import (
+    bundles, cli, cli_solve, cli_symmetry, expr, gauge, lagrangian, modelfile, sampling, solver,
+    symmetry,
+)
 from ksfield.cli import main
 from ksfield.expr import evaluate_batch, parse
 from ksfield.modelfile import (
@@ -691,6 +695,25 @@ class TestNoether:
         assert error.startswith("error: ") and "log(q1 + 0.5)" in error
         assert not (tmp_path / "out" / "noether_shift_trace.csv").exists()
 
+    def test_hamiltonian_current_leaving_the_domain_names_its_pullback(self, tmp_path, capsys):
+        # the free particle's current G = sqrt(p1_1 + 5), of the Hamiltonian
+        # field of G, is fine in the sampling box; on the grid it is read as
+        # G(v1_1), which the run's v1_1 = -10 takes out of its domain
+        path = tmp_path / "free.yaml"
+        path.write_text(
+            'n: 1\nk: 1\nlagrangian: "v1_1^2/2"\nhamiltonian: "p1_1^2/2"\nsymmetries:\n'
+            '  g:\n    kind: vector-field\n    side: hamiltonian\n'
+            '    components: ["1/(2*sqrt(p1_1 + 5))", "0"]\n'
+            '    zeta: ["p1_1/(2*sqrt(p1_1 + 5)) - sqrt(p1_1 + 5)"]\n'
+            "solutions:\n  fast:\n    kind: grid\n    axes: [[0.0, 1.0, 0.1]]\n"
+            "    q0: [0.0]\n    v0: [-10.0]\n"
+        )
+        assert main(["noether", str(path), "--symmetry", "g", "--solution", "fast"]) == 2
+        error = capsys.readouterr().err
+        assert error.startswith("error: ") and error.count("\n") == 1
+        assert "sqrt(v1_1 + 5)" in error and "(q1=0.0, v1_1=-10.0, t1=0.0)" in error
+        assert "p1_1" not in error
+
     def test_declared_side_of_a_base_field_is_honoured(self, tmp_path):
         # both commands read only the declared side, and the current keeps zeta
         path = tmp_path / "wave.yaml"
@@ -887,6 +910,24 @@ solutions:
 """
 
 
+# the shipped wave's Hamiltonian, base field and grid run, without its Lagrangian
+WAVE_H_YAML = """
+n: 1
+k: 2
+hamiltonian: "(p1_1^2 - p2_1^2)/2"
+symmetries:
+  shift:
+    kind: vector-field-on-q
+    components: ["1"]
+solutions:
+  run:
+    kind: grid
+    axes: [[0.0, 0.5, 0.005], [0.0, 6.283185307179586, 0.010005072145190424]]
+    initial: ["sin(t2)"]
+    initial_rate: ["-cos(t2)"]
+"""
+
+
 class TestHamiltonianOnly:
     """A file whose only model is a Hamiltonian, read by commands that need more."""
 
@@ -909,6 +950,14 @@ class TestHamiltonianOnly:
         assert main([arg.format(model=path) for arg in argv]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_grid_solution_refused_before_the_current_is_built(self, tmp_path, capsys):
+        # noether checks --solution before it builds the current, so the k = 2
+        # Hamiltonian current is never printed
+        path = tmp_path / "wave_h.yaml"
+        path.write_text(WAVE_H_YAML)
+        assert main(["noether", str(path), "--symmetry", "shift", "--solution", "run"]) == 2
+        assert capsys.readouterr() == ("", "error: grid solutions need a lagrangian model\n")
+
     def test_malformed_tolerance_override_exits_two(self, path, capsys):
         with pytest.raises(SystemExit) as exit_:
             main(["analyze", str(path), "--tol", "cartan=abc"])
@@ -923,6 +972,27 @@ class TestHamiltonianOnly:
         assert main(["check-symmetry", str(path), "--symmetry", "shift", "--out", str(out)]) == 0
         reports = json.loads((out / "check_shift.json").read_text())["reports"]
         assert [(r["details"]["side"], r["pass"]) for r in reports] == [("hamiltonian", True)] * 2
+
+
+@pytest.mark.parametrize("function, parameter, key", [
+    (symmetry.check_cartan, "tol", "cartan"),
+    (symmetry.check_cartan_diffeomorphism, "tol", "cartan"),
+    (symmetry.verify_bracket_theorem, "tol", "cartan"),
+    (symmetry.noether_current, "tol", "noether"),
+    (symmetry.verify_conservation, "tol", "conservation"),
+    (symmetry.check_symmetry_by_transport, "tol", "transport"),
+    (gauge.gauge_compare, "tol", "gauge"),
+    (gauge.gauge_compare, "closedness_tol", "closedness"),
+    (gauge.verify_same_solutions, "tol", "gauge"),
+    (bundles.DiffeoQ.verify_inverse, "tol", "inverse"),
+    (bundles.TotalMap.verify_inverse, "tol", "inverse"),
+    (lagrangian.velocity_hessian, "det_rtol", "hessian"),
+], ids=lambda x: getattr(x, "__qualname__", x))
+def test_library_tolerance_defaults_are_the_file_defaults(function, parameter, key):
+    # a library call without a tolerance judges as the command does with the
+    # key it passes for that parameter
+    default = inspect.signature(function).parameters[parameter].default
+    assert default == modelfile.DEFAULT_TOLERANCES[key]
 
 
 class TestParserReuse:

@@ -6,7 +6,8 @@ load only the layers they use, and every module imports on its own.  The
 README's library tour runs, and every module-level definition is reached
 from a command or the public names, or is reserved for an open ROADMAP item.
 Residuals meet their tolerances in one function only, and code is generated
-in one function, for one caller.
+in one function, for one caller.  The solver knows no sides: its grids are
+Lagrangian, and ``symmetry`` hands it every current as a function of the jets.
 """
 
 import ast
@@ -299,3 +300,19 @@ def codegen_sites() -> set:
 
 def test_only_the_rk4_step_generates_code():
     assert codegen_sites() == CODEGEN_SITES
+
+
+def side_knobs(module: str) -> set:
+    """(function, name) of every parameter named ``side`` in src/ksfield/<module>.py,
+    and ("", value) of every string constant that names a side."""
+    tree = ast.parse((ROOT / "src" / "ksfield" / f"{module}.py").read_text())
+    found = {(getattr(node, "name", "<lambda>"), arg.arg) for node in ast.walk(tree)
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+             for arg in ast.walk(node.args) if isinstance(arg, ast.arg) and arg.arg == "side"}
+    return found | {("", node.value) for node in ast.walk(tree) if isinstance(node, ast.Constant)
+                    and node.value in ("lagrangian", "hamiltonian")}
+
+
+def test_grids_are_lagrangian_and_the_side_is_decided_in_symmetry():
+    # a Hamiltonian current reaches the solver already pulled back to the jets
+    assert side_knobs("solver") == set()

@@ -1,14 +1,11 @@
 """Record construction: every field by position is set in one step, and
 builds the same record as the general path."""
 
-import numpy as np
 import pytest
 
-from ksfield.coords import VarTable
 from ksfield.expr import parse
 from ksfield.forms import VectorField
 from ksfield.records import Record, Report
-from ksfield.solver import Axis, GridSpec, SolutionGrid
 
 
 def by_keyword(cls, values):
@@ -26,7 +23,7 @@ class Checked(Record):
 
 class TestPositionalFastPath:
     def test_report_matches_the_keyword_build(self):
-        values = ("c", 0.25, 5000, True, {"ratio": 4.0}, None, 3)
+        values = ("c", 0.25, 5000, True, {"ratio": 4.0}, 3)
         fast = Report(*values)
         assert fast == by_keyword(Report, values)
         assert vars(fast) == vars(by_keyword(Report, values))
@@ -53,21 +50,10 @@ class TestPositionalFastPath:
 
     @pytest.mark.parametrize("args, kwargs", [
         (("c", 0.0), {}),
-        (("c", 0.0, 1, True, {}, None, 0, "extra"), {}),
-        (("c", 0.0, 1, True, {}, None, 0), {"worst_row": 1}),
+        (("c", 0.0, 1, True, {}, 0, "extra"), {}),
+        (("c", 0.0, 1, True, {}, 0), {"worst_row": 1}),
         (("c",), {"nonsense": 1}),
     ], ids=["missing", "extra", "twice", "unknown"])
     def test_wrong_arguments_raise_type_error(self, args, kwargs):
         with pytest.raises(TypeError, match=r"^Report: unexpected \[.*\], missing \[.*\]$"):
             Report(*args, **kwargs)
-
-    def test_descriptor_field_is_set_through_its_descriptor(self):
-        spec = GridSpec((Axis(0.0, 0.4, 0.1),))
-        phi = np.arange(5.0)[:, None] ** 2
-        jets = np.full((5, 1, 1), 7.0)
-        values = (VarTable(1, 1), spec, phi, jets, None, {"levels": 5})
-        fast = SolutionGrid(*values)
-        assert not SolutionGrid._direct and "jets" not in vars(fast)
-        assert fast.jets is jets and fast == by_keyword(SolutionGrid, values)
-        stencil = SolutionGrid(*values[:3], None, None, {})  # None: computed on first read
-        assert np.array_equal(stencil.jets, stencil.jets_from_stencil())

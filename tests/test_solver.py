@@ -14,10 +14,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ksfield import solver
+from ksfield.cli_solve import _run_grid
 from ksfield.coords import VarTable
 from ksfield.expr import DomainError, parse
 from ksfield.lagrangian import RegularityError
 from ksfield.modelfile import load_model
+from ksfield.sampling import sample_points
 from ksfield.solver import (
     CSV_BLOCK_ROWS,
     Axis,
@@ -33,14 +35,17 @@ from ksfield.solver import (
     integrate_k2_hyperbolic,
     refinement,
 )
+from ksfield.symmetry import NoetherCurrent, noether_current, verify_grid_conservation
 
 from conftest import lagrangian_model
 from reference import divergence as reference_divergence
+from reference import hamiltonian_current_values as reference_hamiltonian_values
 from reference import leapfrog as reference_leapfrog
 from reference import stencil_jets as reference_jets
 
 TWO_PI = 2 * np.pi
 MODELS = Path(__file__).resolve().parent.parent / "models"
+TESTS_MODELS = Path(__file__).resolve().parent / "models"
 
 
 def wave_grid(nodes=314, steps=100, ratio=0.5):
@@ -547,6 +552,23 @@ def test_blas_products_keep_the_bits_of_matmul(nodes, n, cells, matrix):
         assert out.tobytes() == (a @ M.T).tobytes()
 
 
+@st.composite
+def _diagonal_quadratics(draw):
+    """(n, masses, V, current) for L = sum m_i v_i^2/2 - V(q), n <= 2: a
+    potential of powers and cosines of q, and a current of (q, p) with the
+    placeholder {H} for the Hamiltonian."""
+    n = draw(st.integers(1, 2))
+    masses = draw(st.lists(st.sampled_from(["0.5", "1", "2", "3"]), min_size=n, max_size=n))
+    terms = ["q1^2", "cos(q1)", "q1^4"] + (["q2^2", "q1*q2", "cos(q1 - q2)"] if n == 2 else [])
+    coefficients = st.sampled_from(["0.25", "0.5", "1", "3"])
+    chosen = draw(st.lists(st.sampled_from(terms), min_size=1, max_size=3, unique=True))
+    potential = " + ".join(f"{draw(coefficients)}*{term}" for term in chosen)
+    current = draw(st.sampled_from(
+        ["{H}", "p1_1*q1", f"p1_{n}^3*q1 + {{H}}", "sin(p1_1) - q1*p1_1^2"]
+    ))
+    return n, masses, potential, current
+
+
 class TestCurrentTrace:
     def test_momentum_current_divergence_small(self, wave_model):
         grid = wave_grid()
@@ -592,19 +614,44 @@ class TestCurrentTrace:
         assert "log(q1)" in str(err.value)
         assert "t1=" in str(err.value) and "t2=" in str(err.value)  # the node
 
-    def test_hamiltonian_side_uses_fiber_derivative(self, wave_model):
-        sol = run_wave(wave_model, wave_grid(nodes=32, steps=16))
-        chart_l = wave_model.table.velocity_chart
-        chart_h = wave_model.table.momentum_chart
-        lag = evaluate_current((parse("v1_1", chart_l), parse("-v1_2", chart_l)), sol)
-        ham = evaluate_current(
-            (parse("p1_1", chart_h), parse("p2_1", chart_h)),
-            sol,
-            side="hamiltonian",
-            model=wave_model,
-        )
-        # p1 = v1, p2 = -v2 for the wave Lagrangian: identical traces
-        assert np.allclose(lag.values, ham.values, atol=0)
+    def test_hamiltonian_side_uses_fiber_derivative(self):
+        # the pulled-back current FL^* f over the jets has the bits of the
+        # numeric fiber derivative: the momenta on the jets, then f over (q, p)
+        for path, name, solution in [
+            (TESTS_MODELS / "rotation.yaml", "rot_h", "orbit"),  # k = 1, a general field
+            (MODELS / "wave.yaml", "shift", "run"),
+            (TESTS_MODELS / "chain.yaml", "shift", "run"),  # n = 3, cos couplings
+        ]:
+            spec = load_model(path)
+            candidate, run = spec.symmetries[name], spec.solutions[solution]
+            cojets = sample_points(spec.table, "hamiltonian", spec.samples, spec.seed, spec.box)
+            current = noether_current(candidate.datum, spec.hamiltonian, candidate.term, cojets)
+            assert current.side == "hamiltonian"
+            sols = [_run_grid(spec, run, g, solution) for g in (run.grid, run.grid.refined())]
+            _, trace = verify_grid_conservation(current, *sols, spec.lagrangian)
+            want = reference_hamiltonian_values(current.components, sols[0], spec.lagrangian)
+            assert trace.values.tobytes() == want.tobytes(), path.name
+
+    @given(_diagonal_quadratics())
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_pullback_agrees_with_the_numeric_fiber_derivative(self, case):
+        # L = sum m_i v_i^2/2 - V(q) and H = sum p_i^2/(2 m_i) + V(q): the
+        # smart constructors may fold FL's constants, (3 v)/3 to v, so the
+        # values agree within the divergence floor's budget, not bit for bit
+        n, masses, potential, current = case
+        table = VarTable(n, 1)
+        v, p = [table.v(i, 0) for i in range(n)], [table.p(0, i) for i in range(n)]
+        kinetic_l = " + ".join(f"{m}*{x}^2/2" for m, x in zip(masses, v))
+        kinetic_h = " + ".join(f"{x}^2/(2*{m})" for m, x in zip(masses, p))
+        model = lagrangian_model(n, 1, f"{kinetic_l} - ({potential})")
+        F = (parse(current.format(H=f"({kinetic_h} + {potential})"), table.momentum_chart),)
+        grid = GridSpec((Axis(0.0, 1.0, 0.05),))
+        sols = [integrate_k1(model, [0.5] * n, [-0.25] * n, g) for g in (grid, grid.refined())]
+        _, trace = verify_grid_conservation(NoetherCurrent(F, "hamiltonian", "user-supplied"),
+                                            *sols, model)
+        want = reference_hamiltonian_values(F, sols[0], model)
+        budget = 4 * np.finfo(float).eps * np.max(np.abs(want))
+        assert np.max(np.abs(trace.values - want)) <= budget
 
     def test_k1_energy_current(self, oscillator_model, tmp_path):
         # the energy itself is the conserved current of the k = 1 fixture
@@ -704,17 +751,15 @@ class TestCsvBytes:
         grid = GridSpec((Axis(0.0, (levels - 1) * 0.01, 0.01),))
         sol = integrate_k1(oscillator_model, [1.0], [0.0], grid)
         assert sol.phi.shape[0] == levels
-        special = SolutionGrid(
-            sol.table, grid, with_special_cells(sol.phi), jets=with_special_cells(sol.jets)
-        )
+        special = SolutionGrid(sol.table, grid, with_special_cells(sol.phi))
+        special.jets = with_special_cells(sol.jets)
         self.assert_csv_of(tmp_path, special)
 
     def test_k2_grid(self, wave_model, tmp_path):
         sol = run_wave(wave_model, wave_grid(nodes=200, steps=6))  # 7 levels of 200 nodes
         assert (7 * 200) % CSV_BLOCK_ROWS != 0
-        special = SolutionGrid(
-            sol.table, sol.spec, with_special_cells(sol.phi), jets=with_special_cells(sol.jets)
-        )
+        special = SolutionGrid(sol.table, sol.spec, with_special_cells(sol.phi))
+        special.jets = with_special_cells(sol.jets)
         self.assert_csv_of(tmp_path, special)
 
     def test_current_trace_with_nan_divergence(self, wave_model, tmp_path):

@@ -33,6 +33,7 @@ from ksfield.symmetry import (
     noether_current,
     verify_bracket_theorem,
     verify_conservation,
+    verify_grid_conservation,
 )
 
 from conftest import checked_folds, hamiltonian_model, lagrangian_model, rotation_field
@@ -256,9 +257,8 @@ class TestVerifyConservation:
         phidot0 = (parse("-cos(t2)", ("t2",)),)
         sol = integrate_k2_hyperbolic(wave_model, phi0, phidot0, grid)
         refined = integrate_k2_hyperbolic(wave_model, phi0, phidot0, grid.refined())
-        report = verify_conservation(
-            current, table, grid=sol, refined_grid=refined, model=wave_model
-        )
+        report, trace = verify_grid_conservation(current, sol, refined, wave_model)
+        assert trace.sol is sol and trace.max_divergence == report.max_residual
         assert report.max_residual <= 1e-3
         assert 3.0 <= report.details["refinement_ratio"] <= 5.0
 
@@ -270,14 +270,10 @@ class TestVerifyConservation:
         sol, refined = (integrate_k2_hyperbolic(spec.lagrangian, run.initial, run.initial_rate, g)
                         for g in (run.grid, run.grid.refined()))
         current = NoetherCurrent((Var("q1"), Num(0.0)), "lagrangian", "user-supplied")
-        report = verify_conservation(
-            current, spec.table, grid=sol, refined_grid=refined, model=spec.lagrangian
-        )
+        report, _ = verify_grid_conservation(current, sol, refined, spec.lagrangian)
         assert not report.passed
         assert 0.9 <= report.details["refinement_ratio"] <= 1.1
         assert "rounding_floor" not in report.details
-        with pytest.raises(symmetry.SymmetryError, match="refined grid"):
-            verify_conservation(current, spec.table, grid=sol, model=spec.lagrangian)
 
 
 class TestBracketTheorem:
