@@ -13,7 +13,10 @@ Expressions become numbers one way: :func:`evaluate_columns` walks their DAG,
 one numpy operation per node, over whole arrays under a strict domain
 contract, :func:`evaluate_batch` over a sample matrix's rows.  Only the RK4
 step's function is compiled, to Python code over floats (:func:`compile_source`).
-The scalar reference evaluator the tests compare against lives in tests/.
+Constant folding, the walk and the compiled step call the functions from one
+table, ``_FUNCTIONS``, of numpy's ufuncs, so a folded call keeps the bits of
+the same call evaluated.  The scalar reference evaluator the tests compare
+against lives in tests/.
 
 Expressions are built one way: by :func:`parse` or the smart constructors
 below (add, sub, mul, div, neg, pow_int, call), and sums of many terms by
@@ -34,6 +37,8 @@ from functools import partial, reduce
 from itertools import accumulate, islice
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
+
+import numpy as np
 
 from .records import InputError
 
@@ -73,13 +78,9 @@ class DomainError(EvalError):
     reason = None
 
 
-_FUNCTIONS: dict[str, Callable[[float], float]] = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "exp": math.exp,
-    "log": math.log,
-    "sqrt": math.sqrt,
-}
+# the one function table, read by constant folding, the walk and compile_source
+_FUNCTIONS: dict[str, np.ufunc] = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log,
+                                   "sqrt": np.sqrt}
 
 # every live node, weakly, by its class and arguments; a child node by its
 # id, so that the key does not keep it alive: a node whose memoized
@@ -316,11 +317,9 @@ def call(fn: str, arg: Expr) -> Expr:
     if fn not in _FUNCTIONS:
         raise ExprError(f"unknown function '{fn}'")
     if isinstance(arg, Num):
-        try:
-            v = _FUNCTIONS[fn](arg.value)
-        except (ValueError, OverflowError):
-            return Call(fn, arg)  # keep node; error surfaces at eval time
-        if math.isfinite(v):
+        with np.errstate(all="ignore"):
+            v = float(_FUNCTIONS[fn](arg.value))  # a Python float: Num interns by type
+        if math.isfinite(v):  # else keep the node; the error surfaces at eval time
             return Num(v)
     return Call(fn, arg)
 
@@ -643,14 +642,12 @@ def compile_source(groups: Iterable[Iterable[Expr]], names, write, namespace=Non
     in post-order, and the names of the group's values.  Each node does its
     IEEE operation on the same operands as in the expression; a variable not
     in ``names`` raises UnboundVariableError when reached.  Functions are
-    numpy's ufuncs and literals Python floats; the values whose DAG holds a
-    function call are made Python floats again.  ``namespace`` adds other
+    those of ``_FUNCTIONS`` and literals Python floats; the values whose DAG
+    holds a function call are made Python floats again.  ``namespace`` adds other
     globals.
     """
-    import numpy as np
-
     names = frozenset(names)
-    scope = {"_unbound": _unbound, **{f"_f_{fn}": getattr(np, fn) for fn in _FUNCTIONS}}
+    scope = {"_unbound": _unbound, **{f"_f_{fn}": f for fn, f in _FUNCTIONS.items()}}
     atom: dict = {}  # node -> the name holding its value
     calls: set = set()  # nodes whose DAG holds a Call
     blocks = []
@@ -697,13 +694,11 @@ def walk(exprs: tuple, names: tuple) -> Callable:
     One step per DAG node in post-order, as :func:`compile_source` emits its
     lines, each with the same IEEE operation on the same operands: +, -, *, /
     and unary - by Python's operators, an integer power by ``**``, a call by
-    numpy's ufunc, and UnboundVariableError for a variable without a column.
+    its ufunc in ``_FUNCTIONS``, and UnboundVariableError for a variable without a column.
     Literals are numpy floats, so every value is an array or a numpy scalar,
     and a constant one is not broadcast.  Domain violations follow numpy's
     error state: callers check the values, as :func:`evaluate_columns` does.
     """
-    import numpy as np
-
     bound, literals, steps, ends = frozenset(names), {}, [], {}
     for node in _post_order(exprs):
         kind = type(node)
@@ -712,7 +707,7 @@ def walk(exprs: tuple, names: tuple) -> Callable:
         elif kind is Pow:
             steps.append((node, lambda base, m=node.exponent: base ** m, node._kids))
         elif kind is not Var:  # an operator, or a call of a numpy ufunc
-            steps.append((node, _OPERATIONS.get(kind) or getattr(np, node.fn), node._kids))
+            steps.append((node, _OPERATIONS.get(kind) or _FUNCTIONS[node.fn], node._kids))
         elif node.name not in bound:  # a variable without a column raises when reached
             steps.append((node, partial(_unbound, node.name), ()))
         ends[node] = len(steps)  # the steps up to and including its own
@@ -738,8 +733,6 @@ _FLOAT_ERRORS = (FloatingPointError, ZeroDivisionError, OverflowError)
 
 def _run_strict(value_of):
     """``(value_of(), None)``, or ``(None, (DomainError.reason, message))`` on a breach."""
-    import numpy as np
-
     try:
         with np.errstate(**_STRICT):
             values = value_of()
@@ -792,8 +785,6 @@ def evaluate_columns(exprs: Iterable[Expr], names, columns):
     expression raises, so an error of one not yet read never shows.  So does
     an unbound variable's UnboundVariableError.
     """
-    import numpy as np
-
     exprs, names = tuple(exprs), tuple(names)
     constant = [isinstance(e, Num) and math.isfinite(e.value) for e in exprs]
     if not all(constant):
@@ -821,8 +812,6 @@ def evaluate_batch(exprs: Iterable[Expr], names, points):
     whole columns, so the output is column-major and a column-major
     ``points`` is read without a copy; a row-major one is transposed once.
     """
-    import numpy as np
-
     exprs, names = tuple(exprs), tuple(names)
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != len(names):

@@ -45,8 +45,9 @@ class SolutionGrid(Record):
     ``phi`` has shape (levels, n) for k = 1 and (levels, nodes, n) for k = 2;
     ``jets`` appends (n, k) per node and is computed from the stencil on
     first read (or set).  ``state_v`` (k = 1 only) keeps the integrator's
-    exact velocities, which back the energy diagnostics; the stored jets
-    always come from the declared stencil.
+    exact velocities: with ``phi`` they are the states over which
+    :func:`integrate_k1` evaluates the energy drift.  The stored jets always
+    come from the declared stencil.
     """
 
     table: VarTable
@@ -200,7 +201,7 @@ def _forces(model: LagrangianModel, A: int) -> list:
 
 # One RK4 step on Python floats; _rk4_step fills in the model's prologue and stage.
 _RK4_STEP = """{prologue}
-def _fn(_state, _steps, _energy_only=False):
+def _fn(_state, _steps):
     {Y} = {X} = _state
     for _stage in range(4):
         {stage}
@@ -213,7 +214,8 @@ def _fn(_state, _steps, _energy_only=False):
             {K} = {AK}
         _dt = _steps[_stage]
         {X} = {update}
-    return ({X},) if {finite} else None, _e"""
+    {finite}
+    return {X},"""
 
 
 def _finite_test(names) -> str:
@@ -278,9 +280,8 @@ def _rk4_step(model: LagrangianModel):
     command share it whatever their step size.
 
     ``step(state, _rk4_steps(h))`` takes the state (q..., v...) as a tuple of
-    Python floats and returns the next state (None where not finite) and the
-    energy at ``state``; ``step(state, steps, True)`` returns only that
-    energy.  Each stage evaluates the forces (at the state also the energy)
+    Python floats and returns the next state, or raises SolverError where a
+    stage value or that state is not finite.  Each stage evaluates the forces
     and solves H a = rhs for the velocity Hessian H of :func:`hessian_entries`.
     A constant H is eliminated once, by the source's prologue; any other in
     each stage.
@@ -288,8 +289,6 @@ def _rk4_step(model: LagrangianModel):
     if (step := vars(model).get("_rk4_step")) is not None:
         return step
     table = model.table
-    if table.k != 1:
-        raise SolverError("k = 1 integrator needs a k = 1 model")
     n, chart, join = table.n, list(table.velocity_chart), ", ".join
     H = [[f"_h{i}_{j}" for j in range(n)] for i in range(n)]
     upper = [H[i][j] for i in range(n) for j in range(i, n)]
@@ -310,13 +309,11 @@ def _rk4_step(model: LagrangianModel):
         yield from (f"{H[i][j]} = {H[j][i]}" for i in range(n) for j in range(i))
 
     def stage(blocks):
-        hessian_block, (lines, values), (energy_lines, (energy,)) = blocks
+        hessian_block, (lines, values) = blocks
         if not constant:
             yield from hessian_lines(*hessian_block)
         yield from lines
         yield from (f"{x} = {value}" for x, value in zip(R, values))
-        at_state = energy_lines + [f"_e = {energy}", "if _energy_only: return _e"]
-        yield "\n    ".join(["if _stage == 0:"] + at_state)
         yield _finite_test(R)
         if not constant:
             yield from _eliminate(H)
@@ -331,9 +328,9 @@ def _rk4_step(model: LagrangianModel):
             A2K=join(f"{a} + 2 * {k}" for a, k in zip(A, K)),
             AK=join(f"{a} + {k}" for a, k in zip(A, K)),
             update=join(f"{y} + _dt * {k}" for y, k in zip(Y, K)),
-            finite=" and ".join(f"_isfinite({x})" for x in chart))
+            finite=_finite_test(chart))
 
-    step = compile_source([hessian, _forces(model, 0), [energy(model)]], chart, write, namespace)
+    step = compile_source([hessian, _forces(model, 0)], chart, write, namespace)
     vars(model)["_rk4_step"] = step
     return step
 
@@ -359,39 +356,40 @@ def integrate_k1(
 ) -> SolutionGrid:
     """RK4 integration of the second-order equation of motion.
 
-    Each step is one call of the generated step function; the stage at a
-    step's state gives that level's energy.  The returned summary carries
-    the energy drift max|E(t) - E(0)| measured on the exact integrator state.
+    Each step is one call of the generated step function.  A step whose
+    stage values or state are not finite, or a constant Hessian that the
+    first build finds not finite (step 1), fails with its step number.  The
+    summary's energy drift max|E(t) - E(0)| is measured on the exact
+    integrator states after the run, by one strict evaluation of the energy.
     """
-    if grid.k != 1:
-        raise SolverError("integrate_k1 needs a one-axis grid")
+    if grid.k != 1 or model.table.k != 1:
+        raise SolverError("integrate_k1 needs a k = 1 model and a one-axis grid")
     h, n, levels = grid.axes[0].step, model.table.n, grid.axes[0].count + 1
     state = tuple(float(x) for x in q0) + tuple(float(x) for x in v0)
     if len(state) != 2 * n:
         raise SolverError(f"q0 and v0 need {n} entries each")
     trajectory = _empty((levels, 2 * n))  # a grid too large to hold fails here, at once
     trajectory[0] = state
-    energies = []
+    m = 1  # a constant H that the first build rejects fails at step 1
     try:
         with np.errstate(all="ignore"):
             step, steps = _rk4_step(model), _rk4_steps(h)  # a first build eliminates a constant H
             for start in range(1, levels, _LEVELS_PER_COPY):
                 states = []
                 for m in range(start, min(start + _LEVELS_PER_COPY, levels)):
-                    state, e = step(state, steps)
-                    if state is None:
-                        raise SolverError(f"non-finite state at step {m}; step rejected")
-                    states.append(state)
-                    energies.append(e)
+                    states.append(state := step(state, steps))
                 values = np.fromiter(chain.from_iterable(states), float, len(states) * 2 * n)
                 trajectory[start: start + len(states)] = values.reshape(-1, 2 * n)
-            energies.append(step(state, steps, True))
-    except (ZeroDivisionError, OverflowError):
+    except (SolverError, ZeroDivisionError, OverflowError):
         # Python-float operations raise where numpy's would give inf/nan
-        raise SolverError("non-finite stage values; step rejected") from None
+        raise SolverError(f"non-finite state at step {m}; step rejected") from None
 
+    # E_L over the stored states, in the layout evaluate_batch reads; a constant one is broadcast
+    columns = np.ascontiguousarray(trajectory.T)
+    (energies,) = evaluate_columns([energy(model)], model.table.velocity_chart, columns)
+    energies = np.broadcast_to(energies, levels)
     e0 = float(energies[0])
-    drift = max([0.0] + [abs(float(e) - e0) for e in energies[1:]])
+    drift = float(np.max(np.abs(energies - e0)))
     summary = {"energy_drift": drift, "initial_energy": e0, "step": h, "levels": levels}
     return SolutionGrid(
         model.table, grid, trajectory[:, :n], state_v=trajectory[:, n:], summary=summary

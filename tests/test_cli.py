@@ -466,7 +466,7 @@ class TestSolve:
         # terms, so the Hessian is eliminated in each stage, after the finiteness
         # test of the force, which is -inf at q0
         pytest.param("(v1_1 + v2_1)^2/2 + 1/q1", "[0.0, 0.0]",
-                     "non-finite stage values; step rejected", id="singular-and-non-finite"),
+                     "non-finite state at step 1; step rejected", id="singular-and-non-finite"),
         # the same constant Hessian is checked before the first step, so it is
         # named although the force 1/q1 is not finite at q0
         pytest.param("(v1_1 + v2_1)^2/2 + log(q1)", "[0.0, 0.0]",
@@ -492,12 +492,26 @@ class TestSolve:
         error = capsys.readouterr().err
         assert error == "check failed: non-finite state at step 1; step rejected\n"
 
+    @pytest.mark.parametrize("lagrangian, step", [
+        ("v1_1^2/2 + q1^4", 34),  # q'' = 4 q^3 from q = 3
+        ("v1_1^2/2 + exp(q1)", 51),  # q'' = exp(q) from q = 3
+    ])
+    def test_blow_up_names_its_step(self, tmp_path, capsys, lagrangian, step):
+        path = tmp_path / "blow_up.yaml"
+        path.write_text(OSCILLATOR_YAML.replace('"v1_1^2/2 - q1^2/2"', f'"{lagrangian}"').replace(
+            f"[[0.0, {TWO_PI!r}, {TWO_PI / 1000!r}]]", "[[0.0, 10.0, 0.01]]"
+        ).replace("q0: [1.0]", "q0: [3.0]"))
+        assert main(["solve", str(path), "--solution", "orbit"]) == 1
+        assert capsys.readouterr().err == (
+            f"check failed: non-finite state at step {step}; step rejected\n"
+        )
+
     @pytest.mark.parametrize("text, solution, message", [
         pytest.param(WAVE_YAML.replace("[[0.0, 1.0, 0.01]", "[[0.0, 1.0e300, 1.0e299]"), "run",
                      "non-finite field at step 1; step rejected", id="leapfrog"),
         pytest.param(OSCILLATOR_YAML.replace(f"[[0.0, {TWO_PI!r}, {TWO_PI / 1000!r}]]",
                                              "[[0.0, 1.0e300, 1.0e299]]"), "orbit",
-                     "non-finite stage values; step rejected", id="rk4"),
+                     "non-finite state at step 1; step rejected", id="rk4"),
     ])
     def test_step_whose_square_overflows_rejects_the_step(self, tmp_path, capsys, text, solution,
                                                            message):

@@ -6,7 +6,8 @@ load only the layers they use, and every module imports on its own.  The
 README's library tour runs, and every module-level definition is reached
 from a command or the public names, or is reserved for an open ROADMAP item.
 Residuals meet their tolerances in one function only, and code is generated
-in one function, for one caller.  The solver knows no sides: its grids are
+in one function, for one caller: the RK4 step, which computes only the
+motion.  The expression functions are bound in one table.  The solver knows no sides: its grids are
 Lagrangian, and ``symmetry`` hands it every current as a function of the jets.
 """
 
@@ -316,3 +317,61 @@ def side_knobs(module: str) -> set:
 def test_grids_are_lagrangian_and_the_side_is_decided_in_symmetry():
     # a Hamiltonian current reaches the solver already pulled back to the jets
     assert side_knobs("solver") == set()
+
+
+def mentions(function: str, word: str) -> set:
+    """The names, attributes and string constants but docstrings in
+    ``module.function`` of src/ksfield (its nested functions included) that
+    contain ``word``."""
+    nodes = [node for where, node in qualified_nodes()
+             if where == function or where.startswith(f"{function}.")]
+    docstrings = {id(node.value) for node in nodes if isinstance(node, ast.Expr)}
+    spellings = {node.id if isinstance(node, ast.Name) else
+                 node.attr if isinstance(node, ast.Attribute) else node.value
+                 for node in nodes
+                 if isinstance(node, (ast.Name, ast.Attribute))
+                 or isinstance(node, ast.Constant) and isinstance(node.value, str)
+                 and id(node) not in docstrings}
+    return {spelling for spelling in spellings if word in spelling}
+
+
+def test_rk4_step_computes_only_the_motion():
+    # the energy diagnostic is one strict evaluation of the stored trajectory
+    from ksfield import solver
+
+    assert mentions("solver._rk4_step", "energy") == set()
+    assert "energy" not in solver._RK4_STEP and "None" not in solver._RK4_STEP
+
+
+EXPRESSION_FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt")
+
+
+def function_bindings() -> set:
+    """(module.function, spelling) of every place in src/ksfield that binds an
+    expression function to code: an assignment of a dict literal keyed by
+    function names, a ``math.<function>`` and a ``getattr`` of numpy."""
+    found = set()
+    for where, node in qualified_nodes():
+        if (isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(node.value, ast.Dict)
+                and any(isinstance(key, ast.Constant) and key.value in EXPRESSION_FUNCTIONS
+                        for key in node.value.keys)):
+            target = node.targets[0] if isinstance(node, ast.Assign) else node.target
+            found.add((where, ast.unparse(target)))
+        elif (isinstance(node, ast.Attribute) and node.attr in EXPRESSION_FUNCTIONS
+              and isinstance(node.value, ast.Name) and node.value.id == "math"):
+            found.add((where, f"math.{node.attr}"))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "getattr" and node.args
+              and isinstance(node.args[0], ast.Name) and node.args[0].id in ("np", "numpy")):
+            found.add((where, "getattr"))
+    return found
+
+
+def test_one_function_table():
+    # folding, the DAG walk and the compiled step all read expr._FUNCTIONS
+    import numpy as np
+
+    from ksfield import expr
+
+    assert function_bindings() == {("expr", "_FUNCTIONS")}
+    assert expr._FUNCTIONS == {fn: getattr(np, fn) for fn in EXPRESSION_FUNCTIONS}

@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import inspect
 import math
 import re
 import struct
@@ -16,8 +17,8 @@ from hypothesis import strategies as st
 from ksfield import solver
 from ksfield.cli_solve import _run_grid
 from ksfield.coords import VarTable
-from ksfield.expr import DomainError, parse
-from ksfield.lagrangian import RegularityError
+from ksfield.expr import DomainError, evaluate_batch, parse
+from ksfield.lagrangian import RegularityError, energy
 from ksfield.modelfile import load_model
 from ksfield.sampling import sample_points
 from ksfield.solver import (
@@ -82,12 +83,53 @@ class TestGridSpec:
             GridSpec((Axis(0, 1, 0.1), Axis(0, 1, 0.1), Axis(0, 1, 0.1)))
 
 
+# sha256 of phi, state_v and the energy drift, recorded before the step
+# folded constant Hessians: the constant ones (the first five; the
+# pivoting ones start off the symmetric lines, so a lost row swap shows)
+# and the v- or q-dependent ones eliminated in each stage keep their bits
+PINNED_TRAJECTORIES = [
+    pytest.param(1, "v1_1^2/2 - q1^2/2", [1.0], [0.0],
+                 "5f8bc0ea9f118f1229bfe3ac1c9adc9f93a791f25e87b18dbfebfa63d9130233",
+                 id="oscillator"),
+    pytest.param(3, "(v1_1^2 + v2_1^2 + v3_1^2)/2 + cos(q1 - q2) + cos(q2 - q3) - q1^2/2",
+                 [0.3, -0.2, 0.1], [0.0, 0.5, -0.4],
+                 "d75ce6a3d8646865bc1177826a74a4777c31bffc7ea23b29788497d6d584ff72",
+                 id="pendulum-chain"),
+    pytest.param(2, "v1_1*v2_1 - q1*q2", [1.0, -0.5], [0.2, 0.3],
+                 "5bbd1c895c8aaad9027e6f8b81eed6aff986bf767b60a830511c21ab0b37a7d6",
+                 id="zero-diagonal"),
+    pytest.param(3, "v1_1*v3_1 + v2_1^2/2 - q1*q3 - q2^2/2",
+                 [1.0, -0.5, 0.25], [0.2, 0.3, -0.1],
+                 "906a28ec1084a5d6559bbe2820a50e0ab8df1b1934939f749c3d1a9e581c993d",
+                 id="anti-diagonal"),
+    pytest.param(2, "(v1_1^2 + v1_1*v2_1 + 2*v2_1^2)/2 - (q1^2 + q2^2)/2 + cos(q1 - q2)",
+                 [1.0, -0.5], [0.2, 0.3],
+                 "2f7c85dfb84e373b89a0a8c3514581a100ab2feb34610acc78cd85c114885c2a",
+                 id="non-diagonal"),
+    pytest.param(1, "v1_1^4/12 + v1_1^2/2 - q1^2/2", [1.0], [0.5],
+                 "0a77188ba67ce54d251a9a95a8eb8923f358ff1a40b1f358f2bba75f93ef32df",
+                 id="v-dependent"),
+    pytest.param(2, "(1 + q2^2/10)*v1_1^2/2 + v1_1*v2_1/2 + v2_1^2/2 - (q1^2 + q2^2)/2",
+                 [1.0, -0.5], [0.2, 0.3],
+                 "7137f04b169e4f6a762c385034f912e13e18fdeeae164f17f6dedb885e0e4fe0",
+                 id="q-dependent"),
+]
+PINNED_GRID = GridSpec((Axis(0.0, TWO_PI, TWO_PI / 628),))
+
+
 class TestIntegrateK1:
     def test_harmonic_oscillator_period(self, oscillator_model):
         h = TWO_PI / 6283  # ~1e-3, commensurate with the horizon
         grid = GridSpec((Axis(0.0, TWO_PI, h),))
         sol = integrate_k1(oscillator_model, [1.0], [0.0], grid)
         assert abs(sol.phi[-1, 0] - 1.0) <= 1e-8
+
+    @pytest.mark.parametrize("k, axes", [(2, 1), (1, 2)])
+    def test_needs_a_k1_model_and_grid(self, k, axes):
+        # refused before the first step, not reported as a step that failed
+        grid = GridSpec((Axis(0.0, 1.0, 0.1),) * axes)
+        with pytest.raises(SolverError, match="^integrate_k1 needs a k = 1 model and a one-axis grid$"):
+            integrate_k1(lagrangian_model(1, k, "v1_1^2/2"), [0.0], [0.0], grid)
 
     def test_free_particle_is_exact(self):
         model = lagrangian_model(1, 1, "v1_1^2/2")
@@ -147,7 +189,7 @@ class TestIntegrateK1:
     def test_broken_constant_hessian_rejected_as_non_finite(self, n, source):
         model = lagrangian_model(n, 1, source)
         grid = GridSpec((Axis(0.0, 1.0, 0.1),))
-        with pytest.raises(SolverError, match="^non-finite stage values; step rejected$"):
+        with pytest.raises(SolverError, match="^non-finite state at step 1; step rejected$"):
             integrate_k1(model, [0.0] * n, [0.0] * n, grid)
 
     def test_singular_constant_hessian_rejected(self):
@@ -164,42 +206,36 @@ class TestIntegrateK1:
         with pytest.raises(RegularityError, match="^velocity Hessian became singular along the trajectory$"):
             integrate_k1(model, [0.0, 0.0], [0.0, 0.0], grid)
 
-    # sha256 of phi, state_v and the energy drift, recorded before the step
-    # folded constant Hessians: the constant ones (the first five; the
-    # pivoting ones start off the symmetric lines, so a lost row swap shows)
-    # and the v- or q-dependent ones eliminated in each stage keep their bits
-    @pytest.mark.parametrize("n, source, q0, v0, digest", [
-        pytest.param(1, "v1_1^2/2 - q1^2/2", [1.0], [0.0],
-                     "5f8bc0ea9f118f1229bfe3ac1c9adc9f93a791f25e87b18dbfebfa63d9130233",
-                     id="oscillator"),
-        pytest.param(3, "(v1_1^2 + v2_1^2 + v3_1^2)/2 + cos(q1 - q2) + cos(q2 - q3) - q1^2/2",
-                     [0.3, -0.2, 0.1], [0.0, 0.5, -0.4],
-                     "d75ce6a3d8646865bc1177826a74a4777c31bffc7ea23b29788497d6d584ff72",
-                     id="pendulum-chain"),
-        pytest.param(2, "v1_1*v2_1 - q1*q2", [1.0, -0.5], [0.2, 0.3],
-                     "5bbd1c895c8aaad9027e6f8b81eed6aff986bf767b60a830511c21ab0b37a7d6",
-                     id="zero-diagonal"),
-        pytest.param(3, "v1_1*v3_1 + v2_1^2/2 - q1*q3 - q2^2/2",
-                     [1.0, -0.5, 0.25], [0.2, 0.3, -0.1],
-                     "906a28ec1084a5d6559bbe2820a50e0ab8df1b1934939f749c3d1a9e581c993d",
-                     id="anti-diagonal"),
-        pytest.param(2, "(v1_1^2 + v1_1*v2_1 + 2*v2_1^2)/2 - (q1^2 + q2^2)/2 + cos(q1 - q2)",
-                     [1.0, -0.5], [0.2, 0.3],
-                     "2f7c85dfb84e373b89a0a8c3514581a100ab2feb34610acc78cd85c114885c2a",
-                     id="non-diagonal"),
-        pytest.param(1, "v1_1^4/12 + v1_1^2/2 - q1^2/2", [1.0], [0.5],
-                     "0a77188ba67ce54d251a9a95a8eb8923f358ff1a40b1f358f2bba75f93ef32df",
-                     id="v-dependent"),
-        pytest.param(2, "(1 + q2^2/10)*v1_1^2/2 + v1_1*v2_1/2 + v2_1^2/2 - (q1^2 + q2^2)/2",
-                     [1.0, -0.5], [0.2, 0.3],
-                     "7137f04b169e4f6a762c385034f912e13e18fdeeae164f17f6dedb885e0e4fe0",
-                     id="q-dependent"),
-    ])
+    @pytest.mark.parametrize("n, source, q0, v0, digest", PINNED_TRAJECTORIES)
     def test_trajectory_bits_are_pinned(self, n, source, q0, v0, digest):
-        grid = GridSpec((Axis(0.0, TWO_PI, TWO_PI / 628),))
-        sol = integrate_k1(lagrangian_model(n, 1, source), q0, v0, grid)
+        sol = integrate_k1(lagrangian_model(n, 1, source), q0, v0, PINNED_GRID)
         drift = struct.pack("<d", sol.summary["energy_drift"])
         assert hashlib.sha256(sol.phi.tobytes() + sol.state_v.tobytes() + drift).hexdigest() == digest
+
+    @pytest.mark.parametrize("n, source, q0, v0, digest", PINNED_TRAJECTORIES)
+    def test_energy_is_evaluated_strictly_over_the_trajectory(self, n, source, q0, v0, digest):
+        model = lagrangian_model(n, 1, source)
+        sol = integrate_k1(model, q0, v0, PINNED_GRID)
+        rows = np.hstack([sol.phi, sol.state_v])
+        (energies,) = evaluate_batch([energy(model)], model.table.velocity_chart, rows).T
+        assert struct.pack("<d", sol.summary["initial_energy"]) == struct.pack("<d", energies[0])
+        drift = np.max(np.abs(energies - energies[0]))
+        assert struct.pack("<d", sol.summary["energy_drift"]) == struct.pack("<d", drift)
+
+    def test_energy_leaving_its_domain_is_named(self):
+        # the motion is defined at v = -12 (H = 3/4, no force), E_L is not,
+        # so the run fails rather than report a NaN energy
+        model = lagrangian_model(1, 1, "v1_1^2/2 + log(v1_1 + 10)")
+        with pytest.raises(DomainError, match=r"in log evaluating .* at \(q1=0\.0, v1_1=-12\.0\)$"):
+            integrate_k1(model, [0.0], [-12.0], GridSpec((Axis(0.0, 1.0, 0.1),)))
+
+    def test_step_returns_only_the_next_state(self, oscillator_model):
+        step = solver._rk4_step(oscillator_model)
+        assert list(inspect.signature(step).parameters) == ["_state", "_steps"]
+        state = step((1.0, 0.0), solver._rk4_steps(0.01))
+        assert len(state) == 2 and all(type(x) is float for x in state)
+        with pytest.raises(SolverError):  # q + h*v overflows to inf
+            step((1.0, 1e300), solver._rk4_steps(1e300))
 
     def test_varying_hessian_tests_only_its_upper_entries(self, monkeypatch):
         # H = [[1 + q2^2/10, 1/2], [1/2, 1]] is eliminated in each stage; its
